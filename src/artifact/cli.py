@@ -32,7 +32,7 @@ from .diagrams import (
     validate_cartan,
 )
 from .frises import WindowTooShort, frise_extend, frise_extend_vars
-from .recurrences import find_min_recurrence
+from .recurrences import find_min_recurrence, human_form
 from .tilings import Embedding, brute_fill, parse_frontier, ray_values, tile_grid
 
 _LIMIT_DEFAULTS = {
@@ -244,19 +244,6 @@ def rays_cmd(frontier, origin, direction, count, fmt) -> None:
             click.echo(str(x))
 
 
-def _human_recurrence(order: int, coeffs) -> str:
-    lhs = "u[n+%d]" % order
-    parts = []
-    for j, c in enumerate(coeffs):
-        shift = order - 1 - j
-        term = "u[n+%d]" % shift if shift else "u[n]"
-        mag = abs(c)
-        body = term if mag == 1 else "%s %s" % (mag, term)
-        parts.append(("- " if c < 0 else "+ ") + body)
-    rhs = " ".join(parts)
-    return "%s = %s" % (lhs, rhs.lstrip("+ ") if rhs.startswith("+ ") else rhs)
-
-
 @cli.command("recur")
 @click.option("--seq", help="Comma-separated integers.")
 @click.option("--file", "source", type=click.File("r"),
@@ -303,7 +290,7 @@ def recur_cmd(seq, source, max_order, fmt) -> None:
         click.echo("no linear recurrence of order <= %d certified on %d terms"
                    % (max_order, window))
     else:
-        click.echo(_human_recurrence(rec.order, rec.coeffs))
+        click.echo(human_form(rec))
         click.echo("window: %d terms" % window)
 
 

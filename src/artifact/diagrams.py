@@ -499,18 +499,29 @@ def parse_shorthand(text: str) -> Quiver:
     raise ValueError("unrecognized diagram shorthand %r" % (text,))
 
 
-def quiver_from_json(obj: dict) -> Quiver:
+def quiver_from_json(obj: object) -> Quiver:
     """Read {"vertices": d, "edges": [{"from": i, "to": j, "val": [a, b]}]}.
 
     For an arrow i->j, val[0] = |C_ji| (exponent of the target's value in
-    the source's own step) and val[1] = |C_ij|.
+    the source's own step) and val[1] = |C_ij|. Malformed input raises
+    ValueError.
     """
-    d = obj["vertices"]
+    if not (isinstance(obj, dict) and type(obj.get("vertices")) is int
+            and obj["vertices"] >= 1 and isinstance(obj.get("edges"), list)):
+        raise ValueError('quiver JSON must be {"vertices": d >= 1, "edges": [...]}')
+    d, edges = obj["vertices"], obj["edges"]
+    if len(edges) < d - 1:  # checked before the d x d matrix is built
+        raise Disconnected("%d edges cannot connect %d vertices" % (len(edges), d))
     m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
     arrows = []
-    for e in obj["edges"]:
-        i, j = e["from"], e["to"]
-        a, b = e.get("val", [1, 1])
+    for e in edges:
+        fields = e if isinstance(e, dict) else {}
+        i, j, val = fields.get("from"), fields.get("to"), fields.get("val", [1, 1])
+        if not (isinstance(val, list) and len(val) == 2 and i != j
+                and all(type(x) is int and x >= 0 for x in (i, j, *val)) and max(i, j) < d):
+            raise ValueError('edge %r is not {"from": i, "to": j, "val": [a, b]} with '
+                             "vertices i != j below %d and naturals a, b" % (e, d))
+        a, b = val
         m[j][i] = -a
         m[i][j] = -b
         arrows.append((i, j))

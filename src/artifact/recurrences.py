@@ -1,7 +1,8 @@
 """Exact linear recurrences and natural matrix representations for rays.
 
 find_min_recurrence fits the smallest-order recurrence over the rationals
-that reproduces a whole prefix, by exact elimination; no floats anywhere.
+that reproduces a whole prefix, by one fraction-free Berlekamp-Massey pass
+in integer arithmetic (Massey 1969); no floats anywhere.
 
 nrational_witness turns a ray on an SL2-tiling into matrix data with
 natural entries: per residue class i mod q the cut words pump as
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Optional, Sequence
 
 from .tilings import Embedding, Point, ray_values, tile_value, word_span
@@ -53,55 +55,44 @@ class LinearRecurrence:
         return len(self.coeffs)
 
 
-def _solve_exact(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """Particular solution of an overdetermined system, or None.
+def _connection_polynomial(seq: list[int], max_order: int) -> Optional[list[int]]:
+    """Berlekamp-Massey over Z: [c_0..c_L] with sum_i c_i seq[n-i] = 0 for n >= L.
 
-    rows are [a_1..a_k | rhs]; free variables are set to zero and the
-    solution is checked against every input row.
+    Where the field algorithm subtracts (d/b) x^m B from C, this scales C
+    by b instead and then divides out the content, so the entries stay
+    small integers. Returns None as soon as L passes max_order; pads to
+    length max(L, 1) + 1, so an all-zero sequence gives [1, 0].
     """
-    if not rows:
-        return None
-    k = len(rows[0]) - 1
-    work = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
+    conn, prev = [1], [1]
+    length, shift, last = 0, 1, 1
+    for n in range(len(seq)):
+        d = sum(c * seq[n - i] for i, c in enumerate(conn))
+        if d == 0:
+            shift += 1
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    if any(all(x == 0 for x in row[:-1]) and row[-1] != 0 for row in work):
-        return None
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        sol[col] = work[i][-1]
-    for row in rows:
-        if sum(c * s for c, s in zip(row[:-1], sol)) != row[-1]:
-            return None
-    return sol
-
-
-def _fit_order(seq: Sequence[Fraction], k: int) -> Optional[list[Fraction]]:
-    rows = [
-        [seq[n + k - 1 - j] for j in range(k)] + [seq[n + k]]
-        for n in range(len(seq) - k)
-    ]
-    return _solve_exact(rows)
+        old = conn
+        conn = [last * c for c in conn] + [0] * (len(prev) + shift - len(conn))
+        for i, x in enumerate(prev):
+            conn[i + shift] -= d * x
+        g = gcd(*conn)
+        conn = [c // g for c in conn]
+        if 2 * length <= n:
+            length, prev, last, shift = n + 1 - length, old, d, 1
+            if length > max_order:
+                return None
+        else:
+            shift += 1
+    return conn + [0] * (max(length, 1) + 1 - len(conn))
 
 
 def find_min_recurrence(prefix: Sequence[int], max_order: int) -> Optional[LinearRecurrence]:
-    """Smallest-order exact recurrence fitting the whole prefix, if any.
+    """Smallest-order exact recurrence fitting the whole integer prefix, if any.
 
-    Minimality is certified on the given window only, which is why the
-    prefix must comfortably overdetermine the largest system tried.
+    Berlekamp-Massey gives the linear complexity L; orders above max_order
+    give None. Minimality is certified on the given window only: with
+    N >= 2L terms the shortest recurrence is unique, and N >= 2*max_order+4
+    makes that hold for every order reported. An all-zero prefix (L = 0)
+    gives order 1 with coefficient 0.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -110,21 +101,25 @@ def find_min_recurrence(prefix: Sequence[int], max_order: int) -> Optional[Linea
             "need at least %d terms to certify order %d, got %d"
             % (2 * max_order + 4, max_order, len(prefix))
         )
-    seq = [Fraction(v) for v in prefix]
-    for k in range(1, max_order + 1):
-        sol = _fit_order(seq, k)
-        if sol is not None:
-            return LinearRecurrence(coeffs=tuple(sol), minimal=True)
-    return None
+    seq = [index(v) for v in prefix]
+    conn = _connection_polynomial(seq, max_order)
+    if conn is None:
+        return None
+    rec = LinearRecurrence(coeffs=tuple(Fraction(-c, conn[0]) for c in conn[1:]))
+    assert verify_recurrence(seq, rec), "Berlekamp-Massey result misses the prefix"
+    return rec
 
 
 def verify_recurrence(prefix: Sequence[int], rec: LinearRecurrence) -> bool:
+    """Check D u[n+k] = sum_j (D c_j) u[n+k-1-j] in integers, D the lcm of denominators."""
     k = rec.order
     if len(prefix) <= k:
         raise ValueError("prefix no longer than the recurrence order")
-    seq = [Fraction(v) for v in prefix]
+    den = lcm(*(c.denominator for c in rec.coeffs))
+    scaled = [c.numerator * (den // c.denominator) for c in rec.coeffs]
+    seq = [index(v) for v in prefix]
     return all(
-        seq[n + k] == sum(c * seq[n + k - 1 - j] for j, c in enumerate(rec.coeffs))
+        den * seq[n + k] == sum(a * seq[n + k - 1 - j] for j, a in enumerate(scaled))
         for n in range(len(seq) - k)
     )
 

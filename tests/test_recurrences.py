@@ -1,6 +1,10 @@
 from fractions import Fraction
+from math import lcm
+from typing import Optional, Sequence
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from artifact.diagrams import parse_shorthand
 from artifact.frises import detect_period, frise_extend
@@ -18,6 +22,110 @@ from artifact.recurrences import (
 from artifact.tilings import Embedding, parse_frontier, ray_values, tile_value
 
 EVEN_FIB = [1, 1, 2, 5, 13, 34, 89, 233]
+
+
+# ----------------------------------------------------------------------
+# Gauss-Jordan reference fitter: one overdetermined Fraction system per
+# order k = 1..max_order, free variables set to zero.
+
+
+def _solve_exact(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
+    """Particular solution of an overdetermined system, or None.
+
+    rows are [a_1..a_k | rhs]; free variables are set to zero and the
+    solution is checked against every input row.
+    """
+    if not rows:
+        return None
+    k = len(rows[0]) - 1
+    work = [row[:] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(k):
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    if any(all(x == 0 for x in row[:-1]) and row[-1] != 0 for row in work):
+        return None
+    sol = [Fraction(0)] * k
+    for i, col in enumerate(pivots):
+        sol[col] = work[i][-1]
+    for row in rows:
+        if sum(c * s for c, s in zip(row[:-1], sol)) != row[-1]:
+            return None
+    return sol
+
+
+def _fit_order(seq: Sequence[Fraction], k: int) -> Optional[list[Fraction]]:
+    rows = [
+        [seq[n + k - 1 - j] for j in range(k)] + [seq[n + k]]
+        for n in range(len(seq) - k)
+    ]
+    return _solve_exact(rows)
+
+
+def gauss_jordan_min_recurrence(prefix: Sequence[int], max_order: int):
+    seq = [Fraction(v) for v in prefix]
+    for k in range(1, max_order + 1):
+        sol = _fit_order(seq, k)
+        if sol is not None:
+            return tuple(sol)
+    return None
+
+
+def fraction_verify(prefix: Sequence[int], coeffs) -> bool:
+    k = len(coeffs)
+    seq = [Fraction(v) for v in prefix]
+    return all(
+        seq[n + k] == sum(c * seq[n + k - 1 - j] for j, c in enumerate(coeffs))
+        for n in range(len(seq) - k)
+    )
+
+
+@st.composite
+def fit_cases(draw):
+    """A prefix and an order cap: recurrence-generated or random terms.
+
+    Generated recurrences have order 0..max_order+2, so complexities just
+    above the cap occur; zero initial terms give leading zeros.
+    """
+    max_order = draw(st.integers(1, 5))
+    n = draw(st.integers(2 * max_order + 4, 2 * max_order + 9))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, max_order + 2))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        seq = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+        while len(seq) < n:
+            seq.append(sum(c * seq[-1 - j] for j, c in enumerate(coeffs)))
+    else:
+        seq = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return seq[:n], max_order
+
+
+@settings(max_examples=400, deadline=None)
+@given(fit_cases())
+@example(([0] * 6, 1))
+@example(([0, 0, 0, 1] + [0] * 8, 4))
+@example(([0, 0, 0, 1] + [0] * 10, 5))
+@example(([0, 0, 0, 1] + [0] * 6, 3))
+@example(([1] + [0] * 11, 3))
+@example(([32, 48, 72, 108, 162, 243], 1))
+@example((EVEN_FIB, 2))
+@example(([1, 2, 6, 24, 120, 720, 5040, 40320], 2))
+def test_find_min_recurrence_matches_gauss_jordan(case):
+    prefix, max_order = case
+    rec = find_min_recurrence(prefix, max_order)
+    want = gauss_jordan_min_recurrence(prefix, max_order)
+    assert (None if rec is None else rec.coeffs) == want
 
 
 def test_find_min_recurrence_examples():
@@ -50,6 +158,40 @@ def test_verify_recurrence():
     assert not verify_recurrence([1, 1, 2, 5, 13, 34], LinearRecurrence((2, 1)))
     with pytest.raises(ValueError):
         verify_recurrence([1, 2], LinearRecurrence((1, 1)))
+
+
+@st.composite
+def verify_cases(draw):
+    """Integer prefix from a rational recurrence, sometimes perturbed.
+
+    Terms are generated over Q and scaled by their common denominator,
+    which keeps the recurrence; coefficients arrive as int or Fraction.
+    """
+    k = draw(st.integers(1, 4))
+    coeffs = draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=k, max_size=k))
+    seq = [Fraction(v) for v in draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))]
+    while len(seq) < k + draw(st.integers(1, 8)):
+        seq.append(sum(c * seq[-1 - j] for j, c in enumerate(coeffs)))
+    den = lcm(*(v.denominator for v in seq))
+    prefix = [int(v * den) for v in seq]
+    if draw(st.booleans()):
+        prefix[draw(st.integers(0, len(prefix) - 1))] += draw(st.sampled_from([-1, 1]))
+    as_int = draw(st.booleans())
+    coeffs = [int(c) if as_int and c.denominator == 1 else c for c in coeffs]
+    return prefix, tuple(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(verify_cases())
+@example(([32, 48, 72, 108, 162, 243], (Fraction(3, 2),)))
+@example(([32, 48, 72, 108, 162, 244], (Fraction(3, 2),)))
+@example(([1, 1, 2, 5, 13, 34], (3, -1)))
+@example(([1, 1, 2, 5, 13, 34], (Fraction(3), Fraction(-1))))
+@example(([4, 3, 0, 0, 0], (Fraction(3, 4), Fraction(0))))
+def test_verify_recurrence_matches_fraction_form(case):
+    prefix, coeffs = case
+    assert verify_recurrence(prefix, LinearRecurrence(coeffs)) == fraction_verify(prefix, coeffs)
 
 
 def test_round_trip_on_periodic_columns():
