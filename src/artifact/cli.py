@@ -7,8 +7,9 @@ failed verification, 2 usage error, 3 resource-limit abort.
 
 Default resource limits come from environment variables, all positive
 integers: ARTIFACT_MAX_STEPS (frise/ray/window lengths, default 512),
-ARTIFACT_MAX_REGION (tile region cell count, default 65536), and
-ARTIFACT_MAX_ORDER (recurrence order bound, default 32).
+ARTIFACT_MAX_REGION (tile region cell count, default 65536),
+ARTIFACT_MAX_ORDER (recurrence order bound, default 32), and
+ARTIFACT_MAX_VERTICES (diagram vertex count or catalog index, default 512).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ _LIMIT_DEFAULTS = {
     "ARTIFACT_MAX_STEPS": 512,
     "ARTIFACT_MAX_REGION": 65536,
     "ARTIFACT_MAX_ORDER": 32,
+    "ARTIFACT_MAX_VERTICES": 512,
 }
 
 # json consumers read numbers as doubles; anything wider ships as a string
@@ -108,7 +110,11 @@ def _quiver_from_options(name: str | None, cartan: str | None, quiver_json: str 
     given = [o for o in (name, cartan, quiver_json) if o is not None]
     if len(given) != 1:
         raise click.UsageError("give exactly one of --quiver, --cartan, --quiver-json")
+    # diagrams are built as dense d x d matrices, so d is capped before building
     if name is not None:
+        digits = name.strip()[len(name.strip().rstrip("0123456789")):]
+        if digits:
+            _check_limit("diagram index", _data(int, digits), "ARTIFACT_MAX_VERTICES")
         return _data(parse_shorthand, name)
     if cartan is not None:
         try:
@@ -124,6 +130,9 @@ def _quiver_from_options(name: str | None, cartan: str | None, quiver_json: str 
         obj = json.loads(quiver_json)
     except json.JSONDecodeError as exc:
         raise click.UsageError("--quiver-json is not valid JSON: %s" % exc)
+    vertices = obj.get("vertices") if isinstance(obj, dict) else None
+    if type(vertices) is int:
+        _check_limit("vertices", vertices, "ARTIFACT_MAX_VERTICES")
     return _data(quiver_from_json, obj)
 
 

@@ -106,7 +106,8 @@ def find_min_recurrence(prefix: Sequence[int], max_order: int) -> Optional[Linea
     if conn is None:
         return None
     rec = LinearRecurrence(coeffs=tuple(Fraction(-c, conn[0]) for c in conn[1:]))
-    assert verify_recurrence(seq, rec), "Berlekamp-Massey result misses the prefix"
+    if not verify_recurrence(seq, rec):
+        raise RuntimeError("Berlekamp-Massey result misses the prefix")
     return rec
 
 

@@ -31,11 +31,36 @@ def _fails_cleanly(result) -> None:
     '{"vertices": 2, "edges": [{"from": 0, "to": 1, "val": [1]}]}',
     '{"vertices": 2, "edges": [{"from": 0, "to": 1, "val": "ab"}]}',
     '{"vertices": 2, "edges": [{"from": 0, "to": 1, "val": [1.5, 1]}]}',
-    '{"vertices": 100000000000, "edges": []}',
 ])
 @pytest.mark.parametrize("command", ["frise", "probe"])
 def test_malformed_quiver_json_exits_1_without_traceback(command, quiver_json):
     _fails_cleanly(_run(command, "--quiver-json", quiver_json, "--steps", "2"))
+
+
+LONG_PATH = json.dumps({"vertices": 20000,
+                        "edges": [{"from": i, "to": i + 1} for i in range(19999)]})
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--quiver-json", '{"vertices": 100000000000, "edges": []}'),
+    ("--quiver-json", LONG_PATH),
+    ("--quiver", "A20000"),
+    ("--quiver", "Dtilde513"),
+])
+@pytest.mark.parametrize("command", ["frise", "probe"])
+def test_oversized_diagram_exits_3_before_building(command, option, value):
+    result = _run(command, option, value, "--steps", "2")
+    assert result.exit_code == 3
+    assert "exceeds ARTIFACT_MAX_VERTICES=512" in result.output
+
+
+def test_vertex_cap_is_read_from_the_environment():
+    path = json.dumps({"vertices": 3, "edges": [{"from": 0, "to": 1}, {"from": 1, "to": 2}]})
+    result = CliRunner(env={"ARTIFACT_MAX_VERTICES": "2"}).invoke(
+        cli, ["frise", "--quiver-json", path, "--steps", "2"])
+    assert result.exit_code == 3
+    assert _run("frise", "--quiver-json", path, "--steps", "2").stdout == _run(
+        "frise", "--quiver", "A3", "--steps", "2").stdout
 
 
 def test_quiver_json_still_reads_valued_arrows():

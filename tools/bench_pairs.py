@@ -1,13 +1,14 @@
 """Paired benchmark runs of two commits, written to one BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --base 4cea5d5 --change HEAD --workload probe \\
-        --pairs 10 --seed 3 --out BENCH_2.json
+        --seed 3 --out BENCH_2.json
 
 Both commits are exported with `git archive` into a temporary directory,
 and perfbench/run.py runs in each export, so every side measures its own
-committed library with its own committed benchmark. The pairs alternate
-which side runs first. After them, every other workload runs once per
-side, and so does one traced run of the paired workload.
+committed library with its own committed benchmark, at that benchmark's
+own run length. Ten pairs run, alternating which side runs first. After
+them, every other workload runs once per side, and so does one traced run
+of the paired workload.
 
 The output holds each run's metrics. For the paired workload it also
 holds, per metric and side, the median and quartiles, and the number of
@@ -27,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("probe", "symbolic-frise", "symbolic-tiles", "integer-tiles")
 TIMEOUT_S = 1800
+PAIRS = 10
 
 
 def export(rev: str, dest: Path) -> str:
@@ -39,10 +41,10 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
     result = json.loads(proc.stdout.splitlines()[-1])
     result["exit_code"] = proc.returncode
@@ -66,9 +68,7 @@ def main() -> int:
     parser.add_argument("--base", required=True, help="Parent revision.")
     parser.add_argument("--change", default="HEAD", help="Changed revision.")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
 
@@ -77,13 +77,12 @@ def main() -> int:
         commits = {side: export(rev, trees[side])
                    for side, rev in (("parent", args.base), ("change", args.change))}
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(run(trees[side], args.workload, args.seed, args.seconds, 0))
-        others = {w: {side: run(trees[side], w, args.seed, args.seconds, 0) for side in trees}
+                runs[side].append(run(trees[side], args.workload, args.seed, 0))
+        others = {w: {side: run(trees[side], w, args.seed, 0) for side in trees}
                   for w in WORKLOADS if w != args.workload}
-        traced = {side: run(trees[side], args.workload, args.seed, args.seconds, 1)
-                  for side in trees}
+        traced = {side: run(trees[side], args.workload, args.seed, 1) for side in trees}
 
     wins = {name: sum(c["metrics"][name] < p["metrics"][name]
                       for p, c in zip(runs["parent"], runs["change"]))
@@ -93,8 +92,6 @@ def main() -> int:
         "commits": commits,
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
-        "pairs": args.pairs,
         "summary": {side: summary(r) for side, r in runs.items()},
         "change_wins": wins,
         "runs": runs,
