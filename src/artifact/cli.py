@@ -25,6 +25,7 @@ from .acceptance import run_suite
 from .cluster import CrossSeed, cross_construct, enumerate_cluster_vars, frieze_period
 from .correspondence import probe_conjecture
 from .diagrams import (
+    Quiver,
     classify,
     check_subadditive,
     find_additive_function,
@@ -123,8 +124,6 @@ def _quiver_from_options(name: str | None, cartan: str | None, quiver_json: str 
             raise click.UsageError("--cartan is not valid JSON: %s" % exc)
         c = _data(validate_cartan, rows)
         # default orientation: every edge from the lower vertex id up
-        from .diagrams import Quiver
-
         return _data(Quiver, c, list(c.edges()))
     try:
         obj = json.loads(quiver_json)

@@ -510,8 +510,6 @@ def quiver_from_json(obj: object) -> Quiver:
             and obj["vertices"] >= 1 and isinstance(obj.get("edges"), list)):
         raise ValueError('quiver JSON must be {"vertices": d >= 1, "edges": [...]}')
     d, edges = obj["vertices"], obj["edges"]
-    if len(edges) < d - 1:  # checked before the d x d matrix is built
-        raise Disconnected("%d edges cannot connect %d vertices" % (len(edges), d))
     m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
     arrows = []
     for e in edges:
