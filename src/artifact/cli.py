@@ -7,7 +7,9 @@ failed verification, 2 usage error, 3 resource-limit abort.
 
 Default resource limits come from environment variables, all positive
 integers: ARTIFACT_MAX_STEPS (frise/ray/window lengths, default 512),
-ARTIFACT_MAX_REGION (tile region cell count, default 65536),
+ARTIFACT_MAX_REGION (tile region cell count, the cells the --oracle fill
+covers, and the longest frontier word a tile or ray value is read from,
+default 65536),
 ARTIFACT_MAX_ORDER (recurrence order bound, default 32), and
 ARTIFACT_MAX_VERTICES (diagram vertex count or catalog index, default 512).
 """
@@ -35,7 +37,7 @@ from .diagrams import (
 )
 from .frises import WindowTooShort, frise_extend, frise_extend_vars
 from .recurrences import find_min_recurrence, human_form
-from .tilings import Embedding, brute_fill, parse_frontier, ray_values, tile_grid
+from .tilings import Embedding, brute_fill, parse_frontier, ray_values, tile_grid, word_span
 
 _LIMIT_DEFAULTS = {
     "ARTIFACT_MAX_STEPS": 512,
@@ -107,6 +109,34 @@ def _echo_rows(rows: list[list[str]], fmt: str) -> None:
         click.echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())
 
 
+def _word_length(e: Embedding, p: tuple[int, int]) -> int:
+    """Letters in the frontier word that p's value is read from; 0 on the path."""
+    side = e.classify(p)
+    if side == "on":
+        return 0
+    if side == "above":
+        e, p = e.mirror(), e.mirror_point(p)
+    first, last = word_span(e, p)
+    return last - first + 1
+
+
+def _check_words(e: Embedding, ends: list[tuple[int, int]]) -> None:
+    # words grow away from the frontier, so a rectangle's or a ray's longest
+    # word sits at one of its corners or ends
+    _check_limit("frontier word length", max(_word_length(e, p) for p in ends),
+                 "ARTIFACT_MAX_REGION")
+
+
+def _oracle_box_cells(e: Embedding, region) -> int:
+    """Cells of the box brute_fill fills: the region and the frontier from
+    below-left of it to above-right of it, through vertex 0."""
+    u0, v0, u1, v1 = region
+    lo = min(0, e.column_run(u0 - 1)[0] - 1, e.row_run(v0 - 1)[0] - 1)
+    hi = max(0, e.column_run(u1 + 1)[1] + 1, e.row_run(v1 + 1)[1] + 1)
+    (a, b), (c, d) = e.vertex(lo), e.vertex(hi)
+    return (max(c, u1) - min(a, u0) + 1) * (max(d, v1) - min(b, v0) + 1)
+
+
 def _quiver_from_options(name: str | None, cartan: str | None, quiver_json: str | None):
     given = [o for o in (name, cartan, quiver_json) if o is not None]
     if len(given) != 1:
@@ -122,6 +152,8 @@ def _quiver_from_options(name: str | None, cartan: str | None, quiver_json: str 
             rows = json.loads(cartan)
         except json.JSONDecodeError as exc:
             raise click.UsageError("--cartan is not valid JSON: %s" % exc)
+        if isinstance(rows, list):
+            _check_limit("Cartan rows", len(rows), "ARTIFACT_MAX_VERTICES")
         c = _data(validate_cartan, rows)
         # default orientation: every edge from the lower vertex id up
         return _data(Quiver, c, list(c.edges()))
@@ -218,6 +250,9 @@ def tile_cmd(frontier, region, oracle, fmt) -> None:
         raise click.UsageError("empty region: need U0<=U1 and V0<=V1")
     _check_limit("region cells", (u1 - u0 + 1) * (v1 - v0 + 1), "ARTIFACT_MAX_REGION")
     e = Embedding(_data(parse_frontier, frontier))
+    _check_words(e, [(u, v) for u in (u0, u1) for v in (v0, v1)])
+    if oracle:
+        _check_limit("oracle box cells", _oracle_box_cells(e, region), "ARTIFACT_MAX_REGION")
     grid = _data(brute_fill if oracle else tile_grid, e, region)
     rows = [[grid[(u, v)] for u in range(u0, u1 + 1)] for v in range(v1, v0 - 1, -1)]
     if fmt == "json":
@@ -241,6 +276,8 @@ def rays_cmd(frontier, origin, direction, count, fmt) -> None:
     e = Embedding(_data(parse_frontier, frontier))
     o = _pair(origin, "--origin")
     d = _pair(direction, "--dir")
+    if d != (0, 0) and d[0] * d[1] <= 0:
+        _check_words(e, [o, (o[0] + (count - 1) * d[0], o[1] + (count - 1) * d[1])])
     ray = _data(ray_values, e, o, d, count)
     if fmt == "json":
         click.echo(json.dumps({"origin": list(o), "direction": list(d),

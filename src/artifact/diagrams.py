@@ -88,12 +88,15 @@ class CartanMatrix:
 def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanMatrix:
     """Check the four axioms and return the validated matrix.
 
-    Raises DiagonalNotTwo, PositiveOffDiagonal, AsymmetricZeroPattern, or
+    Raises ValueError unless the matrix is a nonempty square of integers,
+    then DiagonalNotTwo, PositiveOffDiagonal, AsymmetricZeroPattern, or
     Disconnected, naming the offending entries.
     """
+    if not (isinstance(matrix, (list, tuple)) and matrix and all(
+            isinstance(row, (list, tuple)) and len(row) == len(matrix)
+            and all(type(x) is int for x in row) for row in matrix)):
+        raise ValueError("Cartan matrix must be a nonempty square list of integer rows")
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
     for i in range(n):
         if matrix[i][i] != 2:
             raise DiagonalNotTwo("entry (%d,%d) = %d" % (i, i, matrix[i][i]))

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import index
 from typing import Optional, Sequence
 
-from .tilings import Embedding, Point, ray_values, tile_value, word_span
+from .tilings import Embedding, Point, ray_values, step_product, tile_value, word_span
 
 Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
@@ -174,14 +174,6 @@ def _kron(a: Mat, b: Mat) -> Mat:
     )
 
 
-def _step_mat(word: str) -> Mat:
-    m: Mat = ((1, 0), (0, 1))
-    steps = {"x": ((1, 1), (0, 1)), "y": ((1, 0), (1, 1))}
-    for ch in word:
-        m = _mat_mul(m, steps[ch])
-    return m
-
-
 def _check_natural(*mats: Sequence) -> None:
     for m in mats:
         rows = m if m and isinstance(m[0], tuple) else (m,)
@@ -326,8 +318,8 @@ def nrational_witness(
             grown = fr.factor(fn, ln + 1)
             assert grown == pump_left * extra + core_word + pump_right * extra
 
-        mprime, m = _step_mat(pump_left), _step_mat(pump_right)
-        core = _step_mat(core_word)
+        mprime, m = step_product(pump_left), step_product(pump_right)
+        core = step_product(core_word)
         lam: Vec = (0, 1)
         gamma: Vec = (0, 1)
         if base:

@@ -21,9 +21,11 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Union
 
 Point = tuple[int, int]
+Mat2 = tuple[tuple[int, int], tuple[int, int]]
 Region = tuple[int, int, int, int]
 
 
@@ -118,62 +120,59 @@ def frontier_to_text(fr: Frontier) -> str:
     return "[%s]*%s[%s]*" % (fr.left, mid, fr.right)
 
 
-_STEP = {"x": (1, 0), "y": (0, 1)}
-
-
 class Embedding:
-    """Frontier walked into the plane; vertex i sits between letters i-1, i."""
+    """Frontier laid into the plane; vertex i sits between letters i-1, i.
+
+    The word is ultimately periodic, so every query is index arithmetic on
+    its three blocks, with no walk. Vertex i is the anchor plus the letter
+    counts from index 0 to i (center, whole tail blocks by one divmod, and
+    a block prefix), so it lies on the antidiagonal u + v = i + sum(anchor).
+    The vertices on column (row) anchor + t run from just after the t-th
+    x (y) up to the (t+1)-th, found the same way from letter positions.
+    """
 
     def __init__(self, frontier: Frontier, anchor: Point = (0, 0)):
         self.frontier = frontier
         self.anchor = anchor
-        self._fwd: list[Point] = [anchor]  # V_0, V_1, ...
-        self._bwd: list[Point] = [anchor]  # V_0, V_-1, ...
         self._mirror: Optional["Embedding"] = None
+        blocks = (frontier.left, frontier.center, frontier.right)
+        # per block: the x counts of its prefixes, and the index just after
+        # each x and after each y
+        self._xs = [list(accumulate((ch == "x" for ch in w), initial=0)) for w in blocks]
+        self._ends = [[[k + 1 for k, ch in enumerate(w) if ch == a] for w in blocks] for a in "xy"]
 
     def letter(self, i: int) -> str:
         return self.frontier.letter(i)
 
     def vertex(self, i: int) -> Point:
-        if i >= 0:
-            while len(self._fwd) <= i:
-                k = len(self._fwd)
-                u, v = self._fwd[k - 1]
-                du, dv = _STEP[self.letter(k - 1)]
-                self._fwd.append((u + du, v + dv))
-            return self._fwd[i]
-        while len(self._bwd) <= -i:
-            k = len(self._bwd)
-            u, v = self._bwd[k - 1]
-            du, dv = _STEP[self.letter(-k)]
-            self._bwd.append((u - du, v - dv))
-        return self._bwd[-i]
+        left, center, right = self._xs
+        n = len(center) - 1
+        if 0 <= i <= n:
+            x = center[i]
+        elif i > n:
+            q, r = divmod(i - n, len(right) - 1)
+            x = center[n] + q * right[-1] + right[r]
+        else:
+            q, r = divmod(i, len(left) - 1)
+            x = q * left[-1] + left[r]
+        return (self.anchor[0] + x, self.anchor[1] + i - x)
 
-    # The walk is monotone in both coordinates, so runs of constant u (or v)
-    # are contiguous in the vertex index and can be found by expanding the
-    # cached walk past the target and scanning.
-
-    def _index_range_covering(self, coord: int, axis: int) -> tuple[int, int]:
-        lo = 0
-        while self.vertex(lo)[axis] >= coord:
-            lo -= 1
-        hi = 0
-        while self.vertex(hi)[axis] <= coord:
-            hi += 1
-        return lo, hi
+    def _after(self, t: int, axis: int) -> int:
+        """Index just after the t-th x (axis 0) or y (axis 1), counting the
+        first such letter at index >= 0 as t = 1 and the last before it as 0."""
+        left, center, right = self._ends[axis]
+        if 0 < t <= len(center):
+            return center[t - 1]
+        if t > 0:
+            q, r = divmod(t - 1 - len(center), len(right))
+            return len(self.frontier.center) + q * len(self.frontier.right) + right[r]
+        q, r = divmod(t - 1, len(left))
+        return q * len(self.frontier.left) + left[r]
 
     def _run(self, coord: int, axis: int) -> tuple[int, int]:
-        lo, hi = self._index_range_covering(coord, axis)
-        first = last = None
-        for i in range(lo, hi + 1):
-            if self.vertex(i)[axis] == coord:
-                if first is None:
-                    first = i
-                last = i
-        if first is None:
-            # a single step jumped over the coordinate: impossible for unit steps
-            raise AssertionError("frontier misses coordinate %d on axis %d" % (coord, axis))
-        return first, last
+        # the t-th letter of the axis enters line anchor + t, the next leaves it
+        t = coord - self.anchor[axis]
+        return self._after(t, axis), self._after(t + 1, axis) - 1
 
     def column_run(self, u: int) -> tuple[int, int]:
         """Vertex indices entering and leaving column u."""
@@ -186,9 +185,10 @@ class Embedding:
         """'below', 'on', or 'above' the frontier path."""
         u, v = p
         ilo, ihi = self.column_run(u)
-        if v < self.vertex(ilo)[1]:
+        i = u + v - self.anchor[0] - self.anchor[1]  # the index of vertices on p's antidiagonal
+        if i < ilo:
             return "below"
-        if v <= self.vertex(ihi)[1]:
+        if i <= ihi:
             return "on"
         return "above"
 
@@ -232,15 +232,27 @@ def word_value(word: str) -> int:
     return b
 
 
+def step_product(word: str, m: Mat2 = ((1, 0), (0, 1))) -> Mat2:
+    """m M(w_1) ... M(w_k), with M(x)=[[1,1],[0,1]] and M(y)=[[1,0],[1,1]]."""
+    (p, q), (r, s) = m
+    for ch in word:
+        if ch == "x":
+            q, s = p + q, r + s
+        else:
+            p, r = p + q, r + s
+    return (p, q), (r, s)
+
+
+def _mul2(a: Mat2, b: Mat2) -> Mat2:
+    (p, q), (r, s) = a
+    (t, u), (v, w) = b
+    return (p * t + q * v, p * u + q * w), (r * t + s * v, r * u + s * w)
+
+
 def _inner_value(word: str) -> int:
     # (1,1) M(x_2) ... M(x_n) (1,1)^T, first and last letters dropped
-    a, b = 1, 1
-    for ch in word[1:-1]:
-        if ch == "x":
-            a, b = a, a + b
-        else:
-            a, b = a + b, b
-    return a + b
+    (p, q), (r, s) = step_product(word[1:-1])
+    return p + q + r + s
 
 
 def tile_value(e: Embedding, p: Point) -> int:
@@ -352,16 +364,36 @@ class Ray:
 
 
 def ray_values(e: Embedding, origin: Point, direction: Point, count: int) -> Ray:
-    """Values t(origin + n*direction) for n = 0..count-1."""
+    """Values t(origin + n*direction) for n = 0..count-1.
+
+    On each side of the frontier the words of the ray's points are nested,
+    so the points are taken from the shortest word out and each value is
+    extended by transfer matrices: the previous inner product, times the
+    step matrices of the new letters at each end. Frontier points give 1.
+    """
     a, b = direction
     if (a, b) == (0, 0):
         raise ValueError("direction must be nonzero")
     if a * b > 0:
         raise ValueError("direction (%d,%d) must satisfy a*b <= 0" % (a, b))
-    vals = tuple(
-        tile_value(e, (origin[0] + n * a, origin[1] + n * b)) for n in range(count)
-    )
-    return Ray(origin, direction, vals)
+    vals = [1] * count
+    spans: dict[Embedding, list[tuple[int, int, int]]] = {}
+    for n in range(count):
+        p = (origin[0] + n * a, origin[1] + n * b)
+        side = e.classify(p)
+        if side != "on":
+            below, p = (e, p) if side == "below" else (e.mirror(), e.mirror_point(p))
+            spans.setdefault(below, []).append((*word_span(below, p), n))
+    for below, points in spans.items():
+        factor, m = below.frontier.factor, None
+        for f2, l2, n in sorted(points, key=lambda s: s[1] - s[0]):
+            if m is not None and f2 <= f and l <= l2:
+                m = step_product(factor(l, l2), _mul2(step_product(factor(f2 + 1, f + 1)), m))
+            else:
+                m = step_product(factor(f2 + 1, l2))
+            f, l = f2, l2
+            vals[n] = sum(m[0]) + sum(m[1])
+    return Ray(origin, direction, tuple(vals))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -103,3 +105,76 @@ def test_recur_prefix_too_short_exits_1(fmt):
     _fails_cleanly(result)
     assert result.stdout == ""
     assert "need at least 6 terms" in result.output
+
+
+@pytest.mark.parametrize("command", ["frise", "probe", "classify"])
+@pytest.mark.parametrize("cartan", [
+    "5",
+    "[]",
+    '[[2,"a"],[-1,2]]',
+    '[{"a":1}]',
+    "[[2,-1.5],[-1,2]]",
+    "[[2,-1],[-1]]",
+    "[[true,-1],[-1,2]]",
+    '"22"',
+])
+def test_malformed_cartan_exits_1_without_traceback(command, cartan):
+    steps = () if command == "classify" else ("--steps", "2")
+    _fails_cleanly(_run(command, "--cartan", cartan, *steps))
+
+
+@pytest.mark.parametrize("command", ["frise", "probe", "classify"])
+def test_cartan_row_count_is_capped(command):
+    steps = () if command == "classify" else ("--steps", "2")
+    result = _run(command, "--cartan", json.dumps([[2]] * 513), *steps)
+    assert result.exit_code == 3
+    assert "Cartan rows 513 exceeds ARTIFACT_MAX_VERTICES=512" in result.output
+
+
+# tile and rays stdout, recorded before frontier geometry became index
+# arithmetic and rays became transfer-matrix products
+with open(Path(__file__).with_name("cli_goldens.json")) as fh:
+    GEOMETRY_GOLDENS = json.load(fh)
+
+
+@pytest.mark.parametrize("case", GEOMETRY_GOLDENS, ids=lambda c: " ".join(c["args"][3:]))
+def test_tile_and_rays_golden(case):
+    result = _run(*case["args"])
+    assert result.exit_code == 0
+    assert result.stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("args", [
+    ("rays", "--origin", "1000000000,0", "--dir", "1,0", "--n", "3"),
+    ("rays", "--origin", "0,0", "--dir", "-1,0", "--n", "40000"),
+    ("rays", "--origin", "0,-40000", "--dir", "1,-1", "--n", "512"),
+    ("tile", "--region", "1000000000", "0", "1000000000", "0"),
+    ("tile", "--region", "-40000", "-1", "-39999", "0"),
+    ("tile", "--oracle", "--region", "0", "-400", "0", "-400"),
+    ("tile", "--oracle", "--region", "1000000", "1000000", "1000000", "1000000"),
+])
+def test_far_requests_exit_3_before_work(args):
+    env = {"ARTIFACT_MAX_STEPS": "100000"}
+    start = time.perf_counter()
+    result = CliRunner(env=env).invoke(cli, [*args, "--frontier", "[xy]* [xy]*"])
+    assert time.perf_counter() - start < 5
+    assert result.exit_code == 3
+    assert "exceeds ARTIFACT_MAX_REGION=65536" in result.output
+
+
+def test_far_along_the_frontier_is_cheap_without_the_oracle():
+    result = _run("tile", "--frontier", "[xy]* [xy]*",
+                  "--region", "1000000000", "1000000000", "1000000001", "1000000001")
+    assert result.exit_code == 0
+    assert result.stdout == "2  1\n1  1\n"
+
+
+def test_word_cap_is_read_from_the_environment():
+    # the word of (3,-3) under the staircase, yxyxyxyxyx, has 10 letters
+    args = ["rays", "--frontier", "[xy]* [xy]*", "--origin", "1,-1", "--dir", "1,-1", "--n", "3"]
+    result = CliRunner(env={"ARTIFACT_MAX_REGION": "9"}).invoke(cli, args)
+    assert result.exit_code == 3
+    assert "frontier word length 10 exceeds ARTIFACT_MAX_REGION=9" in result.output
+    result = CliRunner(env={"ARTIFACT_MAX_REGION": "10"}).invoke(cli, args)
+    assert result.exit_code == 0
+    assert result.stdout == "2\n13\n89\n"

@@ -12,6 +12,7 @@ from artifact.tilings import (
     PeriodicFrontier,
     PointOnOrAboveFrontier,
     Ray,
+    SquareEmbedding,
     brute_fill,
     frontier_to_text,
     parse_frontier,
@@ -284,3 +285,134 @@ def test_ray_validation():
     ray = ray_values(e, (2, 0), (1, 0), 4)
     assert isinstance(ray, Ray)
     assert ray.values[0] == tile_value(e, (2, 0))
+
+
+# ----------------------------------------------------------------------
+# differential oracle: the walking embedding that the closed form replaced
+
+_STEP = {"x": (1, 0), "y": (0, 1)}
+
+
+class WalkingEmbedding:
+    """Vertices by stepping out from index 0, runs by scanning past them."""
+
+    def __init__(self, frontier: Frontier, anchor=(0, 0)):
+        self.frontier = frontier
+        self._fwd = [anchor]  # V_0, V_1, ...
+        self._bwd = [anchor]  # V_0, V_-1, ...
+
+    def vertex(self, i: int):
+        if i >= 0:
+            while len(self._fwd) <= i:
+                k = len(self._fwd)
+                u, v = self._fwd[k - 1]
+                du, dv = _STEP[self.frontier.letter(k - 1)]
+                self._fwd.append((u + du, v + dv))
+            return self._fwd[i]
+        while len(self._bwd) <= -i:
+            k = len(self._bwd)
+            u, v = self._bwd[k - 1]
+            du, dv = _STEP[self.frontier.letter(-k)]
+            self._bwd.append((u - du, v - dv))
+        return self._bwd[-i]
+
+    def _index_range_covering(self, coord: int, axis: int):
+        lo = 0
+        while self.vertex(lo)[axis] >= coord:
+            lo -= 1
+        hi = 0
+        while self.vertex(hi)[axis] <= coord:
+            hi += 1
+        return lo, hi
+
+    def _run(self, coord: int, axis: int):
+        lo, hi = self._index_range_covering(coord, axis)
+        hits = [i for i in range(lo, hi + 1) if self.vertex(i)[axis] == coord]
+        return hits[0], hits[-1]
+
+    def column_run(self, u: int):
+        return self._run(u, 0)
+
+    def row_run(self, v: int):
+        return self._run(v, 1)
+
+    def classify(self, p):
+        u, v = p
+        ilo, ihi = self.column_run(u)
+        if v < self.vertex(ilo)[1]:
+            return "below"
+        if v <= self.vertex(ihi)[1]:
+            return "on"
+        return "above"
+
+
+blocks = st.text(alphabet="xy", min_size=2, max_size=7).filter(lambda w: "x" in w and "y" in w)
+anchors = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+
+
+@st.composite
+def embeddings(draw) -> Embedding:
+    """Random frontiers with and without a center, square and periodic
+    frontiers, at nonzero anchors, and their mirrors."""
+    kind = draw(st.sampled_from(["plain", "centered", "square", "periodic"]))
+    if kind == "square":
+        s = draw(st.one_of(blocks, st.tuples(words, blocks)))
+        e = SquareEmbedding(s, draw(st.integers(0, 3)))
+    else:
+        if kind == "periodic":
+            fr = periodic_frontier(draw(st.text(alphabet="xy", max_size=4)),
+                                   draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+        else:
+            center = ""
+            if kind == "centered":
+                center = draw(st.text(alphabet="xy", min_size=1, max_size=8))
+            fr = Frontier(draw(blocks), center, draw(blocks))
+        e = Embedding(fr, draw(anchors))
+    return e.mirror() if draw(st.booleans()) else e
+
+
+@settings(max_examples=150, deadline=None)
+@given(embeddings(), st.integers(-200, 200))
+def test_closed_form_geometry_matches_walk(e, far):
+    walk = WalkingEmbedding(e.frontier, e.anchor)
+    for i in list(range(-30, 31)) + [far]:
+        assert e.vertex(i) == walk.vertex(i), i
+    (ulo, vlo), (uhi, vhi) = walk.vertex(-30), walk.vertex(30)
+    for u in range(ulo, uhi + 1):
+        assert e.column_run(u) == walk.column_run(u), u
+    for v in range(vlo, vhi + 1):
+        assert e.row_run(v) == walk.row_run(v), v
+    (ulo, vlo), (uhi, vhi) = walk.vertex(-10), walk.vertex(10)
+    for u in range(ulo - 2, uhi + 3):
+        for v in range(vlo - 2, vhi + 3):
+            assert e.classify((u, v)) == walk.classify((u, v)), (u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(embeddings(), st.integers(-10, 10), st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+       st.sampled_from([(1, -1), (-1, 1), (1, 0), (0, -1), (-1, 0), (0, 1)]),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 24))
+def test_ray_values_match_pointwise_tile_value(e, k, offset, signs, a, b, count):
+    # start near vertex k, so that rays often start on or above the frontier
+    # and cross it
+    (u, v), d = e.vertex(k), (signs[0] * a, signs[1] * b)
+    origin = (u + offset[0], v + offset[1])
+    expected = tuple(tile_value(e, (origin[0] + n * d[0], origin[1] + n * d[1]))
+                     for n in range(count))
+    assert ray_values(e, origin, d, count).values == expected
+
+
+@pytest.mark.parametrize("origin, direction, sides", [
+    ((-3, 3), (1, -1), ["above", "on", "below"]),
+    ((6, -6), (-1, 1), ["below", "on", "above"]),
+    ((1, 6), (0, -1), ["above", "on", "below"]),
+    ((4, 3), (-1, 0), ["on", "above"]),
+    ((0, 0), (2, -1), ["on", "below"]),
+])
+def test_rays_crossing_the_frontier_match_tile_value(origin, direction, sides):
+    e = Embedding(parse_frontier("[xy]* yy [xxy]*"))
+    points = [(origin[0] + n * direction[0], origin[1] + n * direction[1]) for n in range(14)]
+    seen = [e.classify(p) for p in points]
+    assert [s for i, s in enumerate(seen) if i == 0 or s != seen[i - 1]] == sides
+    assert ray_values(e, origin, direction, 14).values == tuple(tile_value(e, p) for p in points)
+    assert ray_values(e, origin, direction, 1).values == (tile_value(e, origin),)
