@@ -276,8 +276,7 @@ def rays_cmd(frontier, origin, direction, count, fmt) -> None:
     e = Embedding(_data(parse_frontier, frontier))
     o = _pair(origin, "--origin")
     d = _pair(direction, "--dir")
-    if d != (0, 0) and d[0] * d[1] <= 0:
-        _check_words(e, [o, (o[0] + (count - 1) * d[0], o[1] + (count - 1) * d[1])])
+    _check_words(e, [o, (o[0] + (count - 1) * d[0], o[1] + (count - 1) * d[1])])
     ray = _data(ray_values, e, o, d, count)
     if fmt == "json":
         click.echo(json.dumps({"origin": list(o), "direction": list(d),

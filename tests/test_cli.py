@@ -178,3 +178,9 @@ def test_word_cap_is_read_from_the_environment():
     result = CliRunner(env={"ARTIFACT_MAX_REGION": "10"}).invoke(cli, args)
     assert result.exit_code == 0
     assert result.stdout == "2\n13\n89\n"
+
+
+@pytest.mark.parametrize("direction", ["1,1", "0,0", "-2,-1"])
+def test_rays_bad_direction_exits_1(direction):
+    _fails_cleanly(_run("rays", "--frontier", "[xy]* [xy]*", "--origin", "1,1",
+                        "--dir", direction, "--n", "3"))
