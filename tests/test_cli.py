@@ -131,8 +131,7 @@ def test_cartan_row_count_is_capped(command):
     assert "Cartan rows 513 exceeds ARTIFACT_MAX_VERTICES=512" in result.output
 
 
-# tile and rays stdout, recorded before frontier geometry became index
-# arithmetic and rays became transfer-matrix products
+# byte-exact tile and rays stdout in all three formats
 with open(Path(__file__).with_name("cli_goldens.json")) as fh:
     GEOMETRY_GOLDENS = json.load(fh)
 
