@@ -44,6 +44,14 @@ class RegionOutsideComponents(ValueError):
     """A requested cell is not part of the constructed figure."""
 
 
+class InconsistentOverlap(ArithmeticError):
+    """Two computations of the same frieze cell disagree."""
+
+
+class NonNaturalVariable(ArithmeticError):
+    """An enumerated cluster variable has a non-natural coefficient."""
+
+
 def _scalar(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
@@ -300,7 +308,8 @@ def cross_construct(seed: CrossSeed, region: Optional[tuple] = None) -> FriezePa
 
     def put(p, v):
         old = cells.get(p)
-        assert old is None or old == v, "inconsistent overlap at %r" % (p,)
+        if old is not None and old != v:
+            raise InconsistentOverlap("inconsistent overlap at %r" % (p,))
         cells[p] = v
 
     for r, c in fig.nw_cells():
@@ -348,7 +357,8 @@ def frieze_period(seed: CrossSeed, stages: int = 4) -> dict:
         for (r, c), v in pattern.cells.items():
             p = (r + off_r, c + off_c)
             old = union.get(p)
-            assert old is None or old == v, "stitch mismatch at %r" % (p,)
+            if old is not None and old != v:
+                raise InconsistentOverlap("stitch mismatch at %r" % (p,))
             union[p] = v
         if figure_cells is None:
             figure_cells = len(pattern.cells)
@@ -454,14 +464,16 @@ def enumerate_cluster_vars(kind: str, bound: int = 8, quiver: Optional[Quiver] =
     elif m == 1:
         found = {LaurentPoly.var("u1"), LaurentPoly.var("u2")}
         found.update(kronecker_closed_form(n) for n in range(2, bound + 1))
-        for v in found:
-            assert v.is_natural()
-        return sorted(found, key=lambda v: v.sort_key())
+        return _natural_sorted(found)
     else:
         q = quiver if quiver is not None else default_quiver("Atilde", m)
         table = frise_extend_vars(q, bound).table
 
-    found = {v for row in table for v in row}
+    return _natural_sorted({v for row in table for v in row})
+
+
+def _natural_sorted(found: set) -> list:
     for v in found:
-        assert v.is_natural()
+        if not v.is_natural():
+            raise NonNaturalVariable("cluster variable %s has a non-natural coefficient" % v)
     return sorted(found, key=lambda v: v.sort_key())

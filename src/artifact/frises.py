@@ -9,6 +9,19 @@ Out-neighbors contribute at the current step, in-neighbors at the next one,
 so computing step n+1 in topological order needs no iteration. Acyclicity
 makes the table well-defined; exactness of every division is checked rather
 than assumed.
+
+Symbolic frises (u_1..u_d in row 0) take one of two routes:
+
+- the ray route, for simply-laced oriented cycles: the Cartan matrix is
+  the d-cycle 0-1-...-(d-1)-0 with d >= 3 and no valued edge (every
+  Atilde_m with m >= 2 and every cycle_quiver). With letter v of the
+  orientation word w equal to x when the arrow is v -> v+1, row v is the
+  variable tiling ray of ^inf(w)(w)^inf from vertex V_v in direction
+  (1,-1), frontier vertex i carrying u_{(i mod d)+1}: bordered 2x2 step
+  products over the initial variables, divided by a monomial, with no
+  polynomial division (laurent.nested_word_values);
+- the division route, for every other quiver: the relation above, one
+  exact Laurent division per cell.
 """
 
 from __future__ import annotations
@@ -16,7 +29,8 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .diagrams import Quiver
-from .laurent import ExactDivisionError, LaurentPoly
+from .laurent import ExactDivisionError, LaurentPoly, nested_word_values
+from .tilings import Embedding, Frontier, word_span
 
 
 class NonIntegralStep(ArithmeticError):
@@ -110,28 +124,73 @@ def frise_extend(quiver: Quiver, steps: int) -> Frise:
     return Frise(quiver, _extend(quiver, steps, lambda j: 1, 1, divide))
 
 
-def frise_extend_vars(quiver: Quiver, steps: int, max_vars: int = 16) -> VarFrise:
-    """Frise with the initial row replaced by variables u_1..u_d.
+def _cycle_word(quiver: Quiver) -> Optional[str]:
+    """Orientation word of a simply-laced oriented cycle, else None.
 
-    Each cell must come out as a Laurent polynomial with natural
-    coefficients and a monomial denominator; any violation aborts loudly
-    since it would falsify positivity for this input.
+    The Cartan matrix must be the d-cycle 0-1-...-(d-1)-0 with d >= 3 and
+    every edge simple; letter v is x when the arrow is v -> v+1 (mod d).
     """
-    d = quiver.cartan.d
-    if d > max_vars:
-        raise ValueError("%d vertices exceeds the variable budget %d" % (d, max_vars))
-    init = initial_variables(d)
+    entries = quiver.cartan.entries
+    d = len(entries)
+    if d < 3:
+        return None
+    for i, row in enumerate(entries):
+        for j, c in enumerate(row):
+            if c != (2 if i == j else -1 if (j - i) % d in (1, d - 1) else 0):
+                return None
+    return "".join("x" if (v, (v + 1) % d) in quiver.arrows else "y" for v in range(d))
+
+
+def _natural(val: LaurentPoly, j: int, n: int) -> LaurentPoly:
+    if not val.is_natural():
+        raise NegativeCoefficient(j, n)
+    return val
+
+
+def _cycle_rows(w: str, steps: int) -> list[list[LaurentPoly]]:
+    """Row v is the ray of ^inf(w)(w)^inf from V_v in direction (1,-1),
+    with frontier vertex i carrying u_{(i mod d)+1}."""
+    d = len(w)
+    names = tuple("u%d" % (j + 1) for j in range(d))
+    e = Embedding(Frontier(w, "", w))
+    rows = []
+    for v in range(d):
+        u0, v0 = e.vertex(v)
+        spans = [word_span(e, (u0 + n, v0 - n)) for n in range(1, steps + 1)]
+        values = nested_word_values(names, lambda i: w[i % d], lambda i: i % d, spans)
+        rows.append([LaurentPoly.var(names[v])]
+                    + [_natural(val, v, n) for n, val in enumerate(values, 1)])
+    return rows
+
+
+def _division_rows(quiver: Quiver, steps: int) -> list[list[LaurentPoly]]:
+    """The frise recursion itself, one exact Laurent division per cell."""
+    init = initial_variables(quiver.cartan.d)
 
     def divide(num: LaurentPoly, den: LaurentPoly, j: int, n: int) -> LaurentPoly:
         try:
             val = num.exact_div(den)
         except ExactDivisionError as exc:
             raise NonMonomialDenominator(j, n) from exc
-        if not val.is_natural():
-            raise NegativeCoefficient(j, n)
-        return val
+        return _natural(val, j, n)
 
-    rows = _extend(quiver, steps, lambda j: init[j], LaurentPoly.nat(1), divide)
+    return _extend(quiver, steps, lambda j: init[j], LaurentPoly.nat(1), divide)
+
+
+def frise_extend_vars(quiver: Quiver, steps: int, max_vars: int = 16) -> VarFrise:
+    """Frise with the initial row replaced by variables u_1..u_d.
+
+    Each cell must come out as a Laurent polynomial with natural
+    coefficients and a monomial denominator; any violation aborts loudly
+    since it would falsify positivity for this input. Simply-laced
+    oriented cycles take the ray route, every other quiver the division
+    route (see the module docstring).
+    """
+    d = quiver.cartan.d
+    if d > max_vars:
+        raise ValueError("%d vertices exceeds the variable budget %d" % (d, max_vars))
+    w = _cycle_word(quiver)
+    rows = _division_rows(quiver, steps) if w is None else _cycle_rows(w, steps)
     return VarFrise(quiver, rows)
 
 

@@ -10,7 +10,9 @@ Denominators are always monomials, absorbed as negative exponents.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, Union
+from functools import reduce
+from operator import and_, or_
+from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -801,6 +803,113 @@ def row_times_mat(row: tuple[Scalar, Scalar], m: Mat2) -> tuple[LaurentPoly, Lau
 
 def vec_dot(row: tuple[LaurentPoly, LaurentPoly], col: tuple[Scalar, Scalar]) -> LaurentPoly:
     return row[0] * LaurentPoly.coerce(col[0]) + row[1] * LaurentPoly.coerce(col[1])
+
+
+# ----------------------------------------------------------------------
+# bordered products over words whose labels are single variables
+#
+# An entry of a step-matrix product is a pair (offset, terms): the packed
+# exponent key of each term is offset + key, so multiplying by a variable
+# only moves the offset.
+
+
+def _shifted(entry: tuple[int, dict], k: int) -> tuple[int, dict]:
+    return entry[0] + k, entry[1]
+
+
+def _plus(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
+    if len(a[1]) < len(b[1]):
+        a, b = b, a
+    (off, big), (delta, small) = a, b
+    delta -= off
+    if delta:
+        small = {key + delta: c for key, c in small.items()}
+    out = dict(big)
+    out.update(small)
+    for key in big.keys() & small.keys():
+        out[key] = big[key] + small[key]
+    return off, out
+
+
+def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
+                       label: Callable[[int], int],
+                       spans: Iterable[tuple[int, int]]) -> list[LaurentPoly]:
+    """Values of nested words whose vertices each carry one variable.
+
+    The word (f, l) holds the letters f..l, and vertex i (before letter i)
+    carries the variable a_i = names[label(i)]. Its value is
+
+        (1, a_f) P (1, a_{l+1})^T / (a_{f+1} ... a_l),
+        P = M(a_{f+1}, x_{f+1}, a_{f+2}) ... M(a_{l-1}, x_{l-1}, a_l),
+
+    with M(a,x,b) = [[a,1],[0,b]] and M(a,y,b) = [[b,0],[1,a]]. Each span
+    must contain the one before it, so P is kept and extended by the step
+    matrices of the new letters at each end. A step multiplies entries by
+    one variable or adds two of them, so P's entries live over packed
+    exponent keys (one field per variable, wide enough for the longest
+    word's degree) with natural coefficients and no division. The monomial
+    denominator is subtracted while each value is unpacked, once, into its
+    canonical LaurentPoly.
+    """
+    spans = list(spans)
+    if not spans:
+        return []
+    order = sorted(range(len(names)), key=lambda j: _var_key(names[j]))
+    universe = tuple(names[j] for j in order)
+    field = {j: pos for pos, j in enumerate(order)}
+    # every term of a value has total degree at most the word's letter count
+    width = max(l - f + 1 for f, l in spans).bit_length()
+    shifts = [pos * width for pos in range(len(universe))]
+    unit = [1 << shifts[field[j]] for j in range(len(names))]
+
+    p, q, r, s = (0, {0: 1}), (0, {}), (0, {}), (0, {0: 1})  # P = identity
+    lo = hi = spans[0][0] + 1  # P covers the letters lo..hi-1
+    out = []
+    for f, l in spans:
+        if l <= f:
+            raise ValueError("word (%d, %d) needs at least two letters" % (f, l))
+        if f >= lo or l < hi:
+            raise ValueError("span (%d, %d) does not contain the previous one" % (f, l))
+        for i in range(lo - 1, f, -1):  # M_i P, innermost letter first
+            a, b = unit[label(i)], unit[label(i + 1)]
+            if letter(i) == "x":
+                p, q, r, s = (_plus(_shifted(p, a), r), _plus(_shifted(q, a), s),
+                              _shifted(r, b), _shifted(s, b))
+            else:
+                p, q, r, s = (_shifted(p, b), _shifted(q, b),
+                              _plus(p, _shifted(r, a)), _plus(q, _shifted(s, a)))
+        for i in range(hi, l):  # P M_i
+            a, b = unit[label(i)], unit[label(i + 1)]
+            if letter(i) == "x":
+                p, q, r, s = (_shifted(p, a), _plus(p, _shifted(q, b)),
+                              _shifted(r, a), _plus(r, _shifted(s, b)))
+            else:
+                p, q, r, s = (_plus(_shifted(p, b), q), _shifted(q, a),
+                              _plus(_shifted(r, b), s), _shifted(s, a))
+        lo, hi = f + 1, l
+        first, last = unit[label(f)], unit[label(l + 1)]
+        num = _plus(_plus(p, _shifted(q, last)), _shifted(_plus(r, _shifted(s, last)), first))
+        den = [0] * len(universe)
+        for i in range(f + 1, l + 1):
+            den[field[label(i)]] += 1
+        out.append(_unpacked(universe, num, shifts, (1 << width) - 1, den))
+    return out
+
+
+def _unpacked(universe: tuple[str, ...], num: tuple[int, dict], shifts: list, mask: int,
+              den: list) -> LaurentPoly:
+    """Canonical LaurentPoly of a packed entry divided by a monomial."""
+    off, terms = num
+    keys = [k + off for k in terms]
+    ors, ands = reduce(or_, keys), reduce(and_, keys)
+    # a variable occurs unless its field holds its denominator exponent in every term
+    used = [j for j, s in enumerate(shifts)
+            if (ors >> s) & mask != (ands >> s) & mask or (ands >> s) & mask != den[j]]
+    columns = [[((k >> shifts[j]) & mask) - den[j] for k in keys] for j in used]
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._vars = tuple(universe[j] for j in used)
+    out._terms = dict(zip(zip(*columns) if used else [()] * len(keys), terms.values()))
+    return out
 
 
 # ----------------------------------------------------------------------

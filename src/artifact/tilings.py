@@ -335,9 +335,14 @@ def brute_fill(e: Embedding, region: Region) -> dict[Point, int]:
 
 
 def tile_grid(e: Embedding, region: Region) -> dict[Point, int]:
-    """The same rectangle as brute_fill, through the word formula."""
+    """The same rectangle as brute_fill, through the word formula, filled
+    column by column as vertical rays."""
     u0, v0, u1, v1 = region
-    return {(u, v): tile_value(e, (u, v)) for u in range(u0, u1 + 1) for v in range(v0, v1 + 1)}
+    grid = {}
+    for u in range(u0, u1 + 1):
+        column = ray_values(e, (u, v0), (0, 1), v1 - v0 + 1).values
+        grid.update(((u, v0 + k), x) for k, x in enumerate(column))
+    return grid
 
 
 def verify_sl2(grid: dict[Point, int]) -> None:

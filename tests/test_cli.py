@@ -131,13 +131,23 @@ def test_cartan_row_count_is_capped(command):
     assert "Cartan rows 513 exceeds ARTIFACT_MAX_VERTICES=512" in result.output
 
 
-# byte-exact tile and rays stdout in all three formats
+# byte-exact stdout in all three formats: tile and rays, and the symbolic
+# frise and cluster-vars tables
 with open(Path(__file__).with_name("cli_goldens.json")) as fh:
-    GEOMETRY_GOLDENS = json.load(fh)
+    GOLDENS = json.load(fh)
+GEOMETRY_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("tile", "rays")]
+SYMBOLIC_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("frise", "cluster-vars")]
 
 
 @pytest.mark.parametrize("case", GEOMETRY_GOLDENS, ids=lambda c: " ".join(c["args"][3:]))
 def test_tile_and_rays_golden(case):
+    result = _run(*case["args"])
+    assert result.exit_code == 0
+    assert result.stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("case", SYMBOLIC_GOLDENS, ids=lambda c: " ".join(c["args"]))
+def test_symbolic_golden(case):
     result = _run(*case["args"])
     assert result.exit_code == 0
     assert result.stdout == case["stdout"]

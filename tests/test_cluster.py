@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from artifact import cluster
 from artifact.cluster import (
     CrossSeed,
     FriezePattern,
@@ -370,3 +371,64 @@ def test_enumerate_rejects_unknown_type():
         enumerate_cluster_vars("E8")
     with pytest.raises(ValueError):
         enumerate_cluster_vars("A2", bound=0)
+
+
+# ----------------------------------------------------------------------
+# the consistency and positivity checks are exceptions, so they survive
+# python -O and reach the CLI as one error line
+
+
+class _Table:
+    def __init__(self, table):
+        self.table = table
+
+
+NOT_NATURAL = V("u1") - V("u2")
+
+
+def _cli_fails_cleanly(args):
+    from click.testing import CliRunner
+
+    from artifact.cli import cli
+
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and result.output.rstrip().splitlines()[-1] == errors[0]
+
+
+@pytest.mark.parametrize("kind", ["A3", "Atilde2"])
+def test_non_natural_frise_cell_raises_arithmetic_error(monkeypatch, kind):
+    monkeypatch.setattr(cluster, "frise_extend_vars",
+                        lambda q, steps: _Table([[V("u1"), NOT_NATURAL]]))
+    with pytest.raises(ArithmeticError, match="non-natural"):
+        enumerate_cluster_vars(kind, 4)
+    _cli_fails_cleanly(["cluster-vars", "--kind", kind, "--bound", "4"])
+
+
+def test_non_natural_kronecker_value_raises_arithmetic_error(monkeypatch):
+    monkeypatch.setattr(cluster, "kronecker_closed_form", lambda n: NOT_NATURAL)
+    with pytest.raises(ArithmeticError, match="non-natural"):
+        enumerate_cluster_vars("kronecker", 4)
+    _cli_fails_cleanly(["cluster-vars", "--kind", "kronecker", "--bound", "4"])
+
+
+def test_cross_overlap_mismatch_raises_arithmetic_error(monkeypatch):
+    monkeypatch.setattr(cluster._CrossFigure, "ne_value", lambda self, r, c: LaurentPoly.nat(7))
+    with pytest.raises(ArithmeticError, match="inconsistent overlap"):
+        cross_construct(CrossSeed.ones("xxyy"))
+
+
+def test_frieze_stitch_mismatch_raises_arithmetic_error(monkeypatch):
+    calls = []
+
+    def shifting_figure(seed):
+        calls.append(seed)
+        n = LaurentPoly.nat(len(calls))
+        return FriezePattern({(r, c): n for r in range(12) for c in range(12)})
+
+    monkeypatch.setattr(cluster, "cross_construct", shifting_figure)
+    with pytest.raises(ArithmeticError, match="stitch mismatch"):
+        frieze_period(CrossSeed.ones("xxyy"))

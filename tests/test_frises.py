@@ -7,11 +7,24 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from artifact.diagrams import Quiver, catalog_diagram, catalog_members, default_quiver, parse_shorthand
+from artifact.cluster import word_value_vars
+from artifact.correspondence import cycle_quiver
+from artifact.diagrams import (
+    Quiver,
+    catalog_diagram,
+    catalog_members,
+    default_quiver,
+    parse_shorthand,
+    quiver_from_json,
+)
 from artifact.frises import (
     Frise,
     WindowTooShort,
+    _cycle_word,
+    _division_rows,
     detect_period,
     frise_extend,
     frise_extend_vars,
@@ -19,7 +32,8 @@ from artifact.frises import (
     specialize_at_one,
     verify_recursion,
 )
-from artifact.laurent import LaurentPoly
+from artifact.laurent import LaurentPoly, nested_word_values
+from artifact.tilings import Embedding, Frontier, word_span
 
 
 # ----------------------------------------------------------------------
@@ -177,3 +191,81 @@ def test_every_dynkin_orientation_is_periodic():
                 arrows = [(j, i) if f else (i, j) for (i, j), f in zip(edges, flips)]
                 fr = frise_extend(Quiver(c, arrows), 64)
                 assert detect_period(fr) is not None, (kind, m, flips)
+
+
+# ----------------------------------------------------------------------
+# oriented cycles: the ray route against the division route
+
+
+def _assert_routes_agree(q: Quiver, steps: int) -> None:
+    rays = frise_extend_vars(q, steps).table
+    division = _division_rows(q, steps)
+    for v in range(q.cartan.d):
+        for n in range(steps + 1):
+            assert rays[v][n] == division[v][n], (v, n)
+
+
+@st.composite
+def orientation_words(draw) -> tuple[str, int]:
+    w = draw(st.text(alphabet="xy", min_size=3, max_size=7).filter(lambda w: "x" in w and "y" in w))
+    # the division oracle costs seconds past d + steps = 10
+    return w, draw(st.integers(0, min(6, 10 - len(w))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(orientation_words())
+def test_cycle_ray_route_matches_division_route(case):
+    w, steps = case
+    q = cycle_quiver(w)
+    assert _cycle_word(q) == w
+    _assert_routes_agree(q, steps)
+
+
+@pytest.mark.parametrize("m, steps", [(2, 6), (3, 6), (4, 5), (5, 4)])
+def test_atilde_ray_route_matches_division_route(m, steps):
+    q = default_quiver("Atilde", m)
+    assert _cycle_word(q) == "x" * m + "y"
+    _assert_routes_agree(q, steps)
+
+
+def test_cycle_word_only_reads_simply_laced_cycles_in_vertex_order():
+    relabelled = quiver_from_json({"vertices": 4, "edges": [
+        {"from": 0, "to": 2}, {"from": 2, "to": 1}, {"from": 3, "to": 1}, {"from": 0, "to": 3}]})
+    doubled = quiver_from_json({"vertices": 3, "edges": [
+        {"from": 0, "to": 1, "val": [2, 2]}, {"from": 1, "to": 2}, {"from": 0, "to": 2}]})
+    chord = quiver_from_json({"vertices": 4, "edges": [
+        {"from": 0, "to": 1}, {"from": 1, "to": 2}, {"from": 2, "to": 3}, {"from": 0, "to": 3},
+        {"from": 0, "to": 2}]})
+    for q in (relabelled, doubled, chord, parse_shorthand("kronecker"), parse_shorthand("A3"),
+              parse_shorthand("Dtilde4")):
+        assert _cycle_word(q) is None
+    assert _cycle_word(cycle_quiver("xyy")) == "xyy"
+    assert frise_extend_vars(relabelled, 3).table == tuple(
+        tuple(row) for row in _division_rows(relabelled, 3))
+
+
+blocks = st.text(alphabet="xy", min_size=2, max_size=6).filter(lambda w: "x" in w and "y" in w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks, st.text(alphabet="xy", max_size=5), blocks, st.integers(-6, 6),
+       st.integers(1, 5), st.integers(1, 7))
+def test_nested_word_values_match_word_value_vars(left, center, right, k, period, count):
+    # a diagonal ray below vertex k gives nested words; labels repeat with the period
+    e = Embedding(Frontier(left, center, right))
+    u, v = e.vertex(k)
+    spans = [word_span(e, (u + n, v - n)) for n in range(1, count + 1)]
+    names = tuple("u%d" % (j + 1) for j in reversed(range(period)))
+    got = nested_word_values(names, e.frontier.letter, lambda i: i % period, spans)
+    for (f, l), value in zip(spans, got):
+        labels = [names[i % period] for i in range(f, l + 2)]
+        assert value == word_value_vars(labels, e.frontier.factor(f, l + 1))
+
+
+def test_nested_word_values_need_nested_spans():
+    names = ("u1", "u2")
+    with pytest.raises(ValueError):
+        nested_word_values(names, lambda i: "xy"[i % 2], lambda i: i % 2, [(0, 3), (1, 4)])
+    with pytest.raises(ValueError):
+        nested_word_values(names, lambda i: "xy"[i % 2], lambda i: i % 2, [(2, 2)])
+    assert nested_word_values(names, lambda i: "xy"[i % 2], lambda i: i % 2, []) == []

@@ -416,3 +416,22 @@ def test_rays_crossing_the_frontier_match_tile_value(origin, direction, sides):
     assert [s for i, s in enumerate(seen) if i == 0 or s != seen[i - 1]] == sides
     assert ray_values(e, origin, direction, 14).values == tuple(tile_value(e, p) for p in points)
     assert ray_values(e, origin, direction, 1).values == (tile_value(e, origin),)
+
+
+def _tile_grid_by_cells(e, region):
+    """tile_grid's former form: one tile_value per cell."""
+    u0, v0, u1, v1 = region
+    return {(u, v): tile_value(e, (u, v)) for u in range(u0, u1 + 1) for v in range(v0, v1 + 1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(embeddings(), st.integers(-10, 10), st.tuples(st.integers(-8, 4), st.integers(-8, 4)),
+       st.integers(0, 6), st.integers(0, 6))
+def test_tile_grid_matches_cellwise_tile_value(e, k, offset, width, height):
+    # regions near vertex k straddle the frontier, so columns cross it
+    u, v = e.vertex(k)
+    region = (u + offset[0], v + offset[1], u + offset[0] + width, v + offset[1] + height)
+    grid = tile_grid(e, region)
+    expected = _tile_grid_by_cells(e, region)
+    assert grid == expected
+    assert list(grid) == list(expected)

@@ -7,12 +7,13 @@ Both commits are exported with `git archive` into a temporary directory,
 and perfbench/run.py runs in each export, so every side measures its own
 committed library with its own committed benchmark, at that benchmark's
 own run length. Ten pairs run, alternating which side runs first. After
-them, every other workload runs once per side, and so does one traced run
-of the paired workload.
+them, every other workload runs three times per side, again alternating
+which side runs first, and the paired workload runs once per side traced.
 
 The output holds each run's metrics. For the paired workload it also
 holds, per metric and side, the median and quartiles, and the number of
-pairs the change won (ties count for neither side).
+pairs the change won (ties count for neither side); for every other
+workload, per metric and side, the median of its three runs.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("probe", "symbolic-frise", "symbolic-tiles", "integer-tiles")
 TIMEOUT_S = 1800
 PAIRS = 10
+OTHER_RUNS = 3
 
 
 def export(rev: str, dest: Path) -> str:
@@ -55,6 +57,18 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return {**result, "metrics": values}
 
 
+def alternating(trees: dict, workload: str, seed: int, count: int) -> dict[str, list[dict]]:
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(count):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(run(trees[side], workload, seed, 0))
+    return runs
+
+
+def medians(runs: list[dict]) -> dict:
+    return {name: statistics.median(r["metrics"][name] for r in runs) for name in runs[0]["metrics"]}
+
+
 def summary(runs: list[dict]) -> dict:
     out = {}
     for name in runs[0]["metrics"]:
@@ -76,11 +90,9 @@ def main() -> int:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         commits = {side: export(rev, trees[side])
                    for side, rev in (("parent", args.base), ("change", args.change))}
-        runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for i in range(PAIRS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                runs[side].append(run(trees[side], args.workload, args.seed, 0))
-        others = {w: {side: run(trees[side], w, args.seed, 0) for side in trees}
+        runs = alternating(trees, args.workload, args.seed, PAIRS)
+        others = {w: {side: {"median": medians(r), "runs": r}
+                      for side, r in alternating(trees, w, args.seed, OTHER_RUNS).items()}
                   for w in WORKLOADS if w != args.workload}
         traced = {side: run(trees[side], args.workload, args.seed, 1) for side in trees}
 
@@ -100,7 +112,7 @@ def main() -> int:
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     every = [*runs["parent"], *runs["change"], *traced.values(),
-             *(r for pair in others.values() for r in pair.values())]
+             *(r for sides in others.values() for side in sides.values() for r in side["runs"])]
     return 0 if all(r["correct"] for r in every) else 1
 
 
