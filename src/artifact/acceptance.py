@@ -76,6 +76,10 @@ def _random_frontier(rng: random.Random) -> Frontier:
     return Frontier(block(), center, block())
 
 
+class NoStraddlingWindow(ValueError):
+    """No candidate window has points on both sides of the frontier."""
+
+
 def _report(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "ok": bool(ok), "detail": detail}
 
@@ -284,7 +288,8 @@ def _best_window(e: Embedding) -> tuple[int, int]:
             cost = _window_span(e, du, dv)
             if cost is not None and (best is None or cost < best[0]):
                 best = (cost, du, dv)
-    assert best is not None
+    if best is None:
+        raise NoStraddlingWindow("no 8x8 window near the anchor meets both sides of the frontier")
     return best[1], best[2]
 
 

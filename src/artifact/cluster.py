@@ -4,7 +4,12 @@ The matrix form of a below-point value generalizes from integers to
 variables: a frontier word a0 l1 a1 ... l_{n+1} a_{n+1} evaluates to a
 bordered product of per-letter 2x2 steps divided by the interior
 variables, and the result is always a Laurent polynomial with natural
-coefficients (`word_value_vars`, `variable_tile_value`).
+coefficients. Two routes compute it. `variable_tile_value`, where every
+vertex carries one named variable, sends the word through the packed step
+kernel `laurent.nested_word_values` (exponent shifts and additions on
+packed keys, one canonical LaurentPoly per value). `word_value_vars` keeps
+the product over LaurentPoly entries for the cross construction, whose
+labels may be constants and whose lateral regions swap a border.
 
 The cross construction turns one variable word into a partial frieze:
 the word and its transpose are laid out as two parallel staircases, two
@@ -32,12 +37,13 @@ from .laurent import (
     LaurentPoly,
     Mat2,
     Scalar,
+    nested_word_values,
     products_differ_by_one,
     row_times_mat,
     step_matrix,
     vec_dot,
 )
-from .tilings import Embedding, Point, transpose_word, word_span
+from .tilings import Embedding, InconsistentGeometry, Point, transpose_word, word_span
 
 
 class RegionOutsideComponents(ValueError):
@@ -94,23 +100,31 @@ def word_value_vars(
     return value.exact_div(denom)
 
 
-def variable_tile_value(e: Embedding, names: Callable[[int], Scalar], p: Point) -> LaurentPoly:
+def variable_tile_value(e: Embedding, names: Callable[[int], str], p: Point) -> LaurentPoly:
     """Laurent value at p of the tiling whose frontier holds variables.
 
-    names(i) is the variable sitting on frontier vertex i. Vertices give
-    their own variable; below points evaluate their word; above points go
-    through the mirrored frontier exactly as in the integer tiling.
+    names(i) is the name of the variable sitting on frontier vertex i (a
+    str; "1" is a variable name here, not the constant). Vertices give
+    their own variable; a below point's word is one span of
+    `nested_word_values` over the distinct names on its vertices; above
+    points go through the mirrored frontier exactly as in the integer
+    tiling.
     """
     side = e.classify(p)
     if side == "on":
         i = (p[0] + p[1]) - (e.anchor[0] + e.anchor[1])
-        assert e.vertex(i) == p
-        return _scalar(names(i))
+        if e.vertex(i) != p:
+            raise InconsistentGeometry("point %r is on the frontier but not vertex %d" % (p, i))
+        return LaurentPoly.var(names(i))
     if side == "above":
         return variable_tile_value(e.mirror(), names, e.mirror_point(p))
     first, last = word_span(e, p)
-    vs = [names(i) for i in range(first, last + 2)]
-    return word_value_vars(vs, e.frontier.factor(first, last + 1))
+    labels = [names(i) for i in range(first, last + 2)]
+    universe = tuple(dict.fromkeys(labels))
+    index = {name: j for j, name in enumerate(universe)}
+    (value,) = nested_word_values(universe, e.frontier.letter,
+                                  lambda i: index[labels[i - first]], [(first, last)])
+    return value
 
 
 # ----------------------------------------------------------------------

@@ -87,6 +87,10 @@ def cycle_check(w: str, steps: int = 12) -> dict:
 # forked diagrams through the notched periodic frontier
 
 
+class ForkRelationFails(ArithmeticError):
+    """An assembled fork table breaks one of its own step relations."""
+
+
 @dataclass(frozen=True)
 class ForkSpec:
     """Forked diagram on m+1 vertices with interior word of length m-3.
@@ -153,19 +157,24 @@ def fork_table(spec: ForkSpec, steps: int) -> tuple[tuple[int, ...], ...]:
     )
 
     for n in range(steps):
-        assert rows[m - 1][n] * rows[m][n + 1] == 2 * i_vals[n] ** 2, (spec, n)
-        assert rows[0][n] * rows[0][n + 1] == 1 + rows[2][n], (spec, n)
-        assert rows[m - 1][n] * rows[m - 1][n + 1] == 1 + rows[m - 2][n + 1], (spec, n)
         expected = 2 if n == 0 else 1 + rows[m - 2][n]
-        assert rows[m][n] * rows[m][n + 1] == expected, (spec, n)
+        relations = [
+            rows[m - 1][n] * rows[m][n + 1] == 2 * i_vals[n] ** 2,
+            rows[0][n] * rows[0][n + 1] == 1 + rows[2][n],
+            rows[m - 1][n] * rows[m - 1][n + 1] == 1 + rows[m - 2][n + 1],
+            rows[m][n] * rows[m][n + 1] == expected,
+        ]
         if m >= 5:
             np = n if w[1] == "x" else n + 1
-            assert rows[2][n] * rows[2][n + 1] == 1 + rows[0][n + 1] * rows[1][n + 1] * rows[3][np], (spec, n)
             npp = n + 1 if w[-1] == "x" else n
-            assert (
+            relations += [
+                rows[2][n] * rows[2][n + 1] == 1 + rows[0][n + 1] * rows[1][n + 1] * rows[3][np],
                 rows[m - 2][n] * rows[m - 2][n + 1]
-                == 1 + rows[m - 3][npp] * rows[m - 1][n] * rows[m][n + 1]
-            ), (spec, n)
+                == 1 + rows[m - 3][npp] * rows[m - 1][n] * rows[m][n + 1],
+            ]
+        if not all(relations):
+            raise ForkRelationFails("%r: relation %d fails at step %d"
+                                    % (spec, relations.index(False), n))
     return tuple(rows)
 
 

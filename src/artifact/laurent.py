@@ -81,6 +81,13 @@ class LaurentPoly:
         return LaurentPoly(names, {tuple(exponents[v] for v in names): coeff})
 
     @staticmethod
+    def _trusted(variables: tuple[str, ...], terms: dict) -> "LaurentPoly":
+        # the caller guarantees the canonical form: sorted, all used, no zeros
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._vars, out._terms = variables, terms
+        return out
+
+    @staticmethod
     def coerce(value: Scalar) -> "LaurentPoly":
         if isinstance(value, LaurentPoly):
             return value
@@ -124,11 +131,20 @@ class LaurentPoly:
         return mins
 
     def numerator_denominator(self) -> tuple["LaurentPoly", "LaurentPoly"]:
-        """Split into (polynomial numerator, monomial denominator)."""
-        mins = self.min_exponents()
-        den_exps = {v: -m for v, m in mins.items() if m < 0}
-        den = LaurentPoly.monomial(1, den_exps) if den_exps else LaurentPoly.nat(1)
-        return self * den, den
+        """Split into (polynomial numerator, monomial denominator).
+
+        The numerator is an exponent shift of every term; a variable whose
+        exponent is the same negative number in every term leaves it.
+        """
+        columns = list(zip(*self._terms))
+        lows = [min(0, min(col)) for col in columns]
+        if not any(lows):
+            return self, LaurentPoly.nat(1)
+        keep = [j for j, col in enumerate(columns) if not lows[j] or max(col) != lows[j]]
+        num = LaurentPoly._trusted(
+            tuple(self._vars[j] for j in keep),
+            {tuple(e[j] - lows[j] for j in keep): c for e, c in self._terms.items()})
+        return num, LaurentPoly.monomial(1, {v: -m for v, m in zip(self._vars, lows) if m})
 
     # ------------------------------------------------------------------
     # ring operations
@@ -906,10 +922,9 @@ def _unpacked(universe: tuple[str, ...], num: tuple[int, dict], shifts: list, ma
     used = [j for j, s in enumerate(shifts)
             if (ors >> s) & mask != (ands >> s) & mask or (ands >> s) & mask != den[j]]
     columns = [[((k >> shifts[j]) & mask) - den[j] for k in keys] for j in used]
-    out = LaurentPoly.__new__(LaurentPoly)
-    out._vars = tuple(universe[j] for j in used)
-    out._terms = dict(zip(zip(*columns) if used else [()] * len(keys), terms.values()))
-    return out
+    return LaurentPoly._trusted(
+        tuple(universe[j] for j in used),
+        dict(zip(zip(*columns) if used else [()] * len(keys), terms.values())))
 
 
 # ----------------------------------------------------------------------
@@ -918,63 +933,60 @@ def _unpacked(universe: tuple[str, ...], num: tuple[int, dict], shifts: list, ma
 def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     """Exact check that p*q - r*s == 1.
 
-    Equivalent to ``p * q - r * s == LaurentPoly.nat(1)`` but packs each
-    exponent vector into a single integer so the two big products run as
-    int-keyed dict convolutions. Slot widths are sized to hold the sum of
-    any two occurring exponents, so packed keys add without carries.
+    Each exponent vector is packed into one integer, a field per variable
+    wide enough for the sum of two exponents, so keys add without carries.
+    The pq and -rs term pairs are formed as int64 outer sums of keys and
+    outer products of coefficients, sorted once, and equal keys summed; the
+    check holds when exactly one nonzero sum is left, coefficient 1 at the
+    key of the exponent vector 0. That pass is exact while the packed key
+    fits in 62 bits and cmax^2 * pairs < 2^62 (cmax the largest |coefficient|),
+    which bounds every partial sum; it also needs pairs <= 2^24 to bound its
+    memory. Outside those bounds the check is ``p * q - r * s == 1`` in the
+    ring, whose products chunk large operands.
     """
     p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
     polys = (p, q, r, s)
-    union = sorted({v for f in polys for v in f._vars}, key=_var_key)
-    pos = {v: i for i, v in enumerate(union)}
-    n = len(union)
-    lo = [0] * n
-    hi = [0] * n
+    pairs = len(p._terms) * len(q._terms) + len(r._terms) * len(s._terms)
+    lo: dict[str, int] = {}
+    hi: dict[str, int] = {}
+    cmax = 0
     for f in polys:
-        idx = [pos[v] for v in f._vars]
-        for e in f._terms:
-            for j, ex in zip(idx, e):
-                if ex < lo[j]:
-                    lo[j] = ex
-                elif ex > hi[j]:
-                    hi[j] = ex
+        for v, col in zip(f._vars, zip(*f._terms)):
+            lo[v] = min(lo.get(v, 0), *col)
+            hi[v] = max(hi.get(v, 0), *col)
+        cmax = max([cmax, *map(abs, f._terms.values())])
+    shifts = {}
+    width = 0
+    for v in lo:
+        shifts[v] = width
+        width += (2 * (hi[v] - lo[v])).bit_length()
+    if width > 62 or cmax * cmax * pairs >= 1 << 62 or pairs > 1 << 24:
+        return p * q - r * s == 1
+    if not pairs:
+        return False
+    base = sum(-lo[v] << shifts[v] for v in lo)
 
-    shifts = []
-    shift = 0
-    for j in range(n):
-        shifts.append(shift)
-        shift += (2 * (hi[j] - lo[j]) + 1).bit_length() + 1
+    def packed(f: LaurentPoly) -> tuple[np.ndarray, np.ndarray]:
+        keys = [base] * len(f._terms)
+        for v, col in zip(f._vars, zip(*f._terms)):
+            shift = shifts[v]
+            keys = [k + (x << shift) for k, x in zip(keys, col)]
+        return np.array(keys, dtype=np.int64), np.array(list(f._terms.values()), dtype=np.int64)
 
-    def pack(f: LaurentPoly) -> dict[int, int]:
-        idx = [pos[v] for v in f._vars]
-        out = {}
-        for e, c in f._terms.items():
-            full = [0] * n
-            for j, ex in zip(idx, e):
-                full[j] = ex
-            key = 0
-            for j in range(n):
-                key += (full[j] - lo[j]) << shifts[j]
-            out[key] = c
-        return out
-
-    acc: dict[int, int] = {}
-    get = acc.get
-    for left, right, sign in ((p, q, 1), (r, s, -1)):
-        a, b = pack(left), pack(right)
-        if len(a) > len(b):
-            a, b = b, a
-        for k1, c1 in a.items():
-            c1 *= sign
-            for k2, c2 in b.items():
-                k = k1 + k2
-                v = get(k, 0) + c1 * c2
-                if v:
-                    acc[k] = v
-                elif k in acc:
-                    del acc[k]
-    one_key = sum((0 - 2 * lo[j]) << shifts[j] for j in range(n))
-    return acc == {one_key: 1}
+    (kp, cp), (kq, cq), (kr, cr), (ks, cs) = (packed(f) for f in polys)
+    keys = np.concatenate((np.add.outer(kp, kq).ravel(), np.add.outer(kr, ks).ravel()))
+    coeffs = np.concatenate((np.multiply.outer(cp, cq).ravel(),
+                             np.multiply.outer(-cr, cs).ravel()))
+    order = keys.argsort()
+    keys = keys[order]
+    starts = np.empty(len(keys), dtype=bool)  # first of each run of equal keys
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts = starts.nonzero()[0]
+    sums = np.add.reduceat(coeffs[order], starts)
+    nonzero = sums.nonzero()[0]
+    return bool(len(nonzero) == 1 and sums[nonzero[0]] == 1
+                and keys[starts[nonzero[0]]] == 2 * base)
 
 
 # ----------------------------------------------------------------------

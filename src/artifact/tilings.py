@@ -45,6 +45,14 @@ class UnreachableCell(RuntimeError):
     """brute_fill could not determine a requested cell."""
 
 
+class InconsistentGeometry(ArithmeticError):
+    """Two descriptions of the same frontier geometry disagree."""
+
+
+class NotPythagorean(ArithmeticError):
+    """A square-lemma triple fails a^2 = b^2 + c^2."""
+
+
 def transpose_word(w: str) -> str:
     """Reverse the word and swap x with y."""
     return "".join("x" if ch == "y" else "y" for ch in reversed(w))
@@ -217,7 +225,8 @@ def word_of_point(e: Embedding, p: Point) -> str:
     """Frontier factor between the two projections of a below point."""
     first, last = word_span(e, p)
     word = e.frontier.factor(first, last + 1)
-    assert word[0] == "y" and word[-1] == "x" and len(word) >= 2
+    if len(word) < 2 or word[0] != "y" or word[-1] != "x":
+        raise InconsistentGeometry("word %r of point %r is not y...x" % (word, p))
     return word
 
 
@@ -477,7 +486,8 @@ def pythagorean_triple(e: SquareEmbedding, n: int) -> tuple[int, int, int]:
     k = e.k_values(n + 1)
     kr = e.k_right_values(n + 1)
     a, b, c = j[n + 1] + j[n], j[n + 1] - j[n], k[n] + kr[n]
-    assert a * a == b * b + c * c, (a, b, c)
+    if a * a != b * b + c * c:
+        raise NotPythagorean("(%d, %d, %d) at n = %d" % (a, b, c, n))
     return (a, b, c)
 
 
@@ -510,8 +520,10 @@ class PeriodicFrontier(Frontier):
         upper = k + self.h + 2  # s starts here
         lower = -(self.hp + 3)  # s' ends here
         for step in range(50):
-            assert transpose_word(self.letter(upper + step)) == self.letter(k - 1 - step)
-            assert transpose_word(self.letter(lower - step)) == self.letter(step)
+            if (transpose_word(self.letter(upper + step)) != self.letter(k - 1 - step)
+                    or transpose_word(self.letter(lower - step)) != self.letter(step)):
+                raise InconsistentGeometry(
+                    "periodic frontier is not transpose-symmetric at step %d" % step)
 
 
 def periodic_frontier(w: str, h: int, hp: int) -> PeriodicFrontier:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from artifact import acceptance
+from artifact.tilings import Embedding, Frontier
 
 
 def _passes(check) -> None:
@@ -56,3 +59,12 @@ def test_catalog_classification_and_additive_certificates():
 
 def test_growth_probe_reports_are_consistent():
     _passes(acceptance.check_probe)
+
+
+def test_no_straddling_window_raises_value_error(monkeypatch):
+    monkeypatch.setattr(acceptance, "_window_span", lambda e, du, dv: None)
+    with pytest.raises(acceptance.NoStraddlingWindow):
+        acceptance._best_window(Embedding(Frontier("xy", "", "xy")))
+    # the suite reports the raise as a failed check rather than crashing
+    (report,) = acceptance.run_suite(["symbolic-sl2"])
+    assert not report["ok"] and "NoStraddlingWindow" in report["detail"]

@@ -132,11 +132,11 @@ def test_cartan_row_count_is_capped(command):
 
 
 # byte-exact stdout in all three formats: tile and rays, and the symbolic
-# frise and cluster-vars tables
+# frise, cluster-vars and cross-construction frieze tables
 with open(Path(__file__).with_name("cli_goldens.json")) as fh:
     GOLDENS = json.load(fh)
 GEOMETRY_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("tile", "rays")]
-SYMBOLIC_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("frise", "cluster-vars")]
+SYMBOLIC_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("frise", "cluster-vars", "frieze")]
 
 
 @pytest.mark.parametrize("case", GEOMETRY_GOLDENS, ids=lambda c: " ".join(c["args"][3:]))

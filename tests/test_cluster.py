@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact import cluster
 from artifact.cluster import (
@@ -18,7 +19,14 @@ from artifact.cluster import (
 from artifact.diagrams import parse_shorthand
 from artifact.frises import detect_period, frise_extend
 from artifact.laurent import LaurentPoly
-from artifact.tilings import Embedding, Frontier, tile_value, transpose_word
+from artifact.tilings import (
+    Embedding,
+    Frontier,
+    InconsistentGeometry,
+    tile_value,
+    transpose_word,
+    word_span,
+)
 
 ONE = LaurentPoly.nat(1)
 
@@ -127,6 +135,40 @@ def test_fuzz_variable_tilings_are_unimodular_and_positive():
             for v in range(-3, 3):
                 det = grid[(u, v + 1)] * grid[(u + 1, v)] - grid[(u, v)] * grid[(u + 1, v + 1)]
                 assert det == ONE, (u, v)
+
+
+def _tile_by_word_value_vars(e: Embedding, names, p) -> LaurentPoly:
+    # the per-cell form variable_tile_value replaced: one LaurentPoly per step
+    side = e.classify(p)
+    if side == "on":
+        return V(names((p[0] + p[1]) - sum(e.anchor)))
+    if side == "above":
+        return _tile_by_word_value_vars(e.mirror(), names, e.mirror_point(p))
+    first, last = word_span(e, p)
+    return word_value_vars([names(i) for i in range(first, last + 2)],
+                           e.frontier.factor(first, last + 1))
+
+
+blocks = st.text(alphabet="xy", min_size=2, max_size=6).filter(lambda w: "x" in w and "y" in w)
+NAME_POOL = ("u10", "u2", "a", "b1", "zz", "u1", "c", "q7")
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks, st.text(alphabet="xy", max_size=5), blocks,
+       st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(-8, 8),
+       st.permutations(NAME_POOL), st.integers(1, 8))
+def test_variable_tile_value_matches_word_value_vars(left, center, right, anchor, k, pool, period):
+    e = Embedding(Frontier(left, center, right), anchor)
+    names = lambda i: pool[i % period]
+    u0, v0 = e.vertex(k)
+    sides = set()
+    for u in range(u0 - 3, u0 + 4):
+        for v in range(v0 - 3, v0 + 4):
+            sides.add(e.classify((u, v)))
+            got = variable_tile_value(e, names, (u, v))
+            assert got == _tile_by_word_value_vars(e, names, (u, v))
+            assert got.variables == tuple(sorted(got.variables, key=lambda n: (len(n), n)))
+    assert sides == {"below", "on", "above"}
 
 
 # ----------------------------------------------------------------------
@@ -432,3 +474,11 @@ def test_frieze_stitch_mismatch_raises_arithmetic_error(monkeypatch):
     monkeypatch.setattr(cluster, "cross_construct", shifting_figure)
     with pytest.raises(ArithmeticError, match="stitch mismatch"):
         frieze_period(CrossSeed.ones("xxyy"))
+
+
+def test_off_frontier_vertex_raises_arithmetic_error(monkeypatch):
+    e = Embedding(Frontier("xy", "", "yx"))
+    p = e.vertex(2)
+    monkeypatch.setattr(Embedding, "vertex", lambda self, i: (99, 99))
+    with pytest.raises(InconsistentGeometry, match="not vertex 2"):
+        variable_tile_value(e, lambda i: "u%d" % (i % 4 + 1), p)

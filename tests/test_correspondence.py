@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
+from artifact import correspondence
 from artifact.correspondence import (
+    ForkRelationFails,
     ForkSpec,
     cycle_check,
     cycle_quiver,
@@ -95,6 +97,21 @@ def test_fork_table_rays():
     assert table[6] == (1, 8, 19, 106)
     assert table[7] == (1, 2, 4, 38)
     assert [row[1] for row in table] == [2, 2, 9, 2, 3, 7, 8, 2]
+
+
+@pytest.mark.parametrize("spec", [ForkSpec(4, "x"), ForkSpec(7, "xyxx")])
+def test_broken_fork_relation_raises_arithmetic_error(monkeypatch, spec):
+    # the horizontal corner ray, off by one, breaks the far-branch relations
+    rays = correspondence.ray_values
+
+    def off_by_one(e, origin, direction, count):
+        ray = rays(e, origin, direction, count)
+        shift = direction == (1, 0)
+        return type(ray)(ray.origin, ray.direction, tuple(v + shift for v in ray.values))
+
+    monkeypatch.setattr(correspondence, "ray_values", off_by_one)
+    with pytest.raises(ForkRelationFails, match=r"relation \d fails at step 0"):
+        fork_table(spec, 3)
 
 
 def test_fork_check_examples():

@@ -288,3 +288,198 @@ def test_power_short_circuits_and_matches_repeated_product():
     assert p ** 1 is p
     assert p ** 0 == 1
     assert p ** 4 == p * p * p * p
+
+
+# ----------------------------------------------------------------------
+# numerator/denominator split and the int64 minor check, against the
+# routes they replace
+
+
+def _numerator_denominator_by_product(p):
+    # multiply by the denominator monomial, as the split used to
+    mins = p.min_exponents()
+    den_exps = {v: -m for v, m in mins.items() if m < 0}
+    den = LaurentPoly.monomial(1, den_exps) if den_exps else LaurentPoly.nat(1)
+    return p * den, den
+
+
+def _str_by_product(p):
+    num, den = _numerator_denominator_by_product(p)
+    s = laurent_mod._poly_str(num)
+    if den == LaurentPoly.nat(1):
+        return s
+    if len(num.terms) > 1:
+        s = "(%s)" % s
+    d = laurent_mod._poly_str(den)
+    return "%s/%s" % (s, "(%s)" % d if "*" in d else d)
+
+
+@given(laurent_polys(names=("a", "b", "u10")))
+def test_numerator_denominator_matches_multiplying_by_the_denominator(p):
+    num, den = p.numerator_denominator()
+    want_num, want_den = _numerator_denominator_by_product(p)
+    assert num == want_num and den == want_den
+    assert num == p * den
+    assert num.variables == want_num.variables
+    assert all(x >= 0 for e in num.terms for x in e)
+    assert str(p) == _str_by_product(p)
+
+
+def test_numerator_drops_a_variable_common_to_every_term():
+    p = (1 + a).monomial_div(b ** 2)
+    num, den = p.numerator_denominator()
+    assert num.variables == ("a",) and den == b ** 2
+    assert str(p) == "(a + 1)/b^2"
+    assert a.numerator_denominator() == (a, 1)
+
+
+def _products_differ_by_one_by_dicts(p, q, r, s):
+    # the dict convolution over packed keys that the int64 pass replaced
+    p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
+    polys = (p, q, r, s)
+    union = sorted({v for f in polys for v in f.variables}, key=laurent_mod._var_key)
+    pos = {v: i for i, v in enumerate(union)}
+    n = len(union)
+    lo, hi = [0] * n, [0] * n
+    for f in polys:
+        for e in f.terms:
+            for v, ex in zip(f.variables, e):
+                lo[pos[v]] = min(lo[pos[v]], ex)
+                hi[pos[v]] = max(hi[pos[v]], ex)
+    shifts, shift = [], 0
+    for j in range(n):
+        shifts.append(shift)
+        shift += (2 * (hi[j] - lo[j]) + 1).bit_length() + 1
+
+    def pack(f):
+        out = {}
+        for e, c in f.terms.items():
+            full = [0] * n
+            for v, ex in zip(f.variables, e):
+                full[pos[v]] = ex
+            out[sum((full[j] - lo[j]) << shifts[j] for j in range(n))] = c
+        return out
+
+    acc = {}
+    for left, right, sign in ((p, q, 1), (r, s, -1)):
+        for k1, c1 in pack(left).items():
+            for k2, c2 in pack(right).items():
+                acc[k1 + k2] = acc.get(k1 + k2, 0) + sign * c1 * c2
+    acc = {k: c for k, c in acc.items() if c}
+    return acc == {sum(-2 * lo[j] << shifts[j] for j in range(n)): 1}
+
+
+def _agrees(p, q, r, s):
+    got = products_differ_by_one(p, q, r, s)
+    assert type(got) is bool
+    assert got == _products_differ_by_one_by_dicts(p, q, r, s) == (p * q - r * s == 1)
+    return got
+
+
+c = LaurentPoly.var("c")
+wide_coeffs = st.one_of(small_ints, st.integers(-(1 << 40), 1 << 40))
+abc = ("a", "b", "c")
+
+
+@given(laurent_polys(abc), laurent_polys(abc), laurent_polys(abc), laurent_polys(abc))
+def test_products_differ_by_one_matches_the_dict_route(p, q, r, s):
+    _agrees(p, q, r, s)
+
+
+@given(wide_coeffs, wide_coeffs, wide_coeffs, wide_coeffs)
+def test_products_differ_by_one_on_constants(p, q, r, s):
+    _agrees(p, q, r, s)
+    _agrees(p, q, p * q - 1, 1)
+
+
+@st.composite
+def unimodular(draw):
+    """(p, q, r, s) with p*q - r*s = 1: a product of elementary matrices."""
+    m = Mat2.identity()
+    for i in range(draw(st.integers(0, 4))):
+        t = draw(laurent_polys(abc))
+        m = m * (Mat2(1, t, 0, 1) if i % 2 else Mat2(1, 0, t, 1))
+    return m.a, m.d, m.b, m.c
+
+
+@given(unimodular(), st.integers(0, 3), laurent_polys(abc))
+def test_products_differ_by_one_on_true_and_perturbed_minors(minor, slot, delta):
+    assert _agrees(*minor)
+    perturbed = list(minor)
+    perturbed[slot] = perturbed[slot] + delta
+    _agrees(*perturbed)
+
+
+@contextmanager
+def counted_products():
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    LaurentPoly.__mul__ = counting
+    try:
+        yield calls
+    finally:
+        LaurentPoly.__mul__ = mul
+
+
+@pytest.mark.parametrize("p, q, r, s, falls_back", [
+    # coefficients past 2^31: cmax^2 * pairs reaches 2^62
+    (LaurentPoly.nat(1 << 31) + a, 1 - a, (1 << 31) - 1, LaurentPoly.nat(1) + a, True),
+    (LaurentPoly.nat(1 << 31), 1, (1 << 31) - 1, 1, True),
+    ((1 << 40) * a, a ** -1, (1 << 40) - 1, 1, True),
+    (LaurentPoly.nat(1 << 30), 1, (1 << 30) - 1, 1, False),
+    # exponent spans past 62 packed bits: one wide field, or several
+    (a ** (1 << 61), a ** -(1 << 61), 0, 0, True),
+    (a ** (1 << 60) + 1, 1, a ** (1 << 60), 1, False),
+    (a ** (1 << 31) + 1, a ** -(1 << 31), a ** -(1 << 31), 1, False),
+    ((a * b * c) ** (1 << 20) + 1, 1, (a * b * c) ** (1 << 20), 1, True),
+    (a ** 1000 * b ** 1000 * c ** 1000 + 1, 1, a ** 1000 * b ** 1000 * c ** 1000, 1, False),
+    ((a * b * c) ** (1 << 10) + 1, 1, (a * b * c) ** (1 << 10), 1, False),
+    ((a * b * c) ** (1 << 10) + 1, 1, (a * b * c) ** (1 << 10), 2, False),
+    (LaurentPoly.monomial(1, {"u%d" % i: 1 << 6 for i in range(9)}), 1, 0, 0, True),
+])
+def test_products_differ_by_one_falls_back_outside_the_int64_bounds(p, q, r, s, falls_back):
+    p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
+    with counted_products() as calls:
+        got = products_differ_by_one(p, q, r, s)
+    assert bool(calls) == falls_back
+    assert got == _products_differ_by_one_by_dicts(p, q, r, s) == (p * q - r * s == 1)
+
+
+@given(st.lists(st.tuples(st.integers(-(1 << 33), 1 << 33), st.integers(-3, 3)),
+                min_size=1, max_size=3), wide_coeffs)
+def test_products_differ_by_one_with_wide_exponents(exps, c):
+    p = LaurentPoly(("a", "b"), {e: 1 for e in exps})
+    q = LaurentPoly(("a", "b"), {tuple(-x for x in exps[0]): 1})
+    _agrees(p, q, p * q - 1, 1)
+    _agrees(p, q, p * q - c, 1)
+
+
+@pytest.mark.parametrize("p, q, r, s, want", [
+    (a, 1, 0, 0, False),  # one term, coefficient 1, but not at exponent 0
+    (a ** -1, b, 0, 0, False),
+    (a, a, b - 1, 1, False),  # a^2 - b + 1: a field too narrow for a^2 would carry into b
+    (a ** 3, a, b ** 2 * c - 1, c ** -1, False),
+    (a ** 3, a ** -3, 0, 0, True),
+    (a * b, a ** -1 * b ** -1, 0, 0, True),
+    (a ** -2, a, a ** -1 - 1, 1, True),
+    (a ** 2 + 1, 1, a, a, True),
+    (a ** 2 + 2, 1, a, a, False),
+    (-a, -(a ** -1), 0, 0, True),
+    (0, 0, -1, 1, True),
+])
+def test_products_differ_by_one_near_misses(p, q, r, s, want):
+    p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
+    assert _agrees(p, q, r, s) == want
+
+
+@given(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+       st.sampled_from([1, -1, 2]))
+def test_products_differ_by_one_on_lone_monomials(exps, coeff):
+    m = LaurentPoly(abc, {exps: coeff})
+    assert _agrees(m, 1, 0, 0) == (m == 1)
+    assert _agrees(m, LaurentPoly(abc, {tuple(-x for x in exps): 1}), 0, 0) == (coeff == 1)

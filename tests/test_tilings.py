@@ -9,6 +9,8 @@ from artifact.tilings import (
     Embedding,
     Frontier,
     InadmissibleFrontier,
+    InconsistentGeometry,
+    NotPythagorean,
     PeriodicFrontier,
     PointOnOrAboveFrontier,
     Ray,
@@ -435,3 +437,33 @@ def test_tile_grid_matches_cellwise_tile_value(e, k, offset, width, height):
     expected = _tile_grid_by_cells(e, region)
     assert grid == expected
     assert list(grid) == list(expected)
+
+
+# ----------------------------------------------------------------------
+# the geometry self-checks are exceptions, so they survive python -O
+
+
+def test_malformed_point_word_raises_arithmetic_error(monkeypatch):
+    import artifact.tilings as tilings_mod
+
+    e = Embedding(parse_frontier("[xy]* [xy]*"))
+    monkeypatch.setattr(tilings_mod, "word_span", lambda e, p: (0, 1))  # letters "xy"
+    with pytest.raises(InconsistentGeometry, match="not y...x"):
+        word_of_point(e, (1, -1))
+
+
+def test_broken_square_triple_raises_arithmetic_error(monkeypatch):
+    e = SquareEmbedding("xxy", 1)
+    k = SquareEmbedding.k_values
+    monkeypatch.setattr(SquareEmbedding, "k_values",
+                        lambda self, count: tuple(v + 1 for v in k(self, count)))
+    with pytest.raises(NotPythagorean):
+        pythagorean_triple(e, 0)
+
+
+def test_asymmetric_periodic_frontier_raises_arithmetic_error(monkeypatch):
+    letter = PeriodicFrontier.letter
+    monkeypatch.setattr(PeriodicFrontier, "letter",
+                        lambda self, i: "x" if i == 40 else letter(self, i))
+    with pytest.raises(InconsistentGeometry, match="transpose-symmetric"):
+        periodic_frontier("xyxx", 1, 0)
