@@ -141,9 +141,11 @@ class LaurentPoly:
         if not any(lows):
             return self, LaurentPoly.nat(1)
         keep = [j for j, col in enumerate(columns) if not lows[j] or max(col) != lows[j]]
+        shifted = [[x - lows[j] for x in columns[j]] if lows[j] else columns[j] for j in keep]
+        # with no variable kept, every term had the same exponents: one term
         num = LaurentPoly._trusted(
             tuple(self._vars[j] for j in keep),
-            {tuple(e[j] - lows[j] for j in keep): c for e, c in self._terms.items()})
+            dict(zip(zip(*shifted) if keep else [()], self._terms.values())))
         return num, LaurentPoly.monomial(1, {v: -m for v, m in zip(self._vars, lows) if m})
 
     # ------------------------------------------------------------------
