@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Union
 
@@ -192,7 +193,7 @@ class LaurentPoly:
         other = LaurentPoly.coerce(other)
         vs, a, b = self._aligned(other)
         if vs and len(a) * len(b) >= _FAST_PAIRS:
-            return LaurentPoly(vs, _mul_packed(len(vs), a, b))
+            return LaurentPoly(vs, _mul_packed(a, b))
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -331,213 +332,57 @@ class LaurentPoly:
         return {"num": [[c, list(e)] for e, c in items], "vars": list(self._vars)}
 
 
-def _mul_packed(nv: int, a: dict, b: dict) -> dict:
+def _packed_keys(columns: list, lows: list, shifts: list) -> list[int]:
+    """One integer per term: exponent j less lows[j], in the field at shifts[j]."""
+    keys = [0] * len(columns[0])
+    for col, low, shift in zip(columns, lows, shifts):
+        keys = [k | ((x - low) << shift) for k, x in zip(keys, col)]
+    return keys
+
+
+def _exponent_tuples(keys: Iterable[int], lows: list, shifts: list, widths: list) -> list:
+    """Inverse of _packed_keys: one exponent tuple per packed key."""
+    keys = list(keys)
+    columns = [[((k >> shift) & ((1 << width) - 1)) + low for k in keys]
+               for low, shift, width in zip(lows, shifts, widths)]
+    return list(zip(*columns))
+
+
+def _mul_packed(a: dict, b: dict) -> dict:
     """Multiply two aligned term dicts via packed integer exponent keys.
 
-    Every exponent vector is packed into one integer, one bit field per
-    variable, sized so that key addition never carries between fields.
-    Small-coefficient products run through numpy (outer sums coalesced by
-    bincount, exact below 2**53); anything larger falls back to a plain
-    dict loop over packed keys, which stays exact for arbitrary integers.
+    Every exponent vector, less its factor's componentwise minimum, is
+    packed into one integer, one bit field per variable, each field wide
+    enough for the sum of both factors' spans, so key addition never
+    carries between fields. Keys and coefficients are Python integers, so
+    the run is exact for any coefficient size.
     """
-    lo_a = [0] * nv
-    hi_a = [0] * nv
-    lo_b = [0] * nv
-    hi_b = [0] * nv
-    for terms, lo, hi in ((a, lo_a, hi_a), (b, lo_b, hi_b)):
-        for e in terms:
-            for j, ex in enumerate(e):
-                if ex < lo[j]:
-                    lo[j] = ex
-                elif ex > hi[j]:
-                    hi[j] = ex
-    widths = [((hi_a[j] - lo_a[j]) + (hi_b[j] - lo_b[j])).bit_length() + 1 for j in range(nv)]
-    shifts = [0] * nv
-    total = 0
-    for j in range(nv):
-        shifts[j] = total
-        total += widths[j]
-
-    def pack(terms: dict, lo: list) -> dict:
-        out = {}
-        for e, c in terms.items():
-            key = 0
-            for j, ex in enumerate(e):
-                key |= (ex - lo[j]) << shifts[j]
-            out[key] = c
-        return out
-
-    dense = _mul_dense(nv, a, b, lo_a, hi_a, lo_b, hi_b)
-    if dense is not None:
-        return dense
-
-    pa, pb = pack(a, lo_a), pack(b, lo_b)
-    amax = max(abs(c) for c in pa.values())
-    bmax = max(abs(c) for c in pb.values())
-    if total <= 62 and amax * bmax * min(len(pa), len(pb)) < (1 << 52):
-        packed = _mul_numpy(pa, pb)
-    else:
-        packed = {}
-        get = packed.get
-        if len(pa) > len(pb):
-            pa, pb = pb, pa
-        for k1, c1 in pa.items():
-            for k2, c2 in pb.items():
-                k = k1 + k2
-                v = get(k, 0) + c1 * c2
-                if v:
-                    packed[k] = v
-                elif k in packed:
-                    del packed[k]
-
-    out: dict[tuple[int, ...], int] = {}
-    for key, c in packed.items():
-        if not c:
-            continue
-        e = tuple(((key >> shifts[j]) & ((1 << widths[j]) - 1)) + lo_a[j] + lo_b[j]
-                  for j in range(nv))
-        out[e] = c
-    return out
-
-
-def _mul_numpy(pa: dict, pb: dict) -> dict:
-    """Outer sums of packed int64 keys, coalesced chunk by chunk."""
-    ka = np.fromiter(pa.keys(), dtype=np.int64, count=len(pa))
-    ca = np.fromiter(pa.values(), dtype=np.int64, count=len(pa))
-    kb = np.fromiter(pb.keys(), dtype=np.int64, count=len(pb))
-    cb = np.fromiter(pb.values(), dtype=np.int64, count=len(pb))
-    block = max(1, (1 << 24) // len(kb))
-    parts_k = []
-    parts_c = []
-    for start in range(0, len(ka), block):
-        keys = (ka[start:start + block, None] + kb[None, :]).ravel()
-        cfs = (ca[start:start + block, None] * cb[None, :]).ravel()
-        uniq, inv = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inv, weights=cfs.astype(np.float64), minlength=len(uniq))
-        parts_k.append(uniq)
-        parts_c.append(sums)
-    keys = np.concatenate(parts_k)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inv, weights=np.concatenate(parts_c), minlength=len(uniq))
-    totals = sums.astype(np.int64)
-    keep = totals != 0
-    return dict(zip(uniq[keep].tolist(), totals[keep].tolist()))
-
-
-def _limb_split(vals: list, w: int) -> list:
-    """Split integers into balanced base-2**w limb rows (sign on each limb)."""
-    mask = (1 << w) - 1
-    rows = max((abs(v).bit_length() + w - 1) // w for v in vals)
-    out = np.zeros((max(rows, 1), len(vals)), dtype=np.int64)
-    for i, v in enumerate(vals):
-        sign = 1 if v >= 0 else -1
-        mag = abs(v)
-        j = 0
-        while mag:
-            out[j, i] = sign * (mag & mask)
-            mag >>= w
-            j += 1
-    return list(out)
-
-
-def _mul_dense(nv: int, a: dict, b: dict,
-               lo_a: list, hi_a: list, lo_b: list, hi_b: list) -> dict | None:
-    """Product on a dense exponent grid via histogram sums, or None.
-
-    A product's exponents live in the componentwise sum of the factor
-    boxes. When that box fits the cell budget, each block of pairwise
-    products is binned straight into it with np.bincount, no sorting.
-    Coefficients too large for one exact float64 histogram are split into
-    limbs narrow enough that every per-class histogram stays below 2**52
-    (three bits spare for summing limb classes), then the classes are
-    recombined into Python integers. Returns None when the box, the limb
-    count, or the pair count make another route cheaper.
-    """
-    if nv == 0:
-        return None
-    cells = 1
-    for j in range(nv):
-        cells *= (hi_a[j] - lo_a[j]) + (hi_b[j] - lo_b[j]) + 1
-        if cells > _DENSE_CELLS:
-            return None
-    na, nb = len(a), len(b)
-    smaller = min(na, nb)
-    amax = max(abs(c) for c in a.values())
-    bmax = max(abs(c) for c in b.values())
-    if amax * bmax * smaller < (1 << 52):
-        la = [np.fromiter(a.values(), dtype=np.int64, count=na)]
-        lb = [np.fromiter(b.values(), dtype=np.int64, count=nb)]
-        w = 0
-    else:
-        w = (49 - smaller.bit_length()) >> 1
-        if w < 8:
-            return None
-        la = _limb_split(list(a.values()), w)
-        lb = _limb_split(list(b.values()), w)
-    classes = len(la) + len(lb) - 1
-    if classes * cells > (1 << 25):
-        return None
-
-    strides = [0] * nv
-    acc = 1
-    for j in range(nv - 1, -1, -1):
-        strides[j] = acc
-        acc *= (hi_a[j] - lo_a[j]) + (hi_b[j] - lo_b[j]) + 1
-
-    def flatten(terms: dict, lo: list) -> np.ndarray:
-        return np.fromiter(
-            (sum((e[j] - lo[j]) * strides[j] for j in range(nv)) for e in terms),
-            dtype=np.int64, count=len(terms))
-
-    fa, fb = flatten(a, lo_a), flatten(b, lo_b)
-    sums = [np.zeros(cells) for _ in range(classes)]
-    block = max(1, (1 << 24) // nb)
-    for start in range(0, na, block):
-        idx = (fa[start:start + block, None] + fb[None, :]).ravel()
-        for i, lai in enumerate(la):
-            rows = lai[start:start + block, None]
-            for j, lbj in enumerate(lb):
-                cfs = (rows * lbj[None, :]).ravel().astype(np.float64)
-                sums[i + j] += np.bincount(idx, weights=cfs, minlength=cells)
-
-    mask = sums[0] != 0
-    for s in range(1, classes):
-        mask |= sums[s] != 0
-    nz = np.flatnonzero(mask)
-    if classes == 1:
-        vals = sums[0][nz].astype(np.int64).tolist()
-    else:
-        combined = sums[0][nz].astype(np.int64).astype(object)
-        for s in range(1, classes):
-            combined += sums[s][nz].astype(np.int64).astype(object) * (1 << (w * s))
-        vals = combined.tolist()
-
-    out: dict[tuple[int, ...], int] = {}
-    base = [lo_a[j] + lo_b[j] for j in range(nv)]
-    for f, c in zip(nz.tolist(), vals):
-        if not c:
-            continue
-        e = [0] * nv
-        for j in range(nv):
-            e[j], f = divmod(f, strides[j])
-            e[j] += base[j]
-        out[tuple(e)] = c
-    return out
-
-
-# Dense-route ceilings: exponent-box cells (memory) and the int64 budget
-# (every remainder entry and every q * c product must stay below 2**62,
-# enforced dynamically step by step).
-_DENSE_CELLS = 1 << 23
-_INT64_BUDGET = 1 << 62
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    lo_a, lo_b = [min(col) for col in cols_a], [min(col) for col in cols_b]
+    widths = [(max(ca) - la + max(cb) - lb).bit_length() + 1
+              for ca, la, cb, lb in zip(cols_a, lo_a, cols_b, lo_b)]
+    shifts = [sum(widths[:j]) for j in range(len(widths))]
+    pa = dict(zip(_packed_keys(cols_a, lo_a, shifts), a.values()))
+    pb = dict(zip(_packed_keys(cols_b, lo_b, shifts), b.values()))
+    if len(pa) > len(pb):
+        pa, pb = pb, pa
+    packed: dict[int, int] = {}
+    get = packed.get
+    for k1, c1 in pa.items():
+        for k2, c2 in pb.items():
+            k = k1 + k2
+            v = get(k, 0) + c1 * c2
+            if v:
+                packed[k] = v
+            elif k in packed:
+                del packed[k]
+    lows = [la + lb for la, lb in zip(lo_a, lo_b)]
+    return dict(zip(_exponent_tuples(packed, lows, shifts, widths), packed.values()))
 
 
 def _poly_divide(num: dict, den: dict) -> dict:
     """Exact polynomial division of term dicts under lex order."""
     if num and len(num) * len(den) >= _FAST_PAIRS:
-        quo = _div_dense(num, den)
-        if quo is not None:
-            return quo
         return _div_packed(num, den)
     lead_d = max(den)
     quo: dict[tuple[int, ...], int] = {}
@@ -562,109 +407,6 @@ def _poly_divide(num: dict, den: dict) -> dict:
     return quo
 
 
-def _div_dense(num: dict, den: dict) -> dict | None:
-    """Long division on a dense mixed-radix exponent grid, or None.
-
-    The remainder lives in a flat int64 array indexed by the mixed-radix
-    packed exponent (most significant variable first, so integer order is
-    lex order). An exact quotient can only involve exponents inside the
-    numerator's box, which bounds every write: each quotient exponent is
-    checked componentwise before its den-multiple is subtracted, all at
-    once, through vectorized fancy indexing. The lex-leading remainder
-    term only ever decreases, so one descending pointer sweep finds every
-    lead. Overflow safety is dynamic: with R the largest remainder entry
-    seen so far and D the largest divisor entry, a step only runs while
-    |q|*D < 2**62 - R, which keeps every product and difference inside
-    int64. Returns None when the box or that budget is outgrown; the
-    caller then uses an arbitrary-precision route.
-    """
-    nv = len(next(iter(num)))
-    if nv == 0:
-        return None
-    lo = [0] * nv
-    hi = [0] * nv
-    for terms in (num, den):
-        for e in terms:
-            for j, ex in enumerate(e):
-                if ex < lo[j]:
-                    lo[j] = ex
-                elif ex > hi[j]:
-                    hi[j] = ex
-    cells = 1
-    for j in range(nv):
-        cells *= hi[j] - lo[j] + 1
-        if cells > _DENSE_CELLS:
-            return None
-    r_max = max(abs(c) for c in num.values())
-    d_max = max(abs(c) for c in den.values())
-    if r_max >= _INT64_BUDGET or d_max >= _INT64_BUDGET:
-        return None
-
-    strides = [0] * nv
-    acc = 1
-    for j in range(nv - 1, -1, -1):
-        strides[j] = acc
-        acc *= hi[j] - lo[j] + 1
-
-    def flat(e: tuple) -> int:
-        idx = 0
-        for j, ex in enumerate(e):
-            idx += (ex - lo[j]) * strides[j]
-        return idx
-
-    rem = np.zeros(cells, dtype=np.int64)
-    for e, c in num.items():
-        rem[flat(e)] = c
-    den_idx = np.fromiter((flat(e) for e in den), dtype=np.int64, count=len(den))
-    den_cf = np.fromiter(den.values(), dtype=np.int64, count=len(den))
-    lead_pos = int(den_idx.argmax())
-    lead_d = int(den_idx[lead_pos])
-    c_d = int(den_cf[lead_pos])
-    ld_slots = [0] * nv
-    k = lead_d
-    for j in range(nv):
-        ld_slots[j], k = divmod(k, strides[j])
-    # den's componentwise maximum, for the stay-in-box bound on quotients
-    den_hi = [max(e[j] - lo[j] for e in den) for j in range(nv)]
-    span = [hi[j] - lo[j] for j in range(nv)]
-
-    quo: dict[tuple[int, ...], int] = {}
-    chunk = 4096
-    p = cells - 1
-    while p >= 0:
-        if rem[p] == 0:
-            base = max(0, p - chunk + 1)
-            nz = np.flatnonzero(rem[base:p + 1])
-            if len(nz) == 0:
-                p = base - 1
-                continue
-            p = base + int(nz[-1])
-        d_slots = [0] * nv
-        k = p
-        for j in range(nv):
-            q_j, k = divmod(k, strides[j])
-            d = q_j - ld_slots[j]
-            if d < 0:
-                raise ExactDivisionError("no exact quotient (monomial obstruction)")
-            if d + den_hi[j] > span[j]:
-                raise ExactDivisionError("no exact quotient (exponent out of range)")
-            d_slots[j] = d
-        c_r = int(rem[p])
-        if c_r % c_d:
-            raise ExactDivisionError("no exact quotient (coefficient obstruction)")
-        q = c_r // c_d
-        if abs(q) * d_max >= _INT64_BUDGET - r_max:
-            return None  # next subtract could wrap int64; retry exactly
-        idx = den_idx + (p - lead_d)
-        vals = rem[idx] - q * den_cf
-        rem[idx] = vals
-        step_max = int(np.abs(vals).max())
-        if step_max > r_max:
-            r_max = step_max
-        quo[tuple(d_slots)] = q
-    return quo
-
-
 def _div_packed(num: dict, den: dict) -> dict:
     """Long division over packed integer exponent keys.
 
@@ -673,65 +415,63 @@ def _div_packed(num: dict, den: dict) -> dict:
     range-checked before it is used: each component must be nonnegative
     (same obstruction as the tuple path) and no larger than the combined
     exponent span, which no exact quotient can exceed. Within those bounds
-    field arithmetic never carries, so the packed run is exact.
+    a field of a remainder key holds at most twice the span, which its
+    width leaves room for, so key arithmetic never carries or borrows
+    between fields and the packed run is exact; coefficients are Python
+    integers. The same bound ends a non-exact division as soon as a
+    quotient exponent leaves the box, instead of letting the remainder run.
+
+    The lead remainder term comes from a lazy max-heap of negated keys.
+    Invariant: every key of the remainder has at least one heap entry, and
+    a key is pushed only when it newly enters the remainder. An entry
+    whose key has since left the remainder is stale and skipped when
+    popped; a key that cancels and reappears is pushed again. A processed
+    lead cancels and never returns, since later keys are strictly smaller.
     """
-    nv = len(next(iter(num)))
-    lo = [0] * nv
-    hi = [0] * nv
-    for terms in (num, den):
-        for e in terms:
-            for j, ex in enumerate(e):
-                if ex < lo[j]:
-                    lo[j] = ex
-                elif ex > hi[j]:
-                    hi[j] = ex
-    spans = [hi[j] - lo[j] for j in range(nv)]
-    widths = [(2 * spans[j]).bit_length() + 1 for j in range(nv)]
-    shifts = [0] * nv
-    total = 0
-    for j in range(nv - 1, -1, -1):  # slot 0 most significant: lex order
-        shifts[j] = total
-        total += widths[j]
+    cols_num, cols_den = list(zip(*num)), list(zip(*den))
+    lows = [min(min(cn), min(cd)) for cn, cd in zip(cols_num, cols_den)]
+    spans = [max(max(cn), max(cd)) - low for cn, cd, low in zip(cols_num, cols_den, lows)]
+    widths = [(2 * span).bit_length() + 1 for span in spans]
+    # slot 0 most significant: lex order
+    shifts = [sum(widths[j + 1:]) for j in range(len(widths))]
+    rem = dict(zip(_packed_keys(cols_num, lows, shifts), num.values()))
+    den_list = list(zip(_packed_keys(cols_den, lows, shifts), den.values()))
+    lead_d, c_d = max(den_list)
+    ld_slots = [(lead_d >> shift) & ((1 << width) - 1) for shift, width in zip(shifts, widths)]
+    fields = list(zip(shifts, widths, ld_slots, spans))
 
-    def pack(e: tuple) -> int:
-        key = 0
-        for j, ex in enumerate(e):
-            key |= (ex - lo[j]) << shifts[j]
-        return key
-
-    rem = {pack(e): c for e, c in num.items()}
-    den_list = [(pack(e), c) for e, c in den.items()]
-    lead_d = max(k for k, _ in den_list)
-    c_d = dict(den_list)[lead_d]
-    ld_slots = [(lead_d >> shifts[j]) & ((1 << widths[j]) - 1) for j in range(nv)]
-
+    heap = [-k for k in rem]
+    heapify(heap)
     quo: dict[int, int] = {}
     get = rem.get
     while rem:
-        lead_r = max(rem)
-        for j in range(nv):
-            d = ((lead_r >> shifts[j]) & ((1 << widths[j]) - 1)) - ld_slots[j]
+        lead_r = -heappop(heap)
+        c_r = get(lead_r)
+        if c_r is None:
+            continue  # stale: the key left the remainder after its push
+        for shift, width, slot, span in fields:
+            d = ((lead_r >> shift) & ((1 << width) - 1)) - slot
             if d < 0:
                 raise ExactDivisionError("no exact quotient (monomial obstruction)")
-            if d > spans[j]:
+            if d > span:
                 raise ExactDivisionError("no exact quotient (exponent out of range)")
-        diff = lead_r - lead_d
-        c_r = rem[lead_r]
         if c_r % c_d:
             raise ExactDivisionError("no exact quotient (coefficient obstruction)")
         q = c_r // c_d
+        diff = lead_r - lead_d
         quo[diff] = q
         for k0, c in den_list:
             key = k0 + diff
-            val = get(key, 0) - q * c
-            if val:
-                rem[key] = val
+            qc = q * c
+            old = get(key)
+            if old is None:
+                rem[key] = -qc
+                heappush(heap, -key)
+            elif old == qc:
+                del rem[key]
             else:
-                rem.pop(key, None)
-    return {
-        tuple((key >> shifts[j]) & ((1 << widths[j]) - 1) for j in range(nv)): c
-        for key, c in quo.items()
-    }
+                rem[key] = old - qc
+    return dict(zip(_exponent_tuples(quo, [0] * len(widths), shifts, widths), quo.values()))
 
 
 def _poly_str(p: LaurentPoly) -> str:
@@ -942,9 +682,10 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     check holds when exactly one nonzero sum is left, coefficient 1 at the
     key of the exponent vector 0. That pass is exact while the packed key
     fits in 62 bits and cmax^2 * pairs < 2^62 (cmax the largest |coefficient|),
-    which bounds every partial sum; it also needs pairs <= 2^24 to bound its
-    memory. Outside those bounds the check is ``p * q - r * s == 1`` in the
-    ring, whose products chunk large operands.
+    which bounds every partial sum. It also needs pairs <= 2^22: the pass
+    holds about 34 bytes per pair at its peak, so the cap bounds its memory
+    near 140 MB. Outside those bounds the check is ``p * q - r * s == 1``
+    in the ring, whose large products run over packed keys.
     """
     p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
     polys = (p, q, r, s)
@@ -962,7 +703,7 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     for v in lo:
         shifts[v] = width
         width += (2 * (hi[v] - lo[v])).bit_length()
-    if width > 62 or cmax * cmax * pairs >= 1 << 62 or pairs > 1 << 24:
+    if width > 62 or cmax * cmax * pairs >= 1 << 62 or pairs > 1 << 22:
         return p * q - r * s == 1
     if not pairs:
         return False

@@ -39,6 +39,14 @@ class BadDirection(ValueError):
     """Ray directions must satisfy a*b <= 0."""
 
 
+class NonNaturalEntry(ArithmeticError):
+    """A witness matrix or vector has an entry that is not a natural number."""
+
+
+class InconsistentWitness(ArithmeticError):
+    """A witness disagrees with the frontier words or ray values it models."""
+
+
 # ----------------------------------------------------------------------
 # minimal linear recurrences over Q
 
@@ -179,7 +187,8 @@ def _check_natural(*mats: Sequence) -> None:
         rows = m if m and isinstance(m[0], tuple) else (m,)
         for row in rows:
             for x in row:
-                assert isinstance(x, int) and x >= 0, "entry %r is not natural" % (x,)
+                if not (isinstance(x, int) and x >= 0):
+                    raise NonNaturalEntry("entry %r is not natural" % (x,))
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +325,9 @@ def nrational_witness(
         for extra in (1, 2):
             fn, ln = word_span(e, point(i + (base + extra) * q))
             grown = fr.factor(fn, ln + 1)
-            assert grown == pump_left * extra + core_word + pump_right * extra
+            if grown != pump_left * extra + core_word + pump_right * extra:
+                raise InconsistentWitness(
+                    "residue %d: cut word %r does not pump as u'^n v u^n" % (i, grown))
 
         mprime, m = step_product(pump_left), step_product(pump_right)
         core = step_product(core_word)
@@ -343,7 +354,9 @@ def nrational_witness(
     terms = max(check_terms, (deepest + 3) * q)
     expected = ray_values(e, origin, direction, terms).values
     for idx, want in enumerate(expected):
-        assert witness.value(idx) == want, (idx, witness.value(idx), want)
+        got = witness.value(idx)
+        if got != want:
+            raise InconsistentWitness("term %d: witness gives %d, the ray %d" % (idx, got, want))
     return witness
 
 

@@ -231,7 +231,7 @@ def forced_fast(threshold=1):
 @given(laurent_polys(), laurent_polys())
 def test_forced_fast_multiplication_agrees(p, q):
     want = p * q
-    big = 10 ** 19  # wide enough to need limb splitting
+    big = 10 ** 19  # products beyond 64-bit integers
     want_scaled = want * (big * big)
     with forced_fast():
         assert p * q == want
@@ -264,23 +264,34 @@ def test_forced_fast_division_raise_parity(p, q):
     assert got == want
 
 
-def test_division_beyond_int64_budget_falls_through():
+def test_huge_coefficient_division_through_packed_route():
     huge = 10 ** 25
     p = (a + b) * huge + a * b
     q = (a + 1) * (b + 1) * huge + 3
     prod = p * q
     with forced_fast():
         assert prod.exact_div(q) == p
-    # the dense route must decline before filling an int64 array
-    assert laurent_mod._div_dense({(0,): 1 << 63}, {(0,): 1}) is None
 
 
-def test_dense_multiplication_declines_oversized_boxes():
-    terms_a = {(0, 0): 1, (5000, 5000): 1}
-    terms_b = {(0, 0): 1, (3000, 3000): 1}
-    out = laurent_mod._mul_dense(2, terms_a, terms_b,
-                                 [0, 0], [5000, 5000], [0, 0], [3000, 3000])
-    assert out is None
+def test_packed_division_skips_stale_heap_entries(monkeypatch):
+    # a^6*b^2 cancels at the first step and comes back at the second, so it
+    # is pushed again and one of its two heap entries is popped stale
+    num = (a + b) ** 5 * (a - b) ** 3
+    den = (a - b) ** 2 * (a + b) ** 3
+    want = num.exact_div(den)
+    assert want == (a + b) ** 2 * (a - b)
+    popped = []
+    heappop = laurent_mod.heappop
+    monkeypatch.setattr(laurent_mod, "heappop", lambda h: popped.append(heappop(h)) or popped[-1])
+    with forced_fast():
+        assert num.exact_div(den) == want
+    assert len(popped) > len(set(popped))
+    for target in (num + a * b ** 7, num + 1):
+        with pytest.raises(ExactDivisionError):
+            target.exact_div(den)
+        with forced_fast():
+            with pytest.raises(ExactDivisionError):
+                target.exact_div(den)
 
 
 def test_power_short_circuits_and_matches_repeated_product():

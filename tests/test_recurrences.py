@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from artifact.diagrams import parse_shorthand
 from artifact.frises import detect_period, frise_extend
+import artifact.recurrences as recurrences_mod
 from artifact.recurrences import (
     BadDirection,
+    InconsistentWitness,
     LinearRecurrence,
     LinearRep,
+    NonNaturalEntry,
     PrefixTooShort,
     find_min_recurrence,
     human_form,
@@ -19,7 +22,15 @@ from artifact.recurrences import (
     tensor_hadamard,
     verify_recurrence,
 )
-from artifact.tilings import Embedding, parse_frontier, ray_values, tile_value
+from artifact.tilings import (
+    Embedding,
+    Ray,
+    parse_frontier,
+    ray_values,
+    step_product,
+    tile_value,
+    word_span,
+)
 
 EVEN_FIB = [1, 1, 2, 5, 13, 34, 89, 233]
 
@@ -283,3 +294,32 @@ def test_tensor_hadamard():
     assert [count.value(n) for n in range(5)] == [1, 2, 3, 4, 5]
     squares = tensor_hadamard(count, count)
     assert [squares.value(n) for n in range(10)] == [(n + 1) ** 2 for n in range(10)]
+
+
+# ----------------------------------------------------------------------
+# the witness self-checks are exceptions, so they survive python -O
+
+
+def test_non_natural_witness_entry_raises_arithmetic_error(monkeypatch):
+    e = Embedding(parse_frontier("[xy]* [xy]*"))
+    monkeypatch.setattr(recurrences_mod, "step_product",
+                        lambda w: tuple(tuple(-x for x in row) for row in step_product(w)))
+    with pytest.raises(NonNaturalEntry, match="not natural"):
+        nrational_witness(e, (1, -1), (1, -1))
+
+
+def test_unpumped_cut_word_raises_arithmetic_error(monkeypatch):
+    e = Embedding(parse_frontier("[xy]* [xy]*"))
+    # the third point of the ray reports one letter too many on its left
+    monkeypatch.setattr(recurrences_mod, "word_span",
+                        lambda e, p: (lambda f, l: (f - (p == (3, -3)), l))(*word_span(e, p)))
+    with pytest.raises(InconsistentWitness, match="does not pump"):
+        nrational_witness(e, (1, -1), (1, -1))
+
+
+def test_witness_disagreeing_with_ray_raises_arithmetic_error(monkeypatch):
+    e = Embedding(parse_frontier("[xy]* [xy]*"))
+    monkeypatch.setattr(recurrences_mod, "ray_values", lambda e, o, d, n: Ray(
+        o, d, tuple(v + 1 for v in ray_values(e, o, d, n).values)))
+    with pytest.raises(InconsistentWitness, match="witness gives"):
+        nrational_witness(e, (1, -1), (1, -1))
