@@ -294,6 +294,20 @@ def test_packed_division_skips_stale_heap_entries(monkeypatch):
                 target.exact_div(den)
 
 
+@pytest.mark.parametrize("num, den", [
+    (-a ** 3 + 2 * a + b, a * b ** 2 + b ** 3),
+    (a ** 2 * b ** 3 + a * b, a ** 3 - a ** 2 * b ** 2 + a ** 2),
+])
+def test_packed_division_refuses_inexact_quotients(num, den):
+    # the remainder outgrows the exponent box before the division fails;
+    # fields with no room beyond the box would carry and fake a quotient
+    with pytest.raises(ExactDivisionError):
+        num.exact_div(den)
+    with forced_fast():
+        with pytest.raises(ExactDivisionError):
+            num.exact_div(den)
+
+
 def test_power_short_circuits_and_matches_repeated_product():
     p = a + 2 * b + 1
     assert p ** 1 is p
