@@ -261,33 +261,29 @@ def check_correspondences() -> dict:
 # ----------------------------------------------------------------------
 # 8. symbolic unimodularity on fuzzed variable frontiers
 
-def _window_span(e: Embedding, du: int, dv: int, size: int = 8):
-    """Worst projection-word length over the window; None if one-sided."""
-    worst = 0
-    has_above = has_below = False
-    for u in range(du, du + size):
-        for v in range(dv, dv + size):
-            side = e.classify((u, v))
-            if side == "on":
-                continue
-            if side == "above":
-                has_above = True
-                first, last = word_span(e.mirror(), (v, u))
-            else:
-                has_below = True
-                first, last = word_span(e, (u, v))
-            worst = max(worst, last - first + 1)
-    return worst if (has_above and has_below) else None
-
-
 def _best_window(e: Embedding) -> tuple[int, int]:
-    """Offset of the 8x8 window straddling the frontier most tightly."""
+    """Offset of the 8x8 window straddling the frontier most tightly.
+
+    A window's cost is its worst projection-word length, and only windows
+    with points on both sides count; ties keep the first offset in (du, dv)
+    order. Each cell of the windows' 17x17 union is measured once.
+    """
+    mirror, cells = e.mirror(), {}
+    for u in range(-8, 9):
+        for v in range(-8, 9):
+            side = e.classify((u, v))
+            if side != "on":
+                first, last = word_span(mirror, (v, u)) if side == "above" else word_span(e, (u, v))
+                cells[(u, v)] = (side, last - first + 1)
     best = None
     for du in range(-8, 2):
         for dv in range(-8, 2):
-            cost = _window_span(e, du, dv)
-            if cost is not None and (best is None or cost < best[0]):
-                best = (cost, du, dv)
+            window = [cells[(u, v)] for u in range(du, du + 8) for v in range(dv, dv + 8)
+                      if (u, v) in cells]
+            if {side for side, _ in window} == {"above", "below"}:
+                cost = max(length for _, length in window)
+                if best is None or cost < best[0]:
+                    best = (cost, du, dv)
     if best is None:
         raise NoStraddlingWindow("no 8x8 window near the anchor meets both sides of the frontier")
     return best[1], best[2]

@@ -2,10 +2,12 @@
 
 A Cartan matrix here is a generalized (integer, symmetrizable-zero-pattern)
 one: 2 on the diagonal, nonpositive off the diagonal, C[i][j] = 0 iff
-C[j][i] = 0, connected underlying graph. Classification matches the diagram
-against the finite (Dynkin) and affine (Euclidean) catalogs by valued-graph
-isomorphism; the additive/subadditive certificates give an independent
-algebraic characterization of the same split.
+C[j][i] = 0, connected underlying graph. Classification compares a canonical
+key with those of the finite (Dynkin) and affine (Euclidean) catalogs: every
+member is a valued tree, keyed by its centre-rooted AHU string with each edge
+read as its valuation, or a simply-laced cycle, keyed as one. The
+additive/subadditive certificates give an independent algebraic
+characterization of the same split.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
-
-import networkx as nx
 
 
 class CartanValidationError(ValueError):
@@ -372,23 +372,47 @@ def catalog_members(d: int) -> list[tuple[str, str, int, CartanMatrix]]:
     return out
 
 
-def _valued_digraph(c: CartanMatrix) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(range(c.d))
-    for i in range(c.d):
-        for j in range(c.d):
-            if i != j and c.entries[i][j]:
-                g.add_edge(i, j, w=-c.entries[i][j])
-    return g
+def canonical_key(c: CartanMatrix):
+    """("cycle",) for a simply-laced cycle on at least 3 vertices; for a tree,
+    its least valued AHU string rooted at a centre, built bottom-up over
+    breadth-first order; None for anything else. Assumes c is connected."""
+    d = c.d
+    nbrs = [c.neighbors(v) for v in range(d)]
+    degree = [len(n) for n in nbrs]
+    if sum(degree) == 2 * d >= 6 and all(
+            k == 2 and all(c.entries[v][u] == -1 for u in nbrs[v]) for v, k in enumerate(degree)):
+        return ("cycle",)
+    if sum(degree) != 2 * d - 2:
+        return None
+    centres = set(range(d))
+    while len(centres) > 2:  # peel every leaf at once
+        centres -= {v for v in centres if sum(u in centres for u in nbrs[v]) <= 1}
+    keys = []
+    for root in centres:
+        parent, order = {root: root}, [root]
+        for v in order:
+            fresh = [u for u in nbrs[v] if u not in parent]
+            parent.update(dict.fromkeys(fresh, v))
+            order += fresh
+        tokens: list[list[str]] = [[] for _ in range(d)]
+        for v in reversed(order[1:]):
+            p = parent[v]
+            tokens[p].append("%d.%d(%s)" % (*c.valuation(p, v), "".join(sorted(tokens[v]))))
+        keys.append("".join(sorted(tokens[root])))
+    return min(keys)
 
 
 def classify(c: CartanMatrix) -> DiagramClass:
-    """Match against the catalog by valued-graph isomorphism."""
-    g = _valued_digraph(c)
-    for tag, kind, m, member in catalog_members(c.d):
-        h = _valued_digraph(member)
-        if nx.is_isomorphic(g, h, edge_match=lambda e1, e2: e1["w"] == e2["w"]):
-            return DiagramClass(tag, kind, m)
+    """The catalog member on c.d vertices with c's canonical_key, else
+    Indefinite. The key is complete on the catalog: every member is a valued
+    tree or a simply-laced cycle, and two valued trees are isomorphic exactly
+    when their centre-rooted encodings agree (an isomorphism carries centres
+    to centres, and an AHU string determines its rooted tree)."""
+    key = canonical_key(c)
+    if key is not None:
+        for tag, kind, m, member in catalog_members(c.d):
+            if canonical_key(member) == key:
+                return DiagramClass(tag, kind, m)
     return DiagramClass("Indefinite")
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from artifact import acceptance
-from artifact.tilings import Embedding, Frontier
+from artifact.tilings import Embedding, Frontier, word_span
 
 
 def _passes(check) -> None:
@@ -62,9 +64,47 @@ def test_growth_probe_reports_are_consistent():
 
 
 def test_no_straddling_window_raises_value_error(monkeypatch):
-    monkeypatch.setattr(acceptance, "_window_span", lambda e, du, dv: None)
+    # with every point below the frontier no window meets both sides
+    monkeypatch.setattr(Embedding, "classify", lambda self, p: "below")
     with pytest.raises(acceptance.NoStraddlingWindow):
         acceptance._best_window(Embedding(Frontier("xy", "", "xy")))
     # the suite reports the raise as a failed check rather than crashing
     (report,) = acceptance.run_suite(["symbolic-sl2"])
     assert not report["ok"] and "NoStraddlingWindow" in report["detail"]
+
+
+def _window_span(e, du, dv, size=8):
+    """Worst projection-word length over the window; None if one-sided."""
+    worst = 0
+    has_above = has_below = False
+    for u in range(du, du + size):
+        for v in range(dv, dv + size):
+            side = e.classify((u, v))
+            if side == "on":
+                continue
+            if side == "above":
+                has_above = True
+                first, last = word_span(e.mirror(), (v, u))
+            else:
+                has_below = True
+                first, last = word_span(e, (u, v))
+            worst = max(worst, last - first + 1)
+    return worst if (has_above and has_below) else None
+
+
+def _best_window_by_scan(e):
+    """Oracle: score each window cell by cell, keep the first least cost."""
+    best = None
+    for du in range(-8, 2):
+        for dv in range(-8, 2):
+            cost = _window_span(e, du, dv)
+            if cost is not None and (best is None or cost < best[0]):
+                best = (cost, du, dv)
+    return best[1], best[2]
+
+
+def test_best_window_matches_the_cell_by_cell_scan():
+    rng = random.Random(7)
+    for _ in range(200):
+        e = Embedding(acceptance._random_frontier(rng))
+        assert acceptance._best_window(e) == _best_window_by_scan(e)

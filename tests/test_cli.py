@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.cli import cli
 
@@ -123,6 +125,25 @@ def test_malformed_cartan_exits_1_without_traceback(command, cartan):
     _fails_cleanly(_run(command, "--cartan", cartan, *steps))
 
 
+small = st.integers(-4, 3)
+square = st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.lists(small, min_size=d, max_size=d), min_size=d, max_size=d))
+# diagonal 2 and a symmetric zero pattern, so most of these pass validation
+cartan_like = square.map(lambda m: [
+    [2 if i == j else -abs(x) * bool(m[j][i]) for j, x in enumerate(row)]
+    for i, row in enumerate(m)])
+ragged = st.lists(st.lists(small, max_size=6), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(square, cartan_like, ragged))
+def test_classify_cartan_fuzz_exits_cleanly(rows):
+    result = _run("classify", "--cartan", json.dumps(rows))
+    assert result.exit_code in (0, 1, 2, 3)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("command", ["frise", "probe", "classify"])
 def test_cartan_row_count_is_capped(command):
     steps = () if command == "classify" else ("--steps", "2")
@@ -137,6 +158,7 @@ with open(Path(__file__).with_name("cli_goldens.json")) as fh:
     GOLDENS = json.load(fh)
 GEOMETRY_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("tile", "rays")]
 SYMBOLIC_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("frise", "cluster-vars", "frieze")]
+CLASSIFY_GOLDENS = [c for c in GOLDENS if c["args"][0] == "classify"]
 
 
 @pytest.mark.parametrize("case", GEOMETRY_GOLDENS, ids=lambda c: " ".join(c["args"][3:]))
@@ -148,6 +170,13 @@ def test_tile_and_rays_golden(case):
 
 @pytest.mark.parametrize("case", SYMBOLIC_GOLDENS, ids=lambda c: " ".join(c["args"]))
 def test_symbolic_golden(case):
+    result = _run(*case["args"])
+    assert result.exit_code == 0
+    assert result.stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("case", CLASSIFY_GOLDENS, ids=lambda c: " ".join(c["args"][1:]))
+def test_classify_golden(case):
     result = _run(*case["args"])
     assert result.exit_code == 0
     assert result.stdout == case["stdout"]

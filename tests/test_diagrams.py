@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact.diagrams import (
     ADDITIVE,
@@ -13,10 +16,12 @@ from artifact.diagrams import (
     AsymmetricZeroPattern,
     CyclicOrientation,
     DiagonalNotTwo,
+    DiagramClass,
     Disconnected,
     PositiveOffDiagonal,
     Quiver,
     catalog_diagram,
+    canonical_key,
     catalog_members,
     check_subadditive,
     classify,
@@ -57,14 +62,70 @@ def test_classification_is_relabeling_invariant():
             assert (got.tag, got.kind, got.m) == (tag, kind, m)
 
 
-def test_no_two_catalog_members_collide():
-    # within each vertex count the catalog diagrams are pairwise distinct
-    for d in range(2, 13):
-        members = catalog_members(d)
-        for i, (_, k1, m1, c1) in enumerate(members):
-            for _, k2, m2, c2 in members[i + 1:]:
-                got = classify(c2)
-                assert (got.kind, got.m) != (k1, m1), ((k1, m1), (k2, m2))
+def test_catalog_keys_are_pairwise_distinct():
+    # so no two catalog members on the same vertex count can be confused
+    for d in range(1, 13):
+        keys = [canonical_key(c) for _, _, _, c in catalog_members(d)]
+        assert None not in keys and len(set(keys)) == len(keys), d
+
+
+def _valued_digraph(c):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(c.d))
+    for i in range(c.d):
+        for j in range(c.d):
+            if i != j and c.entries[i][j]:
+                g.add_edge(i, j, w=-c.entries[i][j])
+    return g
+
+
+def _vf2_classify(c):
+    """Oracle: the catalog member isomorphic to c as a valued digraph."""
+    g = _valued_digraph(c)
+    for tag, kind, m, member in catalog_members(c.d):
+        h = _valued_digraph(member)
+        if nx.is_isomorphic(g, h, edge_match=lambda e1, e2: e1["w"] == e2["w"]):
+            return DiagramClass(tag, kind, m)
+    return DiagramClass("Indefinite")
+
+
+VALUATIONS = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4)]
+
+
+@st.composite
+def relabeled_catalog_members(draw):
+    members = catalog_members(draw(st.integers(1, 11)))
+    c = draw(st.sampled_from(members))[3]
+    return c.relabeled(draw(st.permutations(range(c.d))))
+
+
+@st.composite
+def valued_trees_and_unicyclic_graphs(draw):
+    d = draw(st.integers(1, 9))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, d)]
+    if d >= 3 and draw(st.booleans()):
+        i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(i + 2, d)]))
+        if (i, j) not in edges:
+            edges.append((i, j))
+    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
+    for i, j in edges:
+        m[i][j], m[j][i] = (-x for x in draw(st.sampled_from(VALUATIONS)))
+    return validate_cartan(m).relabeled(draw(st.permutations(range(d))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(relabeled_catalog_members(), valued_trees_and_unicyclic_graphs()))
+def test_classify_agrees_with_vf2(c):
+    assert classify(c) == _vf2_classify(c)
+
+
+def test_classify_at_the_vertex_cap():
+    perm = list(range(512))
+    random.Random(5).shuffle(perm)
+    path = catalog_diagram("A", 512).relabeled(perm)
+    assert classify(path) == DiagramClass("Dynkin", "A", 512)
+    fork = catalog_diagram("Dtilde", 511).relabeled(perm)
+    assert classify(fork) == DiagramClass("Euclidean", "Dtilde", 511)
 
 
 def test_b3_and_c3_differ():
