@@ -20,8 +20,8 @@ from artifact.diagrams import (
     Disconnected,
     PositiveOffDiagonal,
     Quiver,
-    catalog_diagram,
     canonical_key,
+    catalog_diagram,
     catalog_members,
     check_subadditive,
     classify,
