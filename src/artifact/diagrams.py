@@ -3,11 +3,11 @@
 A Cartan matrix here is a generalized (integer, symmetrizable-zero-pattern)
 one: 2 on the diagonal, nonpositive off the diagonal, C[i][j] = 0 iff
 C[j][i] = 0, connected underlying graph. Classification compares a canonical
-key with those of the finite (Dynkin) and affine (Euclidean) catalogs: every
-member is a valued tree, keyed by its centre-rooted AHU string with each edge
-read as its valuation, or a simply-laced cycle, keyed as one. The
-additive/subadditive certificates give an independent algebraic
-characterization of the same split.
+key with those of the finite (Dynkin) and affine (Euclidean) catalogs, whose
+members are valued trees, keyed by centre-rooted AHU strings with each edge
+read as its valuation, and simply-laced cycles. The additive certificate is
+computed for trees and simply-laced cycles on the key's walk of the graph;
+every other graph has none by Vinberg's theorem (`find_additive_function`).
 """
 
 from __future__ import annotations
@@ -372,33 +372,46 @@ def catalog_members(d: int) -> list[tuple[str, str, int, CartanMatrix]]:
     return out
 
 
-def canonical_key(c: CartanMatrix):
-    """("cycle",) for a simply-laced cycle on at least 3 vertices; for a tree,
-    its least valued AHU string rooted at a centre, built bottom-up over
-    breadth-first order; None for anything else. Assumes c is connected."""
+def _walk(c: CartanMatrix) -> tuple[Optional[str], list[tuple[dict, list]]]:
+    """c's shape, "cycle" (simply-laced, at least 3 vertices), "tree" or None
+    for neither, and for a tree a breadth-first (parent map, order) from each
+    centre, the root its own parent. Assumes c is connected."""
     d = c.d
     nbrs = [c.neighbors(v) for v in range(d)]
     degree = [len(n) for n in nbrs]
     if sum(degree) == 2 * d >= 6 and all(
             k == 2 and all(c.entries[v][u] == -1 for u in nbrs[v]) for v, k in enumerate(degree)):
-        return ("cycle",)
+        return "cycle", []
     if sum(degree) != 2 * d - 2:
-        return None
+        return None, []
     centres = set(range(d))
     while len(centres) > 2:  # peel every leaf at once
         centres -= {v for v in centres if sum(u in centres for u in nbrs[v]) <= 1}
-    keys = []
-    for root in centres:
+    searches = []
+    for root in sorted(centres):
         parent, order = {root: root}, [root]
         for v in order:
             fresh = [u for u in nbrs[v] if u not in parent]
             parent.update(dict.fromkeys(fresh, v))
             order += fresh
-        tokens: list[list[str]] = [[] for _ in range(d)]
+        searches.append((parent, order))
+    return "tree", searches
+
+
+def canonical_key(c: CartanMatrix):
+    """("cycle",) for a simply-laced cycle on at least 3 vertices; for a tree,
+    its least valued AHU string rooted at a centre, built bottom-up over
+    breadth-first order; None for anything else. Assumes c is connected."""
+    shape, searches = _walk(c)
+    if shape != "tree":
+        return ("cycle",) if shape == "cycle" else None
+    keys = []
+    for parent, order in searches:
+        tokens: list[list[str]] = [[] for _ in range(c.d)]
         for v in reversed(order[1:]):
             p = parent[v]
             tokens[p].append("%d.%d(%s)" % (*c.valuation(p, v), "".join(sorted(tokens[v]))))
-        keys.append("".join(sorted(tokens[root])))
+        keys.append("".join(sorted(tokens[order[0]])))
     return min(keys)
 
 
@@ -420,52 +433,38 @@ def classify(c: CartanMatrix) -> DiagramClass:
 # additive / subadditive certificates
 
 
-def _rational_nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the nullspace of the given matrix, exact arithmetic."""
-    m = [row[:] for row in rows]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -m[row_idx][fc]
-        basis.append(v)
-    return basis
-
-
 def find_additive_function(c: CartanMatrix) -> Optional[dict[int, Fraction]]:
-    """A strictly positive f with sum_i f(i) C_ij = 0, min value 1, if any."""
-    rows = [[Fraction(c.entries[i][j]) for i in range(c.d)] for j in range(c.d)]
-    basis = _rational_nullspace(rows)
-    candidates = list(basis)
-    if len(basis) > 1:
-        candidates.append([sum(col) for col in zip(*basis)])
-    for v in candidates:
-        if all(x > 0 for x in v) or all(x < 0 for x in v):
-            if v[0] < 0:
-                v = [-x for x in v]
-            lo = min(v)
-            return {i: x / lo for i, x in enumerate(v)}
-    return None
+    """The strictly positive f with sum_i f(i) C_ij = 0 and least value 1, or
+    None. Assumes c is connected.
+
+    Computed on a simply-laced cycle (all ones) and on a tree, eliminating
+    leaves bottom-up over a breadth-first order from a centre: v with parent p
+    gets ratio(v) = f(v)/f(p) = |C_pv| / slack(v), slack(v) = 2 - sum over its
+    children u of |C_uv| ratio(u); f exists iff every non-root slack is > 0
+    and the root's is 0, and is then unique up to scale. Every other graph
+    gets None by Vinberg's trichotomy (Kac, Infinite-dimensional Lie algebras,
+    Thm 4.3, Tables Aff 1-3): a connected generalized Cartan matrix has a
+    positive null vector exactly when it is affine, and every affine diagram
+    is a valued tree or the simply-laced cycle Atilde_m, m >= 2.
+    """
+    shape, searches = _walk(c)
+    if shape != "tree":
+        return {i: Fraction(1) for i in range(c.d)} if shape == "cycle" else None
+    parent, order = searches[0]
+    load = [Fraction(0)] * c.d  # sum over v's children u of |C_uv| ratio(u)
+    f = [Fraction(1)] * c.d  # ratio(v) until the top-down pass
+    for v in reversed(order[1:]):
+        slack = 2 - load[v]
+        if slack <= 0:
+            return None
+        f[v] = -c.entries[parent[v]][v] / slack
+        load[parent[v]] += -c.entries[v][parent[v]] * f[v]
+    if load[order[0]] != 2:
+        return None
+    for v in order[1:]:
+        f[v] *= f[parent[v]]
+    lo = min(f)
+    return {i: x / lo for i, x in enumerate(f)}
 
 
 def check_subadditive(c: CartanMatrix, f: dict[int, Fraction]) -> str:

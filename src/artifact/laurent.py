@@ -15,8 +15,6 @@ from heapq import heapify, heappop, heappush
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Union
 
-import numpy as np
-
 Scalar = Union[int, "LaurentPoly"]
 
 # Term-pair count above which multiplication and division switch from the
@@ -707,6 +705,8 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
         return p * q - r * s == 1
     if not pairs:
         return False
+    import numpy as np  # here, so that importing artifact does not load numpy
+
     base = sum(-lo[v] << shifts[v] for v in lo)
 
     def packed(f: LaurentPoly) -> tuple[np.ndarray, np.ndarray]:

@@ -158,14 +158,6 @@ def human_form(rec: LinearRecurrence) -> str:
 # integer matrix scaffolding
 
 
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(cols))
-        for i in range(len(a))
-    )
-
-
 def _vec_mat(v: Vec, m: Mat) -> Vec:
     return tuple(sum(v[t] * m[t][j] for t in range(len(v))) for j in range(len(m[0])))
 

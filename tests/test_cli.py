@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -157,7 +159,10 @@ def test_cartan_row_count_is_capped(command):
 with open(Path(__file__).with_name("cli_goldens.json")) as fh:
     GOLDENS = json.load(fh)
 GEOMETRY_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("tile", "rays")]
-SYMBOLIC_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("frise", "cluster-vars", "frieze")]
+SYMBOLIC_GOLDENS = [c for c in GOLDENS
+                    if c["args"][0] in ("cluster-vars", "frieze") or "--vars" in c["args"]]
+INTEGER_GOLDENS = [c for c in GOLDENS
+                   if c["args"][0] in ("frise", "probe") and "--vars" not in c["args"]]
 CLASSIFY_GOLDENS = [c for c in GOLDENS if c["args"][0] == "classify"]
 
 
@@ -180,6 +185,28 @@ def test_classify_golden(case):
     result = _run(*case["args"])
     assert result.exit_code == 0
     assert result.stdout == case["stdout"]
+
+
+@pytest.mark.parametrize("case", INTEGER_GOLDENS, ids=lambda c: " ".join(c["args"]))
+def test_integer_frise_and_probe_golden(case):
+    result = _run(*case["args"])
+    assert result.exit_code == 0
+    assert result.stdout == case["stdout"]
+
+
+def test_classify_at_the_vertex_cap_prints_the_marks():
+    result = _run("classify", "--name", "Dtilde511")
+    assert result.exit_code == 0
+    marks = ["1", "1"] + ["2"] * 508 + ["1", "1"]
+    assert result.stdout == "Euclidean(Dtilde,511)\nadditive: %s\n" % " ".join(marks)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys; sys.path.insert(0, %r); import artifact.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code % src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -124,8 +125,11 @@ def test_classify_at_the_vertex_cap():
     random.Random(5).shuffle(perm)
     path = catalog_diagram("A", 512).relabeled(perm)
     assert classify(path) == DiagramClass("Dynkin", "A", 512)
+    assert find_additive_function(path) is None
     fork = catalog_diagram("Dtilde", 511).relabeled(perm)
     assert classify(fork) == DiagramClass("Euclidean", "Dtilde", 511)
+    marks = [1, 1] + [2] * 508 + [1, 1]
+    assert find_additive_function(fork) == {perm[k]: mark for k, mark in enumerate(marks)}
 
 
 def test_b3_and_c3_differ():
@@ -163,6 +167,77 @@ EXPECTED_MARKS = {
     ("Etilde7", 7): (4, 3, 2, 1, 3, 2, 1, 2),
     ("Etilde8", 8): (6, 5, 4, 3, 2, 1, 4, 2, 3),
 }
+
+
+def _rational_nullspace(rows):
+    """Basis of the nullspace of the given matrix, exact arithmetic."""
+    m = [row[:] for row in rows]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][col]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -m[row_idx][fc]
+        basis.append(v)
+    return basis
+
+
+def _gauss_jordan_additive_function(c):
+    """Oracle: a one-signed vector of C's left nullspace by dense elimination."""
+    rows = [[Fraction(c.entries[i][j]) for i in range(c.d)] for j in range(c.d)]
+    basis = _rational_nullspace(rows)
+    candidates = list(basis)
+    if len(basis) > 1:
+        candidates.append([sum(col) for col in zip(*basis)])
+    for v in candidates:
+        if all(x > 0 for x in v) or all(x < 0 for x in v):
+            if v[0] < 0:
+                v = [-x for x in v]
+            lo = min(v)
+            return {i: x / lo for i, x in enumerate(v)}
+    return None
+
+
+@st.composite
+def valued_graphs_with_up_to_two_cycles(draw):
+    # a random tree plus 0, 1 or 2 chords, each closing one independent cycle;
+    # every edge valued (1,1) half of the time, so affine trees and cycles occur
+    d = draw(st.integers(1, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, d)}
+    chords = sorted({(i, j) for i in range(d) for j in range(i + 1, d)} - edges)
+    edges |= set(draw(st.lists(st.sampled_from(chords), max_size=2, unique=True))
+                 if chords else [])
+    simply_laced = draw(st.booleans())
+    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
+    for i, j in edges:
+        a, b = (1, 1) if simply_laced else draw(st.sampled_from(VALUATIONS))
+        m[i][j], m[j][i] = -a, -b
+    return validate_cartan(m).relabeled(draw(st.permutations(range(d))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(relabeled_catalog_members(), valued_graphs_with_up_to_two_cycles()))
+def test_additive_function_agrees_with_gauss_jordan(c):
+    assert find_additive_function(c) == _gauss_jordan_additive_function(c)
 
 
 def test_euclidean_marks():

@@ -48,7 +48,13 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.exit("%s tree, workload %s (trace %d): perfbench/run.py exited %d with no JSON "
+                 "last line on stdout; its stderr ends:\n%s"
+                 % (tree.name, workload, trace, proc.returncode,
+                    "\n".join(proc.stderr.splitlines()[-20:])))
     result["exit_code"] = proc.returncode
     values = {name: m["value"] for name, m in result.pop("metrics").items()}
     print("%-8s %-15s trace %d: %s" % (tree.name, workload, trace,
