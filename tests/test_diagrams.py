@@ -101,21 +101,24 @@ def relabeled_catalog_members(draw):
 
 
 @st.composite
-def valued_trees_and_unicyclic_graphs(draw):
+def valued_graphs(draw):
+    # a random tree plus 0, 1 or 2 chords, each closing one independent cycle;
+    # every edge valued (1,1) half of the time, so affine trees and cycles occur
     d = draw(st.integers(1, 9))
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, d)]
-    if d >= 3 and draw(st.booleans()):
-        i, j = draw(st.sampled_from([(i, j) for i in range(d) for j in range(i + 2, d)]))
-        if (i, j) not in edges:
-            edges.append((i, j))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, d)}
+    chords = sorted({(i, j) for i in range(d) for j in range(i + 1, d)} - edges)
+    edges |= set(draw(st.lists(st.sampled_from(chords), max_size=2, unique=True))
+                 if chords else [])
+    simply_laced = draw(st.booleans())
     m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
     for i, j in edges:
-        m[i][j], m[j][i] = (-x for x in draw(st.sampled_from(VALUATIONS)))
+        a, b = (1, 1) if simply_laced else draw(st.sampled_from(VALUATIONS))
+        m[i][j], m[j][i] = -a, -b
     return validate_cartan(m).relabeled(draw(st.permutations(range(d))))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(relabeled_catalog_members(), valued_trees_and_unicyclic_graphs()))
+@given(st.one_of(relabeled_catalog_members(), valued_graphs()))
 def test_classify_agrees_with_vf2(c):
     assert classify(c) == _vf2_classify(c)
 
@@ -217,25 +220,8 @@ def _gauss_jordan_additive_function(c):
     return None
 
 
-@st.composite
-def valued_graphs_with_up_to_two_cycles(draw):
-    # a random tree plus 0, 1 or 2 chords, each closing one independent cycle;
-    # every edge valued (1,1) half of the time, so affine trees and cycles occur
-    d = draw(st.integers(1, 9))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, d)}
-    chords = sorted({(i, j) for i in range(d) for j in range(i + 1, d)} - edges)
-    edges |= set(draw(st.lists(st.sampled_from(chords), max_size=2, unique=True))
-                 if chords else [])
-    simply_laced = draw(st.booleans())
-    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
-    for i, j in edges:
-        a, b = (1, 1) if simply_laced else draw(st.sampled_from(VALUATIONS))
-        m[i][j], m[j][i] = -a, -b
-    return validate_cartan(m).relabeled(draw(st.permutations(range(d))))
-
-
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(relabeled_catalog_members(), valued_graphs_with_up_to_two_cycles()))
+@given(st.one_of(relabeled_catalog_members(), valued_graphs()))
 def test_additive_function_agrees_with_gauss_jordan(c):
     assert find_additive_function(c) == _gauss_jordan_additive_function(c)
 
