@@ -23,7 +23,6 @@ import sys
 import click
 
 from . import __version__
-from .acceptance import run_suite
 from .cluster import CrossSeed, cross_construct, enumerate_cluster_vars, frieze_period
 from .correspondence import probe_conjecture
 from .diagrams import (
@@ -440,6 +439,8 @@ def probe_cmd(name, cartan, quiver_json, steps, max_order, fmt) -> None:
 @click.pass_context
 def verify_cmd(ctx, suites, fmt) -> None:
     """Run the reproducibility suite; exit 0 iff every check passes."""
+    from .acceptance import run_suite  # here, so that the other commands start faster
+
     try:
         reports = run_suite(suites)
     except KeyError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 
@@ -48,7 +49,7 @@ class CartanMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        self.entries = tuple(tuple(int(v) for v in row) for row in entries)
+        self.entries = tuple(tuple(map(int, row)) for row in entries)
 
     @property
     def d(self) -> int:
@@ -90,30 +91,35 @@ def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanMatrix:
 
     Raises ValueError unless the matrix is a nonempty square of integers,
     then DiagonalNotTwo, PositiveOffDiagonal, AsymmetricZeroPattern, or
-    Disconnected, naming the offending entries.
+    Disconnected, naming the first offending entries in row-major order.
     """
     if not (isinstance(matrix, (list, tuple)) and matrix and all(
             isinstance(row, (list, tuple)) and len(row) == len(matrix)
-            and all(type(x) is int for x in row) for row in matrix)):
+            and {int}.issuperset(map(type, row)) for row in matrix)):
         raise ValueError("Cartan matrix must be a nonempty square list of integer rows")
     n = len(matrix)
     for i in range(n):
         if matrix[i][i] != 2:
             raise DiagonalNotTwo("entry (%d,%d) = %d" % (i, i, matrix[i][i]))
-    for i in range(n):
-        for j in range(n):
-            if i != j and matrix[i][j] > 0:
-                raise PositiveOffDiagonal("entry (%d,%d) = %d" % (i, j, matrix[i][j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (matrix[i][j] == 0) != (matrix[j][i] == 0):
-                raise AsymmetricZeroPattern("entries (%d,%d)/(%d,%d)" % (i, j, j, i))
-    seen = {0} if n else set()
-    stack = [0] if n else []
+    index = range(n)
+    nbrs = [list(compress(index, row)) for row in matrix]  # nonzero entries by row
+    back = [[] for _ in index]  # and by column
+    for i, row in enumerate(matrix):
+        for j in nbrs[i]:
+            if row[j] > 0 and j != i:
+                raise PositiveOffDiagonal("entry (%d,%d) = %d" % (i, j, row[j]))
+            back[j].append(i)
+    # the first row whose two lists differ first differs at some j > i
+    # (a j < i would show in row j first)
+    for i in index:
+        if nbrs[i] != back[i]:
+            j = min(set(nbrs[i]).symmetric_difference(back[i]))
+            raise AsymmetricZeroPattern("entries (%d,%d)/(%d,%d)" % (i, j, j, i))
+    seen = {0}
+    stack = [0]
     while stack:
-        v = stack.pop()
-        for u in range(n):
-            if u != v and matrix[u][v] and u not in seen:
+        for u in nbrs[stack.pop()]:
+            if u not in seen:
                 seen.add(u)
                 stack.append(u)
     if len(seen) != n:
@@ -202,7 +208,9 @@ class DiagramClass:
 
 
 def _edges_to_cartan(d: int, edges: dict[tuple[int, int], tuple[int, int]]) -> CartanMatrix:
-    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
+    m = [[0] * d for _ in range(d)]
+    for i in range(d):
+        m[i][i] = 2
     for (i, j), (a, b) in edges.items():
         m[i][j] = -a
         m[j][i] = -b

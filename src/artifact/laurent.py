@@ -566,7 +566,8 @@ def vec_dot(row: tuple[LaurentPoly, LaurentPoly], col: tuple[Scalar, Scalar]) ->
 #
 # An entry of a step-matrix product is a pair (offset, terms): the packed
 # exponent key of each term is offset + key, so multiplying by a variable
-# only moves the offset.
+# only moves the offset. ``_shifted`` shares terms dicts, so ``_plus`` mutates
+# neither operand; coefficients are natural and only added, so no sum is 0 to prune.
 
 
 def _shifted(entry: tuple[int, dict], k: int) -> tuple[int, dict]:
@@ -578,12 +579,10 @@ def _plus(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
         a, b = b, a
     (off, big), (delta, small) = a, b
     delta -= off
-    if delta:
-        small = {key + delta: c for key, c in small.items()}
     out = dict(big)
-    out.update(small)
-    for key in big.keys() & small.keys():
-        out[key] = big[key] + small[key]
+    for key, c in small.items():
+        key += delta
+        out[key] = out.get(key, 0) + c
     return off, out
 
 

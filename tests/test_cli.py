@@ -154,8 +154,9 @@ def test_cartan_row_count_is_capped(command):
     assert "Cartan rows 513 exceeds ARTIFACT_MAX_VERTICES=512" in result.output
 
 
-# byte-exact stdout in all three formats: tile and rays, and the symbolic
-# frise, cluster-vars and cross-construction frieze tables
+# byte-exact stdout in all three formats: tile and rays, the symbolic
+# frise, cluster-vars and cross-construction frieze tables, classify, the
+# integer frise and probe, and the verify checks that run the ray kernel
 with open(Path(__file__).with_name("cli_goldens.json")) as fh:
     GOLDENS = json.load(fh)
 GEOMETRY_GOLDENS = [c for c in GOLDENS if c["args"][0] in ("tile", "rays")]
@@ -164,6 +165,7 @@ SYMBOLIC_GOLDENS = [c for c in GOLDENS
 INTEGER_GOLDENS = [c for c in GOLDENS
                    if c["args"][0] in ("frise", "probe") and "--vars" not in c["args"]]
 CLASSIFY_GOLDENS = [c for c in GOLDENS if c["args"][0] == "classify"]
+VERIFY_GOLDENS = [c for c in GOLDENS if c["args"][0] == "verify"]
 
 
 @pytest.mark.parametrize("case", GEOMETRY_GOLDENS, ids=lambda c: " ".join(c["args"][3:]))
@@ -194,6 +196,13 @@ def test_integer_frise_and_probe_golden(case):
     assert result.stdout == case["stdout"]
 
 
+@pytest.mark.parametrize("case", VERIFY_GOLDENS, ids=lambda c: " ".join(c["args"][2:]))
+def test_verify_golden(case):
+    result = _run(*case["args"])
+    assert result.exit_code == 0
+    assert result.stdout == case["stdout"]
+
+
 def test_classify_at_the_vertex_cap_prints_the_marks():
     result = _run("classify", "--name", "Dtilde511")
     assert result.exit_code == 0
@@ -201,12 +210,20 @@ def test_classify_at_the_vertex_cap_prints_the_marks():
     assert result.stdout == "Euclidean(Dtilde,511)\nadditive: %s\n" % " ".join(marks)
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
+def _loaded_after_importing_the_cli(module: str) -> str:
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = "import sys; sys.path.insert(0, %r); import artifact.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code % src],
+    code = "import sys; sys.path.insert(0, %r); import artifact.cli; print(%r in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code % (src, module)],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    assert _loaded_after_importing_the_cli("numpy") == "False\n"
+
+
+def test_importing_the_cli_leaves_acceptance_unloaded():
+    assert _loaded_after_importing_the_cli("artifact.acceptance") == "False\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -15,6 +15,7 @@ from artifact.diagrams import (
     STRICTLY_SUBADDITIVE,
     VIOLATED,
     AsymmetricZeroPattern,
+    CartanMatrix,
     CyclicOrientation,
     DiagonalNotTwo,
     DiagramClass,
@@ -115,6 +116,102 @@ def valued_graphs(draw):
         a, b = (1, 1) if simply_laced else draw(st.sampled_from(VALUATIONS))
         m[i][j], m[j][i] = -a, -b
     return validate_cartan(m).relabeled(draw(st.permutations(range(d))))
+
+
+def _validate_cartan_entrywise(matrix):
+    # the validator that looped over every entry in Python, kept as the oracle
+    if not (isinstance(matrix, (list, tuple)) and matrix and all(
+            isinstance(row, (list, tuple)) and len(row) == len(matrix)
+            and all(type(x) is int for x in row) for row in matrix)):
+        raise ValueError("Cartan matrix must be a nonempty square list of integer rows")
+    n = len(matrix)
+    for i in range(n):
+        if matrix[i][i] != 2:
+            raise DiagonalNotTwo("entry (%d,%d) = %d" % (i, i, matrix[i][i]))
+    for i in range(n):
+        for j in range(n):
+            if i != j and matrix[i][j] > 0:
+                raise PositiveOffDiagonal("entry (%d,%d) = %d" % (i, j, matrix[i][j]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (matrix[i][j] == 0) != (matrix[j][i] == 0):
+                raise AsymmetricZeroPattern("entries (%d,%d)/(%d,%d)" % (i, j, j, i))
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in range(n):
+            if u != v and matrix[u][v] and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != n:
+        raise Disconnected("reached %d of %d vertices" % (len(seen), n))
+    return tuple(tuple(int(v) for v in row) for row in matrix)
+
+
+@st.composite
+def near_cartan_matrices(draw):
+    """Square matrices from a random valued graph, sparse or dense, with up
+    to three entries overwritten, up to three zero-pattern flips and maybe
+    one entry retyped as an equal bool or float, so any check may fail."""
+    d = draw(st.integers(1, 7))
+    density = draw(st.integers(1, 3))
+    m = [[0] * d for _ in range(d)]
+    for i in range(d):
+        m[i][i] = 2
+        for j in range(i + 1, d):
+            if draw(st.integers(0, 3)) < density:
+                m[i][j], m[j][i] = -draw(st.integers(1, 3)), -draw(st.integers(1, 3))
+    cell = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+    for i, j in draw(st.lists(cell, max_size=3)):
+        m[i][j] = draw(st.integers(-3, 3))
+    for i, j in draw(st.lists(cell, max_size=3)):
+        if i != j:
+            m[i][j] = 0 if m[i][j] else -1
+    if draw(st.integers(0, 7)) == 0:
+        i, j = draw(cell)
+        m[i][j] = draw(st.sampled_from([bool, float]))(m[i][j])
+    return m if draw(st.booleans()) else tuple(map(tuple, m))
+
+
+malformed_matrices = st.one_of(
+    st.integers(), st.text(max_size=2), st.just([]), st.just(()),
+    st.lists(st.one_of(
+        st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.floats(-3, 3),
+                           st.text(max_size=1)), max_size=4),
+        st.integers(), st.none()), max_size=4))
+
+
+def _validation_outcome(validate, matrix):
+    try:
+        return validate(matrix)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("matrix, error, message", [
+    ([[2, -1], [-1, 1]], DiagonalNotTwo, "entry (1,1) = 1"),
+    ([[2, -1, 0], [-1, 2, 3], [0, 1, 2]], PositiveOffDiagonal, "entry (1,2) = 3"),
+    # row 0 has one entry without its mirror and one mirror without its entry
+    ([[2, -1, 0], [0, 2, -1], [-1, -1, 2]], AsymmetricZeroPattern, "entries (0,1)/(1,0)"),
+    ([[2, 0, -1], [0, 2, 0], [-1, 0, 2]], Disconnected, "reached 2 of 3 vertices"),
+    ([[2, -1], [-1.0, 2]], ValueError, "Cartan matrix must be a nonempty square list"),
+])
+def test_validation_names_the_first_offending_entry(matrix, error, message):
+    for validate in (validate_cartan, _validate_cartan_entrywise):
+        with pytest.raises(error) as info:
+            validate(matrix)
+        assert type(info.value) is error and str(info.value).startswith(message)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(near_cartan_matrices(), malformed_matrices,
+                 st.builds(lambda c: [list(row) for row in c.entries],
+                           st.one_of(relabeled_catalog_members(), valued_graphs()))))
+def test_validate_cartan_agrees_with_the_entrywise_checks(matrix):
+    got = _validation_outcome(validate_cartan, matrix)
+    want = _validation_outcome(_validate_cartan_entrywise, matrix)
+    assert (got.entries if isinstance(got, CartanMatrix) else got) == want
 
 
 @settings(max_examples=300, deadline=None)

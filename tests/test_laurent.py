@@ -508,3 +508,36 @@ def test_products_differ_by_one_on_lone_monomials(exps, coeff):
     m = LaurentPoly(abc, {exps: coeff})
     assert _agrees(m, 1, 0, 0) == (m == 1)
     assert _agrees(m, LaurentPoly(abc, {tuple(-x for x in exps): 1}), 0, 0) == (coeff == 1)
+
+
+def _plus_by_key_sets(a, b):
+    # the entry addition the accumulation loop replaced: shift the smaller
+    # dict's keys, then add the common keys found by a set intersection
+    if len(a[1]) < len(b[1]):
+        a, b = b, a
+    (off, big), (delta, small) = a, b
+    delta -= off
+    if delta:
+        small = {key + delta: c for key, c in small.items()}
+    out = dict(big)
+    out.update(small)
+    for key in big.keys() & small.keys():
+        out[key] = big[key] + small[key]
+    return off, out
+
+
+kernel_terms = st.dictionaries(st.integers(-12, 12), st.integers(1, 1 << 70), max_size=10)
+
+
+@given(st.integers(-16, 16), kernel_terms, st.integers(-16, 16), kernel_terms, st.booleans())
+def test_kernel_plus_matches_the_key_set_route(off_a, terms_a, off_b, terms_b, shared):
+    # kernel entries are (offset, terms) with natural coefficients, and
+    # _shifted lets two entries share one terms dict
+    if shared:
+        terms_b = terms_a
+    a, b = (off_a, terms_a), (off_b, terms_b)
+    before = (dict(terms_a), dict(terms_b))
+    got = laurent_mod._plus(a, b)
+    assert got == _plus_by_key_sets(a, b)
+    assert all(c > 0 for c in got[1].values())
+    assert (terms_a, terms_b) == before

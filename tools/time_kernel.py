@@ -1,0 +1,81 @@
+"""Best-of-five seconds of the three callers of the ray kernel.
+
+    python3 tools/time_kernel.py
+
+The ray kernel (``laurent.nested_word_values``) is not a traced span, so
+a traced benchmark run shows its time inside ``frises.extend_vars.self_s``
+and ``cluster.tile_vars.self_s``. This command times it through the calls
+that reach it:
+
+- ``frise_extend_vars`` on Atilde3 at 14 steps;
+- ``frise_extend_vars`` on the cycle quiver of ``xxxy`` at 10 steps;
+- the 4,608 ``variable_tile_value`` calls of one symbolic-tiles pass of
+  perfbench at seed 1 (72 windows of 8x8 cells). The frontiers, windows and
+  embeddings are built before the clock starts.
+
+Each line is the best of five runs in one process. Run from the root of a
+checkout; the library is imported from ./src.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from artifact import cluster, correspondence, diagrams, frises, tilings  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+RUNS = 5
+TILES_SEED = 1
+
+
+def best(fn) -> float:
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def tile_calls(seed: int) -> list:
+    """(embedding, names, point) of every tile of one symbolic-tiles pass,
+    drawn as perfbench's workload draws its windows."""
+    rng = random.Random(seed)
+    calls = []
+    for i in range(workloads.SYMBOLIC_WINDOWS["full"]):
+        fr, nv = workloads.random_frontier(rng), 3 + i % 6
+        u0, v0 = workloads.tight_window(fr)
+        e = tilings.Embedding(fr)
+
+        def names(k: int, nv: int = nv) -> str:
+            return "u%d" % (k % nv + 1)
+
+        calls += [(e, names, (u, v)) for u in range(u0, u0 + workloads.SIDE)
+                  for v in range(v0, v0 + workloads.SIDE)]
+    return calls
+
+
+def main() -> None:
+    atilde3 = diagrams.parse_shorthand("Atilde3")
+    xxxy = correspondence.cycle_quiver("xxxy")
+    calls = tile_calls(TILES_SEED)
+    rows = [
+        ("frise_extend_vars Atilde3, 14 steps",
+         best(lambda: frises.frise_extend_vars(atilde3, 14))),
+        ("frise_extend_vars cycle xxxy, 10 steps",
+         best(lambda: frises.frise_extend_vars(xxxy, 10))),
+        ("variable_tile_value x %d, symbolic-tiles seed %d" % (len(calls), TILES_SEED),
+         best(lambda: [cluster.variable_tile_value(*c) for c in calls])),
+    ]
+    for label, seconds in rows:
+        print("%-50s %8.4f s" % (label, seconds))
+
+
+if __name__ == "__main__":
+    main()
