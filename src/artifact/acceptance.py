@@ -364,12 +364,9 @@ def check_frieze() -> dict:
     return _report(
         "frieze", ok,
         "all 12 printed rows reproduced; denominator at the marked point is "
-        "cdefgh; translation period %d vs candidates letters+3 = %d "
-        "(match: %s) and variables+2 = %d (match: %s)"
+        "cdefgh; translation period %d vs candidate letters+3 = %d (match: %s)"
         % (period["period"], period["candidate_letters_plus_3"],
-           period["matches_letters_plus_3"],
-           period["candidate_variables_plus_2"],
-           period["matches_variables_plus_2"]),
+           period["matches_letters_plus_3"]),
     )
 
 

@@ -377,9 +377,7 @@ def frieze_cmd(letters, seed_word, stages, fmt) -> None:
     if fmt == "text":
         click.echo("period: %s" % period.get("period"))
         if "candidate_letters_plus_3" in period:
-            click.echo("candidates: letters+3=%d variables+2=%d"
-                       % (period["candidate_letters_plus_3"],
-                          period["candidate_variables_plus_2"]))
+            click.echo("candidate: letters+3=%d" % period["candidate_letters_plus_3"])
 
 
 @cli.command("cluster-vars")

@@ -72,24 +72,19 @@ def _scalar(x) -> LaurentPoly:
 # bordered matrix products over words with variables
 
 
-def word_value_vars(
-    variables: list,
-    letters: str,
-    row_swap: bool = False,
-    col_swap: bool = False,
-) -> LaurentPoly:
+def word_value_vars(variables: list, letters: str, col_swap: bool = False) -> LaurentPoly:
     """Value of the word variables[0] letters[0] variables[1] ... variables[-1].
 
     Border rows (1, a0) and (1, a_last) close a product of step matrices
     over the interior letters; the first and last letters only delimit the
-    word and never enter the product. The swap flags reverse one border,
-    which is how the two lateral regions of the cross are filled.
+    word and never enter the product. ``col_swap`` closes with the column
+    (a_last, 1) instead, as the north-east region of the cross needs.
     """
     if len(variables) < 3 or len(letters) != len(variables) - 1:
         raise ValueError("need a0 .. a_{n+1} with n >= 1 and one letter per gap")
     vs = [_scalar(v) for v in variables]
     one = LaurentPoly.nat(1)
-    acc = (vs[0], one) if row_swap else (one, vs[0])
+    acc = (one, vs[0])
     for i in range(1, len(vs) - 2):
         acc = row_times_mat(acc, step_matrix(vs[i], letters[i], vs[i + 1]))
     col = (vs[-1], one) if col_swap else (one, vs[-1])
@@ -189,11 +184,6 @@ class FriezePattern:
             return self.cells[(row, col)]
         except KeyError:
             raise RegionOutsideComponents("cell (%d, %d) is empty" % (row, col)) from None
-
-    def bounding_box(self) -> tuple[int, int, int, int]:
-        rows = [r for r, _ in self.cells]
-        cols = [c for _, c in self.cells]
-        return min(rows), min(cols), max(rows), max(cols)
 
     def subst(self, mapping) -> "FriezePattern":
         return FriezePattern({p: v.subst(mapping) for p, v in self.cells.items()}, self.period)
@@ -357,8 +347,8 @@ def frieze_period(seed: CrossSeed, stages: int = 4) -> dict:
     Consecutive figures share a staircase: the transposed word of one is
     the seed of the next. The smallest diagonal translation (p, p) that
     matches every overlapping cell, with at least one figure's worth of
-    evidence, is reported next to the two book-keeping candidates
-    letters+3 and variables+2.
+    evidence, is reported next to the book-keeping candidate letters+3
+    (the same number as variables+2).
     """
     if stages < 3:
         raise ValueError("need at least three figures to certify a period")
@@ -391,9 +381,7 @@ def frieze_period(seed: CrossSeed, stages: int = 4) -> dict:
                 "letters": k,
                 "variables": k + 1,
                 "candidate_letters_plus_3": k + 3,
-                "candidate_variables_plus_2": k + 3,
                 "matches_letters_plus_3": p == k + 3,
-                "matches_variables_plus_2": p == k + 3,
                 "anti_palindrome": transpose_word(seed.letters) == seed.letters,
                 "stages": stages,
                 "cells": len(union),

@@ -49,7 +49,8 @@ class CartanMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[int]]):
-        self.entries = tuple(tuple(map(int, row)) for row in entries)
+        # every caller passes int rows: validate_cartan checks them first
+        self.entries = tuple(map(tuple, entries))
 
     @property
     def d(self) -> int:

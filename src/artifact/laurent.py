@@ -5,6 +5,13 @@ coefficients; subtraction exists on the type because determinant checks
 need it, but every value meant to be a tiling entry or a cluster variable
 must satisfy ``is_natural()`` (checked at the producing call sites).
 Denominators are always monomials, absorbed as negative exponents.
+
+Each ring operation has one route. A product with a one-term factor (a
+monomial or a nonzero constant) is an exponent shift; any other product
+of two nonzero values runs ``_mul_packed``. Division by a one-term divisor
+is the shift ``monomial_div``; any other exact division runs
+``_div_packed``. Both packed routes work on exponent vectors packed into
+one integer, a bit field per variable.
 """
 
 from __future__ import annotations
@@ -16,10 +23,6 @@ from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Union[int, "LaurentPoly"]
-
-# Term-pair count above which multiplication and division switch from the
-# tuple-keyed dicts to packed integer exponent keys.
-_FAST_PAIRS = 1 << 15
 
 
 class NonMonomialDivisor(ValueError):
@@ -190,14 +193,14 @@ class LaurentPoly:
     def __mul__(self, other: Scalar) -> "LaurentPoly":
         other = LaurentPoly.coerce(other)
         vs, a, b = self._aligned(other)
-        if vs and len(a) * len(b) >= _FAST_PAIRS:
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) > 1:
             return LaurentPoly(vs, _mul_packed(a, b))
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(vs, out)
+        if not b:
+            return LaurentPoly.nat(0)
+        ((e0, c0),) = b.items()  # one term: shift the exponents
+        return LaurentPoly(vs, {tuple(x + y for x, y in zip(e, e0)): c * c0 for e, c in a.items()})
 
     __rmul__ = __mul__
 
@@ -256,7 +259,7 @@ class LaurentPoly:
         b_min = tuple(min(e[i] for e in b) for i in range(nv))
         num = {tuple(x - m for x, m in zip(e, a_min)): c for e, c in a.items()}
         den = {tuple(x - m for x, m in zip(e, b_min)): c for e, c in b.items()}
-        quo = _poly_divide(num, den)
+        quo = _div_packed(num, den)
         shift = tuple(x - y for x, y in zip(a_min, b_min))
         return LaurentPoly(vs, {tuple(x + s for x, s in zip(e, shift)): c for e, c in quo.items()})
 
@@ -324,11 +327,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return "LaurentPoly(%s)" % self
 
-    def to_json_obj(self) -> dict:
-        """Serialize as {"num": [[coeff, [exponents]]...], "vars": [...]}."""
-        items = sorted(self._terms.items(), reverse=True)
-        return {"num": [[c, list(e)] for e, c in items], "vars": list(self._vars)}
-
 
 def _packed_keys(columns: list, lows: list, shifts: list) -> list[int]:
     """One integer per term: exponent j less lows[j], in the field at shifts[j]."""
@@ -349,8 +347,9 @@ def _exponent_tuples(keys: Iterable[int], lows: list, shifts: list, widths: list
 def _mul_packed(a: dict, b: dict) -> dict:
     """Multiply two aligned term dicts via packed integer exponent keys.
 
-    Every exponent vector, less its factor's componentwise minimum, is
-    packed into one integer, one bit field per variable, each field wide
+    The route of ``LaurentPoly.__mul__`` when both factors have two or more
+    terms. Every exponent vector, less its factor's componentwise minimum,
+    is packed into one integer, one bit field per variable, each field wide
     enough for the sum of both factors' spans, so key addition never
     carries between fields. Keys and coefficients are Python integers, so
     the run is exact for any coefficient size.
@@ -378,46 +377,20 @@ def _mul_packed(a: dict, b: dict) -> dict:
     return dict(zip(_exponent_tuples(packed, lows, shifts, widths), packed.values()))
 
 
-def _poly_divide(num: dict, den: dict) -> dict:
-    """Exact polynomial division of term dicts under lex order."""
-    if num and len(num) * len(den) >= _FAST_PAIRS:
-        return _div_packed(num, den)
-    lead_d = max(den)
-    quo: dict[tuple[int, ...], int] = {}
-    rem = dict(num)
-    while rem:
-        lead_r = max(rem)
-        diff = tuple(x - y for x, y in zip(lead_r, lead_d))
-        if any(d < 0 for d in diff):
-            raise ExactDivisionError("no exact quotient (monomial obstruction)")
-        c_r, c_d = rem[lead_r], den[lead_d]
-        if c_r % c_d:
-            raise ExactDivisionError("no exact quotient (coefficient obstruction)")
-        q = c_r // c_d
-        quo[diff] = q
-        for e, c in den.items():
-            key = tuple(x + y for x, y in zip(e, diff))
-            val = rem.get(key, 0) - q * c
-            if val:
-                rem[key] = val
-            else:
-                rem.pop(key, None)
-    return quo
-
-
 def _div_packed(num: dict, den: dict) -> dict:
     """Long division over packed integer exponent keys.
 
-    Fields are laid out most-significant-first, so integer order on packed
-    keys equals lex order on exponent tuples. Every quotient exponent is
-    range-checked before it is used: each component must be nonnegative
-    (same obstruction as the tuple path) and no larger than the combined
-    exponent span, which no exact quotient can exceed. Within those bounds
-    a field of a remainder key holds at most twice the span, which its
-    width leaves room for, so key arithmetic never carries or borrows
-    between fields and the packed run is exact; coefficients are Python
-    integers. The same bound ends a non-exact division as soon as a
-    quotient exponent leaves the box, instead of letting the remainder run.
+    The route of ``LaurentPoly.exact_div`` when the divisor has two or more
+    terms. Fields are laid out most-significant-first, so integer order on
+    packed keys equals lex order on exponent tuples. Every quotient exponent
+    is range-checked before it is used: each component must be nonnegative
+    (the monomial obstruction) and no larger than the combined exponent
+    span, which no exact quotient can exceed. Within those bounds a field
+    of a remainder key holds at most twice the span, which its width leaves
+    room for, so key arithmetic never carries or borrows between fields and
+    the packed run is exact; coefficients are Python integers. The same
+    bound ends a non-exact division as soon as a quotient exponent leaves
+    the box, instead of letting the remainder run.
 
     The lead remainder term comes from a lazy max-heap of negated keys.
     Invariant: every key of the remainder has at least one heap entry, and
@@ -682,7 +655,7 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     which bounds every partial sum. It also needs pairs <= 2^22: the pass
     holds about 34 bytes per pair at its peak, so the cap bounds its memory
     near 140 MB. Outside those bounds the check is ``p * q - r * s == 1``
-    in the ring, whose large products run over packed keys.
+    in the ring.
     """
     p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
     polys = (p, q, r, s)

@@ -341,13 +341,13 @@ def test_frieze_pattern_minor_check_rejects_bad_grid():
 # repetition and its period
 
 
-def test_frieze_period_reports_both_candidates():
+def test_frieze_period_reports_the_candidate():
     report = frieze_period(CrossSeed.ones("yyxxxxyyy"))
     assert report["period"] == 13
+    assert report["variables"] == report["letters"] + 1 == 10
     assert report["candidate_letters_plus_3"] == 12
-    assert report["candidate_variables_plus_2"] == 12
     assert not report["matches_letters_plus_3"]
-    assert not report["matches_variables_plus_2"]
+    assert "candidate_variables_plus_2" not in report
     assert not report["anti_palindrome"]
 
 

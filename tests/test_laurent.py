@@ -214,63 +214,150 @@ def test_bordered_row_determinant_orientation():
 
 
 # ----------------------------------------------------------------------
-# accelerated arithmetic routes: force the dispatch threshold down and
-# check the fast paths against the plain tuple-dict ones
+# the ring's product and division against the tuple-dict routes they
+# replaced, kept here as oracles on plain term dicts
 
 
-@contextmanager
-def forced_fast(threshold=1):
-    saved = laurent_mod._FAST_PAIRS
-    laurent_mod._FAST_PAIRS = threshold
+def _pairwise_product(a: dict, b: dict) -> dict:
+    """Product of two term dicts over the same variables, pair by pair."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _long_division(num: dict, den: dict) -> dict:
+    """Exact division of polynomial term dicts under lex order."""
+    lead_d = max(den)
+    quo: dict = {}
+    rem = dict(num)
+    while rem:
+        lead_r = max(rem)
+        diff = tuple(x - y for x, y in zip(lead_r, lead_d))
+        if any(d < 0 for d in diff):
+            raise ExactDivisionError("no exact quotient (monomial obstruction)")
+        c_r, c_d = rem[lead_r], den[lead_d]
+        if c_r % c_d:
+            raise ExactDivisionError("no exact quotient (coefficient obstruction)")
+        q = c_r // c_d
+        quo[diff] = q
+        for e, c in den.items():
+            key = tuple(x + y for x, y in zip(e, diff))
+            val = rem.get(key, 0) - q * c
+            if val:
+                rem[key] = val
+            else:
+                rem.pop(key, None)
+    return quo
+
+
+def _common_terms(p, q):
+    """The variables of p and q, and each one's terms over all of them."""
+    names = sorted(set(p.variables) | set(q.variables))
+
+    def terms(f):
+        pos = [names.index(v) for v in f.variables]
+        out = {}
+        for e, c in f.terms.items():
+            key = [0] * len(names)
+            for i, x in zip(pos, e):
+                key[i] = x
+            out[tuple(key)] = c
+        return out
+
+    return names, terms(p), terms(q)
+
+
+def oracle_mul(p, q):
+    names, a, b = _common_terms(p, q)
+    return LaurentPoly(names, _pairwise_product(a, b))
+
+
+def oracle_div(p, q):
+    """Strip both monomial contents, long-divide, shift the quotient back."""
+    names, a, b = _common_terms(p, q)
+    if not b:
+        raise ZeroDivisionError
+    if not a:
+        return LaurentPoly.nat(0)
+    a_min = [min(col) for col in zip(*a)]
+    b_min = [min(col) for col in zip(*b)]
+    num = {tuple(x - m for x, m in zip(e, a_min)): c for e, c in a.items()}
+    den = {tuple(x - m for x, m in zip(e, b_min)): c for e, c in b.items()}
+    return LaurentPoly(names, {tuple(x + m - n for x, m, n in zip(e, a_min, b_min)): c
+                               for e, c in _long_division(num, den).items()})
+
+
+def _division_outcome(divide, p, q):
     try:
-        yield
-    finally:
-        laurent_mod._FAST_PAIRS = saved
+        return divide(p, q)
+    except ExactDivisionError:
+        return "raise"
 
 
-@given(laurent_polys(), laurent_polys())
-def test_forced_fast_multiplication_agrees(p, q):
-    want = p * q
-    big = 10 ** 19  # products beyond 64-bit integers
-    want_scaled = want * (big * big)
-    with forced_fast():
-        assert p * q == want
-        assert (p * big) * (q * big) == want_scaled
+BIG = 10 ** 19  # coefficients and their products beyond 64-bit integers
 
 
-@given(laurent_polys(), laurent_polys())
-def test_forced_fast_division_agrees(p, q):
+def _scaled(p, k):
+    return LaurentPoly(p.variables, {e: c * k for e, c in p.terms.items()})
+
+
+@st.composite
+def one_term(draw, names=("a", "b")):
+    """A monomial with any nonzero coefficient, or a nonzero constant."""
+    e = tuple(draw(st.integers(min_value=-2, max_value=3)) for _ in names)
+    return LaurentPoly(names, {e: draw(st.sampled_from([1, -1, 2, -3, 5]))})
+
+
+# operands over two overlapping variable sets, so products and quotients
+# also realign their terms
+operands = st.one_of(laurent_polys(("a", "b")), laurent_polys(("b", "c")), one_term(("a", "c")),
+                     small_ints.map(LaurentPoly.nat))
+
+
+@given(operands, operands)
+def test_products_match_the_pairwise_oracle(p, q):
+    want = oracle_mul(p, q)
+    assert p * q == want and q * p == want
+    assert _scaled(p, BIG) * _scaled(q, BIG) == _scaled(want, BIG * BIG)
+
+
+@given(laurent_polys(("a", "b")), one_term(("b", "c")), small_ints)
+def test_one_term_factors_shift_exponents(p, m, k):
+    want = oracle_mul(p, m)
+    assert p * m == want and m * p == want
+    assert p * k == k * p == oracle_mul(p, LaurentPoly.nat(k))
+    assert p * 0 == 0 * p == LaurentPoly.nat(0) * m == 0
+
+
+@given(operands, operands)
+def test_exact_division_matches_the_long_division_oracle(p, q):
     if q.is_zero():
         return
-    prod = p * q
-    with forced_fast():
-        assert prod.exact_div(q) == p
+    prod = oracle_mul(p, q)
+    assert prod.exact_div(q) == oracle_div(prod, q) == p
+    big = _scaled(prod, BIG)
+    assert big.exact_div(q) == oracle_div(big, q) == _scaled(p, BIG)
+    assert big.exact_div(_scaled(q, BIG)) == p
 
 
-@given(laurent_polys(), laurent_polys())
-def test_forced_fast_division_raise_parity(p, q):
+@given(operands, operands)
+def test_division_raises_exactly_when_the_oracle_does(p, q):
     if q.is_zero():
         return
     target = p * q + 1
-    try:
-        want = target.exact_div(q)
-    except ExactDivisionError:
-        want = "raise"
-    with forced_fast():
-        try:
-            got = target.exact_div(q)
-        except ExactDivisionError:
-            got = "raise"
-    assert got == want
+    assert (_division_outcome(LaurentPoly.exact_div, target, q)
+            == _division_outcome(oracle_div, target, q))
 
 
-def test_huge_coefficient_division_through_packed_route():
+def test_huge_coefficient_division():
     huge = 10 ** 25
     p = (a + b) * huge + a * b
     q = (a + 1) * (b + 1) * huge + 3
-    prod = p * q
-    with forced_fast():
-        assert prod.exact_div(q) == p
+    prod = oracle_mul(p, q)
+    assert prod.exact_div(q) == oracle_div(prod, q) == p
 
 
 def test_packed_division_skips_stale_heap_entries(monkeypatch):
@@ -278,20 +365,18 @@ def test_packed_division_skips_stale_heap_entries(monkeypatch):
     # is pushed again and one of its two heap entries is popped stale
     num = (a + b) ** 5 * (a - b) ** 3
     den = (a - b) ** 2 * (a + b) ** 3
-    want = num.exact_div(den)
+    want = oracle_div(num, den)
     assert want == (a + b) ** 2 * (a - b)
     popped = []
     heappop = laurent_mod.heappop
     monkeypatch.setattr(laurent_mod, "heappop", lambda h: popped.append(heappop(h)) or popped[-1])
-    with forced_fast():
-        assert num.exact_div(den) == want
+    assert num.exact_div(den) == want
     assert len(popped) > len(set(popped))
     for target in (num + a * b ** 7, num + 1):
         with pytest.raises(ExactDivisionError):
+            oracle_div(target, den)
+        with pytest.raises(ExactDivisionError):
             target.exact_div(den)
-        with forced_fast():
-            with pytest.raises(ExactDivisionError):
-                target.exact_div(den)
 
 
 @pytest.mark.parametrize("num, den", [
@@ -302,10 +387,9 @@ def test_packed_division_refuses_inexact_quotients(num, den):
     # the remainder outgrows the exponent box before the division fails;
     # fields with no room beyond the box would carry and fake a quotient
     with pytest.raises(ExactDivisionError):
+        oracle_div(num, den)
+    with pytest.raises(ExactDivisionError):
         num.exact_div(den)
-    with forced_fast():
-        with pytest.raises(ExactDivisionError):
-            num.exact_div(den)
 
 
 def test_power_short_circuits_and_matches_repeated_product():

@@ -1,4 +1,4 @@
-"""Best-of-five seconds of the three callers of the ray kernel.
+"""Best-of-five seconds of the ray kernel's callers and of the division route.
 
     python3 tools/time_kernel.py
 
@@ -12,6 +12,15 @@ that reach it:
 - the 4,608 ``variable_tile_value`` calls of one symbolic-tiles pass of
   perfbench at seed 1 (72 windows of 8x8 cells). The frontiers, windows and
   embeddings are built before the clock starts.
+
+Symbolic frises of diagrams that are not cycles take the division route
+instead: every cell is one exact Laurent division of ring products
+(``LaurentPoly.__mul__`` and ``exact_div`` over packed exponent keys). No
+benchmark workload runs it, so three more lines time it:
+
+- ``frise_extend_vars`` on Btilde3 at 6 steps (a valued edge, so powers);
+- ``frise_extend_vars`` on Dtilde4 at 8 steps;
+- ``frise_extend_vars`` on E6 at 6 steps.
 
 Each line is the best of five runs in one process. Run from the root of a
 checkout; the library is imported from ./src.
@@ -65,6 +74,8 @@ def main() -> None:
     atilde3 = diagrams.parse_shorthand("Atilde3")
     xxxy = correspondence.cycle_quiver("xxxy")
     calls = tile_calls(TILES_SEED)
+    division = [(name, steps, diagrams.parse_shorthand(name))
+                for name, steps in (("Btilde3", 6), ("Dtilde4", 8), ("E6", 6))]
     rows = [
         ("frise_extend_vars Atilde3, 14 steps",
          best(lambda: frises.frise_extend_vars(atilde3, 14))),
@@ -72,7 +83,8 @@ def main() -> None:
          best(lambda: frises.frise_extend_vars(xxxy, 10))),
         ("variable_tile_value x %d, symbolic-tiles seed %d" % (len(calls), TILES_SEED),
          best(lambda: [cluster.variable_tile_value(*c) for c in calls])),
-    ]
+    ] + [("frise_extend_vars %s, %d steps (division)" % (name, steps),
+          best(lambda: frises.frise_extend_vars(q, steps))) for name, steps, q in division]
     for label, seconds in rows:
         print("%-50s %8.4f s" % (label, seconds))
 
