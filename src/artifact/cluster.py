@@ -4,12 +4,12 @@ The matrix form of a below-point value generalizes from integers to
 variables: a frontier word a0 l1 a1 ... l_{n+1} a_{n+1} evaluates to a
 bordered product of per-letter 2x2 steps divided by the interior
 variables, and the result is always a Laurent polynomial with natural
-coefficients. Two routes compute it. `variable_tile_value`, where every
-vertex carries one named variable, sends the word through the packed step
-kernel `laurent.nested_word_values` (exponent shifts and additions on
-packed keys, one canonical LaurentPoly per value). `word_value_vars` keeps
-the product over LaurentPoly entries for the cross construction, whose
-labels may be constants and whose lateral regions swap a border.
+coefficients. One route computes it: the packed step kernel
+`laurent.nested_word_values` (exponent shifts and additions on packed
+keys, one canonical LaurentPoly per value). `variable_tile_value` sends a
+tile's word through it, and so does every cell of the cross construction,
+whose labels may be the constant 1 and whose north-east region closes with
+a swapped column.
 
 The cross construction turns one variable word into a partial frieze:
 the word and its transpose are laid out as two parallel staircases, two
@@ -33,16 +33,7 @@ from typing import Callable, Optional
 
 from .diagrams import Quiver, default_quiver
 from .frises import WindowTooShort, frise_extend_vars
-from .laurent import (
-    LaurentPoly,
-    Mat2,
-    Scalar,
-    nested_word_values,
-    products_differ_by_one,
-    row_times_mat,
-    step_matrix,
-    vec_dot,
-)
+from .laurent import LaurentPoly, Scalar, nested_word_values, products_differ_by_one
 from .tilings import Embedding, InconsistentGeometry, Point, transpose_word, word_span
 
 
@@ -66,33 +57,6 @@ def _scalar(x) -> LaurentPoly:
     if x == "1":
         return LaurentPoly.nat(1)
     return LaurentPoly.var(x)
-
-
-# ----------------------------------------------------------------------
-# bordered matrix products over words with variables
-
-
-def word_value_vars(variables: list, letters: str, col_swap: bool = False) -> LaurentPoly:
-    """Value of the word variables[0] letters[0] variables[1] ... variables[-1].
-
-    Border rows (1, a0) and (1, a_last) close a product of step matrices
-    over the interior letters; the first and last letters only delimit the
-    word and never enter the product. ``col_swap`` closes with the column
-    (a_last, 1) instead, as the north-east region of the cross needs.
-    """
-    if len(variables) < 3 or len(letters) != len(variables) - 1:
-        raise ValueError("need a0 .. a_{n+1} with n >= 1 and one letter per gap")
-    vs = [_scalar(v) for v in variables]
-    one = LaurentPoly.nat(1)
-    acc = (one, vs[0])
-    for i in range(1, len(vs) - 2):
-        acc = row_times_mat(acc, step_matrix(vs[i], letters[i], vs[i + 1]))
-    col = (vs[-1], one) if col_swap else (one, vs[-1])
-    value = vec_dot(acc, col)
-    denom = one
-    for v in vs[1:-1]:
-        denom = denom * v
-    return value.exact_div(denom)
 
 
 def variable_tile_value(e: Embedding, names: Callable[[int], str], p: Point) -> LaurentPoly:
@@ -168,16 +132,12 @@ class CrossSeed:
     def y_count(self) -> int:
         return self.letters.count("y")
 
-    def polys(self) -> list[LaurentPoly]:
-        return [_scalar(name) for name in self.names]
-
 
 @dataclass(eq=False)
 class FriezePattern:
     """Partial grid of Laurent values; every filled 2x2 block has det 1."""
 
     cells: dict
-    period: Optional[int] = None
 
     def value(self, row: int, col: int) -> LaurentPoly:
         try:
@@ -186,7 +146,7 @@ class FriezePattern:
             raise RegionOutsideComponents("cell (%d, %d) is empty" % (row, col)) from None
 
     def subst(self, mapping) -> "FriezePattern":
-        return FriezePattern({p: v.subst(mapping) for p, v in self.cells.items()}, self.period)
+        return FriezePattern({p: v.subst(mapping) for p, v in self.cells.items()})
 
     def minor_check(self) -> int:
         """Verify det = 1 on every fully filled 2x2 block; return the count."""
@@ -214,20 +174,22 @@ class _CrossFigure:
     """
 
     def __init__(self, seed: CrossSeed):
-        self.seed = seed
         self.X, self.Y = seed.x_count, seed.y_count
         self.S = self.X + self.Y + 2
         self.K = len(seed.letters) + 2
-        one = LaurentPoly.nat(1)
-        polys = seed.polys()
+        # the seed's names with the two closing 1s; the south-east staircase
+        # carries them in reverse, so read backwards it has the same labels
+        self.names = ("1",) + seed.names + ("1",)
+        self.universe = tuple(dict.fromkeys(n for n in seed.names if n != "1"))
+        index = {name: j for j, name in enumerate(self.universe)}
+        self.labels = [index.get(name) for name in self.names]  # None: the constant 1
 
         self.nw_letters = "y" + seed.letters + "x"
-        self.nw_vals = [one] + polys + [one]
         self.nw_pos = self._walk((self.Y + 1, 0), self.nw_letters)
 
         self.se_letters = "x" + transpose_word(seed.letters) + "y"
-        self.se_vals = [one] + polys[::-1] + [one]
         self.se_pos = self._walk((self.S, self.X + 1), self.se_letters)
+        self.se_reversed = self.se_letters[::-1]
 
         self.nw_row_hit = {}
         self.nw_col_hit = {}
@@ -251,10 +213,10 @@ class _CrossFigure:
     def boundary(self) -> dict:
         one = LaurentPoly.nat(1)
         cells = {}
-        for p, v in zip(self.nw_pos, self.nw_vals):
-            cells[p] = v
-        for p, v in zip(self.se_pos, self.se_vals):
-            cells[p] = v
+        for p, name in zip(self.nw_pos, self.names):
+            cells[p] = _scalar(name)
+        for p, name in zip(self.se_pos, reversed(self.names)):
+            cells[p] = _scalar(name)
         for m in range(self.Y + 2):  # top-right diagonal of 1s
             cells[(m, self.X + 1 + m)] = one
         for m in range(self.X + 2):  # bottom-left diagonal of 1s
@@ -262,9 +224,14 @@ class _CrossFigure:
         return cells
 
     # Each region reads a factor of one staircase between the two hits of
-    # the cell's projections. The inner region keeps both plain borders,
-    # the right one reverses the column border, and the far region walks
-    # the transposed staircase backwards pair by pair.
+    # the cell's projections, as one word of the step kernel. The inner
+    # region keeps both plain borders, the right one swaps the closing
+    # column, and the south-east one reads the transposed staircase backwards.
+
+    def _word(self, letters: str, f: int, l: int, col_swap: bool = False) -> LaurentPoly:
+        (value,) = nested_word_values(self.universe, letters.__getitem__, self.labels.__getitem__,
+                                      [(f, l)], col_swap)
+        return value
 
     def nw_cells(self):
         for c in range(self.X + 2):
@@ -273,8 +240,7 @@ class _CrossFigure:
                 yield r, c
 
     def nw_value(self, r: int, c: int) -> LaurentPoly:
-        lo, hi = self.nw_row_hit[r], self.nw_col_hit[c]
-        return word_value_vars(self.nw_vals[lo : hi + 1], self.nw_letters[lo:hi])
+        return self._word(self.nw_letters, self.nw_row_hit[r], self.nw_col_hit[c] - 1)
 
     def ne_cells(self):
         for r in range(1, self.Y + 2):
@@ -282,8 +248,8 @@ class _CrossFigure:
                 yield r, c
 
     def ne_value(self, r: int, c: int) -> LaurentPoly:
-        lo, hi = self.nw_row_hit[r], self.K - self.se_col_hit[c]
-        return word_value_vars(self.nw_vals[lo : hi + 1], self.nw_letters[lo:hi], col_swap=True)
+        return self._word(self.nw_letters, self.nw_row_hit[r], self.K - self.se_col_hit[c] - 1,
+                          col_swap=True)
 
     def se_cells(self):
         for c in range(self.X + 1, self.S + 1):
@@ -292,10 +258,9 @@ class _CrossFigure:
                 yield r, c
 
     def se_value(self, r: int, c: int) -> LaurentPoly:
-        th, tv = self.se_row_hit[r], self.se_col_hit[c]
-        vs = [self.se_vals[t] for t in range(th, tv - 1, -1)]
-        letters = "".join(self.se_letters[t - 1] for t in range(th, tv, -1))
-        return word_value_vars(vs, letters)
+        # vertex t of the south-east staircase is vertex K - t read backwards
+        return self._word(self.se_reversed, self.K - self.se_row_hit[r],
+                          self.K - self.se_col_hit[c] - 1)
 
 
 def cross_construct(seed: CrossSeed, region: Optional[tuple] = None) -> FriezePattern:
@@ -403,34 +368,13 @@ def kronecker_closed_form(n: int, a: Scalar = "u1", b: Scalar = "u2") -> Laurent
     if n < 2:
         raise ValueError("the closed form starts at n = 2")
     pa, pb = _scalar(a), _scalar(b)
-    one = LaurentPoly.nat(1)
-    m = Mat2(pa * pa + one, pb, pb, pb * pb)
-    acc = Mat2.identity()
+    m0, m1, m2 = pa * pa + 1, pb, pb * pb  # the matrix [[m0, m1], [m1, m2]]
+    # its powers are symmetric too, so [[p, q], [q, s]] holds the product
+    p, q, s = LaurentPoly.nat(1), LaurentPoly.nat(0), LaurentPoly.nat(1)
     for _ in range(n - 2):
-        acc = acc * m
-    bordered = vec_dot(row_times_mat((one, pb), acc), (one, pb))
+        p, q, s = p * m0 + q * m1, p * m1 + q * m2, q * m1 + s * m2
+    bordered = p + (q + q) * pb + s * m2
     return bordered.exact_div(pa ** (n - 1) * pb ** (n - 2))
-
-
-def kronecker_linear_recurrence_check(n_max: int, a: Scalar = "u1", b: Scalar = "u2") -> dict:
-    """Check ab u_{n+2} + ab u_n = (a^2 + b^2 + 1) u_{n+1} for n <= n_max - 2.
-
-    Both sides are computed as stated, without subtraction, so the
-    identity is verified inside the natural-coefficient semiring.
-    """
-    if n_max < 4:
-        raise ValueError("need n_max >= 4")
-    pa, pb = _scalar(a), _scalar(b)
-    one = LaurentPoly.nat(1)
-    us = [pa, pb]
-    while len(us) <= n_max:
-        us.append((one + us[-1] * us[-1]).exact_div(us[-2]))
-    ab = pa * pb
-    coefficient = pa * pa + pb * pb + one
-    for n in range(n_max - 1):
-        if ab * us[n + 2] + ab * us[n] != coefficient * us[n + 1]:
-            return {"n_max": n_max, "ok": False, "failed_at": n}
-    return {"n_max": n_max, "ok": True, "identities": n_max - 1, "coefficient": str(coefficient)}
 
 
 # ----------------------------------------------------------------------

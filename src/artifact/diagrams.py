@@ -68,15 +68,6 @@ class CartanMatrix:
     def neighbors(self, j: int) -> list[int]:
         return [i for i in range(self.d) if i != j and self.entries[i][j]]
 
-    def relabeled(self, perm: Sequence[int]) -> "CartanMatrix":
-        """New matrix with vertex k renamed perm[k]."""
-        n = self.d
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[perm[i]][perm[j]] = self.entries[i][j]
-        return CartanMatrix(out)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CartanMatrix) and self.entries == other.entries
 
@@ -559,11 +550,3 @@ def quiver_from_json(obj: object) -> Quiver:
         m[i][j] = -b
         arrows.append((i, j))
     return Quiver(validate_cartan(m), arrows)
-
-
-def quiver_to_json(q: Quiver) -> dict:
-    edges = []
-    for i, j in sorted(q.arrows):
-        edges.append({"from": i, "to": j,
-                      "val": [-q.cartan.entries[j][i], -q.cartan.entries[i][j]]})
-    return {"vertices": q.cartan.d, "edges": edges}

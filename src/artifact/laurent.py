@@ -16,11 +16,10 @@ one integer, a bit field per variable.
 
 from __future__ import annotations
 
-import random
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import and_, or_
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 Scalar = Union[int, "LaurentPoly"]
 
@@ -122,15 +121,6 @@ class LaurentPoly:
         if not self._terms:
             return 0
         return self._terms[()]
-
-    def min_exponents(self) -> dict[str, int]:
-        """Per-variable minimum exponent over all terms (the monomial content)."""
-        if not self._terms:
-            return {v: 0 for v in self._vars}
-        mins = {}
-        for i, v in enumerate(self._vars):
-            mins[v] = min(e[i] for e in self._terms)
-        return mins
 
     def numerator_denominator(self) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Split into (polynomial numerator, monomial denominator).
@@ -470,72 +460,8 @@ def _poly_str(p: LaurentPoly) -> str:
     return out
 
 
-ONE = LaurentPoly.nat(1)
-
-
 # ----------------------------------------------------------------------
-# 2x2 matrices over the Laurent ring
-
-
-class Mat2:
-    """2x2 matrix with Laurent (or integer) entries."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: Scalar, b: Scalar, c: Scalar, d: Scalar):
-        self.a = LaurentPoly.coerce(a)
-        self.b = LaurentPoly.coerce(b)
-        self.c = LaurentPoly.coerce(c)
-        self.d = LaurentPoly.coerce(d)
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self) -> LaurentPoly:
-        return self.a * self.d - self.b * self.c
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __repr__(self) -> str:
-        return "Mat2[[%s, %s], [%s, %s]]" % (self.a, self.b, self.c, self.d)
-
-
-def step_matrix(a: Scalar, letter: str, b: Scalar) -> Mat2:
-    """M(a,x,b) = [[a,1],[0,b]]; M(a,y,b) = [[b,0],[1,a]].
-
-    Setting a = b = 1 recovers the integer step matrices
-    M(x) = [[1,1],[0,1]] and M(y) = [[1,0],[1,1]].
-    """
-    if letter == "x":
-        return Mat2(a, 1, 0, b)
-    if letter == "y":
-        return Mat2(b, 0, 1, a)
-    raise ValueError("letter must be 'x' or 'y', got %r" % (letter,))
-
-
-def row_times_mat(row: tuple[Scalar, Scalar], m: Mat2) -> tuple[LaurentPoly, LaurentPoly]:
-    r0, r1 = LaurentPoly.coerce(row[0]), LaurentPoly.coerce(row[1])
-    return (r0 * m.a + r1 * m.c, r0 * m.b + r1 * m.d)
-
-
-def vec_dot(row: tuple[LaurentPoly, LaurentPoly], col: tuple[Scalar, Scalar]) -> LaurentPoly:
-    return row[0] * LaurentPoly.coerce(col[0]) + row[1] * LaurentPoly.coerce(col[1])
-
-
-# ----------------------------------------------------------------------
-# bordered products over words whose labels are single variables
+# bordered products over words whose labels are single variables or 1
 #
 # An entry of a step-matrix product is a pair (offset, terms): the packed
 # exponent key of each term is offset + key, so multiplying by a variable
@@ -560,24 +486,29 @@ def _plus(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
 
 
 def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
-                       label: Callable[[int], int],
-                       spans: Iterable[tuple[int, int]]) -> list[LaurentPoly]:
-    """Values of nested words whose vertices each carry one variable.
+                       label: Callable[[int], Optional[int]],
+                       spans: Iterable[tuple[int, int]],
+                       col_swap: bool = False) -> list[LaurentPoly]:
+    """Values of nested words whose vertices each carry one variable or 1.
 
     The word (f, l) holds the letters f..l, and vertex i (before letter i)
-    carries the variable a_i = names[label(i)]. Its value is
+    carries a_i = names[label(i)], or the constant 1 when label(i) is None.
+    Its value is
 
         (1, a_f) P (1, a_{l+1})^T / (a_{f+1} ... a_l),
         P = M(a_{f+1}, x_{f+1}, a_{f+2}) ... M(a_{l-1}, x_{l-1}, a_l),
 
-    with M(a,x,b) = [[a,1],[0,b]] and M(a,y,b) = [[b,0],[1,a]]. Each span
-    must contain the one before it, so P is kept and extended by the step
+    with M(a,x,b) = [[a,1],[0,b]] and M(a,y,b) = [[b,0],[1,a]]; with
+    ``col_swap`` the closing column is (a_{l+1}, 1)^T instead, as the
+    north-east region of the cross construction needs. Each span must
+    contain the one before it, so P is kept and extended by the step
     matrices of the new letters at each end. A step multiplies entries by
     one variable or adds two of them, so P's entries live over packed
-    exponent keys (one field per variable, wide enough for the longest
-    word's degree) with natural coefficients and no division. The monomial
-    denominator is subtracted while each value is unpacked, once, into its
-    canonical LaurentPoly.
+    exponent keys (one field per name, wide enough for the longest word's
+    degree) with natural coefficients and no division. A constant vertex
+    is a zero shift: it has no field and no factor in the denominator. The
+    monomial denominator is subtracted while each value is unpacked, once,
+    into its canonical LaurentPoly.
     """
     spans = list(spans)
     if not spans:
@@ -588,7 +519,8 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
     # every term of a value has total degree at most the word's letter count
     width = max(l - f + 1 for f, l in spans).bit_length()
     shifts = [pos * width for pos in range(len(universe))]
-    unit = [1 << shifts[field[j]] for j in range(len(names))]
+    unit = {j: 1 << shifts[field[j]] for j in range(len(names))}
+    unit[None] = 0
 
     p, q, r, s = (0, {0: 1}), (0, {}), (0, {}), (0, {0: 1})  # P = identity
     lo = hi = spans[0][0] + 1  # P covers the letters lo..hi-1
@@ -616,10 +548,14 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
                               _plus(_shifted(r, b), s), _shifted(s, a))
         lo, hi = f + 1, l
         first, last = unit[label(f)], unit[label(l + 1)]
-        num = _plus(_plus(p, _shifted(q, last)), _shifted(_plus(r, _shifted(s, last)), first))
+        c0, c1 = (last, 0) if col_swap else (0, last)  # the closing column
+        num = _plus(_plus(_shifted(p, c0), _shifted(q, c1)),
+                    _shifted(_plus(_shifted(r, c0), _shifted(s, c1)), first))
         den = [0] * len(universe)
         for i in range(f + 1, l + 1):
-            den[field[label(i)]] += 1
+            j = label(i)
+            if j is not None:
+                den[field[j]] += 1
         out.append(_unpacked(universe, num, shifts, (1 << width) - 1, den))
     return out
 
@@ -702,123 +638,3 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     nonzero = sums.nonzero()[0]
     return bool(len(nonzero) == 1 and sums[nonzero[0]] == 1
                 and keys[starts[nonzero[0]]] == 2 * base)
-
-
-# ----------------------------------------------------------------------
-# bordered-product determinant identities
-
-def _det_rows(top: tuple[Scalar, Scalar], bottom: tuple[Scalar, Scalar]) -> LaurentPoly:
-    t0, t1 = (LaurentPoly.coerce(v) for v in top)
-    b0, b1 = (LaurentPoly.coerce(v) for v in bottom)
-    return t0 * b1 - t1 * b0
-
-
-def _chain(row: tuple[Scalar, Scalar], mats: Iterable[Mat2]) -> tuple[LaurentPoly, LaurentPoly]:
-    acc = (LaurentPoly.coerce(row[0]), LaurentPoly.coerce(row[1]))
-    for m in mats:
-        acc = row_times_mat(acc, m)
-    return acc
-
-
-def _x_run(labels: list) -> list[Mat2]:
-    return [step_matrix(labels[i], "x", labels[i + 1]) for i in range(len(labels) - 1)]
-
-
-def _y_run(labels: list) -> list[Mat2]:
-    return [step_matrix(labels[i], "y", labels[i + 1]) for i in range(len(labels) - 1)]
-
-
-def verify_det_identities(instances: int = 100, rng_seed: int = 17,
-                          max_param: int = 5, max_chain: int = 3) -> dict:
-    """Random exact checks of the bordered-product determinant identities.
-
-    Three identities over a commutative ring, each checked on ``instances``
-    random draws of naturals and small monomials:
-
-    * factorization: with p = l.A.g, q = l.A.g', r = l'.A.g, s = l'.A.g',
-      det [[p,q],[r,s]] = det(A) * det(rows l, l') * det(cols g, g');
-    * bordered rows: for l' = (1,a).M(b1,x,b2)...M(b_{k-1},x,b_k).M(b_k,y,b)
-      and l = (1,b_k), det with l' on top is b1...b_k*b (the opposite row
-      order flips the sign; the positive orientation here was fixed by a
-      direct k=1 computation);
-    * crossing: the four products p = (1,b_k).A.(1,c1)^T, ...,
-      s = (1,a).[x-run].M(b_k,y,b).A.M(c,x,c1).[y-run].(1,d)^T satisfy
-      det [[p,q],[r,s]] = b1...b_k * b * c * c1...c_l * det(A).
-
-    Failures are counted, not raised; callers treat any failure as fatal.
-    """
-    rng = random.Random(rng_seed)
-
-    def scalar() -> LaurentPoly:
-        if rng.random() < 0.5:
-            return LaurentPoly.nat(rng.randint(1, max_param))
-        name = rng.choice("efgh")
-        return LaurentPoly.monomial(rng.randint(1, 3), {name: rng.choice((-1, 1))})
-
-    def vec2() -> tuple[LaurentPoly, LaurentPoly]:
-        return (scalar(), scalar())
-
-    def mat() -> Mat2:
-        return Mat2(scalar(), scalar(), scalar(), scalar())
-
-    report = {"instances": instances, "factorization_failures": 0,
-              "bordered_rows_failures": 0, "crossing_failures": 0}
-    for _ in range(instances):
-        # factorization
-        A, lam, lamp, gam, gamp = mat(), vec2(), vec2(), vec2(), vec2()
-        pp = vec_dot(row_times_mat(lam, A), gam)
-        qq = vec_dot(row_times_mat(lam, A), gamp)
-        rr = vec_dot(row_times_mat(lamp, A), gam)
-        ss = vec_dot(row_times_mat(lamp, A), gamp)
-        lhs = pp * ss - qq * rr
-        rhs = A.det() * _det_rows(lam, lamp) * _det_rows(gam, gamp)
-        if lhs != rhs:
-            report["factorization_failures"] += 1
-
-        # bordered rows
-        k = rng.randint(1, max_chain)
-        a = scalar()
-        bs = [scalar() for _ in range(k)]
-        b = scalar()
-        lamp = _chain((LaurentPoly.nat(1), a), _x_run(bs) + [step_matrix(bs[-1], "y", b)])
-        lam = (LaurentPoly.nat(1), bs[-1])
-        prod = b
-        for f in bs:
-            prod = prod * f
-        if _det_rows(lamp, lam) != prod:
-            report["bordered_rows_failures"] += 1
-
-        # crossing
-        l = rng.randint(1, max_chain)
-        c = scalar()
-        cs = [scalar() for _ in range(l)]
-        d = scalar()
-        A = mat()
-        left_full = _x_run(bs) + [step_matrix(bs[-1], "y", b)]
-        right_full = [step_matrix(c, "x", cs[0])] + _y_run(cs)
-
-        def col_through(mats: list[Mat2], tail: tuple[LaurentPoly, LaurentPoly]):
-            col = (LaurentPoly.coerce(tail[0]), LaurentPoly.coerce(tail[1]))
-            for m in reversed(mats):
-                col = (m.a * col[0] + m.b * col[1], m.c * col[0] + m.d * col[1])
-            return col
-
-        one = LaurentPoly.nat(1)
-        g = (one, cs[0])
-        gp = col_through(right_full, (one, d))
-        lam = (one, bs[-1])
-        lamp = _chain((one, a), left_full)
-        pp = vec_dot(row_times_mat(lam, A), g)
-        qq = vec_dot(row_times_mat(lam, A), gp)
-        rr = vec_dot(row_times_mat(lamp, A), g)
-        ss = vec_dot(row_times_mat(lamp, A), gp)
-        rhs = prod * c * A.det()
-        for f in cs:
-            rhs = rhs * f
-        if pp * ss - qq * rr != rhs:
-            report["crossing_failures"] += 1
-
-    report["all_ok"] = not (report["factorization_failures"]
-                            or report["bordered_rows_failures"]
-                            or report["crossing_failures"])
-    return report

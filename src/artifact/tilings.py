@@ -230,17 +230,6 @@ def word_of_point(e: Embedding, p: Point) -> str:
     return word
 
 
-def word_value(word: str) -> int:
-    """(0,1) M(word) (0,1)^T over all letters of the word."""
-    a, b = 0, 1
-    for ch in _check_letters(word, "word"):
-        if ch == "x":
-            a, b = a, a + b
-        else:
-            a, b = a + b, b
-    return b
-
-
 def step_product(word: str, m: Mat2 = ((1, 0), (0, 1))) -> Mat2:
     """m M(w_1) ... M(w_k), with M(x)=[[1,1],[0,1]] and M(y)=[[1,0],[1,1]]."""
     (p, q), (r, s) = m

@@ -12,9 +12,7 @@ from artifact.cluster import (
     enumerate_cluster_vars,
     frieze_period,
     kronecker_closed_form,
-    kronecker_linear_recurrence_check,
     variable_tile_value,
-    word_value_vars,
 )
 from artifact.diagrams import parse_shorthand
 from artifact.frises import detect_period, frise_extend
@@ -27,6 +25,7 @@ from artifact.tilings import (
     transpose_word,
     word_span,
 )
+from bordered_oracles import word_value_vars
 
 ONE = LaurentPoly.nat(1)
 
@@ -67,6 +66,26 @@ def test_kronecker_linear_recurrence_explicit_first_identity():
     a, b = V("a"), V("b")
     u2 = (ONE + b * b).exact_div(a)
     assert a * b * u2 + a * b * a == (a * a + b * b + ONE) * b
+
+
+def kronecker_linear_recurrence_check(n_max: int, a="u1", b="u2") -> dict:
+    """Check ab u_{n+2} + ab u_n = (a^2 + b^2 + 1) u_{n+1} for n <= n_max - 2.
+
+    Both sides are computed as stated, without subtraction, so the
+    identity is verified inside the natural-coefficient semiring.
+    """
+    if n_max < 4:
+        raise ValueError("need n_max >= 4")
+    pa, pb = (V(x) if isinstance(x, str) else LaurentPoly.nat(x) for x in (a, b))
+    us = [pa, pb]
+    while len(us) <= n_max:
+        us.append((ONE + us[-1] * us[-1]).exact_div(us[-2]))
+    ab = pa * pb
+    coefficient = pa * pa + pb * pb + ONE
+    for n in range(n_max - 1):
+        if ab * us[n + 2] + ab * us[n] != coefficient * us[n + 1]:
+            return {"n_max": n_max, "ok": False, "failed_at": n}
+    return {"n_max": n_max, "ok": True, "identities": n_max - 1, "coefficient": str(coefficient)}
 
 
 def test_kronecker_linear_recurrence_check():
@@ -310,6 +329,46 @@ def _brute_cross(seed: CrossSeed) -> dict:
 )
 def test_cross_matches_brute_refill(seed):
     assert cross_construct(seed).cells == _brute_cross(seed)
+
+
+def _regions_by_word_value_vars(seed: CrossSeed) -> list:
+    """(cell, value) for every cell of the four regions, read as in the figure
+    but evaluated with the LaurentPoly oracle; cells on overlaps repeat."""
+    out = []
+
+    def read(fig, r, c, swapped):
+        # the inner region, or with the swapped closing column the right one
+        lo = fig.nw_row_hit[r]
+        hi = fig.K - fig.se_col_hit[c] if swapped else fig.nw_col_hit[c]
+        return word_value_vars(list(fig.names[lo : hi + 1]), fig.nw_letters[lo:hi], swapped)
+
+    fig = cluster._CrossFigure(seed)
+    out += [((r, c), read(fig, r, c, False)) for r, c in fig.nw_cells()]
+    out += [((r, c), read(fig, r, c, True)) for r, c in fig.ne_cells()]
+    se_names = fig.names[::-1]
+    for r, c in fig.se_cells():  # the transposed staircase, walked backwards
+        th, tv = fig.se_row_hit[r], fig.se_col_hit[c]
+        letters = "".join(fig.se_letters[t - 1] for t in range(th, tv, -1))
+        out.append(((r, c), word_value_vars([se_names[t] for t in range(th, tv - 1, -1)], letters)))
+    mirrored = cluster._CrossFigure(seed.transposed())
+    out += [((c, r), read(mirrored, r, c, True)) for r, c in mirrored.ne_cells()]
+    return out
+
+
+@st.composite
+def cross_seeds(draw):
+    letters = draw(st.text(alphabet="xy", min_size=1, max_size=8))
+    names = st.sampled_from(("1", "a", "b", "c", "d", "e"))
+    return CrossSeed(letters, tuple(draw(st.lists(names, min_size=len(letters) + 1,
+                                                  max_size=len(letters) + 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cross_seeds())
+def test_cross_regions_match_word_value_vars(seed):
+    cells = cross_construct(seed).cells
+    for p, value in _regions_by_word_value_vars(seed):
+        assert cells[p] == value, p
 
 
 def test_cross_specializing_ones_reproduces_integer_grid():

@@ -10,7 +10,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.cluster import word_value_vars
 from artifact.correspondence import cycle_quiver
 from artifact.diagrams import (
     Quiver,
@@ -34,6 +33,7 @@ from artifact.frises import (
 )
 from artifact.laurent import LaurentPoly, nested_word_values
 from artifact.tilings import Embedding, Frontier, word_span
+from bordered_oracles import word_value_vars
 
 
 # ----------------------------------------------------------------------
@@ -249,17 +249,20 @@ blocks = st.text(alphabet="xy", min_size=2, max_size=6).filter(lambda w: "x" in 
 
 @settings(max_examples=60, deadline=None)
 @given(blocks, st.text(alphabet="xy", max_size=5), blocks, st.integers(-6, 6),
-       st.integers(1, 5), st.integers(1, 7))
-def test_nested_word_values_match_word_value_vars(left, center, right, k, period, count):
-    # a diagonal ray below vertex k gives nested words; labels repeat with the period
+       st.integers(1, 5), st.integers(1, 7), st.sets(st.integers(0, 6)), st.booleans())
+def test_nested_word_values_match_word_value_vars(left, center, right, k, period, count, ones,
+                                                  col_swap):
+    # a diagonal ray below vertex k gives nested words; labels repeat with the
+    # period, and the residues in ``ones`` carry the constant 1
     e = Embedding(Frontier(left, center, right))
     u, v = e.vertex(k)
     spans = [word_span(e, (u + n, v - n)) for n in range(1, count + 1)]
     names = tuple("u%d" % (j + 1) for j in reversed(range(period)))
-    got = nested_word_values(names, e.frontier.letter, lambda i: i % period, spans)
+    label = lambda i: None if i % period in ones else i % period
+    got = nested_word_values(names, e.frontier.letter, label, spans, col_swap)
     for (f, l), value in zip(spans, got):
-        labels = [names[i % period] for i in range(f, l + 2)]
-        assert value == word_value_vars(labels, e.frontier.factor(f, l + 1))
+        labels = ["1" if label(i) is None else names[label(i)] for i in range(f, l + 2)]
+        assert value == word_value_vars(labels, e.frontier.factor(f, l + 1), col_swap)
 
 
 def test_nested_word_values_need_nested_spans():

@@ -11,14 +11,10 @@ import artifact.laurent as laurent_mod
 from artifact.laurent import (
     ExactDivisionError,
     LaurentPoly,
-    Mat2,
     NonMonomialDivisor,
     products_differ_by_one,
-    row_times_mat,
-    step_matrix,
-    vec_dot,
-    verify_det_identities,
 )
+from bordered_oracles import Mat2, row_times_mat, step_matrix, vec_dot, verify_det_identities
 
 a = LaurentPoly.var("a")
 b = LaurentPoly.var("b")
@@ -404,9 +400,14 @@ def test_power_short_circuits_and_matches_repeated_product():
 # routes they replace
 
 
+def _min_exponents(p: LaurentPoly) -> dict[str, int]:
+    """Per-variable minimum exponent over all terms (the monomial content)."""
+    return {v: min(e[i] for e in p.terms) for i, v in enumerate(p.variables)}
+
+
 def _numerator_denominator_by_product(p):
     # multiply by the denominator monomial, as the split used to
-    mins = p.min_exponents()
+    mins = _min_exponents(p)
     den_exps = {v: -m for v, m in mins.items() if m < 0}
     den = LaurentPoly.monomial(1, den_exps) if den_exps else LaurentPoly.nat(1)
     return p * den, den

@@ -29,8 +29,8 @@ from artifact.tilings import (
     verify_quadratic_lemma,
     verify_sl2,
     verify_square_lemma,
+    step_product,
     word_of_point,
-    word_value,
 )
 
 # The big staircase grid: head of the right tail, continued by an xy zigzag.
@@ -100,6 +100,11 @@ def test_illustration_point():
     assert tile_value(e, (3, 0)) == 17
     region = (0, -2, 5, 2)
     assert tile_grid(e, region) == brute_fill(e, region)
+
+
+def word_value(word: str) -> int:
+    """(0,1) M(word) (0,1)^T over all letters of the word."""
+    return step_product(word)[1][1]
 
 
 @given(st.text(alphabet="xy", min_size=0, max_size=12))

@@ -22,6 +22,13 @@ benchmark workload runs it, so three more lines time it:
 - ``frise_extend_vars`` on Dtilde4 at 8 steps;
 - ``frise_extend_vars`` on E6 at 6 steps.
 
+The cross construction sends every cell through the same kernel, one
+single-span word per cell, and no benchmark workload runs it either:
+
+- ``cross_construct`` on the 12-letter symbolic seed
+  ``aybycxdxexfxgyhyiyjxkylxm``;
+- ``frieze_period`` of the all-ones seed ``yyxxxxyyy`` over 32 figures.
+
 Each line is the best of five runs in one process. Run from the root of a
 checkout; the library is imported from ./src.
 """
@@ -41,6 +48,7 @@ from perfbench import workloads  # noqa: E402
 
 RUNS = 5
 TILES_SEED = 1
+CROSS_SEED = "aybycxdxexfxgyhyiyjxkylxm"
 
 
 def best(fn) -> float:
@@ -84,7 +92,12 @@ def main() -> None:
         ("variable_tile_value x %d, symbolic-tiles seed %d" % (len(calls), TILES_SEED),
          best(lambda: [cluster.variable_tile_value(*c) for c in calls])),
     ] + [("frise_extend_vars %s, %d steps (division)" % (name, steps),
-          best(lambda: frises.frise_extend_vars(q, steps))) for name, steps, q in division]
+          best(lambda: frises.frise_extend_vars(q, steps))) for name, steps, q in division] + [
+        ("cross_construct %s" % CROSS_SEED,
+         best(lambda: cluster.cross_construct(cluster.CrossSeed.parse(CROSS_SEED)))),
+        ("frieze_period yyxxxxyyy, 32 figures",
+         best(lambda: cluster.frieze_period(cluster.CrossSeed.ones("yyxxxxyyy"), 32))),
+    ]
     for label, seconds in rows:
         print("%-50s %8.4f s" % (label, seconds))
 
