@@ -22,6 +22,7 @@ from artifact.tilings import (
     pythagorean_triple,
     ray_values,
     square_frontier,
+    step_product,
     swap_word,
     tile_grid,
     tile_value,
@@ -29,7 +30,6 @@ from artifact.tilings import (
     verify_quadratic_lemma,
     verify_sl2,
     verify_square_lemma,
-    step_product,
     word_of_point,
 )
 
