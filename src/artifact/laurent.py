@@ -12,13 +12,20 @@ of two nonzero values runs ``_mul_packed``. Division by a one-term divisor
 is the shift ``monomial_div``; any other exact division runs
 ``_div_packed``. Both packed routes work on exponent vectors packed into
 one integer, a bit field per variable.
+
+The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
+product. It packs exponent vectors into signed fields of one common width
+and has two passes over the term pairs, selected by their number and by
+int64 bounds: a dict pass over Python integers below ``_DICT_PAIRS`` pairs
+or outside the bounds, and one sort of int64 words from there on.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import and_, or_
+from itertools import chain
+from operator import and_, lshift, neg, or_
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 Scalar = Union[int, "LaurentPoly"]
@@ -576,65 +583,101 @@ def _unpacked(universe: tuple[str, ...], num: tuple[int, dict], shifts: list, ma
 
 
 # ----------------------------------------------------------------------
-# determinant checks on large values
+# the minor check
+
+# Below this many term pairs the minor check is one dict pass; from it on,
+# while the int64 bounds hold, one sort of int64 words. Near this size the
+# two passes cost the same on the minors of the symbolic-tiles benchmark.
+_DICT_PAIRS = 256
+# The int64 pass holds 24 bytes per pair at its peak (numpy buffers, read
+# with tracemalloc): about 100 MB at this cap.
+_MAX_PAIRS = 1 << 22
+
 
 def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     """Exact check that p*q - r*s == 1.
 
-    Each exponent vector is packed into one integer, a field per variable
-    wide enough for the sum of two exponents, so keys add without carries.
-    The pq and -rs term pairs are formed as int64 outer sums of keys and
-    outer products of coefficients, sorted once, and equal keys summed; the
-    check holds when exactly one nonzero sum is left, coefficient 1 at the
-    key of the exponent vector 0. That pass is exact while the packed key
-    fits in 62 bits and cmax^2 * pairs < 2^62 (cmax the largest |coefficient|),
-    which bounds every partial sum. It also needs pairs <= 2^22: the pass
-    holds about 34 bytes per pair at its peak, so the cap bounds its memory
-    near 140 MB. Outside those bounds the check is ``p * q - r * s == 1``
-    in the ring.
+    Each exponent vector e packs into one integer, the sum of e_v << (w * i_v)
+    over its variables v, with i_v the position of v among the variables of
+    all four operands and one signed field width w = (2 * emax).bit_length()
+    + 1 for all of them (emax the largest |exponent|). The map is linear, so
+    a term pair's key is the sum of its two keys, and the zero vector packs
+    to 0. It is injective on sums of two operand vectors: each component of
+    such a sum lies in [-2 * emax, 2 * emax], so two of them differ by less
+    than 2^w per component, and sum d_v 2^(w * i_v) with every |d_v| < 2^w is
+    0 only when every d_v is. Every pair of p*q and of -r*s is summed at its
+    key, 1 is subtracted at key 0, and the check holds when every sum is 0.
+
+    Below ``_DICT_PAIRS`` pairs the sums are one dict pass over Python
+    integers, which is exact for every input. From there on each pair is
+    one int64 word (key << cbits) + (c1*c2 + cmax^2), cmax the largest
+    |coefficient| (at least 1); one in-place sort puts equal keys together,
+    and ``reduceat`` sums each run of them. That pass is exact while three
+    bounds hold; outside any of them the check is the dict pass:
+
+    - kbits + cbits <= 62, with kbits = w * (number of variables) and cbits
+      = (2 * cmax^2).bit_length(): a key lies strictly between -2^(kbits-1)
+      and 2^(kbits-1), and a biased coefficient in [0, 2^cbits), so every
+      word fits in an int64 and words sort by key first;
+    - cmax^2 * pairs < 2^62, which bounds every partial sum of a run, the
+      subtracted 1 included;
+    - pairs <= ``_MAX_PAIRS``, which caps the pass's memory.
     """
-    p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
-    polys = (p, q, r, s)
-    pairs = len(p._terms) * len(q._terms) + len(r._terms) * len(s._terms)
-    lo: dict[str, int] = {}
-    hi: dict[str, int] = {}
-    cmax = 0
-    for f in polys:
-        for v, col in zip(f._vars, zip(*f._terms)):
-            lo[v] = min(lo.get(v, 0), *col)
-            hi[v] = max(hi.get(v, 0), *col)
-        cmax = max([cmax, *map(abs, f._terms.values())])
-    shifts = {}
-    width = 0
-    for v in lo:
-        shifts[v] = width
-        width += (2 * (hi[v] - lo[v])).bit_length()
-    if width > 62 or cmax * cmax * pairs >= 1 << 62 or pairs > 1 << 22:
-        return p * q - r * s == 1
-    if not pairs:
-        return False
+    polys = [LaurentPoly.coerce(v) for v in (p, q, r, s)]
+    pos = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(f._vars for f in polys)))}
+    emax = max(map(abs, chain.from_iterable(chain.from_iterable(f._terms for f in polys))),
+               default=0)
+    w = (2 * emax).bit_length() + 1
+    shifts = [[w * pos[v] for v in f._vars] for f in polys]
+    tp, tq, tr, ts = (f._terms for f in polys)
+    pairs = len(tp) * len(tq) + len(tr) * len(ts)
+    if _DICT_PAIRS <= pairs <= _MAX_PAIRS:
+        cmax = max(map(abs, chain(tp.values(), tq.values(), tr.values(), ts.values())), default=1)
+        cbits = (2 * cmax * cmax).bit_length()
+        if w * len(pos) + cbits <= 62 and cmax * cmax * pairs < 1 << 62:
+            return _differ_by_one_int64(polys, shifts, cmax * cmax, cbits)
+    acc = {0: -1}
+    get = acc.get
+    kp, kq, kr, ks = ([sum(map(lshift, e, sh)) for e in t] for t, sh in zip((tp, tq, tr, ts), shifts))
+    for k1s, c1s, k2s, c2s in ((kp, tp.values(), kq, tq.values()),
+                               (kr, map(neg, tr.values()), ks, ts.values())):
+        for k1, c1 in zip(k1s, c1s):
+            for k2, c2 in zip(k2s, c2s):
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return not any(acc.values())
+
+
+def _differ_by_one_int64(polys: list, shifts: list, bias: int, cbits: int) -> bool:
+    """The int64 pass of ``products_differ_by_one``, within its bounds."""
     import numpy as np  # here, so that importing artifact does not load numpy
 
-    base = sum(-lo[v] << shifts[v] for v in lo)
-
-    def packed(f: LaurentPoly) -> tuple[np.ndarray, np.ndarray]:
-        keys = [base] * len(f._terms)
-        for v, col in zip(f._vars, zip(*f._terms)):
-            shift = shifts[v]
-            keys = [k + (x << shift) for k, x in zip(keys, col)]
-        return np.array(keys, dtype=np.int64), np.array(list(f._terms.values()), dtype=np.int64)
-
-    (kp, cp), (kq, cq), (kr, cr), (ks, cs) = (packed(f) for f in polys)
-    keys = np.concatenate((np.add.outer(kp, kq).ravel(), np.add.outer(kr, ks).ravel()))
-    coeffs = np.concatenate((np.multiply.outer(cp, cq).ravel(),
-                             np.multiply.outer(-cr, cs).ravel()))
-    order = keys.argsort()
-    keys = keys[order]
-    starts = np.empty(len(keys), dtype=bool)  # first of each run of equal keys
+    packed = []
+    for f, sh in zip(polys, shifts):
+        n = len(f._terms)
+        exps = np.fromiter(chain.from_iterable(f._terms), dtype=np.int64, count=n * len(sh))
+        keys = exps.reshape(n, len(sh)) @ np.array([1 << x for x in sh], dtype=np.int64)
+        packed.append((keys, np.fromiter(f._terms.values(), dtype=np.int64, count=n)))
+    (kp, cp), (kq, cq), (kr, cr), (ks, cs) = packed
+    n_pq = len(kp) * len(kq)
+    words = np.empty(n_pq + len(kr) * len(ks) + 1, dtype=np.int64)
+    words[-1] = bias - 1  # the 1 subtracted at key 0
+    for k1s, c1s, k2s, c2s, out in ((kp, cp, kq, cq, words[:n_pq]),
+                                    (kr, -cr, ks, cs, words[n_pq:-1])):
+        out = out.reshape(len(k1s), len(k2s))
+        np.add.outer(k1s, k2s, out=out)
+        out <<= cbits
+        coeffs = np.multiply.outer(c1s, c2s)
+        coeffs += bias
+        out += coeffs
+        del coeffs
+    words.sort()
+    keys = words >> cbits
+    starts = np.empty(len(words), dtype=bool)  # first of each run of equal keys
     starts[0] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    del keys
     starts = starts.nonzero()[0]
-    sums = np.add.reduceat(coeffs[order], starts)
-    nonzero = sums.nonzero()[0]
-    return bool(len(nonzero) == 1 and sums[nonzero[0]] == 1
-                and keys[starts[nonzero[0]]] == 2 * base)
+    words &= (1 << cbits) - 1
+    words -= bias
+    return not np.add.reduceat(words, starts).any()

@@ -146,6 +146,59 @@ def test_classify_cartan_fuzz_exits_cleanly(rows):
     assert "Traceback" not in result.output
 
 
+def _exits_cleanly(result) -> None:
+    assert result.exit_code in (0, 1, 2, 3)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+block = st.text("xy", max_size=5)
+# a tail block is admissible when it holds both letters
+tail = st.one_of(st.builds("{}xy{}".format, block, block), st.text("xy", min_size=1, max_size=5))
+# well-formed frontier text, admissible or not, and text near that form
+frontier_text = st.one_of(
+    st.builds("[{}]* {} [{}]*".format, tail, block, tail),
+    st.text("xy[]* ", max_size=16),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frontier_text)
+def test_tile_frontier_fuzz_exits_cleanly(frontier):
+    _exits_cleanly(_run("tile", "--frontier", frontier, "--region", "-2", "-2", "2", "2"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(frontier_text, st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+       st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-1, 8))
+def test_rays_frontier_fuzz_exits_cleanly(frontier, origin, direction, count):
+    _exits_cleanly(_run("rays", "--frontier", frontier, "--origin", "%d,%d" % origin,
+                        "--dir", "%d,%d" % direction, "--n", str(count)))
+
+
+@st.composite
+def recurrent_seq(draw):
+    # terms of u[n+k] = c_1 u[n+k-1] + ... + c_k u[n], so that a fit exists
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    terms = draw(st.lists(st.integers(-9, 9), min_size=len(coeffs), max_size=len(coeffs)))
+    length = draw(st.integers(6, 16))
+    while len(terms) < length:
+        terms.append(sum(c * t for c, t in zip(coeffs, reversed(terms))))
+    return terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    recurrent_seq(),
+    st.lists(st.integers(-(1 << 70), 1 << 70), max_size=24),
+    st.text("0123456789-+, x.", max_size=40),
+), st.integers(0, 5))
+def test_recur_seq_fuzz_exits_cleanly(seq, max_order):
+    if isinstance(seq, list):
+        seq = ",".join(map(str, seq))
+    _exits_cleanly(_run("recur", "--seq", seq, "--max-order", str(max_order)))
+
+
 @pytest.mark.parametrize("command", ["frise", "probe", "classify"])
 def test_cartan_row_count_is_capped(command):
     steps = () if command == "classify" else ("--steps", "2")

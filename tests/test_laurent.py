@@ -5,7 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import artifact.laurent as laurent_mod
 from artifact.laurent import (
@@ -521,19 +521,26 @@ def test_products_differ_by_one_on_true_and_perturbed_minors(minor, slot, delta)
 
 
 @contextmanager
-def counted_products():
+def dict_pairs(threshold):
+    """Run products_differ_by_one with its size threshold set to threshold,
+    and count the calls of its int64 pass."""
+    saved = laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64
     calls = []
-    mul = LaurentPoly.__mul__
 
-    def counting(self, other):
+    def counting(*args):
         calls.append(1)
-        return mul(self, other)
+        return saved[1](*args)
 
-    LaurentPoly.__mul__ = counting
+    laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64 = threshold, counting
     try:
         yield calls
     finally:
-        LaurentPoly.__mul__ = mul
+        laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64 = saved
+
+
+# one variable up to |exponent| 3 (w = 4, kbits = 4) and coefficients up to
+# 2^28 (cbits = 58): 7 x 7 pairs, plus 14 or 15 for r*s
+seven = LaurentPoly(("a",), {(i,): 1 for i in range(-3, 4)})
 
 
 @pytest.mark.parametrize("p, q, r, s, falls_back", [
@@ -541,23 +548,99 @@ def counted_products():
     (LaurentPoly.nat(1 << 31) + a, 1 - a, (1 << 31) - 1, LaurentPoly.nat(1) + a, True),
     (LaurentPoly.nat(1 << 31), 1, (1 << 31) - 1, 1, True),
     ((1 << 40) * a, a ** -1, (1 << 40) - 1, 1, True),
-    (LaurentPoly.nat(1 << 30), 1, (1 << 30) - 1, 1, False),
-    # exponent spans past 62 packed bits: one wide field, or several
+    (LaurentPoly.nat(1 << 30), 1, (1 << 30) - 1, 1, False),  # kbits + cbits = 0 + 62
+    # exponents past 62 packed bits: one wide field, or several
     (a ** (1 << 61), a ** -(1 << 61), 0, 0, True),
-    (a ** (1 << 60) + 1, 1, a ** (1 << 60), 1, False),
+    (a ** (1 << 60) + 1, 1, a ** (1 << 60), 1, True),  # kbits 63
     (a ** (1 << 31) + 1, a ** -(1 << 31), a ** -(1 << 31), 1, False),
     ((a * b * c) ** (1 << 20) + 1, 1, (a * b * c) ** (1 << 20), 1, True),
     (a ** 1000 * b ** 1000 * c ** 1000 + 1, 1, a ** 1000 * b ** 1000 * c ** 1000, 1, False),
     ((a * b * c) ** (1 << 10) + 1, 1, (a * b * c) ** (1 << 10), 1, False),
     ((a * b * c) ** (1 << 10) + 1, 1, (a * b * c) ** (1 << 10), 2, False),
     (LaurentPoly.monomial(1, {"u%d" % i: 1 << 6 for i in range(9)}), 1, 0, 0, True),
+    # kbits + cbits at 62 (4 + 58), and one past it (5 + 58)
+    ((1 << 28) * a ** 2, a ** -2, (1 << 28) - 1, 1, False),
+    ((1 << 28) * a ** 4, a ** -4, (1 << 28) - 1, 1, True),
+    # cmax^2 * pairs one step below 2^62 (63 pairs), and at it (64 pairs)
+    ((1 << 28) * seven, seven, 1 + a, seven, False),
+    ((1 << 28) * seven, seven, a ** -1 + 1 + a, a ** -2 + a ** -1 + 1 + a + a ** 2, True),
 ])
 def test_products_differ_by_one_falls_back_outside_the_int64_bounds(p, q, r, s, falls_back):
     p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
-    with counted_products() as calls:
+    with dict_pairs(0) as calls:
         got = products_differ_by_one(p, q, r, s)
-    assert bool(calls) == falls_back
+    assert bool(calls) != falls_back
     assert got == _products_differ_by_one_by_dicts(p, q, r, s) == (p * q - r * s == 1)
+
+
+near_2_31 = st.builds(lambda sign, x: sign * x, st.sampled_from([1, -1]),
+                      st.integers((1 << 31) - 2, (1 << 31) + 2))
+near_2_28 = st.builds(lambda sign, x: sign * x, st.sampled_from([1, -1]),
+                      st.integers((1 << 28) - 2, (1 << 28) + 2))
+pass_coeffs = st.one_of(small_ints.filter(bool), near_2_28, near_2_31)
+
+
+@st.composite
+def pass_polys(draw, names=abc, exps=st.integers(-3, 3), max_terms=6):
+    terms = draw(st.dictionaries(st.tuples(*[exps] * len(names)), pass_coeffs,
+                                 max_size=max_terms))
+    return LaurentPoly(names, terms)
+
+
+@st.composite
+def cancelling_quads(draw):
+    # q is p with some terms negated: the pairs (i, j) and (j, i) of p*q share
+    # a key and cancel whenever exactly one of the two terms was negated
+    p = draw(pass_polys())
+    flips = draw(st.lists(st.booleans(), min_size=len(p.terms), max_size=len(p.terms)))
+    q = LaurentPoly(p.variables, {e: -x if f else x for (e, x), f in zip(p.terms.items(), flips)})
+    return p, q, draw(pass_polys()), draw(pass_polys())
+
+
+@st.composite
+def carry_quads(draw):
+    # p*q - r*s = 1 + c*(x^(a1+a2) - x^y), where y is a1+a2 less 2^t in one
+    # variable and plus 1 in the next (one carry between fields of width t),
+    # or y = a1+a2 when t = 0; split into halves, y stays near a1+a2
+    vec = st.tuples(*[st.integers(-3, 3)] * 3)
+    a1, a2 = draw(vec), draw(vec)
+    t, i = draw(st.integers(0, 5)), draw(st.integers(0, 1))
+    y = [u + v for u, v in zip(a1, a2)]
+    if t:
+        y[i] -= 1 << t
+        y[i + 1] += 1
+    b1 = tuple(x // 2 for x in y)
+    b2 = tuple(x - h for x, h in zip(y, b1))
+    coeff = draw(pass_coeffs)
+    p = LaurentPoly(abc, {a1: coeff}) + LaurentPoly(abc, {tuple(-x for x in a2): 1})
+    return p, LaurentPoly(abc, {a2: 1}), LaurentPoly(abc, {b1: coeff}), LaurentPoly(abc, {b2: 1})
+
+
+disjoint_quads = st.tuples(pass_polys(("a", "b")), pass_polys(("a", "b")),
+                           pass_polys(("c", "u10")), pass_polys(("c", "u10")))
+constant_quads = st.tuples(*[pass_coeffs] * 4)
+
+
+def _passes_agree(p, q, r, s):
+    p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
+    got = []
+    for threshold in (0, laurent_mod._MAX_PAIRS + 1):
+        with dict_pairs(threshold):
+            got.append(products_differ_by_one(p, q, r, s))
+    assert got[0] == got[1] == _products_differ_by_one_by_dicts(p, q, r, s) == (p * q - r * s == 1)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.tuples(*[pass_polys()] * 4), disjoint_quads, cancelling_quads(),
+                 constant_quads, unimodular()))
+def test_the_dict_and_int64_passes_agree(quad):
+    _passes_agree(*quad)
+
+
+@settings(max_examples=200)
+@given(carry_quads())
+def test_the_passes_agree_on_pair_sums_one_carry_apart(quad):
+    _passes_agree(*quad)
 
 
 @given(st.lists(st.tuples(st.integers(-(1 << 33), 1 << 33), st.integers(-3, 3)),

@@ -29,6 +29,10 @@ single-span word per cell, and no benchmark workload runs it either:
   ``aybycxdxexfxgyhyiyjxkylxm``;
 - ``frieze_period`` of the all-ones seed ``yyxxxxyyy`` over 32 figures.
 
+The minor check has a line of its own: the 3,528 ``products_differ_by_one``
+calls of one symbolic-tiles pass at seed 1 (49 minors of each window), with
+every tile value built before the clock starts.
+
 Each line is the best of five runs in one process. Run from the root of a
 checkout; the library is imported from ./src.
 """
@@ -43,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from artifact import cluster, correspondence, diagrams, frises, tilings  # noqa: E402
+from artifact import cluster, correspondence, diagrams, frises, laurent, tilings  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 RUNS = 5
@@ -78,10 +82,25 @@ def tile_calls(seed: int) -> list:
     return calls
 
 
+def minor_calls(calls: list) -> list:
+    """(p, q, r, s) of every 2x2 minor of the windows of tile_calls, as
+    perfbench's workload passes them to products_differ_by_one."""
+    minors = []
+    for start in range(0, len(calls), workloads.SIDE ** 2):
+        window = calls[start:start + workloads.SIDE ** 2]
+        grid = {c[2]: cluster.variable_tile_value(*c) for c in window}
+        (u0, v0), side = window[0][2], range(workloads.SIDE - 1)
+        minors += [(grid[(u0 + i, v0 + j + 1)], grid[(u0 + i + 1, v0 + j)],
+                    grid[(u0 + i, v0 + j)], grid[(u0 + i + 1, v0 + j + 1)])
+                   for i in side for j in side]
+    return minors
+
+
 def main() -> None:
     atilde3 = diagrams.parse_shorthand("Atilde3")
     xxxy = correspondence.cycle_quiver("xxxy")
     calls = tile_calls(TILES_SEED)
+    minors = minor_calls(calls)
     division = [(name, steps, diagrams.parse_shorthand(name))
                 for name, steps in (("Btilde3", 6), ("Dtilde4", 8), ("E6", 6))]
     rows = [
@@ -91,6 +110,8 @@ def main() -> None:
          best(lambda: frises.frise_extend_vars(xxxy, 10))),
         ("variable_tile_value x %d, symbolic-tiles seed %d" % (len(calls), TILES_SEED),
          best(lambda: [cluster.variable_tile_value(*c) for c in calls])),
+        ("products_differ_by_one x %d, symbolic-tiles seed %d" % (len(minors), TILES_SEED),
+         best(lambda: [laurent.products_differ_by_one(*m) for m in minors])),
     ] + [("frise_extend_vars %s, %d steps (division)" % (name, steps),
           best(lambda: frises.frise_extend_vars(q, steps))) for name, steps, q in division] + [
         ("cross_construct %s" % CROSS_SEED,
