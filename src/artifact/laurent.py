@@ -649,7 +649,12 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
 
 
 def _differ_by_one_int64(polys: list, shifts: list, bias: int, cbits: int) -> bool:
-    """The int64 pass of ``products_differ_by_one``, within its bounds."""
+    """The int64 pass of ``products_differ_by_one``, within its bounds.
+
+    The keys are the same packing, taken as one int64 product of each
+    operand's exponent rows with the field weights 2^(w * i_v); within the
+    bounds no key, and no partial sum of one, leaves the int64 range.
+    """
     import numpy as np  # here, so that importing artifact does not load numpy
 
     packed = []
@@ -670,7 +675,7 @@ def _differ_by_one_int64(polys: list, shifts: list, bias: int, cbits: int) -> bo
         coeffs = np.multiply.outer(c1s, c2s)
         coeffs += bias
         out += coeffs
-        del coeffs
+        del coeffs  # freed before the next block and the sort: the memory peak
     words.sort()
     keys = words >> cbits
     starts = np.empty(len(words), dtype=bool)  # first of each run of equal keys

@@ -569,7 +569,7 @@ def test_products_differ_by_one_falls_back_outside_the_int64_bounds(p, q, r, s, 
     p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
     with dict_pairs(0) as calls:
         got = products_differ_by_one(p, q, r, s)
-    assert bool(calls) != falls_back
+    assert (not calls) == falls_back
     assert got == _products_differ_by_one_by_dicts(p, q, r, s) == (p * q - r * s == 1)
 
 
@@ -601,7 +601,8 @@ def cancelling_quads(draw):
 def carry_quads(draw):
     # p*q - r*s = 1 + c*(x^(a1+a2) - x^y), where y is a1+a2 less 2^t in one
     # variable and plus 1 in the next (one carry between fields of width t),
-    # or y = a1+a2 when t = 0; split into halves, y stays near a1+a2
+    # or y = a1+a2 when t = 0; r and s split y in halves, so that their
+    # exponents, and the field width, stay small
     vec = st.tuples(*[st.integers(-3, 3)] * 3)
     a1, a2 = draw(vec), draw(vec)
     t, i = draw(st.integers(0, 5)), draw(st.integers(0, 1))

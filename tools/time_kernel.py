@@ -120,7 +120,7 @@ def main() -> None:
          best(lambda: cluster.frieze_period(cluster.CrossSeed.ones("yyxxxxyyy"), 32))),
     ]
     for label, seconds in rows:
-        print("%-50s %8.4f s" % (label, seconds))
+        print("%-54s %8.4f s" % (label, seconds))
 
 
 if __name__ == "__main__":
