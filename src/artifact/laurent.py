@@ -10,8 +10,9 @@ Each ring operation has one route. A product with a one-term factor (a
 monomial or a nonzero constant) is an exponent shift; any other product
 of two nonzero values runs ``_mul_packed``. Division by a one-term divisor
 is the shift ``monomial_div``; any other exact division runs
-``_div_packed``. Both packed routes work on exponent vectors packed into
-one integer, a bit field per variable.
+``_div_packed``. Both packed routes and the step kernel work on exponent
+vectors packed into one integer, a bit field per variable, and each result
+leaves through ``_unpacked``, which builds its canonical LaurentPoly once.
 
 The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
 product. It packs exponent vectors into signed fields of one common width
@@ -179,7 +180,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self._vars, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._trusted(self._vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> "LaurentPoly":
         return self + (-LaurentPoly.coerce(other))
@@ -193,7 +194,7 @@ class LaurentPoly:
         if len(a) < len(b):
             a, b = b, a
         if len(b) > 1:
-            return LaurentPoly(vs, _mul_packed(a, b))
+            return _mul_packed(vs, a, b)
         if not b:
             return LaurentPoly.nat(0)
         ((e0, c0),) = b.items()  # one term: shift the exponents
@@ -206,9 +207,9 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise NonMonomialDivisor("negative power of a non-monomial")
             ((e, c),) = self._terms.items()
-            if c != 1:
+            if c not in (1, -1):
                 raise NonMonomialDivisor("negative power needs unit coefficient")
-            return LaurentPoly(self._vars, {tuple(x * n for x in e): 1})
+            return LaurentPoly._trusted(self._vars, {tuple(x * n for x in e): c ** -n})
         if n == 1:
             return self
         result = LaurentPoly.nat(1)
@@ -238,10 +239,10 @@ class LaurentPoly:
     def exact_div(self, divisor: Scalar) -> "LaurentPoly":
         """Exact division by an arbitrary Laurent polynomial.
 
-        Strips the monomial content of both operands, divides the remaining
-        polynomials under lexicographic term order, and re-applies the
-        content quotient. Raises ExactDivisionError when no exact Laurent
-        quotient exists.
+        Divides under lexicographic term order, each operand taken less its
+        monomial content, and applies the content quotient while unpacking
+        the result. Raises ExactDivisionError when no exact Laurent quotient
+        exists.
         """
         divisor = LaurentPoly.coerce(divisor)
         if divisor.is_zero():
@@ -250,15 +251,7 @@ class LaurentPoly:
             return LaurentPoly.nat(0)
         if divisor.is_monomial():
             return self.monomial_div(divisor)
-        vs, a, b = self._aligned(divisor)
-        nv = len(vs)
-        a_min = tuple(min(e[i] for e in a) for i in range(nv))
-        b_min = tuple(min(e[i] for e in b) for i in range(nv))
-        num = {tuple(x - m for x, m in zip(e, a_min)): c for e, c in a.items()}
-        den = {tuple(x - m for x, m in zip(e, b_min)): c for e, c in b.items()}
-        quo = _div_packed(num, den)
-        shift = tuple(x - y for x, y in zip(a_min, b_min))
-        return LaurentPoly(vs, {tuple(x + s for x, s in zip(e, shift)): c for e, c in quo.items()})
+        return _div_packed(*self._aligned(divisor))
 
     def subst(self, mapping: Mapping[str, Scalar]) -> "LaurentPoly":
         """Substitute variables by naturals or Laurent polynomials.
@@ -333,23 +326,37 @@ def _packed_keys(columns: list, lows: list, shifts: list) -> list[int]:
     return keys
 
 
-def _exponent_tuples(keys: Iterable[int], lows: list, shifts: list, widths: list) -> list:
-    """Inverse of _packed_keys: one exponent tuple per packed key."""
-    keys = list(keys)
-    columns = [[((k >> shift) & ((1 << width) - 1)) + low for k in keys]
-               for low, shift, width in zip(lows, shifts, widths)]
-    return list(zip(*columns))
+def _unpacked(vs: tuple[str, ...], keys: list, coeffs: Iterable[int], lows: list, shifts: list,
+              widths: list) -> LaurentPoly:
+    """LaurentPoly of packed keys: exponent j is the field at shifts[j] plus lows[j].
+
+    Callers pass sorted variables, distinct keys and nonzero coefficients,
+    so the one canonical step left is to drop each variable whose exponent
+    is 0 in every term.
+    """
+    ors, ands = reduce(or_, keys), reduce(and_, keys)
+    fields = []
+    for v, low, shift, width in zip(vs, lows, shifts, widths):
+        mask = (1 << width) - 1
+        top = (ors >> shift) & mask
+        # a field is the same in every key when its bits agree in the or and the and
+        if top != (ands >> shift) & mask or top + low:
+            fields.append((v, shift, mask, low))
+    columns = [[((k >> shift) & mask) + low for k in keys] for _, shift, mask, low in fields]
+    return LaurentPoly._trusted(
+        tuple(field[0] for field in fields),
+        dict(zip(zip(*columns) if fields else [()] * len(keys), coeffs)))
 
 
-def _mul_packed(a: dict, b: dict) -> dict:
-    """Multiply two aligned term dicts via packed integer exponent keys.
+def _mul_packed(vs: tuple[str, ...], a: dict, b: dict) -> LaurentPoly:
+    """Multiply two term dicts over the sorted variables vs via packed keys.
 
     The route of ``LaurentPoly.__mul__`` when both factors have two or more
     terms. Every exponent vector, less its factor's componentwise minimum,
     is packed into one integer, one bit field per variable, each field wide
     enough for the sum of both factors' spans, so key addition never
     carries between fields. Keys and coefficients are Python integers, so
-    the run is exact for any coefficient size.
+    the run is exact for any coefficient size; ``_unpacked`` adds the minima.
     """
     cols_a, cols_b = list(zip(*a)), list(zip(*b))
     lo_a, lo_b = [min(col) for col in cols_a], [min(col) for col in cols_b]
@@ -371,23 +378,25 @@ def _mul_packed(a: dict, b: dict) -> dict:
             elif k in packed:
                 del packed[k]
     lows = [la + lb for la, lb in zip(lo_a, lo_b)]
-    return dict(zip(_exponent_tuples(packed, lows, shifts, widths), packed.values()))
+    return _unpacked(vs, list(packed), packed.values(), lows, shifts, widths)
 
 
-def _div_packed(num: dict, den: dict) -> dict:
-    """Long division over packed integer exponent keys.
+def _div_packed(vs: tuple[str, ...], num: dict, den: dict) -> LaurentPoly:
+    """Long division of term dicts over the sorted variables vs via packed keys.
 
     The route of ``LaurentPoly.exact_div`` when the divisor has two or more
-    terms. Fields are laid out most-significant-first, so integer order on
-    packed keys equals lex order on exponent tuples. Every quotient exponent
-    is range-checked before it is used: each component must be nonnegative
-    (the monomial obstruction) and no larger than the combined exponent
-    span, which no exact quotient can exceed. Within those bounds a field
-    of a remainder key holds at most twice the span, which its width leaves
-    room for, so key arithmetic never carries or borrows between fields and
-    the packed run is exact; coefficients are Python integers. The same
-    bound ends a non-exact division as soon as a quotient exponent leaves
-    the box, instead of letting the remainder run.
+    terms. Each operand is packed less its column minima (its monomial
+    content), and ``_unpacked`` adds the numerator's minima less the
+    divisor's to the quotient. Fields are laid out most-significant-first,
+    so integer order on packed keys equals lex order on exponent tuples.
+    Every quotient exponent is range-checked before it is used: each
+    component must be nonnegative (the monomial obstruction) and no larger
+    than the combined exponent span, which no exact quotient can exceed.
+    Within those bounds a field of a remainder key holds at most twice the
+    span, which its width leaves room for, so key arithmetic never carries
+    or borrows between fields and the packed run is exact; coefficients are
+    Python integers. The same bound ends a non-exact division as soon as a
+    quotient exponent leaves the box, instead of letting the remainder run.
 
     The lead remainder term comes from a lazy max-heap of negated keys.
     Invariant: every key of the remainder has at least one heap entry, and
@@ -397,13 +406,14 @@ def _div_packed(num: dict, den: dict) -> dict:
     lead cancels and never returns, since later keys are strictly smaller.
     """
     cols_num, cols_den = list(zip(*num)), list(zip(*den))
-    lows = [min(min(cn), min(cd)) for cn, cd in zip(cols_num, cols_den)]
-    spans = [max(max(cn), max(cd)) - low for cn, cd, low in zip(cols_num, cols_den, lows)]
+    lo_num, lo_den = [min(col) for col in cols_num], [min(col) for col in cols_den]
+    spans = [max(max(cn) - ln, max(cd) - ld)
+             for cn, ln, cd, ld in zip(cols_num, lo_num, cols_den, lo_den)]
     widths = [(2 * span).bit_length() + 1 for span in spans]
     # slot 0 most significant: lex order
     shifts = [sum(widths[j + 1:]) for j in range(len(widths))]
-    rem = dict(zip(_packed_keys(cols_num, lows, shifts), num.values()))
-    den_list = list(zip(_packed_keys(cols_den, lows, shifts), den.values()))
+    rem = dict(zip(_packed_keys(cols_num, lo_num, shifts), num.values()))
+    den_list = list(zip(_packed_keys(cols_den, lo_den, shifts), den.values()))
     lead_d, c_d = max(den_list)
     ld_slots = [(lead_d >> shift) & ((1 << width) - 1) for shift, width in zip(shifts, widths)]
     fields = list(zip(shifts, widths, ld_slots, spans))
@@ -439,7 +449,8 @@ def _div_packed(num: dict, den: dict) -> dict:
                 del rem[key]
             else:
                 rem[key] = old - qc
-    return dict(zip(_exponent_tuples(quo, [0] * len(widths), shifts, widths), quo.values()))
+    lows = [ln - ld for ln, ld in zip(lo_num, lo_den)]
+    return _unpacked(vs, list(quo), quo.values(), lows, shifts, widths)
 
 
 def _poly_str(p: LaurentPoly) -> str:
@@ -525,7 +536,7 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
     field = {j: pos for pos, j in enumerate(order)}
     # every term of a value has total degree at most the word's letter count
     width = max(l - f + 1 for f, l in spans).bit_length()
-    shifts = [pos * width for pos in range(len(universe))]
+    shifts, widths = [pos * width for pos in range(len(universe))], [width] * len(universe)
     unit = {j: 1 << shifts[field[j]] for j in range(len(names))}
     unit[None] = 0
 
@@ -556,30 +567,16 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
         lo, hi = f + 1, l
         first, last = unit[label(f)], unit[label(l + 1)]
         c0, c1 = (last, 0) if col_swap else (0, last)  # the closing column
-        num = _plus(_plus(_shifted(p, c0), _shifted(q, c1)),
-                    _shifted(_plus(_shifted(r, c0), _shifted(s, c1)), first))
-        den = [0] * len(universe)
+        off, terms = _plus(_plus(_shifted(p, c0), _shifted(q, c1)),
+                           _shifted(_plus(_shifted(r, c0), _shifted(s, c1)), first))
+        lows = [0] * len(universe)  # less the monomial denominator
         for i in range(f + 1, l + 1):
             j = label(i)
             if j is not None:
-                den[field[j]] += 1
-        out.append(_unpacked(universe, num, shifts, (1 << width) - 1, den))
+                lows[field[j]] -= 1
+        keys = [k + off for k in terms]
+        out.append(_unpacked(universe, keys, terms.values(), lows, shifts, widths))
     return out
-
-
-def _unpacked(universe: tuple[str, ...], num: tuple[int, dict], shifts: list, mask: int,
-              den: list) -> LaurentPoly:
-    """Canonical LaurentPoly of a packed entry divided by a monomial."""
-    off, terms = num
-    keys = [k + off for k in terms]
-    ors, ands = reduce(or_, keys), reduce(and_, keys)
-    # a variable occurs unless its field holds its denominator exponent in every term
-    used = [j for j, s in enumerate(shifts)
-            if (ors >> s) & mask != (ands >> s) & mask or (ands >> s) & mask != den[j]]
-    columns = [[((k >> shifts[j]) & mask) - den[j] for k in keys] for j in used]
-    return LaurentPoly._trusted(
-        tuple(universe[j] for j in used),
-        dict(zip(zip(*columns) if used else [()] * len(keys), terms.values())))
 
 
 # ----------------------------------------------------------------------
@@ -612,15 +609,17 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     integers, which is exact for every input. From there on each pair is
     one int64 word (key << cbits) + (c1*c2 + cmax^2), cmax the largest
     |coefficient| (at least 1); one in-place sort puts equal keys together,
-    and ``reduceat`` sums each run of them. That pass is exact while three
-    bounds hold; outside any of them the check is the dict pass:
+    and ``reduceat`` sums each run of them. That pass is exact while two
+    bounds hold; outside either of them the check is the dict pass:
 
-    - kbits + cbits <= 62, with kbits = w * (number of variables) and cbits
-      = (2 * cmax^2).bit_length(): a key lies strictly between -2^(kbits-1)
+    - kbits + cbits <= 62, with kbits = w * n for n variables and cbits =
+      (2 * cmax^2).bit_length(): a key lies strictly between -2^(kbits-1)
       and 2^(kbits-1), and a biased coefficient in [0, 2^cbits), so every
-      word fits in an int64 and words sort by key first;
-    - cmax^2 * pairs < 2^62, which bounds every partial sum of a run, the
-      subtracted 1 included;
+      word fits in an int64 and words sort by key first. A run of one key
+      holds at most 2^(kbits+1) + 1 words, the subtracted 1 included (each
+      product has at most one pair per first exponent vector in the box
+      [-emax, emax]^n, and 2 * emax + 1 <= 2^(w-1)), each of size at most
+      cmax^2 < 2^(cbits-1), so its partial sums stay below 2^63;
     - pairs <= ``_MAX_PAIRS``, which caps the pass's memory.
     """
     polys = [LaurentPoly.coerce(v) for v in (p, q, r, s)]
@@ -634,7 +633,7 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     if _DICT_PAIRS <= pairs <= _MAX_PAIRS:
         cmax = max(map(abs, chain(tp.values(), tq.values(), tr.values(), ts.values())), default=1)
         cbits = (2 * cmax * cmax).bit_length()
-        if w * len(pos) + cbits <= 62 and cmax * cmax * pairs < 1 << 62:
+        if w * len(pos) + cbits <= 62:
             return _differ_by_one_int64(polys, shifts, cmax * cmax, cbits)
     acc = {0: -1}
     get = acc.get

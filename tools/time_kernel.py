@@ -15,15 +15,17 @@ that reach it:
 
 Symbolic frises of diagrams that are not cycles take the division route
 instead: every cell is one exact Laurent division of ring products
-(``LaurentPoly.__mul__`` and ``exact_div`` over packed exponent keys). No
-benchmark workload runs it, so three more lines time it:
+(``LaurentPoly.__mul__`` and ``exact_div`` over packed exponent keys). In
+the benchmark only the A1-A5 ops of symbolic-frise run it, 54 polynomial
+divisions a pass, a few percent of the pass, so three more lines time it
+on larger diagrams:
 
 - ``frise_extend_vars`` on Btilde3 at 6 steps (a valued edge, so powers);
 - ``frise_extend_vars`` on Dtilde4 at 8 steps;
 - ``frise_extend_vars`` on E6 at 6 steps.
 
 The cross construction sends every cell through the same kernel, one
-single-span word per cell, and no benchmark workload runs it either:
+single-span word per cell, and no benchmark workload runs it:
 
 - ``cross_construct`` on the 12-letter symbolic seed
   ``aybycxdxexfxgyhyiyjxkylxm``;
