@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class CartanValidationError(ValueError):
@@ -353,23 +353,26 @@ _MIN_INDEX = {"A": 1, "B": 2, "C": 3, "D": 4,
               "BCtilde": 2, "BDtilde": 3, "CDtilde": 2}
 
 
-def catalog_members(d: int) -> list[tuple[str, str, int, CartanMatrix]]:
-    """All catalog diagrams on exactly d vertices, as (tag, kind, m, C)."""
-    out = []
+def _members(d: int) -> Iterator[tuple[str, str, int, CartanMatrix]]:
+    """The catalog diagrams on exactly d vertices, each built when reached."""
     for kind in ("A", "B", "C", "D"):
         if d >= _MIN_INDEX[kind]:
-            out.append(("Dynkin", kind, d, catalog_diagram(kind, d)))
+            yield "Dynkin", kind, d, catalog_diagram(kind, d)
     for kind in ("E6", "E7", "E8", "F4", "G2"):
         if _FIXED_INDEX[kind] == d:
-            out.append(("Dynkin", kind, d, catalog_diagram(kind, d)))
+            yield "Dynkin", kind, d, catalog_diagram(kind, d)
     m = d - 1
     for kind in EUCLIDEAN_SERIES:
         if m >= _MIN_INDEX[kind]:
-            out.append(("Euclidean", kind, m, catalog_diagram(kind, m)))
+            yield "Euclidean", kind, m, catalog_diagram(kind, m)
     for kind in EUCLIDEAN_EXCEPTIONAL:
         if _FIXED_INDEX[kind] + 1 == d:
-            out.append(("Euclidean", kind, _FIXED_INDEX[kind], catalog_diagram(kind, _FIXED_INDEX[kind])))
-    return out
+            yield "Euclidean", kind, _FIXED_INDEX[kind], catalog_diagram(kind, _FIXED_INDEX[kind])
+
+
+def catalog_members(d: int) -> list[tuple[str, str, int, CartanMatrix]]:
+    """All catalog diagrams on exactly d vertices, as (tag, kind, m, C)."""
+    return list(_members(d))
 
 
 def _walk(c: CartanMatrix) -> tuple[Optional[str], list[tuple[dict, list]]]:
@@ -423,7 +426,7 @@ def classify(c: CartanMatrix) -> DiagramClass:
     to centres, and an AHU string determines its rooted tree)."""
     key = canonical_key(c)
     if key is not None:
-        for tag, kind, m, member in catalog_members(c.d):
+        for tag, kind, m, member in _members(c.d):
             if canonical_key(member) == key:
                 return DiagramClass(tag, kind, m)
     return DiagramClass("Indefinite")

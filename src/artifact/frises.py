@@ -26,7 +26,7 @@ Symbolic frises (u_1..u_d in row 0) take one of two routes:
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .diagrams import Quiver
 from .laurent import ExactDivisionError, LaurentPoly, nested_word_values
@@ -96,17 +96,28 @@ def initial_variables(d: int) -> list[LaurentPoly]:
     return [LaurentPoly.var("u%d" % (j + 1)) for j in range(d)]
 
 
+def _relations(quiver: Quiver, rows: Sequence[Sequence]) -> list[tuple[int, Sequence, list]]:
+    """The relation of each vertex j, in topological order: (j, rows[j],
+    factors), where a factor (rows[i], e(i,j), s) stands for
+    rows[i][n + s] ** e(i,j) in the product at step n, s = 0 for an
+    out-neighbor i and s = 1 for an in-neighbor."""
+    plan = []
+    for j in quiver.topological_order:
+        factors = [(rows[i], quiver.exponent(i, j), 0) for i in quiver.out_neighbors(j)]
+        factors += [(rows[i], quiver.exponent(i, j), 1) for i in quiver.in_neighbors(j)]
+        plan.append((j, rows[j], factors))
+    return plan
+
+
 def _extend(quiver: Quiver, steps: int, first, mul_unit, divide):
-    d = quiver.cartan.d
-    rows = [[first(j)] for j in range(d)]
+    rows = [[first(j)] for j in range(quiver.cartan.d)]
+    plan = _relations(quiver, rows)
     for n in range(steps):
-        for j in quiver.topological_order:
+        for j, row, factors in plan:
             prod = mul_unit
-            for i in quiver.out_neighbors(j):
-                prod = prod * rows[i][n] ** quiver.exponent(i, j)
-            for i in quiver.in_neighbors(j):
-                prod = prod * rows[i][n + 1] ** quiver.exponent(i, j)
-            rows[j].append(divide(1 + prod, rows[j][n], j, n + 1))
+            for other, e, s in factors:
+                prod = prod * other[n + s] ** e
+            row.append(divide(1 + prod, row[n], j, n + 1))
     return rows
 
 
@@ -196,16 +207,14 @@ def frise_extend_vars(quiver: Quiver, steps: int, max_vars: int = 16) -> VarFris
 
 def verify_recursion(fr: Frise) -> None:
     """Recheck the defining relation at every computed cell; raise on failure."""
-    q = fr.quiver
     one = LaurentPoly.nat(1) if isinstance(fr, VarFrise) else 1
+    plan = _relations(fr.quiver, fr.table)
     for n in range(fr.steps):
-        for j in range(q.cartan.d):
+        for j, row, factors in plan:
             prod = one
-            for i in q.out_neighbors(j):
-                prod = prod * fr.table[i][n] ** q.exponent(i, j)
-            for i in q.in_neighbors(j):
-                prod = prod * fr.table[i][n + 1] ** q.exponent(i, j)
-            if fr.table[j][n] * fr.table[j][n + 1] != 1 + prod:
+            for other, e, s in factors:
+                prod = prod * other[n + s] ** e
+            if row[n] * row[n + 1] != 1 + prod:
                 raise ValueError("relation fails at vertex %d, step %d" % (j, n))
 
 
@@ -224,11 +233,13 @@ def detect_period(fr: Frise) -> Optional[tuple[int, int]]:
     WindowTooShort; no visible match returns None.
     """
     N = fr.steps
-    cols = [fr.column(n) for n in range(N + 1)]
+    cols = list(zip(*fr.table))
     uncertified = None
     for p in range(1, N + 1):
-        mismatch = [n for n in range(0, N - p + 1) if cols[n] != cols[n + p]]
-        n0 = mismatch[-1] + 1 if mismatch else 0
+        n = N - p  # scan back to the last mismatch; n0 is the step after it
+        while n >= 0 and cols[n] == cols[n + p]:
+            n -= 1
+        n0 = n + 1
         if n0 > N - p:
             continue  # vacuous for this p
         if n0 + 3 * p <= N + 1:

@@ -175,7 +175,7 @@ class LaurentPoly:
         out = dict(a)
         for e, c in b.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPoly(vs, out)
+        return _pruned(vs, {e: c for e, c in out.items() if c}, range(len(vs)))
 
     __radd__ = __add__
 
@@ -198,7 +198,10 @@ class LaurentPoly:
         if not b:
             return LaurentPoly.nat(0)
         ((e0, c0),) = b.items()  # one term: shift the exponents
-        return LaurentPoly(vs, {tuple(x + y for x, y in zip(e, e0)): c * c0 for e, c in a.items()})
+        # a column can cancel only where the shift is nonzero: with e0[j]
+        # zero it is a's own column, and a uses every variable b does not
+        return _pruned(vs, {tuple(x + y for x, y in zip(e, e0)): c * c0 for e, c in a.items()},
+                       [j for j, x in enumerate(e0) if x])
 
     __rmul__ = __mul__
 
@@ -316,6 +319,18 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return "LaurentPoly(%s)" % self
+
+
+def _pruned(vs: tuple[str, ...], terms: dict, cols: Iterable[int]) -> LaurentPoly:
+    """terms over the sorted variables vs, every coefficient nonzero, as a
+    canonical LaurentPoly: the columns among cols that are 0 in every key
+    are dropped, and the result is returned through _trusted."""
+    drop = {j for j in cols if not any(e[j] for e in terms)}
+    if not drop:
+        return LaurentPoly._trusted(vs, terms)
+    keep = [j for j in range(len(vs)) if j not in drop]
+    return LaurentPoly._trusted(tuple(vs[j] for j in keep),
+                                {tuple(e[j] for j in keep): c for e, c in terms.items()})
 
 
 def _packed_keys(columns: list, lows: list, shifts: list) -> list[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 from typing import Optional, Sequence
 
 from .tilings import Embedding, Point, ray_values, step_product, tile_value, word_span
@@ -70,11 +70,20 @@ def _connection_polynomial(seq: list[int], max_order: int) -> Optional[list[int]
     by b instead and then divides out the content, so the entries stay
     small integers. Returns None as soon as L passes max_order; pads to
     length max(L, 1) + 1, so an all-zero sequence gives [1, 0].
+
+    The discrepancy at step n pairs conn with seq[n], seq[n-1], ..., read
+    from the reversed sequence, and conn has at most n + 1 entries there,
+    so the window never reaches before seq[0]. prev is conn as it stood
+    at the start of some step m < n (at most m + 1 entries), or the
+    initial [1] (m = -1), and shift = n - m; so an update at step n is at
+    most len(prev) + shift <= n + 2 long, and is first read at step n + 1.
     """
+    rev = seq[::-1]
     conn, prev = [1], [1]
     length, shift, last = 0, 1, 1
     for n in range(len(seq)):
-        d = sum(c * seq[n - i] for i, c in enumerate(conn))
+        start = len(seq) - 1 - n  # rev[start] is seq[n]
+        d = sum(map(mul, conn, rev[start:start + len(conn)]))
         if d == 0:
             shift += 1
             continue
@@ -126,11 +135,10 @@ def verify_recurrence(prefix: Sequence[int], rec: LinearRecurrence) -> bool:
         raise ValueError("prefix no longer than the recurrence order")
     den = lcm(*(c.denominator for c in rec.coeffs))
     scaled = [c.numerator * (den // c.denominator) for c in rec.coeffs]
+    scaled.reverse()  # scaled[t] now multiplies u[n+t]
     seq = [index(v) for v in prefix]
-    return all(
-        den * seq[n + k] == sum(a * seq[n + k - 1 - j] for j, a in enumerate(scaled))
-        for n in range(len(seq) - k)
-    )
+    return all(den * seq[n + k] == sum(map(mul, scaled, seq[n:n + k]))
+               for n in range(len(seq) - k))
 
 
 def human_form(rec: LinearRecurrence) -> str:

@@ -181,6 +181,51 @@ def test_detect_period_window_too_short():
     assert detect_period(frise_extend(default_quiver("A", 1), 5)) == (0, 2)
 
 
+def _period_by_mismatch_lists(fr: Frise):
+    """detect_period's forward route: for each p, list every n with
+    column n != column n + p; n0 is one past the last of them."""
+    N = fr.steps
+    cols = [fr.column(n) for n in range(N + 1)]
+    uncertified = None
+    for p in range(1, N + 1):
+        mismatch = [n for n in range(0, N - p + 1) if cols[n] != cols[n + p]]
+        n0 = mismatch[-1] + 1 if mismatch else 0
+        if n0 > N - p:
+            continue
+        if n0 + 3 * p <= N + 1:
+            return (n0, p)
+        if uncertified is None:
+            uncertified = (n0, p)
+    if uncertified is not None:
+        return "WindowTooShort"
+    return None
+
+
+@st.composite
+def eventually_periodic_tables(draw):
+    """A random preperiod, then a random block of p columns repeated, cut
+    to N + 1 columns; entries from a small alphabet, so columns repeat by
+    chance too and the smallest (n0, p) can be shorter than the one drawn."""
+    width = draw(st.integers(1, 3))
+    pre, p = draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    N = draw(st.integers(0, 30))
+    column = st.tuples(*[st.integers(0, 2)] * width)
+    cols = draw(st.lists(column, min_size=pre, max_size=pre))
+    block = draw(st.lists(column, min_size=p, max_size=p))
+    cols = (cols + block * (N // p + 1))[:N + 1]
+    return Frise(default_quiver("A", width), [list(row) for row in zip(*cols)])
+
+
+@settings(max_examples=400)
+@given(eventually_periodic_tables())
+def test_detect_period_matches_the_mismatch_lists(fr):
+    try:
+        got = detect_period(fr)
+    except WindowTooShort:
+        got = "WindowTooShort"
+    assert got == _period_by_mismatch_lists(fr)
+
+
 def test_every_dynkin_orientation_is_periodic():
     for d in range(1, 9):
         for tag, kind, m, c in catalog_members(d) if d > 1 else [("Dynkin", "A", 1, catalog_diagram("A", 1))]:

@@ -468,6 +468,72 @@ def test_packed_results_are_canonical_and_match_the_oracles(case):
         assert _canonical(got) and got == want
 
 
+# sums and one-term shifts come out canonical too; a sum can cancel whole
+# variables, and a shift by an inverse monomial the variables it shifts
+
+SUM_NAMES = ("a", "b", "u10", "c")
+
+
+def _summed(*parts: dict) -> dict:
+    out: dict = {}
+    for part in parts:
+        for e, c in part.items():
+            out[e] = out.get(e, 0) + c
+    return out
+
+
+def oracle_add(p, q):
+    names, a, b = _common_terms(p, q)
+    return LaurentPoly(names, _summed(a, b))
+
+
+def _sum(p, q):
+    want = oracle_add(p, q)
+    return [(p + q, want), (q + p, want)]
+
+
+def _shift(p, m):
+    want = oracle_mul(p, m)
+    return [(p * m, want), (m * p, want)]
+
+
+def _masked_terms(draw, mask):
+    """Up to four terms over SUM_NAMES, 0 in every column mask leaves out."""
+    keys = st.tuples(*[st.integers(-2, 3)] * len(SUM_NAMES)).map(
+        lambda e: tuple(x if keep else 0 for x, keep in zip(e, mask)))
+    return draw(st.dictionaries(keys, small_ints.filter(bool), max_size=4))
+
+
+@st.composite
+def cancelling_sums(draw):
+    """p = x + y and q = z - x, y and z 0 outside a random set of columns,
+    so p + q = y + z loses every variable of x that y and z do not use."""
+    mask = draw(st.tuples(*[st.booleans()] * len(SUM_NAMES)))
+    x = _masked_terms(draw, [True] * len(SUM_NAMES))
+    y, z = _masked_terms(draw, mask), _masked_terms(draw, mask)
+    neg_x = {e: -c for e, c in x.items()}
+    return _sum, LaurentPoly(SUM_NAMES, _summed(x, y)), LaurentPoly(SUM_NAMES, _summed(neg_x, z))
+
+
+@st.composite
+def inverse_shifts(draw):
+    """p = r times the monomial of exponents e, and m = c x^-e: p * m = c r
+    loses every variable of e that r does not use."""
+    r = _masked_terms(draw, draw(st.tuples(*[st.booleans()] * len(SUM_NAMES))))
+    e = draw(st.tuples(*[st.integers(-2, 3)] * len(SUM_NAMES)))
+    p = LaurentPoly(SUM_NAMES, {tuple(x + y for x, y in zip(k, e)): c for k, c in r.items()})
+    m = LaurentPoly(SUM_NAMES, {tuple(-y for y in e): draw(st.sampled_from([1, -1, 2, -3]))})
+    return _shift, p, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(cancelling_sums(), inverse_shifts()))
+def test_sums_and_shifts_are_canonical_and_match_the_oracles(case):
+    route, *args = case
+    for got, want in route(*args):
+        assert _canonical(got) and got == want
+
+
 # ----------------------------------------------------------------------
 # numerator/denominator split and the int64 minor check, against the
 # routes they replace

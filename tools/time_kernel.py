@@ -35,6 +35,16 @@ The minor check has a line of its own: the 3,528 ``products_differ_by_one``
 calls of one symbolic-tiles pass at seed 1 (49 minors of each window), with
 every tile value built before the clock starts.
 
+The probe layers get four lines, on the inputs of one probe pass of
+perfbench: the default quivers of the 51 catalog diagrams of rank 1..6,
+their frises at 60 steps and the 219 rows of those frises:
+
+- ``frise_extend`` of the 51 quivers at 60 steps;
+- ``find_min_recurrence`` of the 219 rows at max order 16;
+- ``detect_period`` of the 51 frises (a ``WindowTooShort`` counts as a
+  result, as in ``probe_conjecture``);
+- ``classify`` of the 51 Cartan matrices.
+
 Each line is the best of five runs in one process. Run from the root of a
 checkout; the library is imported from ./src.
 """
@@ -49,7 +59,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from artifact import cluster, correspondence, diagrams, frises, laurent, tilings  # noqa: E402
+from artifact import (  # noqa: E402
+    cluster, correspondence, diagrams, frises, laurent, recurrences, tilings)
 from perfbench import workloads  # noqa: E402
 
 RUNS = 5
@@ -98,6 +109,13 @@ def minor_calls(calls: list) -> list:
     return minors
 
 
+def period(fr: frises.Frise):
+    try:
+        return frises.detect_period(fr)
+    except frises.WindowTooShort:
+        return None
+
+
 def main() -> None:
     atilde3 = diagrams.parse_shorthand("Atilde3")
     xxxy = correspondence.cycle_quiver("xxxy")
@@ -105,6 +123,10 @@ def main() -> None:
     minors = minor_calls(calls)
     division = [(name, steps, diagrams.parse_shorthand(name))
                 for name, steps in (("Btilde3", 6), ("Dtilde4", 8), ("E6", 6))]
+    quivers = [diagrams.default_quiver(kind, m) for d in range(1, 7)
+               for _, kind, m, _ in diagrams.catalog_members(d)]
+    probe_frises = [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers]
+    probe_rows = [fr.row(v) for fr in probe_frises for v in range(fr.quiver.cartan.d)]
     rows = [
         ("frise_extend_vars Atilde3, 14 steps",
          best(lambda: frises.frise_extend_vars(atilde3, 14))),
@@ -120,6 +142,16 @@ def main() -> None:
          best(lambda: cluster.cross_construct(cluster.CrossSeed.parse(CROSS_SEED)))),
         ("frieze_period yyxxxxyyy, 32 figures",
          best(lambda: cluster.frieze_period(cluster.CrossSeed.ones("yyxxxxyyy"), 32))),
+        ("frise_extend x %d probe quivers, %d steps" % (len(quivers), workloads.PROBE_STEPS),
+         best(lambda: [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers])),
+        ("find_min_recurrence x %d probe rows, max order %d"
+         % (len(probe_rows), workloads.PROBE_MAX_ORDER),
+         best(lambda: [recurrences.find_min_recurrence(row, workloads.PROBE_MAX_ORDER)
+                       for row in probe_rows])),
+        ("detect_period x %d probe frises" % len(probe_frises),
+         best(lambda: [period(fr) for fr in probe_frises])),
+        ("classify x %d probe Cartans" % len(quivers),
+         best(lambda: [diagrams.classify(q.cartan) for q in quivers])),
     ]
     for label, seconds in rows:
         print("%-54s %8.4f s" % (label, seconds))
