@@ -49,7 +49,6 @@ from .tilings import (
     verify_square_lemma,
     verify_sl2,
     word_of_point,
-    word_span,
 )
 
 DEFAULT_SEED = 20240817
@@ -268,12 +267,11 @@ def _best_window(e: Embedding) -> tuple[int, int]:
     with points on both sides count; ties keep the first offset in (du, dv)
     order. Each cell of the windows' 17x17 union is measured once.
     """
-    mirror, cells = e.mirror(), {}
+    cells = {}
     for u in range(-8, 9):
         for v in range(-8, 9):
-            side = e.classify((u, v))
+            side, first, last = e.locate((u, v))
             if side != "on":
-                first, last = word_span(mirror, (v, u)) if side == "above" else word_span(e, (u, v))
                 cells[(u, v)] = (side, last - first + 1)
     best = None
     for du in range(-8, 2):

@@ -36,7 +36,7 @@ from .diagrams import (
 )
 from .frises import WindowTooShort, frise_extend, frise_extend_vars
 from .recurrences import find_min_recurrence, human_form
-from .tilings import Embedding, brute_fill, parse_frontier, ray_values, tile_grid, word_span
+from .tilings import Embedding, brute_fill, parse_frontier, ray_values, tile_grid
 
 _LIMIT_DEFAULTS = {
     "ARTIFACT_MAX_STEPS": 512,
@@ -110,13 +110,8 @@ def _echo_rows(rows: list[list[str]], fmt: str) -> None:
 
 def _word_length(e: Embedding, p: tuple[int, int]) -> int:
     """Letters in the frontier word that p's value is read from; 0 on the path."""
-    side = e.classify(p)
-    if side == "on":
-        return 0
-    if side == "above":
-        e, p = e.mirror(), e.mirror_point(p)
-    first, last = word_span(e, p)
-    return last - first + 1
+    side, first, last = e.locate(p)
+    return 0 if side == "on" else last - first + 1
 
 
 def _check_words(e: Embedding, ends: list[tuple[int, int]]) -> None:

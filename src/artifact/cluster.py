@@ -34,7 +34,7 @@ from typing import Callable, Optional
 from .diagrams import Quiver, default_quiver
 from .frises import WindowTooShort, frise_extend_vars
 from .laurent import LaurentPoly, Scalar, nested_word_values, products_differ_by_one
-from .tilings import Embedding, InconsistentGeometry, Point, transpose_word, word_span
+from .tilings import Embedding, InconsistentGeometry, Point, transpose_word
 
 
 class RegionOutsideComponents(ValueError):
@@ -69,15 +69,13 @@ def variable_tile_value(e: Embedding, names: Callable[[int], str], p: Point) -> 
     points go through the mirrored frontier exactly as in the integer
     tiling.
     """
-    side = e.classify(p)
+    side, first, last = e.locate(p)
     if side == "on":
-        i = (p[0] + p[1]) - (e.anchor[0] + e.anchor[1])
-        if e.vertex(i) != p:
-            raise InconsistentGeometry("point %r is on the frontier but not vertex %d" % (p, i))
-        return LaurentPoly.var(names(i))
+        if e.vertex(first) != p:
+            raise InconsistentGeometry("point %r is on the frontier but not vertex %d" % (p, first))
+        return LaurentPoly.var(names(first))
     if side == "above":
-        return variable_tile_value(e.mirror(), names, e.mirror_point(p))
-    first, last = word_span(e, p)
+        e = e.mirror()
     labels = [names(i) for i in range(first, last + 2)]
     universe = tuple(dict.fromkeys(labels))
     index = {name: j for j, name in enumerate(universe)}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -126,7 +127,7 @@ class CyclicOrientation(ValueError):
 class Quiver:
     """A Cartan matrix with an acyclic orientation of its edges."""
 
-    __slots__ = ("cartan", "arrows", "topological_order")
+    __slots__ = ("cartan", "arrows", "topological_order", "_out", "_in")
 
     def __init__(self, cartan: CartanMatrix, arrows: Iterable[tuple[int, int]]):
         self.cartan = cartan
@@ -141,33 +142,34 @@ class Quiver:
             if (i, j) not in arrow_set and (j, i) not in arrow_set:
                 raise ValueError("edge {%d,%d} left unoriented" % (i, j))
         self.arrows = frozenset(arrow_set)
+        self._out: list[list[int]] = [[] for _ in range(cartan.d)]
+        self._in: list[list[int]] = [[] for _ in range(cartan.d)]
+        for i, j in sorted(arrow_set):
+            self._out[i].append(j)
+            self._in[j].append(i)
         self.topological_order = self._toposort()
 
     def _toposort(self) -> tuple[int, ...]:
-        n = self.cartan.d
-        indeg = [0] * n
-        for _, j in self.arrows:
-            indeg[j] += 1
-        ready = sorted(v for v in range(n) if indeg[v] == 0)
+        """Kahn's order, always taking the least ready vertex."""
+        indeg = [len(sources) for sources in self._in]
+        ready = [v for v, k in enumerate(indeg) if not k]  # ascending, so a heap
         order = []
         while ready:
-            v = ready.pop(0)
+            v = heappop(ready)
             order.append(v)
-            for (a, b) in sorted(self.arrows):
-                if a == v:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        ready.append(b)
-            ready.sort()
-        if len(order) != n:
+            for b in self._out[v]:
+                indeg[b] -= 1
+                if not indeg[b]:
+                    heappush(ready, b)
+        if len(order) != self.cartan.d:
             raise CyclicOrientation("orientation has a directed cycle")
         return tuple(order)
 
     def out_neighbors(self, j: int) -> list[int]:
-        return sorted(i for (a, i) in self.arrows if a == j)
+        return list(self._out[j])
 
     def in_neighbors(self, j: int) -> list[int]:
-        return sorted(i for (i, b) in self.arrows if b == j)
+        return list(self._in[j])
 
     def exponent(self, neighbor: int, vertex: int) -> int:
         """|C_ij| with i the neighbor and j the vertex whose step is computed."""

@@ -306,8 +306,8 @@ def nrational_witness(
         base = None
         for n in range(256):
             p = point(i + n * q)
-            if e.classify(p) == "below":
-                first, last = word_span(e, p)
+            side, first, last = e.locate(p)
+            if side == "below":
                 if (b == 0 or first <= 0) and (a == 0 or last >= lc - 1):
                     base = n
                     break

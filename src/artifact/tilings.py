@@ -9,8 +9,11 @@ each lattice point strictly below the path gets the value
 
 where x_1..x_{n+1} is the frontier factor cut out by projecting P onto the
 path (first and last letters dropped). Points above the path go through
-the mirrored embedding. brute_fill recomputes grids purely from the
-unimodularity of 2x2 blocks and is kept as an independent oracle.
+the mirrored embedding. Embedding.locate is the one geometry query: it
+gives a point's side and its word's letter span, in the mirrored
+frontier's indices above the path and as the vertex index (i, i) on it.
+brute_fill recomputes grids purely from the unimodularity of 2x2 blocks
+and is kept as an independent oracle.
 
 The adjacent-diagonal relation everywhere: with A=t(u,v), B=t(u+1,v),
 C=t(u,v+1), D=t(u+1,v+1) it reads C*B - D*A = 1.
@@ -137,6 +140,7 @@ class Embedding:
     a block prefix), so it lies on the antidiagonal u + v = i + sum(anchor).
     The vertices on column (row) anchor + t run from just after the t-th
     x (y) up to the (t+1)-th, found the same way from letter positions.
+    locate, the one geometry query, reads side and word span off them.
     """
 
     def __init__(self, frontier: Frontier, anchor: Point = (0, 0)):
@@ -189,16 +193,27 @@ class Embedding:
     def row_run(self, v: int) -> tuple[int, int]:
         return self._run(v, 1)
 
+    def locate(self, p: Point) -> tuple[str, int, int]:
+        """p's side of the path, and the letter span (first, last) of its word.
+
+        Below, the span runs from the y leaving row v's last vertex to the x
+        entering column u's first. Above, it is the span of (v, u) in
+        mirror(), whose indices are the same. On the path it is (i, i), for
+        vertex i. Two lookups below the path, three on or above it.
+        """
+        du, dv = p[0] - self.anchor[0], p[1] - self.anchor[1]
+        i = du + dv  # the index of vertices on p's antidiagonal
+        ilo = self._after(du, 0)
+        if i < ilo:
+            return "below", self._after(dv + 1, 1) - 1, ilo - 1
+        ihi = self._after(du + 1, 0) - 1
+        if i <= ihi:
+            return "on", i, i
+        return "above", ihi, self._after(dv, 1) - 1
+
     def classify(self, p: Point) -> str:
         """'below', 'on', or 'above' the frontier path."""
-        u, v = p
-        ilo, ihi = self.column_run(u)
-        i = u + v - self.anchor[0] - self.anchor[1]  # the index of vertices on p's antidiagonal
-        if i < ilo:
-            return "below"
-        if i <= ihi:
-            return "on"
-        return "above"
+        return self.locate(p)[0]
 
     def mirror(self) -> "Embedding":
         """Letter-swapped frontier: reflecting across the main diagonal
@@ -207,24 +222,22 @@ class Embedding:
             self._mirror = Embedding(self.frontier.swapped(), (self.anchor[1], self.anchor[0]))
         return self._mirror
 
-    def mirror_point(self, p: Point) -> Point:
-        return (p[1], p[0])
-
 
 def word_span(e: Embedding, p: Point) -> tuple[int, int]:
     """Letter indices (first, last) of the word of a below point."""
-    if e.classify(p) != "below":
+    side, first, last = e.locate(p)
+    if side != "below":
         raise PointOnOrAboveFrontier("point %r is not strictly below the frontier" % (p,))
-    u, v = p
-    first = e.row_run(v)[1]  # the y leaving the rightmost vertex at height v
-    last = e.column_run(u)[0] - 1  # the x entering the lowest vertex over u
     return first, last
 
 
 def word_of_point(e: Embedding, p: Point) -> str:
     """Frontier factor between the two projections of a below point."""
-    first, last = word_span(e, p)
-    word = e.frontier.factor(first, last + 1)
+    return _word(e.frontier, *word_span(e, p), p)
+
+
+def _word(fr: Frontier, first: int, last: int, p: Point) -> str:
+    word = fr.factor(first, last + 1)
     if len(word) < 2 or word[0] != "y" or word[-1] != "x":
         raise InconsistentGeometry("word %r of point %r is not y...x" % (word, p))
     return word
@@ -247,20 +260,15 @@ def _mul2(a: Mat2, b: Mat2) -> Mat2:
     return (p * t + q * v, p * u + q * w), (r * t + s * v, r * u + s * w)
 
 
-def _inner_value(word: str) -> int:
-    # (1,1) M(x_2) ... M(x_n) (1,1)^T, first and last letters dropped
-    (p, q), (r, s) = step_product(word[1:-1])
-    return p + q + r + s
-
-
 def tile_value(e: Embedding, p: Point) -> int:
     """The tiling value at any lattice point; frontier vertices give 1."""
-    side = e.classify(p)
+    side, first, last = e.locate(p)
     if side == "on":
         return 1
-    if side == "above":
-        return tile_value(e.mirror(), e.mirror_point(p))
-    return _inner_value(word_of_point(e, p))
+    word = _word((e.mirror() if side == "above" else e).frontier, first, last, p)
+    # (1,1) M(x_2) ... M(x_n) (1,1)^T, first and last letters dropped
+    (a, b), (c, d) = step_product(word[1:-1])
+    return a + b + c + d
 
 
 # ----------------------------------------------------------------------
@@ -380,15 +388,13 @@ def ray_values(e: Embedding, origin: Point, direction: Point, count: int) -> Ray
     if a * b > 0:
         raise ValueError("direction (%d,%d) must satisfy a*b <= 0" % (a, b))
     vals = [1] * count
-    spans: dict[Embedding, list[tuple[int, int, int]]] = {}
+    spans: dict[str, list[tuple[int, int, int]]] = {}
     for n in range(count):
-        p = (origin[0] + n * a, origin[1] + n * b)
-        side = e.classify(p)
+        side, first, last = e.locate((origin[0] + n * a, origin[1] + n * b))
         if side != "on":
-            below, p = (e, p) if side == "below" else (e.mirror(), e.mirror_point(p))
-            spans.setdefault(below, []).append((*word_span(below, p), n))
-    for below, points in spans.items():
-        factor, m = below.frontier.factor, None
+            spans.setdefault(side, []).append((first, last, n))
+    for side, points in spans.items():
+        factor, m = (e.mirror() if side == "above" else e).frontier.factor, None
         for f2, l2, n in sorted(points, key=lambda s: s[1] - s[0]):
             if m is not None and f2 <= f and l <= l2:
                 m = step_product(factor(l, l2), _mul2(step_product(factor(f2 + 1, f + 1)), m))

@@ -65,7 +65,7 @@ def test_growth_probe_reports_are_consistent():
 
 def test_no_straddling_window_raises_value_error(monkeypatch):
     # with every point below the frontier no window meets both sides
-    monkeypatch.setattr(Embedding, "classify", lambda self, p: "below")
+    monkeypatch.setattr(Embedding, "locate", lambda self, p: ("below", 0, 1))
     with pytest.raises(acceptance.NoStraddlingWindow):
         acceptance._best_window(Embedding(Frontier("xy", "", "xy")))
     # the suite reports the raise as a failed check rather than crashing

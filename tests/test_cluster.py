@@ -162,7 +162,7 @@ def _tile_by_word_value_vars(e: Embedding, names, p) -> LaurentPoly:
     if side == "on":
         return V(names((p[0] + p[1]) - sum(e.anchor)))
     if side == "above":
-        return _tile_by_word_value_vars(e.mirror(), names, e.mirror_point(p))
+        return _tile_by_word_value_vars(e.mirror(), names, (p[1], p[0]))
     first, last = word_span(e, p)
     return word_value_vars([names(i) for i in range(first, last + 2)],
                            e.frontier.factor(first, last + 1))

@@ -404,6 +404,50 @@ def test_quiver_orientation_and_order():
         Quiver(c, [(0, 1), (1, 2), (2, 0)])
 
 
+def _toposort_by_sorting(d, arrows):
+    # the toposort that re-sorted the whole arrow set for every vertex it
+    # popped, kept as the oracle; None for a directed cycle
+    indeg = [0] * d
+    for _, j in arrows:
+        indeg[j] += 1
+    ready = sorted(v for v in range(d) if indeg[v] == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for (a, b) in sorted(arrows):
+            if a == v:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    ready.append(b)
+        ready.sort()
+    return tuple(order) if len(order) == d else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(valued_graphs(), st.data())
+def test_toposort_matches_the_sorting_oracle(c, data):
+    # a vertex ranking orients every edge acyclically; the arrows go in
+    # shuffled, as a caller may pass them
+    rank = data.draw(st.permutations(range(c.d)))
+    arrows = data.draw(st.permutations(
+        [(i, j) if rank[i] < rank[j] else (j, i) for i, j in c.edges()]))
+    q = Quiver(c, arrows)
+    assert q.topological_order == _toposort_by_sorting(c.d, arrows)
+    for v in range(c.d):
+        assert q.out_neighbors(v) == sorted(b for a, b in arrows if a == v)
+        assert q.in_neighbors(v) == sorted(a for a, b in arrows if b == v)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_directed_cycle_raises_like_the_sorting_oracle(m):
+    c = catalog_diagram("Atilde", m)
+    arrows = [(v, (v + 1) % c.d) for v in range(c.d)]
+    assert _toposort_by_sorting(c.d, arrows) is None
+    with pytest.raises(CyclicOrientation):
+        Quiver(c, arrows)
+
+
 def test_quiver_requires_total_orientation():
     c = catalog_diagram("A", 3)
     with pytest.raises(ValueError):

@@ -395,6 +395,30 @@ def test_closed_form_geometry_matches_walk(e, far):
             assert e.classify((u, v)) == walk.classify((u, v)), (u, v)
 
 
+def _walk_span(walk: WalkingEmbedding, p):
+    # from the y leaving the last vertex on row v to the x entering column u
+    u, v = p
+    return walk.row_run(v)[1], walk.column_run(u)[0] - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(embeddings())
+def test_locate_matches_walk(e):
+    walk = WalkingEmbedding(e.frontier, e.anchor)
+    walk_mirror = WalkingEmbedding(e.frontier.swapped(), (e.anchor[1], e.anchor[0]))
+    (ulo, vlo), (uhi, vhi) = walk.vertex(-10), walk.vertex(10)
+    for u in range(ulo - 2, uhi + 3):
+        for v in range(vlo - 2, vhi + 3):
+            side, first, last = e.locate((u, v))
+            assert side == walk.classify((u, v)), (u, v)
+            if side == "below":
+                assert (first, last) == _walk_span(walk, (u, v)), (u, v)
+            elif side == "above":
+                assert (first, last) == _walk_span(walk_mirror, (v, u)), (u, v)
+            else:
+                assert first == last and walk.vertex(first) == (u, v), (u, v)
+
+
 @settings(max_examples=150, deadline=None)
 @given(embeddings(), st.integers(-10, 10), st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
        st.sampled_from([(1, -1), (-1, 1), (1, 0), (0, -1), (-1, 0), (0, 1)]),

@@ -45,6 +45,12 @@ their frises at 60 steps and the 219 rows of those frises:
   result, as in ``probe_conjecture``);
 - ``classify`` of the 51 Cartan matrices.
 
+Frontier geometry (``Embedding.locate`` and the transfer matrices it
+feeds) gets one line, on the inputs of one integer-tiles pass of perfbench
+at seed 1: ``tile_grid`` over its 48 windows of 12x12 cells and
+``ray_values`` over the rays of ``perfbench/rays.json``, with every
+embedding built before the clock starts.
+
 Each line is the best of five runs in one process. Run from the root of a
 checkout; the library is imported from ./src.
 """
@@ -109,6 +115,23 @@ def minor_calls(calls: list) -> list:
     return minors
 
 
+def geometry_calls(seed: int) -> tuple[list, list]:
+    """(embedding, region) of every window and (embedding, origin,
+    direction, count) of every ray of one integer-tiles pass, drawn as
+    perfbench's workload draws them."""
+    rng = random.Random(seed)
+    windows = []
+    for _ in range(workloads.INTEGER_WINDOWS["full"]):
+        fr = workloads.random_frontier(rng)
+        du, dv = rng.randint(-10, 1), rng.randint(-10, 1)
+        windows.append((tilings.Embedding(fr), (du, dv, du + 11, dv + 11)))
+    rays = []
+    for spec in workloads.load_rays("full"):
+        e = tilings.Embedding(tilings.parse_frontier(spec["frontier"]))
+        rays.append((e, e.vertex(spec["vertex"]), tuple(spec["direction"]), spec["count"]))
+    return windows, rays
+
+
 def period(fr: frises.Frise):
     try:
         return frises.detect_period(fr)
@@ -127,6 +150,7 @@ def main() -> None:
                for _, kind, m, _ in diagrams.catalog_members(d)]
     probe_frises = [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers]
     probe_rows = [fr.row(v) for fr in probe_frises for v in range(fr.quiver.cartan.d)]
+    windows, rays = geometry_calls(TILES_SEED)
     rows = [
         ("frise_extend_vars Atilde3, 14 steps",
          best(lambda: frises.frise_extend_vars(atilde3, 14))),
@@ -152,6 +176,10 @@ def main() -> None:
          best(lambda: [period(fr) for fr in probe_frises])),
         ("classify x %d probe Cartans" % len(quivers),
          best(lambda: [diagrams.classify(q.cartan) for q in quivers])),
+        ("tile_grid x %d + ray_values x %d, integer-tiles seed %d"
+         % (len(windows), len(rays), TILES_SEED),
+         best(lambda: ([tilings.tile_grid(*w) for w in windows],
+                       [tilings.ray_values(*r) for r in rays]))),
     ]
     for label, seconds in rows:
         print("%-54s %8.4f s" % (label, seconds))
