@@ -116,7 +116,8 @@ def _word_length(e: Embedding, p: tuple[int, int]) -> int:
 
 def _check_words(e: Embedding, ends: list[tuple[int, int]]) -> None:
     # words grow away from the frontier, so a rectangle's or a ray's longest
-    # word sits at one of its corners or ends
+    # word on each side is at a corner or an end, and tile_values walks no
+    # more letters per side than that word has: the cap bounds the real work
     _check_limit("frontier word length", max(_word_length(e, p) for p in ends),
                  "ARTIFACT_MAX_REGION")
 

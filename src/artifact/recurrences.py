@@ -21,7 +21,7 @@ from math import gcd, lcm
 from operator import index, mul
 from typing import Optional, Sequence
 
-from .tilings import Embedding, Point, ray_values, step_product, tile_value, word_span
+from .tilings import Embedding, Point, ray_values, step_product, tile_values, word_span
 
 Mat = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
@@ -302,20 +302,17 @@ def nrational_witness(
 
     residues = []
     for i in range(q):
-        tape_vals: list[int] = []
         base = None
         for n in range(256):
-            p = point(i + n * q)
-            side, first, last = e.locate(p)
-            if side == "below":
-                if (b == 0 or first <= 0) and (a == 0 or last >= lc - 1):
-                    base = n
-                    break
-            tape_vals.append(tile_value(e, p))
+            side, first, last = e.locate(point(i + n * q))
+            if side == "below" and (b == 0 or first <= 0) and (a == 0 or last >= lc - 1):
+                base = n
+                break
         if base is None:
             raise NotUltimatelyPeriodic(
                 "residue %d of the ray never reaches the periodic tails" % i
             )
+        tape_vals = tile_values(e, [point(i + n * q) for n in range(base)])
 
         f0, l0 = word_span(e, point(i + base * q))
         f1, l1 = word_span(e, point(i + (base + 1) * q))

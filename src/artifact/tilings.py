@@ -9,9 +9,9 @@ each lattice point strictly below the path gets the value
 
 where x_1..x_{n+1} is the frontier factor cut out by projecting P onto the
 path (first and last letters dropped). Points above the path go through
-the mirrored embedding. Embedding.locate is the one geometry query: it
-gives a point's side and its word's letter span, in the mirrored
-frontier's indices above the path and as the vertex index (i, i) on it.
+the mirrored embedding. tile_values, the one route of tile_value,
+tile_grid and ray_values, pairs two prefix products of one letter walk per
+side (Embedding.locate gives a point's side and word span one at a time).
 brute_fill recomputes grids purely from the unimodularity of 2x2 blocks
 and is kept as an independent oracle.
 
@@ -72,6 +72,14 @@ def _check_letters(w: str, what: str) -> str:
     return w
 
 
+def _cycle(block: str, start: int, stop: int) -> str:
+    """Letters start..stop-1 of block repeated both ways from index 0."""
+    if start >= stop:
+        return ""
+    r = start % len(block)
+    return (block * ((stop - start) // len(block) + 2))[r:r + stop - start]
+
+
 class Frontier:
     """Ultimately periodic bi-infinite word; center starts at index 0."""
 
@@ -95,13 +103,11 @@ class Frontier:
         return self.left[i % len(self.left)]
 
     def factor(self, start: int, stop: int) -> str:
-        """Letters start..stop-1."""
-        return "".join(self.letter(i) for i in range(start, stop))
-
-    def transpose(self) -> "Frontier":
-        return Frontier(
-            transpose_word(self.right), transpose_word(self.center), transpose_word(self.left)
-        )
+        """Letters start..stop-1: slices of the left tail, the center and
+        the right tail, each tail repeated just enough to cover its part."""
+        n = len(self.center)
+        return (_cycle(self.left, start, min(stop, 0)) + self.center[max(start, 0):max(stop, 0)]
+                + _cycle(self.right, max(start, n) - n, stop - n))
 
     def swapped(self) -> "Frontier":
         return Frontier(swap_word(self.left), swap_word(self.center), swap_word(self.right))
@@ -140,7 +146,7 @@ class Embedding:
     a block prefix), so it lies on the antidiagonal u + v = i + sum(anchor).
     The vertices on column (row) anchor + t run from just after the t-th
     x (y) up to the (t+1)-th, found the same way from letter positions.
-    locate, the one geometry query, reads side and word span off them.
+    locate and tile_values read side and word span off them.
     """
 
     def __init__(self, frontier: Frontier, anchor: Point = (0, 0)):
@@ -152,9 +158,6 @@ class Embedding:
         # each x and after each y
         self._xs = [list(accumulate((ch == "x" for ch in w), initial=0)) for w in blocks]
         self._ends = [[[k + 1 for k, ch in enumerate(w) if ch == a] for w in blocks] for a in "xy"]
-
-    def letter(self, i: int) -> str:
-        return self.frontier.letter(i)
 
     def vertex(self, i: int) -> Point:
         left, center, right = self._xs
@@ -233,11 +236,8 @@ def word_span(e: Embedding, p: Point) -> tuple[int, int]:
 
 def word_of_point(e: Embedding, p: Point) -> str:
     """Frontier factor between the two projections of a below point."""
-    return _word(e.frontier, *word_span(e, p), p)
-
-
-def _word(fr: Frontier, first: int, last: int, p: Point) -> str:
-    word = fr.factor(first, last + 1)
+    first, last = word_span(e, p)
+    word = e.frontier.factor(first, last + 1)
     if len(word) < 2 or word[0] != "y" or word[-1] != "x":
         raise InconsistentGeometry("word %r of point %r is not y...x" % (word, p))
     return word
@@ -254,21 +254,58 @@ def step_product(word: str, m: Mat2 = ((1, 0), (0, 1))) -> Mat2:
     return (p, q), (r, s)
 
 
-def _mul2(a: Mat2, b: Mat2) -> Mat2:
-    (p, q), (r, s) = a
-    (t, u), (v, w) = b
-    return (p * t + q * v, p * u + q * w), (r * t + s * v, r * u + s * w)
+def tile_values(e: Embedding, points: list[Point]) -> list[int]:
+    """Tiling values at a list of points, by one letter walk per side.
+
+    On each side of the path (in mirror()'s letters above it), let base be
+    the least first index of the points' words and A_i the product of the
+    step matrices of letters base+1..i-1. Every M is in SL2(N), so the word
+    f..l has the value (1,1) A_{f+1}^-1 A_l (1,1)^T; with the integer
+    adjugate as the inverse, A_{f+1} = [[a,b],[c,d]] and A_l = [[x,y],[z,w]],
+    that is (d-c)(x+y) + (a-b)(z+w): the walk keeps the row (d-c, a-b) from
+    each f+1 and pairs it at l. Size: on each side of a rectangle, or of a
+    ray with a*b <= 0, one word spans all the others, so the walk is no
+    longer than it, and each A_i, entrywise at most that word's product,
+    stays below the square of the largest value.
+    """
+    cols = {u: e.column_run(u) for u in {p[0] for p in points}}
+    rows = {v: e.row_run(v) for v in {p[1] for p in points}}
+    shift, vals, sides = sum(e.anchor), [1] * len(points), ([], [])
+    for n, (u, v) in enumerate(points):
+        (clo, chi), (rlo, rhi) = cols[u], rows[v]
+        i = u + v - shift  # the index of the vertices on p's antidiagonal
+        if i < clo:
+            sides[0].append((rhi, clo - 1, n))  # (first, last, n) below
+        elif i > chi:
+            sides[1].append((chi, rlo - 1, n))  # and above, in mirror()'s indices
+    for spans, mirrored in zip(sides, (False, True)):
+        if not spans:
+            continue
+        fr = e.mirror().frontier if mirrored else e.frontier
+        base = min(s[0] for s in spans)
+        word = fr.factor(base, max(s[1] for s in spans) + 1)
+        ends: dict[int, list[tuple[int, int]]] = {}  # l -> (f, n) of its words
+        for f, l, n in spans:
+            if f >= l or word[f - base] != "y" or word[l - base] != "x":
+                raise InconsistentGeometry("word %r of point %r is not y...x"
+                                           % (fr.factor(f, l + 1), points[n]))
+            ends.setdefault(l, []).append((f, n))
+        starts = {s[0] + 1 for s in spans}
+        left, m, at = {}, ((1, 0), (0, 1)), base + 1
+        for k in sorted(starts | ends.keys()):
+            (a, b), (c, d) = m = step_product(word[at - base:k - base], m)
+            at = k
+            if k in starts:
+                left[k] = (d - c, a - b)
+            for f, n in ends.get(k, ()):
+                dc, ab = left[f + 1]
+                vals[n] = dc * (a + b) + ab * (c + d)
+    return vals
 
 
 def tile_value(e: Embedding, p: Point) -> int:
     """The tiling value at any lattice point; frontier vertices give 1."""
-    side, first, last = e.locate(p)
-    if side == "on":
-        return 1
-    word = _word((e.mirror() if side == "above" else e).frontier, first, last, p)
-    # (1,1) M(x_2) ... M(x_n) (1,1)^T, first and last letters dropped
-    (a, b), (c, d) = step_product(word[1:-1])
-    return a + b + c + d
+    return tile_values(e, [p])[0]
 
 
 # ----------------------------------------------------------------------
@@ -341,14 +378,12 @@ def brute_fill(e: Embedding, region: Region) -> dict[Point, int]:
 
 
 def tile_grid(e: Embedding, region: Region) -> dict[Point, int]:
-    """The same rectangle as brute_fill, through the word formula, filled
-    column by column as vertical rays."""
+    """The same rectangle as brute_fill, by one tile_values call."""
     u0, v0, u1, v1 = region
-    grid = {}
-    for u in range(u0, u1 + 1):
-        column = ray_values(e, (u, v0), (0, 1), v1 - v0 + 1).values
-        grid.update(((u, v0 + k), x) for k, x in enumerate(column))
-    return grid
+    if u0 > u1 or v0 > v1:
+        raise ValueError("empty region %r" % (region,))
+    points = [(u, v) for u in range(u0, u1 + 1) for v in range(v0, v1 + 1)]
+    return dict(zip(points, tile_values(e, points)))
 
 
 def verify_sl2(grid: dict[Point, int]) -> None:
@@ -377,32 +412,18 @@ class Ray:
 def ray_values(e: Embedding, origin: Point, direction: Point, count: int) -> Ray:
     """Values t(origin + n*direction) for n = 0..count-1.
 
-    On each side of the frontier the words of the ray's points are nested,
-    so the points are taken from the shortest word out and each value is
-    extended by transfer matrices: the previous inner product, times the
-    step matrices of the new letters at each end. Frontier points give 1.
+    One tile_values call; on each side of the frontier the ray's words are
+    nested, so the walk is no longer than the word at its end on that side.
     """
     a, b = direction
     if (a, b) == (0, 0):
         raise ValueError("direction must be nonzero")
     if a * b > 0:
         raise ValueError("direction (%d,%d) must satisfy a*b <= 0" % (a, b))
-    vals = [1] * count
-    spans: dict[str, list[tuple[int, int, int]]] = {}
-    for n in range(count):
-        side, first, last = e.locate((origin[0] + n * a, origin[1] + n * b))
-        if side != "on":
-            spans.setdefault(side, []).append((first, last, n))
-    for side, points in spans.items():
-        factor, m = (e.mirror() if side == "above" else e).frontier.factor, None
-        for f2, l2, n in sorted(points, key=lambda s: s[1] - s[0]):
-            if m is not None and f2 <= f and l <= l2:
-                m = step_product(factor(l, l2), _mul2(step_product(factor(f2 + 1, f + 1)), m))
-            else:
-                m = step_product(factor(f2 + 1, l2))
-            f, l = f2, l2
-            vals[n] = sum(m[0]) + sum(m[1])
-    return Ray(origin, direction, tuple(vals))
+    if count < 0:
+        raise ValueError("count must be at least 0, got %d" % count)
+    points = [(origin[0] + n * a, origin[1] + n * b) for n in range(count)]
+    return Ray(origin, direction, tuple(tile_values(e, points)))
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact._fixtures import load_grid
+from artifact.cli import _word_length
 from artifact.tilings import (
     Embedding,
     Frontier,
@@ -26,12 +27,14 @@ from artifact.tilings import (
     swap_word,
     tile_grid,
     tile_value,
+    tile_values,
     transpose_word,
     verify_quadratic_lemma,
     verify_sl2,
     verify_square_lemma,
     word_of_point,
 )
+from tiling_oracles import ray_values_nested, tile_value_by_word
 
 # The big staircase grid: head of the right tail, continued by an xy zigzag.
 PREFIX = "xyxxxyyyyyxyyyx"
@@ -289,9 +292,20 @@ def test_ray_validation():
         ray_values(e, (0, 0), (1, 1), 3)
     with pytest.raises(ValueError):
         ray_values(e, (0, 0), (0, 0), 3)
+    with pytest.raises(ValueError, match="count must be at least 0"):
+        ray_values(e, (0, 0), (1, 0), -1)
+    assert ray_values(e, (0, 0), (1, 0), 0) == Ray((0, 0), (1, 0), ())
     ray = ray_values(e, (2, 0), (1, 0), 4)
     assert isinstance(ray, Ray)
     assert ray.values[0] == tile_value(e, (2, 0))
+
+
+@pytest.mark.parametrize("region", [(1, 0, 0, 0), (0, 1, 0, 0), (3, 3, -3, -3)])
+def test_empty_region_raises_like_brute_fill(region):
+    e = Embedding(parse_frontier("[xy]* [xy]*"))
+    for fill in (tile_grid, brute_fill):
+        with pytest.raises(ValueError, match=r"empty region \(%d, %d, %d, %d\)" % region):
+            fill(e, region)
 
 
 # ----------------------------------------------------------------------
@@ -428,9 +442,10 @@ def test_ray_values_match_pointwise_tile_value(e, k, offset, signs, a, b, count)
     # and cross it
     (u, v), d = e.vertex(k), (signs[0] * a, signs[1] * b)
     origin = (u + offset[0], v + offset[1])
-    expected = tuple(tile_value(e, (origin[0] + n * d[0], origin[1] + n * d[1]))
+    expected = tuple(tile_value_by_word(e, (origin[0] + n * d[0], origin[1] + n * d[1]))
                      for n in range(count))
     assert ray_values(e, origin, d, count).values == expected
+    assert ray_values_nested(e, origin, d, count) == expected
 
 
 @pytest.mark.parametrize("origin, direction, sides", [
@@ -445,14 +460,16 @@ def test_rays_crossing_the_frontier_match_tile_value(origin, direction, sides):
     points = [(origin[0] + n * direction[0], origin[1] + n * direction[1]) for n in range(14)]
     seen = [e.classify(p) for p in points]
     assert [s for i, s in enumerate(seen) if i == 0 or s != seen[i - 1]] == sides
-    assert ray_values(e, origin, direction, 14).values == tuple(tile_value(e, p) for p in points)
-    assert ray_values(e, origin, direction, 1).values == (tile_value(e, origin),)
+    expected = tuple(tile_value_by_word(e, p) for p in points)
+    assert ray_values(e, origin, direction, 14).values == expected
+    assert ray_values(e, origin, direction, 1).values == expected[:1]
 
 
 def _tile_grid_by_cells(e, region):
-    """tile_grid's former form: one tile_value per cell."""
+    """One word product per cell."""
     u0, v0, u1, v1 = region
-    return {(u, v): tile_value(e, (u, v)) for u in range(u0, u1 + 1) for v in range(v0, v1 + 1)}
+    return {(u, v): tile_value_by_word(e, (u, v))
+            for u in range(u0, u1 + 1) for v in range(v0, v1 + 1)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -466,6 +483,64 @@ def test_tile_grid_matches_cellwise_tile_value(e, k, offset, width, height):
     expected = _tile_grid_by_cells(e, region)
     assert grid == expected
     assert list(grid) == list(expected)
+
+
+DIRECTIONS = sorted({(sa * a, sb * b) for a in range(4) for b in range(4)
+                     for sa, sb in ((1, -1), (-1, 1)) if (a, b) != (0, 0)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(embeddings(), st.integers(-10, 10), st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+       st.sampled_from(DIRECTIONS), st.integers(0, 200))
+def test_long_rays_match_the_nested_transfer_matrices(e, k, offset, d, count):
+    # every direction with a*b <= 0 and |a|, |b| <= 3, long enough that the
+    # prefix products and the pairing's terms run to hundreds of digits
+    u, v = e.vertex(k)
+    origin = (u + offset[0], v + offset[1])
+    assert ray_values(e, origin, d, count).values == ray_values_nested(e, origin, d, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(embeddings(), st.integers(-10, 10),
+       st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=12))
+def test_tile_values_match_the_word_product(e, k, offsets):
+    # scattered points on both sides of the path and on it, repeats allowed
+    u, v = e.vertex(k)
+    points = [(u + du, v + dv) for du, dv in offsets]
+    expected = [tile_value_by_word(e, p) for p in points]
+    assert tile_values(e, points) == expected
+    assert [tile_value(e, p) for p in points] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(embeddings(), st.integers(-40, 40), st.integers(-40, 40))
+def test_factor_slices_match_the_letters(e, start, stop):
+    # ranges start and stop in either tail or the center, cross it, or are empty
+    fr = e.frontier
+    assert fr.factor(start, stop) == "".join(fr.letter(i) for i in range(start, stop))
+
+
+@settings(max_examples=150, deadline=None)
+@given(embeddings(), st.integers(-10, 10), st.tuples(st.integers(-8, 4), st.integers(-8, 4)),
+       st.integers(0, 6), st.integers(0, 6), st.sampled_from(DIRECTIONS), st.integers(1, 40))
+def test_walks_stay_within_the_cli_word_budget(e, k, offset, width, height, d, count):
+    # the CLI caps the words at a tile rectangle's corners and a ray's ends;
+    # each side's walk reads one factor, which that cap must bound
+    u, v = e.vertex(k)
+    u0, v0 = u + offset[0], v + offset[1]
+    u1, v1 = u0 + width, v0 + height
+    corners = [(u0, v0), (u0, v1), (u1, v0), (u1, v1)]
+    end = (u0 + (count - 1) * d[0], v0 + (count - 1) * d[1])
+    factor = Frontier.factor
+    for fill, ends in ((lambda: tile_grid(e, (u0, v0, u1, v1)), corners),
+                       (lambda: ray_values(e, (u0, v0), d, count), [(u0, v0), end])):
+        walked = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Frontier, "factor",
+                       lambda self, a, b: walked.append(b - a) or factor(self, a, b))
+            fill()
+        assert len(walked) <= 2
+        assert max(walked, default=0) <= max(_word_length(e, p) for p in ends) + 2
 
 
 # ----------------------------------------------------------------------
@@ -496,3 +571,19 @@ def test_asymmetric_periodic_frontier_raises_arithmetic_error(monkeypatch):
                         lambda self, i: "x" if i == 40 else letter(self, i))
     with pytest.raises(InconsistentGeometry, match="transpose-symmetric"):
         periodic_frontier("xyxx", 1, 0)
+
+
+@pytest.mark.parametrize("run, shift, fill", [
+    # a row's last vertex one letter early: its words start with an x
+    ("row_run", (0, -1), lambda e: tile_grid(e, (1, -4, 4, -1))),
+    # a column's first vertex one letter late: its words end with a y
+    ("column_run", (1, 0), lambda e: ray_values(e, (0, -3), (1, 0), 5)),
+    ("column_run", (1, 0), lambda e: tile_value(e, (1, -1))),
+])
+def test_inconsistent_runs_raise_arithmetic_error(monkeypatch, run, shift, fill):
+    e = Embedding(parse_frontier("[xy]* [xy]*"))
+    true_run = getattr(Embedding, run)
+    monkeypatch.setattr(Embedding, run, lambda self, c: tuple(
+        end + step for end, step in zip(true_run(self, c), shift)))
+    with pytest.raises(InconsistentGeometry, match="not y...x"):
+        fill(e)

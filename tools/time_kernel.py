@@ -45,11 +45,14 @@ their frises at 60 steps and the 219 rows of those frises:
   result, as in ``probe_conjecture``);
 - ``classify`` of the 51 Cartan matrices.
 
-Frontier geometry (``Embedding.locate`` and the transfer matrices it
-feeds) gets one line, on the inputs of one integer-tiles pass of perfbench
-at seed 1: ``tile_grid`` over its 48 windows of 12x12 cells and
-``ray_values`` over the rays of ``perfbench/rays.json``, with every
-embedding built before the clock starts.
+Integer tiles (``tilings.tile_values``: side and word span from one
+``column_run``/``row_run`` per distinct coordinate, then one letter walk
+per side of the frontier whose prefix products are paired per point) get
+two lines, on the inputs of one integer-tiles pass of perfbench at seed 1,
+with every embedding built before the clock starts:
+
+- ``tile_grid`` over its 48 windows of 12x12 cells;
+- ``ray_values`` over the rays of ``perfbench/rays.json``.
 
 Each line is the best of five runs in one process. Run from the root of a
 checkout; the library is imported from ./src.
@@ -176,10 +179,10 @@ def main() -> None:
          best(lambda: [period(fr) for fr in probe_frises])),
         ("classify x %d probe Cartans" % len(quivers),
          best(lambda: [diagrams.classify(q.cartan) for q in quivers])),
-        ("tile_grid x %d + ray_values x %d, integer-tiles seed %d"
-         % (len(windows), len(rays), TILES_SEED),
-         best(lambda: ([tilings.tile_grid(*w) for w in windows],
-                       [tilings.ray_values(*r) for r in rays]))),
+        ("tile_grid x %d windows, integer-tiles seed %d" % (len(windows), TILES_SEED),
+         best(lambda: [tilings.tile_grid(*w) for w in windows])),
+        ("ray_values x %d rays, integer-tiles seed %d" % (len(rays), TILES_SEED),
+         best(lambda: [tilings.ray_values(*r) for r in rays])),
     ]
     for label, seconds in rows:
         print("%-54s %8.4f s" % (label, seconds))
