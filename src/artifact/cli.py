@@ -136,7 +136,8 @@ def _quiver_from_options(name: str | None, cartan: str | None, quiver_json: str 
     given = [o for o in (name, cartan, quiver_json) if o is not None]
     if len(given) != 1:
         raise click.UsageError("give exactly one of --quiver, --cartan, --quiver-json")
-    # diagrams are built as dense d x d matrices, so d is capped before building
+    # d bounds the input (--cartan and --quiver-json are checked as d x d
+    # rows) and the frise work, so it is capped before anything is built
     if name is not None:
         digits = name.strip()[len(name.strip().rstrip("0123456789")):]
         if digits:

@@ -143,9 +143,6 @@ class FriezePattern:
         except KeyError:
             raise RegionOutsideComponents("cell (%d, %d) is empty" % (row, col)) from None
 
-    def subst(self, mapping) -> "FriezePattern":
-        return FriezePattern({p: v.subst(mapping) for p, v in self.cells.items()})
-
     def minor_check(self) -> int:
         """Verify det = 1 on every fully filled 2x2 block; return the count."""
         checked = 0

@@ -24,7 +24,6 @@ from .diagrams import (
     Quiver,
     catalog_diagram,
     classify,
-    validate_cartan,
 )
 from .frises import Frise, WindowTooShort, detect_period, frise_extend
 from .recurrences import find_min_recurrence
@@ -42,14 +41,6 @@ def validate_orientation_word(w: str) -> str:
     return w
 
 
-def _cycle_cartan(d: int):
-    entries = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
-    for i in range(d):
-        j = (i + 1) % d
-        entries[i][j] = entries[j][i] = -1
-    return validate_cartan(entries)
-
-
 def cycle_quiver(w: str) -> Quiver:
     """Orient the cycle on len(w) vertices letterwise.
 
@@ -62,7 +53,7 @@ def cycle_quiver(w: str) -> Quiver:
         (v, (v + 1) % d) if ch == "x" else ((v + 1) % d, v)
         for v, ch in enumerate(w)
     ]
-    return Quiver(_cycle_cartan(d), arrows)
+    return Quiver(catalog_diagram("Atilde", d - 1), arrows)
 
 
 def cycle_check(w: str, steps: int = 12) -> dict:

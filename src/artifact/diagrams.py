@@ -8,6 +8,9 @@ members are valued trees, keyed by centre-rooted AHU strings with each edge
 read as its valuation, and simply-laced cycles. The additive certificate is
 computed for trees and simply-laced cycles on the key's walk of the graph;
 every other graph has none by Vinberg's theorem (`find_additive_function`).
+
+A `CartanMatrix` is held as valued adjacency lists, so every walk costs
+O(edges). Dense rows are only ever input: `validate_cartan` reads them.
 """
 
 from __future__ import annotations
@@ -45,38 +48,36 @@ VIOLATED = "Violated"
 
 
 class CartanMatrix:
-    """Validated integer Cartan matrix of a connected valued diagram."""
+    """Validated Cartan matrix of a connected valued diagram, held as d and
+    one dict per vertex i from each neighbour j (ascending) to |C_ij|."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("d", "_adj")
 
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        # every caller passes int rows: validate_cartan checks them first
-        self.entries = tuple(map(tuple, entries))
-
-    @property
-    def d(self) -> int:
-        return len(self.entries)
+    def __init__(self, adj: list[dict[int, int]]):
+        # every caller passes ascending dicts of a validated matrix
+        self.d = len(adj)
+        self._adj = adj
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges {i,j}, i < j, of the underlying graph."""
-        n = self.d
-        return [(i, j) for i in range(n) for j in range(i + 1, n) if self.entries[i][j]]
+        return [(i, j) for i, row in enumerate(self._adj) for j in row if j > i]
 
     def valuation(self, i: int, j: int) -> tuple[int, int]:
         """(|C_ij|, |C_ji|) for the edge {i,j}."""
-        return (-self.entries[i][j], -self.entries[j][i])
+        return (self._adj[i][j], self._adj[j][i])
 
     def neighbors(self, j: int) -> list[int]:
-        return [i for i in range(self.d) if i != j and self.entries[i][j]]
+        return list(self._adj[j])
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CartanMatrix) and self.entries == other.entries
+        return isinstance(other, CartanMatrix) and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(tuple(tuple(row.items()) for row in self._adj))
 
     def __repr__(self) -> str:
-        return "CartanMatrix(%r)" % (list(map(list, self.entries)),)
+        return "CartanMatrix(d=%d, edges=%r)" % (
+            self.d, {(i, j): self.valuation(i, j) for i, j in self.edges()})
 
 
 def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanMatrix:
@@ -117,7 +118,7 @@ def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanMatrix:
                 stack.append(u)
     if len(seen) != n:
         raise Disconnected("reached %d of %d vertices" % (len(seen), n))
-    return CartanMatrix(matrix)
+    return CartanMatrix([{j: -row[j] for j in nbrs[i] if j != i} for i, row in enumerate(matrix)])
 
 
 class CyclicOrientation(ValueError):
@@ -133,7 +134,7 @@ class Quiver:
         self.cartan = cartan
         arrow_set = set()
         for i, j in arrows:
-            if not cartan.entries[i][j]:
+            if j not in cartan._adj[i]:
                 raise ValueError("arrow %d->%d has no underlying edge" % (i, j))
             if (j, i) in arrow_set:
                 raise ValueError("edge {%d,%d} oriented twice" % (i, j))
@@ -173,7 +174,7 @@ class Quiver:
 
     def exponent(self, neighbor: int, vertex: int) -> int:
         """|C_ij| with i the neighbor and j the vertex whose step is computed."""
-        return -self.cartan.entries[neighbor][vertex]
+        return self.cartan._adj[neighbor].get(vertex, 0)
 
     def __repr__(self) -> str:
         return "Quiver(d=%d, arrows=%s)" % (self.cartan.d, sorted(self.arrows))
@@ -202,13 +203,11 @@ class DiagramClass:
 
 
 def _edges_to_cartan(d: int, edges: dict[tuple[int, int], tuple[int, int]]) -> CartanMatrix:
-    m = [[0] * d for _ in range(d)]
-    for i in range(d):
-        m[i][i] = 2
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     for (i, j), (a, b) in edges.items():
-        m[i][j] = -a
-        m[j][i] = -b
-    return validate_cartan(m)
+        adj[i].append((j, a))
+        adj[j].append((i, b))
+    return CartanMatrix([dict(sorted(row)) for row in adj])
 
 
 def _path_edges(d: int) -> dict:
@@ -381,22 +380,28 @@ def _walk(c: CartanMatrix) -> tuple[Optional[str], list[tuple[dict, list]]]:
     """c's shape, "cycle" (simply-laced, at least 3 vertices), "tree" or None
     for neither, and for a tree a breadth-first (parent map, order) from each
     centre, the root its own parent. Assumes c is connected."""
-    d = c.d
-    nbrs = [c.neighbors(v) for v in range(d)]
-    degree = [len(n) for n in nbrs]
-    if sum(degree) == 2 * d >= 6 and all(
-            k == 2 and all(c.entries[v][u] == -1 for u in nbrs[v]) for v, k in enumerate(degree)):
-        return "cycle", []
+    d, adj = c.d, c._adj
+    if d >= 3 and all(list(row.values()) == [1, 1] for row in adj):
+        return "cycle", []  # connected, every vertex on two simple edges
+    degree = [len(row) for row in adj]
     if sum(degree) != 2 * d - 2:
         return None, []
-    centres = set(range(d))
-    while len(centres) > 2:  # peel every leaf at once
-        centres -= {v for v in centres if sum(u in centres for u in nbrs[v]) <= 1}
+    # peel every leaf at once; a vertex is a leaf of the next round when the
+    # leaves removed drop its count of live neighbours to 1
+    centres, left = [v for v, k in enumerate(degree) if k <= 1], d
+    while left > 2:
+        left -= len(centres)
+        leaves, centres = centres, []
+        for v in leaves:
+            for u in adj[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    centres.append(u)
     searches = []
     for root in sorted(centres):
         parent, order = {root: root}, [root]
         for v in order:
-            fresh = [u for u in nbrs[v] if u not in parent]
+            fresh = [u for u in adj[v] if u not in parent]
             parent.update(dict.fromkeys(fresh, v))
             order += fresh
         searches.append((parent, order))
@@ -462,8 +467,9 @@ def find_additive_function(c: CartanMatrix) -> Optional[dict[int, Fraction]]:
         slack = 2 - load[v]
         if slack <= 0:
             return None
-        f[v] = -c.entries[parent[v]][v] / slack
-        load[parent[v]] += -c.entries[v][parent[v]] * f[v]
+        p = parent[v]
+        f[v] = c._adj[p][v] / slack
+        load[p] += c._adj[v][p] * f[v]
     if load[order[0]] != 2:
         return None
     for v in order[1:]:
@@ -479,7 +485,7 @@ def check_subadditive(c: CartanMatrix, f: dict[int, Fraction]) -> str:
     strict = False
     for j in range(c.d):
         lhs = 2 * Fraction(f[j])
-        rhs = sum(Fraction(f[i]) * (-c.entries[i][j]) for i in c.neighbors(j))
+        rhs = sum(Fraction(f[i]) * c._adj[i][j] for i in c._adj[j])
         if lhs < rhs:
             return VIOLATED
         if lhs > rhs:
@@ -534,15 +540,15 @@ def quiver_from_json(obj: object) -> Quiver:
     """Read {"vertices": d, "edges": [{"from": i, "to": j, "val": [a, b]}]}.
 
     For an arrow i->j, val[0] = |C_ji| (exponent of the target's value in
-    the source's own step) and val[1] = |C_ij|. Malformed input raises
-    ValueError.
+    the source's own step) and val[1] = |C_ij|. Malformed input, and an
+    edge {i,j} listed twice in either direction, raise ValueError.
     """
     if not (isinstance(obj, dict) and type(obj.get("vertices")) is int
             and obj["vertices"] >= 1 and isinstance(obj.get("edges"), list)):
         raise ValueError('quiver JSON must be {"vertices": d >= 1, "edges": [...]}')
     d, edges = obj["vertices"], obj["edges"]
     m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
-    arrows = []
+    arrows: dict[tuple[int, int], None] = {}  # in input order
     for e in edges:
         fields = e if isinstance(e, dict) else {}
         i, j, val = fields.get("from"), fields.get("to"), fields.get("val", [1, 1])
@@ -550,8 +556,10 @@ def quiver_from_json(obj: object) -> Quiver:
                 and all(type(x) is int and x >= 0 for x in (i, j, *val)) and max(i, j) < d):
             raise ValueError('edge %r is not {"from": i, "to": j, "val": [a, b]} with '
                              "vertices i != j below %d and naturals a, b" % (e, d))
+        if (j, i) in arrows or (i, j) in arrows:
+            raise ValueError("edge {%d,%d} listed twice" % (min(i, j), max(i, j)))
         a, b = val
         m[j][i] = -a
         m[i][j] = -b
-        arrows.append((i, j))
+        arrows[(i, j)] = None
     return Quiver(validate_cartan(m), arrows)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from .diagrams import Quiver
+from .diagrams import Quiver, catalog_diagram
 from .laurent import ExactDivisionError, LaurentPoly, nested_word_values
 from .tilings import Embedding, Frontier, word_span
 
@@ -141,14 +141,9 @@ def _cycle_word(quiver: Quiver) -> Optional[str]:
     The Cartan matrix must be the d-cycle 0-1-...-(d-1)-0 with d >= 3 and
     every edge simple; letter v is x when the arrow is v -> v+1 (mod d).
     """
-    entries = quiver.cartan.entries
-    d = len(entries)
-    if d < 3:
+    d = quiver.cartan.d
+    if not (d >= 3 and quiver.cartan == catalog_diagram("Atilde", d - 1)):
         return None
-    for i, row in enumerate(entries):
-        for j, c in enumerate(row):
-            if c != (2 if i == j else -1 if (j - i) % d in (1, d - 1) else 0):
-                return None
     return "".join("x" if (v, (v + 1) % d) in quiver.arrows else "y" for v in range(d))
 
 
@@ -219,9 +214,9 @@ def verify_recursion(fr: Frise) -> None:
 
 
 def specialize_at_one(vf: VarFrise) -> Frise:
-    """Set every variable to 1, reproducing the integer frise cell by cell."""
-    ones = {v: 1 for row in vf.table for cell in row for v in cell.variables}
-    table = [[cell.subst(ones).as_int() for cell in row] for row in vf.table]
+    """Set every variable to 1, reproducing the integer frise cell by cell:
+    at all ones a Laurent polynomial is the sum of its coefficients."""
+    table = [[sum(cell.terms.values()) for cell in row] for row in vf.table]
     return Frise(vf.quiver, table)
 
 

@@ -256,39 +256,6 @@ class LaurentPoly:
             return self.monomial_div(divisor)
         return _div_packed(*self._aligned(divisor))
 
-    def subst(self, mapping: Mapping[str, Scalar]) -> "LaurentPoly":
-        """Substitute variables by naturals or Laurent polynomials.
-
-        Values for variables that occur with negative exponents are divided
-        out exactly at the end (one common division), so substituting a
-        tiling value at 1 never meets a fractional intermediate.
-        """
-        if self.is_zero():
-            return LaurentPoly.nat(0)
-        values = {v: LaurentPoly.coerce(mapping[v]) for v in self._vars if v in mapping}
-        shift = {}
-        for i, v in enumerate(self._vars):
-            if v in values:
-                low = min(e[i] for e in self._terms)
-                shift[v] = max(0, -low)
-        total = LaurentPoly.nat(0)
-        for e, c in self._terms.items():
-            term = LaurentPoly.nat(c)
-            exps = {}
-            for i, v in enumerate(self._vars):
-                if v in values:
-                    term = term * values[v] ** (e[i] + shift[v])
-                else:
-                    exps[v] = e[i]
-            if exps:
-                term = term * LaurentPoly.monomial(1, exps)
-            total = total + term
-        divisor = LaurentPoly.nat(1)
-        for v, s in shift.items():
-            if s:
-                divisor = divisor * values[v] ** s
-        return total.exact_div(divisor)
-
     # ------------------------------------------------------------------
     # comparison, hashing, rendering
 

@@ -43,6 +43,15 @@ def test_malformed_quiver_json_exits_1_without_traceback(command, quiver_json):
     _fails_cleanly(_run(command, "--quiver-json", quiver_json, "--steps", "2"))
 
 
+@pytest.mark.parametrize("second", ['{"from": 0, "to": 1, "val": [2, 2]}', '{"from": 1, "to": 0}'])
+@pytest.mark.parametrize("command", ["frise", "probe"])
+def test_quiver_json_edge_listed_twice_exits_1_without_traceback(command, second):
+    quiver_json = '{"vertices": 2, "edges": [{"from": 0, "to": 1, "val": [1, 1]}, %s]}' % second
+    result = _run(command, "--quiver-json", quiver_json, "--steps", "2")
+    _fails_cleanly(result)
+    assert "edge {0,1} listed twice" in result.output
+
+
 LONG_PATH = json.dumps({"vertices": 20000,
                         "edges": [{"from": i, "to": i + 1} for i in range(19999)]})
 

@@ -26,6 +26,7 @@ from artifact.tilings import (
     word_span,
 )
 from bordered_oracles import word_value_vars
+from laurent_oracles import subst, subst_pattern
 
 ONE = LaurentPoly.nat(1)
 
@@ -119,7 +120,7 @@ def test_variable_tile_value_specializes_to_integers():
         for v in range(-3, 4):
             val = variable_tile_value(e, names, (u, v))
             assert val.is_natural()
-            assert val.subst(ones).as_int() == tile_value(e, (u, v))
+            assert subst(val, ones).as_int() == tile_value(e, (u, v))
 
 
 def test_variable_tile_value_on_vertex_returns_its_variable():
@@ -250,7 +251,7 @@ def test_cross_symbolic_seed_value_and_denominator():
     val = fp.value(4, 7)
     _, den = val.numerator_denominator()
     assert den == LaurentPoly.monomial(1, {v: 1 for v in "cdefgh"})
-    assert val.subst({v: 1 for v in "abcdefghij"}).as_int() == 11
+    assert subst(val, {v: 1 for v in "abcdefghij"}).as_int() == 11
     assert fp.minor_check() == 65
 
 
@@ -375,7 +376,7 @@ def test_cross_specializing_ones_reproduces_integer_grid():
     symbolic = cross_construct(CrossSeed.parse("aybxcxdye"))
     ones = cross_construct(CrossSeed.ones("yxxy"))
     mapping = {v: 1 for v in "abcde"}
-    assert symbolic.subst(mapping).cells == ones.cells
+    assert subst_pattern(symbolic, mapping).cells == ones.cells
 
 
 def test_cross_region_window_and_errors():

@@ -17,11 +17,11 @@ from artifact.correspondence import (
     validate_orientation_word,
 )
 from artifact.diagrams import (
-    CartanMatrix,
     Quiver,
     catalog_diagram,
     default_quiver,
     parse_shorthand,
+    validate_cartan,
 )
 from artifact.frises import frise_extend
 
@@ -156,7 +156,7 @@ def test_probe_exceptional_reports_only():
 
 def test_probe_indefinite_reports_only():
     # values grow doubly exponentially here, so keep the window tiny
-    wild = Quiver(CartanMatrix([[2, -3], [-3, 2]]), [(0, 1)])
+    wild = Quiver(validate_cartan([[2, -3], [-3, 2]]), [(0, 1)])
     report = probe_conjecture(wild, steps=6, max_order=1)
     assert report["tag"] == "Indefinite"
     assert report["expected"] is None

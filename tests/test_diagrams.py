@@ -22,6 +22,7 @@ from artifact.diagrams import (
     Disconnected,
     PositiveOffDiagonal,
     Quiver,
+    _walk,
     canonical_key,
     catalog_diagram,
     catalog_members,
@@ -33,19 +34,26 @@ from artifact.diagrams import (
     quiver_from_json,
     validate_cartan,
 )
+from cartan_oracles import DenseCartanMatrix, centres_by_set_peel, dense_rows
+
+
+def relabeled_rows(c: CartanMatrix, perm) -> list[list[int]]:
+    """The dense rows of c with vertex k renamed perm[k]."""
+    rows = dense_rows(c)
+    out = [[0] * c.d for _ in range(c.d)]
+    for i in range(c.d):
+        for j in range(c.d):
+            out[perm[i]][perm[j]] = rows[i][j]
+    return out
 
 
 def relabeled(c: CartanMatrix, perm) -> CartanMatrix:
     """The matrix with vertex k renamed perm[k]."""
-    out = [[0] * c.d for _ in range(c.d)]
-    for i in range(c.d):
-        for j in range(c.d):
-            out[perm[i]][perm[j]] = c.entries[i][j]
-    return CartanMatrix(out)
+    return validate_cartan(relabeled_rows(c, perm))
 
 
 def quiver_to_json(q: Quiver) -> dict:
-    edges = [{"from": i, "to": j, "val": [-q.cartan.entries[j][i], -q.cartan.entries[i][j]]}
+    edges = [{"from": i, "to": j, "val": list(q.cartan.valuation(j, i))}
              for i, j in sorted(q.arrows)]
     return {"vertices": q.cartan.d, "edges": edges}
 
@@ -88,10 +96,10 @@ def test_catalog_keys_are_pairwise_distinct():
 def _valued_digraph(c):
     g = nx.DiGraph()
     g.add_nodes_from(range(c.d))
-    for i in range(c.d):
-        for j in range(c.d):
-            if i != j and c.entries[i][j]:
-                g.add_edge(i, j, w=-c.entries[i][j])
+    for i, j in c.edges():
+        a, b = c.valuation(i, j)
+        g.add_edge(i, j, w=a)
+        g.add_edge(j, i, w=b)
     return g
 
 
@@ -220,12 +228,66 @@ def test_validation_names_the_first_offending_entry(matrix, error, message):
 
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(near_cartan_matrices(), malformed_matrices,
-                 st.builds(lambda c: [list(row) for row in c.entries],
-                           st.one_of(relabeled_catalog_members(), valued_graphs()))))
+                 st.builds(dense_rows, st.one_of(relabeled_catalog_members(), valued_graphs()))))
 def test_validate_cartan_agrees_with_the_entrywise_checks(matrix):
     got = _validation_outcome(validate_cartan, matrix)
     want = _validation_outcome(_validate_cartan_entrywise, matrix)
-    assert (got.entries if isinstance(got, CartanMatrix) else got) == want
+    assert (tuple(map(tuple, dense_rows(got))) if isinstance(got, CartanMatrix) else got) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(relabeled_catalog_members(), valued_graphs()),
+       st.one_of(relabeled_catalog_members(), valued_graphs()), st.data())
+def test_sparse_cartan_reads_like_the_dense_oracle(c, other, data):
+    # two relabellings of c (equal when the second is an automorphism) and
+    # one of another diagram
+    pairs = []
+    for x in (c, c, other):
+        rows = relabeled_rows(x, data.draw(st.permutations(range(x.d))))
+        pairs.append((validate_cartan(rows), DenseCartanMatrix(rows)))
+    for sparse, dense in pairs:
+        assert sparse.d == dense.d and sparse.edges() == dense.edges()
+        q = Quiver(sparse, sparse.edges())
+        for j in range(dense.d):
+            assert sparse.neighbors(j) == dense.neighbors(j)
+            for i in range(dense.d):
+                if i != j:
+                    assert q.exponent(i, j) == dense.exponent(i, j)
+        for i, j in dense.edges():
+            assert sparse.valuation(i, j) == dense.valuation(i, j)
+            assert sparse.valuation(j, i) == dense.valuation(j, i)
+    for sparse_a, dense_a in pairs:
+        for sparse_b, dense_b in pairs:
+            assert (sparse_a == sparse_b) == (dense_a == dense_b)
+            if sparse_a == sparse_b:
+                assert hash(sparse_a) == hash(sparse_b)
+
+
+def test_catalog_members_equal_their_validated_rows():
+    # the catalog is built from edge lists with no validation pass
+    for d in range(1, 13):
+        for _, kind, m, c in catalog_members(d):
+            checked = validate_cartan(dense_rows(c))
+            assert c == checked and hash(c) == hash(checked), (kind, m)
+            assert repr(c) == repr(checked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80), st.integers(1, 80), st.randoms(use_true_random=False))
+def test_walk_centres_match_the_set_peel(d, reach, rnd):
+    # vertex v hangs off one of the reach vertices before it: small reach
+    # gives long paths, large reach bushy trees
+    perm = rnd.sample(range(d), d)
+    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
+    for v in range(1, d):
+        p = rnd.randint(max(0, v - reach), v - 1)
+        a, b = rnd.choice(VALUATIONS)
+        m[perm[v]][perm[p]], m[perm[p]][perm[v]] = -a, -b
+    c = validate_cartan(m)
+    shape, searches = _walk(c)
+    assert shape == "tree"
+    nbrs = [c.neighbors(v) for v in range(d)]
+    assert [order[0] for _, order in searches] == centres_by_set_peel(nbrs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -317,7 +379,8 @@ def _rational_nullspace(rows):
 
 def _gauss_jordan_additive_function(c):
     """Oracle: a one-signed vector of C's left nullspace by dense elimination."""
-    rows = [[Fraction(c.entries[i][j]) for i in range(c.d)] for j in range(c.d)]
+    entries = dense_rows(c)
+    rows = [[Fraction(entries[i][j]) for i in range(c.d)] for j in range(c.d)]
     basis = _rational_nullspace(rows)
     candidates = list(basis)
     if len(basis) > 1:
@@ -372,7 +435,8 @@ def _solve_left_system(c):
     from fractions import Fraction
 
     n = c.d
-    aug = [[Fraction(c.entries[i][j]) for i in range(n)] + [Fraction(1)] for j in range(n)]
+    entries = dense_rows(c)
+    aug = [[Fraction(entries[i][j]) for i in range(n)] + [Fraction(1)] for j in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
@@ -486,6 +550,18 @@ def test_json_round_trip():
     obj = quiver_to_json(q)
     q2 = quiver_from_json(obj)
     assert q2.cartan == q.cartan and q2.arrows == q.arrows
+
+
+@pytest.mark.parametrize("second", [
+    {"from": 0, "to": 1, "val": [2, 2]},  # a conflicting valuation
+    {"from": 0, "to": 1},
+    {"from": 1, "to": 0},
+    {"from": 0, "to": 1, "val": [0, 0]},
+])
+def test_json_rejects_an_edge_listed_twice(second):
+    obj = {"vertices": 3, "edges": [{"from": 1, "to": 2}, {"from": 0, "to": 1}, second]}
+    with pytest.raises(ValueError, match=r"^edge \{0,1\} listed twice$"):
+        quiver_from_json(obj)
 
 
 def test_json_valuation_convention():

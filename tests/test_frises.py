@@ -34,6 +34,7 @@ from artifact.frises import (
 from artifact.laurent import LaurentPoly, nested_word_values
 from artifact.tilings import Embedding, Frontier, word_span
 from bordered_oracles import word_value_vars
+from laurent_oracles import subst
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +164,15 @@ def test_specialization_at_one():
         vf = frise_extend_vars(q, 4)
         fr = frise_extend(q, 4)
         assert specialize_at_one(vf).table == fr.table
+
+
+def test_specialization_at_one_matches_the_subst_oracle():
+    for d in range(1, 5):
+        for _, kind, m, _ in catalog_members(d):
+            vf = frise_extend_vars(default_quiver(kind, m), 3)
+            ones = {"u%d" % (j + 1): 1 for j in range(d)}
+            want = tuple(tuple(subst(cell, ones).as_int() for cell in row) for row in vf.table)
+            assert specialize_at_one(vf).table == want, (kind, m)
 
 
 def test_detect_period_dynkin_rank_two():

@@ -17,6 +17,7 @@ from artifact.laurent import (
 )
 from bordered_oracles import (Mat2, row_times_mat, step_matrix, vec_dot, verify_det_identities,
                               word_value_vars)
+from laurent_oracles import subst
 
 a = LaurentPoly.var("a")
 b = LaurentPoly.var("b")
@@ -108,21 +109,21 @@ def test_negative_powers_need_unit_monomials():
 
 def test_substitution_integral_values():
     p = (1 + a ** 2).monomial_div(a)
-    assert p.subst({"a": 1}) == 2
+    assert subst(p, {"a": 1}) == 2
     q = (1 + a * b).monomial_div(a)
-    assert q.subst({"a": 1}) == 1 + b
-    assert q.subst({"a": 1, "b": 4}) == 5
+    assert subst(q, {"a": 1}) == 1 + b
+    assert subst(q, {"a": 1, "b": 4}) == 5
 
 
 def test_substitution_requires_exactness():
     p = (1 + a ** 2).monomial_div(a)
     with pytest.raises(ExactDivisionError):
-        p.subst({"a": 2})
+        subst(p, {"a": 2})
 
 
 def test_substitution_by_polynomial():
     p = a ** 2 + 1
-    assert p.subst({"a": b + 1}) == b ** 2 + 2 * b + 2
+    assert subst(p, {"a": b + 1}) == b ** 2 + 2 * b + 2
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
@@ -156,7 +157,7 @@ def test_products_divide_exactly(p, q):
 
 @given(laurent_polys())
 def test_all_ones_substitution_sums_coefficients(p):
-    assert p.subst({"a": 1, "b": 1}) == sum(p.terms.values())
+    assert subst(p, {"a": 1, "b": 1}) == sum(p.terms.values())
 
 
 def test_step_matrices():

@@ -45,6 +45,10 @@ their frises at 60 steps and the 219 rows of those frises:
   result, as in ``probe_conjecture``);
 - ``classify`` of the 51 Cartan matrices.
 
+Classification at the vertex cap gets two lines of its own, with the
+Cartan matrices built before the clock starts: ``classify`` on Dtilde511
+and on A512 (512 vertices each), one tree walk and one catalog scan.
+
 Integer tiles (``tilings.tile_values``: side and word span from one
 ``column_run``/``row_run`` per distinct coordinate, then one letter walk
 per side of the frontier whose prefix products are paired per point) get
@@ -154,6 +158,7 @@ def main() -> None:
     probe_frises = [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers]
     probe_rows = [fr.row(v) for fr in probe_frises for v in range(fr.quiver.cartan.d)]
     windows, rays = geometry_calls(TILES_SEED)
+    caps = [(name, diagrams.parse_shorthand(name).cartan) for name in ("Dtilde511", "A512")]
     rows = [
         ("frise_extend_vars Atilde3, 14 steps",
          best(lambda: frises.frise_extend_vars(atilde3, 14))),
@@ -179,6 +184,7 @@ def main() -> None:
          best(lambda: [period(fr) for fr in probe_frises])),
         ("classify x %d probe Cartans" % len(quivers),
          best(lambda: [diagrams.classify(q.cartan) for q in quivers])),
+    ] + [("classify %s" % name, best(lambda: diagrams.classify(c))) for name, c in caps] + [
         ("tile_grid x %d windows, integer-tiles seed %d" % (len(windows), TILES_SEED),
          best(lambda: [tilings.tile_grid(*w) for w in windows])),
         ("ray_values x %d rays, integer-tiles seed %d" % (len(rays), TILES_SEED),
