@@ -23,6 +23,7 @@ from .cluster import (
 from .correspondence import ForkSpec, cycle_check, fork_check, fork_quiver, probe_conjecture
 from .diagrams import (
     Quiver,
+    catalog_diagram,
     catalog_members,
     check_subadditive,
     classify,
@@ -410,7 +411,7 @@ def check_classification() -> dict:
     kron = parse_shorthand("kronecker").cartan
     ok = ok and check_subadditive(kron, {0: Fraction(1), 1: Fraction(1)}) == "Additive"
     for m in range(2, 12):
-        c = parse_shorthand("Atilde%d" % m).cartan
+        c = catalog_diagram("Atilde", m)
         ones = {i: Fraction(1) for i in range(c.d)}
         ok = ok and check_subadditive(c, ones) == "Additive"
     return _report(

@@ -163,6 +163,10 @@ def _quiver_from_options(name: str | None, cartan: str | None, quiver_json: str 
     return _data(quiver_from_json, obj)
 
 
+# the exceptional names win over the Atilde series in parse_shorthand
+_SHADOWED = ("Atilde11 and Atilde12 are the rank-2 exceptional diagrams; "
+            "give the 12- and 13-cycles by %s.")
+
 format_option = click.option(
     "--format", "fmt", type=click.Choice(("tsv", "json", "text")),
     default="text", show_default=True, help="Output encoding.")
@@ -175,17 +179,15 @@ def cli() -> None:
 
 
 @cli.command("classify")
-@click.option("--name", help="Catalog shorthand, e.g. A4, Atilde3, Dtilde6, kronecker.")
+@click.option("--name", help="Catalog shorthand, e.g. A4, Atilde3, Dtilde6, kronecker. "
+              + _SHADOWED % "--cartan")
 @click.option("--cartan", help="Cartan matrix as a JSON list of rows.")
 @format_option
 def classify_cmd(name: str | None, cartan: str | None, fmt: str) -> None:
     """Classify a valued diagram and print its additive certificate."""
-    if name is not None:
-        c = _quiver_from_options(name, None, None).cartan
-    elif cartan is not None:
-        c = _quiver_from_options(None, cartan, None).cartan
-    else:
-        raise click.UsageError("give one of --name or --cartan")
+    if (name is None) == (cartan is None):
+        raise click.UsageError("give exactly one of --name or --cartan")
+    c = _quiver_from_options(name, cartan, None).cartan
     diagram = _data(classify, c)
     f = _data(find_additive_function, c)
     cert = None if f is None else [str(f[i]) for i in range(c.d)]
@@ -212,7 +214,8 @@ def classify_cmd(name: str | None, cartan: str | None, fmt: str) -> None:
 
 
 @cli.command("frise")
-@click.option("--quiver", "name", help="Catalog shorthand, e.g. A4, Atilde3, kronecker.")
+@click.option("--quiver", "name", help="Catalog shorthand, e.g. A4, Atilde3, kronecker. "
+              + _SHADOWED % "--cartan or --quiver-json")
 @click.option("--cartan", help="Cartan matrix as a JSON list of rows.")
 @click.option("--quiver-json", help='{"vertices": d, "edges": [{"from": i, "to": j, "val": [a, b]}]}.')
 @click.option("--steps", type=int, default=8, show_default=True, help="Last step index.")
@@ -397,7 +400,8 @@ def cluster_vars_cmd(kind, bound, fmt) -> None:
 
 
 @cli.command("probe")
-@click.option("--quiver", "name", help="Catalog shorthand, e.g. A4, Atilde3, kronecker.")
+@click.option("--quiver", "name", help="Catalog shorthand, e.g. A4, Atilde3, kronecker. "
+              + _SHADOWED % "--cartan or --quiver-json")
 @click.option("--cartan", help="Cartan matrix as a JSON list of rows.")
 @click.option("--quiver-json", help="Quiver as JSON (see frise --help).")
 @click.option("--steps", type=int, default=64, show_default=True,

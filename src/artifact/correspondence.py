@@ -19,41 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagrams import (
-    EUCLIDEAN_SERIES,
-    Quiver,
-    catalog_diagram,
-    classify,
-)
+from .diagrams import EUCLIDEAN_SERIES, Quiver, catalog_diagram, classify, cycle_quiver
 from .frises import Frise, WindowTooShort, detect_period, frise_extend
 from .recurrences import find_min_recurrence
 from .tilings import Embedding, Frontier, PeriodicFrontier, periodic_frontier, ray_values
-
-
-def validate_orientation_word(w: str) -> str:
-    """An admissible cyclic orientation: three or more letters, both used."""
-    if set(w) - {"x", "y"}:
-        raise ValueError("orientation word must use only the letters x and y")
-    if len(w) < 3:
-        raise ValueError("orientation word needs at least three letters")
-    if "x" not in w or "y" not in w:
-        raise ValueError("a one-letter alphabet orients the cycle cyclically")
-    return w
-
-
-def cycle_quiver(w: str) -> Quiver:
-    """Orient the cycle on len(w) vertices letterwise.
-
-    Position v carries the edge {v, v+1 mod d}; the letter x points it
-    forward (v -> v+1), y backward.
-    """
-    validate_orientation_word(w)
-    d = len(w)
-    arrows = [
-        (v, (v + 1) % d) if ch == "x" else ((v + 1) % d, v)
-        for v, ch in enumerate(w)
-    ]
-    return Quiver(catalog_diagram("Atilde", d - 1), arrows)
 
 
 def cycle_check(w: str, steps: int = 12) -> dict:

@@ -10,7 +10,10 @@ computed for trees and simply-laced cycles on the key's walk of the graph;
 every other graph has none by Vinberg's theorem (`find_additive_function`).
 
 A `CartanMatrix` is held as valued adjacency lists, so every walk costs
-O(edges). Dense rows are only ever input: `validate_cartan` reads them.
+O(edges). Dense rows are only ever input: `validate_cartan` reads them, and
+checks their zero pattern and connectivity on the lists, as
+`quiver_from_json` does for its edges. The catalog is one table, a row per
+kind (`_CATALOG`).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class CartanValidationError(ValueError):
@@ -96,29 +99,50 @@ def validate_cartan(matrix: Sequence[Sequence[int]]) -> CartanMatrix:
         if matrix[i][i] != 2:
             raise DiagonalNotTwo("entry (%d,%d) = %d" % (i, i, matrix[i][i]))
     index = range(n)
-    nbrs = [list(compress(index, row)) for row in matrix]  # nonzero entries by row
-    back = [[] for _ in index]  # and by column
-    for i, row in enumerate(matrix):
-        for j in nbrs[i]:
-            if row[j] > 0 and j != i:
-                raise PositiveOffDiagonal("entry (%d,%d) = %d" % (i, j, row[j]))
+    adj = [{j: -row[j] for j in compress(index, row) if j != i} for i, row in enumerate(matrix)]
+    for i, row in enumerate(adj):
+        for j, a in row.items():
+            if a < 0:
+                raise PositiveOffDiagonal("entry (%d,%d) = %d" % (i, j, -a))
+    return _checked(adj)
+
+
+def _checked(adj: list[dict[int, int]]) -> CartanMatrix:
+    """The matrix with ascending adjacency lists adj (i's nonzero entries
+    off the diagonal, j -> -C_ij), once its zero pattern is symmetric and
+    its graph connected; else AsymmetricZeroPattern, naming the first
+    offending pair in row-major order, or Disconnected."""
+    back: list[list[int]] = [[] for _ in adj]  # the nonzero entries by column
+    for i, row in enumerate(adj):
+        for j in row:
             back[j].append(i)
     # the first row whose two lists differ first differs at some j > i
     # (a j < i would show in row j first)
-    for i in index:
-        if nbrs[i] != back[i]:
-            j = min(set(nbrs[i]).symmetric_difference(back[i]))
+    for i, row in enumerate(adj):
+        if list(row) != back[i]:
+            j = min(set(row).symmetric_difference(back[i]))
             raise AsymmetricZeroPattern("entries (%d,%d)/(%d,%d)" % (i, j, j, i))
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
-        for u in nbrs[stack.pop()]:
+        for u in adj[stack.pop()]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    if len(seen) != n:
-        raise Disconnected("reached %d of %d vertices" % (len(seen), n))
-    return CartanMatrix([{j: -row[j] for j in nbrs[i] if j != i} for i, row in enumerate(matrix)])
+    if len(seen) != len(adj):
+        raise Disconnected("reached %d of %d vertices" % (len(seen), len(adj)))
+    return CartanMatrix(adj)
+
+
+def _adjacency(d: int, edges: dict[tuple[int, int], tuple[int, int]]) -> list[dict[int, int]]:
+    """Ascending valued adjacency lists of the edges {i,j} -> (|C_ij|, |C_ji|),
+    zero entries left out."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for (i, j), (a, b) in edges.items():
+        if a:
+            adj[i].append((j, a))
+        if b:
+            adj[j].append((i, b))
+    return [dict(sorted(row)) for row in adj]
 
 
 class CyclicOrientation(ValueError):
@@ -193,182 +217,103 @@ class DiagramClass:
 
 
 # ----------------------------------------------------------------------
-# catalog construction
+# the catalog (Kac, Infinite-dimensional Lie algebras, Tables Fin, Aff 1-3)
 #
-# Diagrams are given as edge lists {i,j} -> (|C_ij|, |C_ji|). The Dynkin
-# catalog: paths A_m, the (1,2)/(2,1)-tailed paths B_m/C_m, forked paths
-# D_m, the T-shapes E6-E8, F4, G2. The Euclidean catalog (X̃_m has m+1
-# vertices): cycles Ã_m, single- and double-forked and valued-tailed paths
-# B̃/C̃/D̃/B̃C/B̃D/C̃D, plus nine exceptional diagrams.
+# One row per kind: its name, its tag, its index rule and its edges
+# {i,j} -> (|C_ij|, |C_ji|) as a function of the index m. A series has every
+# m from its least index up, a fixed kind only its own m. A Dynkin member
+# has m vertices, a Euclidean one m + 1.
 
 
-def _edges_to_cartan(d: int, edges: dict[tuple[int, int], tuple[int, int]]) -> CartanMatrix:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for (i, j), (a, b) in edges.items():
-        adj[i].append((j, a))
-        adj[j].append((i, b))
-    return CartanMatrix([dict(sorted(row)) for row in adj])
+class _Kind(NamedTuple):
+    name: str
+    tag: str  # "Dynkin" | "Euclidean"
+    m: int  # a series' least index, or a fixed kind's only one
+    series: bool
+    edges: Callable[[int], dict[tuple[int, int], tuple[int, int]]]
+    note: str = ""  # ends a series' index error
+
+    def admits(self, m: int) -> bool:
+        return m >= self.m if self.series else m == self.m
+
+    def build(self, m: int) -> CartanMatrix:
+        return CartanMatrix(_adjacency(m + (self.tag == "Euclidean"), self.edges(m)))
 
 
-def _path_edges(d: int) -> dict:
-    return {(i, i + 1): (1, 1) for i in range(d - 1)}
+def _path(n: int) -> dict:
+    """The simple path 0-1-...-(n-1)."""
+    return {(i, i + 1): (1, 1) for i in range(n - 1)}
+
+
+def _fork(n: int) -> dict:
+    """The simple path 1-2-...-(n-1) with vertex 0 also on 2."""
+    return {(0, 2): (1, 1), **{(i, i + 1): (1, 1) for i in range(1, n - 1)}}
+
+
+def _t_shape(*arms: int) -> dict:
+    """Simple paths of the given lengths out of vertex 0, numbered arm by arm."""
+    edges, nxt = {}, 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges[(prev, nxt)] = (1, 1)
+            prev, nxt = nxt, nxt + 1
+    return edges
+
+
+_CATALOG = (
+    _Kind("A", "Dynkin", 1, True, _path),
+    _Kind("B", "Dynkin", 2, True, lambda m: {**_path(m), (m - 2, m - 1): (1, 2)}),
+    _Kind("C", "Dynkin", 3, True, lambda m: {**_path(m), (m - 2, m - 1): (2, 1)},
+          " (C_2 is B_2)"),
+    _Kind("D", "Dynkin", 4, True, lambda m: {**_path(m - 1), (m - 3, m - 1): (1, 1)}),
+    _Kind("E6", "Dynkin", 6, False, lambda m: _t_shape(2, 2, 1)),
+    _Kind("E7", "Dynkin", 7, False, lambda m: _t_shape(3, 2, 1)),
+    _Kind("E8", "Dynkin", 8, False, lambda m: _t_shape(4, 2, 1)),
+    _Kind("F4", "Dynkin", 4, False, lambda m: {**_path(4), (1, 2): (1, 2)}),
+    _Kind("G2", "Dynkin", 2, False, lambda m: {(0, 1): (1, 3)}),
+    _Kind("Atilde", "Euclidean", 2, True, lambda m: {**_path(m + 1), (0, m): (1, 1)},
+          " (m=1 is the Kronecker diagram Atilde11)"),
+    _Kind("Btilde", "Euclidean", 3, True, lambda m: {**_fork(m + 1), (m - 1, m): (1, 2)}),
+    _Kind("Ctilde", "Euclidean", 2, True,
+          lambda m: {**_path(m + 1), (0, 1): (2, 1), (m - 1, m): (1, 2)}),
+    _Kind("Dtilde", "Euclidean", 4, True, lambda m: {**_fork(m), (m - 2, m): (1, 1)}),
+    _Kind("BCtilde", "Euclidean", 2, True,
+          lambda m: {**_path(m + 1), (0, 1): (1, 2), (m - 1, m): (1, 2)}),
+    _Kind("BDtilde", "Euclidean", 3, True, lambda m: {**_fork(m + 1), (m - 1, m): (2, 1)}),
+    _Kind("CDtilde", "Euclidean", 2, True,
+          lambda m: {**_path(m + 1), (0, 1): (1, 2), (m - 1, m): (2, 1)}),
+    _Kind("Atilde11", "Euclidean", 1, False, lambda m: {(0, 1): (2, 2)}),
+    _Kind("Atilde12", "Euclidean", 1, False, lambda m: {(0, 1): (1, 4)}),
+    _Kind("Etilde6", "Euclidean", 6, False, lambda m: _t_shape(2, 2, 2)),
+    _Kind("Etilde7", "Euclidean", 7, False, lambda m: _t_shape(3, 3, 1)),
+    _Kind("Etilde8", "Euclidean", 8, False, lambda m: _t_shape(5, 2, 1)),
+    _Kind("Ftilde41", "Euclidean", 4, False, lambda m: {**_path(5), (2, 3): (2, 1)}),
+    _Kind("Ftilde42", "Euclidean", 4, False, lambda m: {**_path(5), (2, 3): (1, 2)}),
+    _Kind("Gtilde21", "Euclidean", 2, False, lambda m: {**_path(3), (1, 2): (3, 1)}),
+    _Kind("Gtilde22", "Euclidean", 2, False, lambda m: {**_path(3), (1, 2): (1, 3)}),
+)
+_KINDS = {row.name: row for row in _CATALOG}
+EUCLIDEAN_SERIES = tuple(row.name for row in _CATALOG if row.series and row.tag == "Euclidean")
 
 
 def catalog_diagram(kind: str, m: int) -> CartanMatrix:
     """Build the catalog member named kind with index m."""
-    if kind == "A":
-        if m < 1:
-            raise ValueError("A_m needs m >= 1")
-        return _edges_to_cartan(m, _path_edges(m))
-    if kind == "B":
-        if m < 2:
-            raise ValueError("B_m needs m >= 2")
-        e = _path_edges(m)
-        e[(m - 2, m - 1)] = (1, 2)
-        return _edges_to_cartan(m, e)
-    if kind == "C":
-        if m < 3:
-            raise ValueError("C_m needs m >= 3 (C_2 is B_2)")
-        e = _path_edges(m)
-        e[(m - 2, m - 1)] = (2, 1)
-        return _edges_to_cartan(m, e)
-    if kind == "D":
-        if m < 4:
-            raise ValueError("D_m needs m >= 4")
-        e = _path_edges(m - 2)
-        e[(m - 3, m - 2)] = (1, 1)
-        e[(m - 3, m - 1)] = (1, 1)
-        return _edges_to_cartan(m, e)
-    if kind in ("E6", "E7", "E8"):
-        arms = {"E6": (2, 2, 1), "E7": (3, 2, 1), "E8": (4, 2, 1)}[kind]
-        return _edges_to_cartan(*_t_shape(arms))
-    if kind == "F4":
-        e = _path_edges(4)
-        e[(1, 2)] = (1, 2)
-        return _edges_to_cartan(4, e)
-    if kind == "G2":
-        return _edges_to_cartan(2, {(0, 1): (1, 3)})
-
-    if kind == "Atilde":
-        if m < 2:
-            raise ValueError("Atilde_m needs m >= 2 (m=1 is the Kronecker diagram Atilde11)")
-        e = _path_edges(m + 1)
-        e[(0, m)] = (1, 1)
-        return _edges_to_cartan(m + 1, e)
-    if kind == "Btilde":
-        if m < 3:
-            raise ValueError("Btilde_m needs m >= 3")
-        e = {(0, 2): (1, 1), (1, 2): (1, 1)}
-        e.update({(i, i + 1): (1, 1) for i in range(2, m)})
-        e[(m - 1, m)] = (1, 2)
-        return _edges_to_cartan(m + 1, e)
-    if kind == "Ctilde":
-        if m < 2:
-            raise ValueError("Ctilde_m needs m >= 2")
-        e = _path_edges(m + 1)
-        e[(0, 1)] = (2, 1)
-        e[(m - 1, m)] = (1, 2)
-        return _edges_to_cartan(m + 1, e)
-    if kind == "Dtilde":
-        if m < 4:
-            raise ValueError("Dtilde_m needs m >= 4")
-        e = {(0, 2): (1, 1), (1, 2): (1, 1), (m - 2, m - 1): (1, 1), (m - 2, m): (1, 1)}
-        e.update({(i, i + 1): (1, 1) for i in range(2, m - 2)})
-        return _edges_to_cartan(m + 1, e)
-    if kind == "BCtilde":
-        if m < 2:
-            raise ValueError("BCtilde_m needs m >= 2")
-        e = _path_edges(m + 1)
-        e[(0, 1)] = (1, 2)
-        e[(m - 1, m)] = (1, 2)
-        return _edges_to_cartan(m + 1, e)
-    if kind == "BDtilde":
-        if m < 3:
-            raise ValueError("BDtilde_m needs m >= 3")
-        e = {(0, 2): (1, 1), (1, 2): (1, 1)}
-        e.update({(i, i + 1): (1, 1) for i in range(2, m)})
-        e[(m - 1, m)] = (2, 1)
-        return _edges_to_cartan(m + 1, e)
-    if kind == "CDtilde":
-        if m < 2:
-            raise ValueError("CDtilde_m needs m >= 2")
-        e = _path_edges(m + 1)
-        e[(0, 1)] = (1, 2)
-        e[(m - 1, m)] = (2, 1)
-        return _edges_to_cartan(m + 1, e)
-    if kind == "Atilde11":
-        return _edges_to_cartan(2, {(0, 1): (2, 2)})
-    if kind == "Atilde12":
-        return _edges_to_cartan(2, {(0, 1): (1, 4)})
-    if kind in ("Etilde6", "Etilde7", "Etilde8"):
-        arms = {"Etilde6": (2, 2, 2), "Etilde7": (3, 3, 1), "Etilde8": (5, 2, 1)}[kind]
-        return _edges_to_cartan(*_t_shape(arms))
-    if kind == "Ftilde41":
-        e = _path_edges(5)
-        e[(2, 3)] = (2, 1)
-        return _edges_to_cartan(5, e)
-    if kind == "Ftilde42":
-        e = _path_edges(5)
-        e[(2, 3)] = (1, 2)
-        return _edges_to_cartan(5, e)
-    if kind == "Gtilde21":
-        e = _path_edges(3)
-        e[(1, 2)] = (3, 1)
-        return _edges_to_cartan(3, e)
-    if kind == "Gtilde22":
-        e = _path_edges(3)
-        e[(1, 2)] = (1, 3)
-        return _edges_to_cartan(3, e)
-    raise ValueError("unknown diagram kind %r" % (kind,))
-
-
-def _t_shape(arms: tuple[int, int, int]) -> tuple[int, dict]:
-    # vertex 0 is the branch point; arms are attached as paths
-    edges = {}
-    nxt = 1
-    for length in arms:
-        prev = 0
-        for _ in range(length):
-            edges[(min(prev, nxt), max(prev, nxt))] = (1, 1)
-            prev = nxt
-            nxt += 1
-    return nxt, edges
-
-
-DYNKIN_KINDS = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
-EUCLIDEAN_SERIES = ("Atilde", "Btilde", "Ctilde", "Dtilde", "BCtilde", "BDtilde", "CDtilde")
-EUCLIDEAN_EXCEPTIONAL = (
-    "Atilde11", "Atilde12", "Etilde6", "Etilde7", "Etilde8",
-    "Ftilde41", "Ftilde42", "Gtilde21", "Gtilde22",
-)
-
-_FIXED_INDEX = {
-    "E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2,
-    "Etilde6": 6, "Etilde7": 7, "Etilde8": 8,
-    "Ftilde41": 4, "Ftilde42": 4, "Gtilde21": 2, "Gtilde22": 2,
-    "Atilde11": 1, "Atilde12": 1,
-}
-
-_MIN_INDEX = {"A": 1, "B": 2, "C": 3, "D": 4,
-              "Atilde": 2, "Btilde": 3, "Ctilde": 2, "Dtilde": 4,
-              "BCtilde": 2, "BDtilde": 3, "CDtilde": 2}
+    row = _KINDS.get(kind)
+    if row is None:
+        raise ValueError("unknown diagram kind %r" % (kind,))
+    if not row.admits(m):
+        raise ValueError("%s_m needs m >= %d%s" % (kind, row.m, row.note) if row.series
+                         else "%s needs m = %d" % (kind, row.m))
+    return row.build(m)
 
 
 def _members(d: int) -> Iterator[tuple[str, str, int, CartanMatrix]]:
     """The catalog diagrams on exactly d vertices, each built when reached."""
-    for kind in ("A", "B", "C", "D"):
-        if d >= _MIN_INDEX[kind]:
-            yield "Dynkin", kind, d, catalog_diagram(kind, d)
-    for kind in ("E6", "E7", "E8", "F4", "G2"):
-        if _FIXED_INDEX[kind] == d:
-            yield "Dynkin", kind, d, catalog_diagram(kind, d)
-    m = d - 1
-    for kind in EUCLIDEAN_SERIES:
-        if m >= _MIN_INDEX[kind]:
-            yield "Euclidean", kind, m, catalog_diagram(kind, m)
-    for kind in EUCLIDEAN_EXCEPTIONAL:
-        if _FIXED_INDEX[kind] + 1 == d:
-            yield "Euclidean", kind, _FIXED_INDEX[kind], catalog_diagram(kind, _FIXED_INDEX[kind])
+    for row in _CATALOG:
+        m = d - (row.tag == "Euclidean")
+        if row.admits(m):
+            yield row.tag, row.name, m, row.build(m)
 
 
 def catalog_members(d: int) -> list[tuple[str, str, int, CartanMatrix]]:
@@ -495,21 +440,52 @@ def check_subadditive(c: CartanMatrix, f: dict[int, Fraction]) -> str:
 
 # ----------------------------------------------------------------------
 # orientations and input formats
+#
+# An orientation word w over {x, y} orients the cycle on len(w) vertices:
+# letter v is x when the arrow is v -> v+1 (mod len(w)), y when it is
+# v+1 -> v.
+
+
+def validate_orientation_word(w: str) -> str:
+    """An admissible cyclic orientation: three or more letters, both used."""
+    if set(w) - {"x", "y"}:
+        raise ValueError("orientation word must use only the letters x and y")
+    if len(w) < 3:
+        raise ValueError("orientation word needs at least three letters")
+    if "x" not in w or "y" not in w:
+        raise ValueError("a one-letter alphabet orients the cycle cyclically")
+    return w
+
+
+def cycle_quiver(w: str) -> Quiver:
+    """The cycle Atilde_m, m = len(w) - 1, oriented letterwise by w."""
+    validate_orientation_word(w)
+    d = len(w)
+    arrows = [(v, (v + 1) % d) if ch == "x" else ((v + 1) % d, v) for v, ch in enumerate(w)]
+    return Quiver(catalog_diagram("Atilde", d - 1), arrows)
+
+
+def _cycle_word(quiver: Quiver) -> Optional[str]:
+    """The orientation word of a quiver on the cycle 0-1-...-(d-1)-0 with
+    d >= 3 and every edge simple (so cycle_quiver inverts it), else None."""
+    d = quiver.cartan.d
+    if not (d >= 3 and quiver.cartan == catalog_diagram("Atilde", d - 1)):
+        return None
+    return "".join("x" if (v, (v + 1) % d) in quiver.arrows else "y" for v in range(d))
 
 
 def default_quiver(kind: str, m: int) -> Quiver:
     """Catalog diagram with its documented default orientation.
 
     Paths, forks and T-shapes orient every edge from the lower vertex id to
-    the higher. Atilde_m uses the cycle orientation encoded by the word
-    x^m y (arrows 0->1->...->m plus 0->m). Dtilde_m uses the fork
-    convention of the nine-step construction: 0->2, 1->2, middle path
-    2->3->...->(m-2), far fork (m-2)->(m-1) and m->(m-2).
+    the higher. Atilde_m is cycle_quiver of the word x^m y (arrows
+    0->1->...->m plus 0->m). Dtilde_m uses the fork convention of the
+    nine-step construction: 0->2, 1->2, middle path 2->3->...->(m-2), far
+    fork (m-2)->(m-1) and m->(m-2).
     """
     c = catalog_diagram(kind, m)
     if kind == "Atilde":
-        arrows = [(i, i + 1) for i in range(m)] + [(0, m)]
-        return Quiver(c, arrows)
+        return cycle_quiver("x" * m + "y")
     if kind == "Dtilde":
         arrows = [(0, 2), (1, 2), (m - 2, m - 1), (m, m - 2)]
         arrows += [(i, i + 1) for i in range(2, m - 2)]
@@ -517,22 +493,25 @@ def default_quiver(kind: str, m: int) -> Quiver:
     return Quiver(c, list(c.edges()))
 
 
-_SHORTHAND_ALIASES = {"kronecker": ("Atilde11", 1)}
-
-
 def parse_shorthand(text: str) -> Quiver:
-    """Resolve names like A3, Atilde3, Dtilde7, BCtilde4, kronecker."""
+    """Resolve a catalog name in its default orientation: a fixed kind by its
+    name (E6, Atilde12), a series by its name and index in ASCII digits (A3,
+    Atilde3, BCtilde4), and kronecker for Atilde11.
+
+    Fixed names win, so Atilde11 and Atilde12 are the two-vertex Euclidean
+    diagrams, not the 12- and 13-cycles; those are reached as Cartan matrices
+    or quiver JSON.
+    """
     name = text.strip()
-    if name.lower() in _SHORTHAND_ALIASES:
-        kind, m = _SHORTHAND_ALIASES[name.lower()]
-        return default_quiver(kind, m)
-    if name in _FIXED_INDEX:
-        return default_quiver(name, _FIXED_INDEX[name])
-    for kind in sorted(_MIN_INDEX, key=len, reverse=True):
-        if name.startswith(kind):
-            suffix = name[len(kind):]
-            if suffix.isdigit():
-                return default_quiver(kind, int(suffix))
+    if name.lower() == "kronecker":
+        name = "Atilde11"
+    row = _KINDS.get(name)
+    if row is not None and not row.series:
+        return default_quiver(name, row.m)
+    kind = name.rstrip("0123456789")
+    row = _KINDS.get(kind)
+    if row is not None and row.series and kind != name:
+        return default_quiver(kind, int(name[len(kind):]))
     raise ValueError("unrecognized diagram shorthand %r" % (text,))
 
 
@@ -541,14 +520,15 @@ def quiver_from_json(obj: object) -> Quiver:
 
     For an arrow i->j, val[0] = |C_ji| (exponent of the target's value in
     the source's own step) and val[1] = |C_ij|. Malformed input, and an
-    edge {i,j} listed twice in either direction, raise ValueError.
+    edge {i,j} listed twice in either direction, raise ValueError; the
+    axioms are checked on the edges as validate_cartan checks dense rows,
+    with the same errors.
     """
     if not (isinstance(obj, dict) and type(obj.get("vertices")) is int
             and obj["vertices"] >= 1 and isinstance(obj.get("edges"), list)):
         raise ValueError('quiver JSON must be {"vertices": d >= 1, "edges": [...]}')
     d, edges = obj["vertices"], obj["edges"]
-    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
-    arrows: dict[tuple[int, int], None] = {}  # in input order
+    valued: dict[tuple[int, int], tuple[int, int]] = {}  # arrow -> (|C_ij|, |C_ji|)
     for e in edges:
         fields = e if isinstance(e, dict) else {}
         i, j, val = fields.get("from"), fields.get("to"), fields.get("val", [1, 1])
@@ -556,10 +536,7 @@ def quiver_from_json(obj: object) -> Quiver:
                 and all(type(x) is int and x >= 0 for x in (i, j, *val)) and max(i, j) < d):
             raise ValueError('edge %r is not {"from": i, "to": j, "val": [a, b]} with '
                              "vertices i != j below %d and naturals a, b" % (e, d))
-        if (j, i) in arrows or (i, j) in arrows:
+        if (j, i) in valued or (i, j) in valued:
             raise ValueError("edge {%d,%d} listed twice" % (min(i, j), max(i, j)))
-        a, b = val
-        m[j][i] = -a
-        m[i][j] = -b
-        arrows[(i, j)] = None
-    return Quiver(validate_cartan(m), arrows)
+        valued[(i, j)] = (val[1], val[0])
+    return Quiver(_checked(_adjacency(d, valued)), valued)

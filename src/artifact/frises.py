@@ -14,10 +14,10 @@ Symbolic frises (u_1..u_d in row 0) take one of two routes:
 
 - the ray route, for simply-laced oriented cycles: the Cartan matrix is
   the d-cycle 0-1-...-(d-1)-0 with d >= 3 and no valued edge (every
-  Atilde_m with m >= 2 and every cycle_quiver). With letter v of the
-  orientation word w equal to x when the arrow is v -> v+1, row v is the
-  variable tiling ray of ^inf(w)(w)^inf from vertex V_v in direction
-  (1,-1), frontier vertex i carrying u_{(i mod d)+1}: bordered 2x2 step
+  Atilde_m with m >= 2 and every cycle_quiver). With w the quiver's
+  orientation word (`diagrams.cycle_quiver`), row v is the variable
+  tiling ray of ^inf(w)(w)^inf from vertex V_v in direction (1,-1),
+  frontier vertex i carrying u_{(i mod d)+1}: bordered 2x2 step
   products over the initial variables, divided by a monomial, with no
   polynomial division (laurent.nested_word_values);
 - the division route, for every other quiver: the relation above, one
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from .diagrams import Quiver, catalog_diagram
+from .diagrams import Quiver, _cycle_word
 from .laurent import ExactDivisionError, LaurentPoly, nested_word_values
 from .tilings import Embedding, Frontier, word_span
 
@@ -133,18 +133,6 @@ def frise_extend(quiver: Quiver, steps: int) -> Frise:
         return q
 
     return Frise(quiver, _extend(quiver, steps, lambda j: 1, 1, divide))
-
-
-def _cycle_word(quiver: Quiver) -> Optional[str]:
-    """Orientation word of a simply-laced oriented cycle, else None.
-
-    The Cartan matrix must be the d-cycle 0-1-...-(d-1)-0 with d >= 3 and
-    every edge simple; letter v is x when the arrow is v -> v+1 (mod d).
-    """
-    d = quiver.cartan.d
-    if not (d >= 3 and quiver.cartan == catalog_diagram("Atilde", d - 1)):
-        return None
-    return "".join("x" if (v, (v + 1) % d) in quiver.arrows else "y" for v in range(d))
 
 
 def _natural(val: LaurentPoly, j: int, n: int) -> LaurentPoly:

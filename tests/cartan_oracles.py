@@ -1,15 +1,19 @@
-"""The dense Cartan matrix and the set-based leaf peel, kept as oracles.
+"""The dense Cartan matrix, the set-based leaf peel and the dense JSON
+reader, kept as oracles.
 
-The library holds a Cartan matrix as valued adjacency lists and finds a
-tree's centres by a degree countdown (`diagrams.CartanMatrix`,
-`diagrams._walk`). This module keeps the routes those replaced: d x d
-rows read entry by entry, and a peel that rescans every remaining vertex
-on each round.
+The library holds a Cartan matrix as valued adjacency lists, finds a
+tree's centres by a degree countdown and checks quiver JSON on its edges
+(`diagrams.CartanMatrix`, `diagrams._walk`, `diagrams.quiver_from_json`).
+This module keeps the routes those replaced: d x d rows read entry by
+entry, a peel that rescans every remaining vertex on each round, and JSON
+edges written into d x d rows for `validate_cartan`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from artifact.diagrams import Quiver, validate_cartan
 
 
 class DenseCartanMatrix:
@@ -61,3 +65,27 @@ def centres_by_set_peel(nbrs: list[list[int]]) -> list[int]:
     while len(centres) > 2:
         centres -= {v for v in centres if sum(u in centres for u in nbrs[v]) <= 1}
     return sorted(centres)
+
+
+def quiver_from_json_by_rows(obj: object) -> Quiver:
+    """`quiver_from_json` through d x d rows and `validate_cartan`."""
+    if not (isinstance(obj, dict) and type(obj.get("vertices")) is int
+            and obj["vertices"] >= 1 and isinstance(obj.get("edges"), list)):
+        raise ValueError('quiver JSON must be {"vertices": d >= 1, "edges": [...]}')
+    d, edges = obj["vertices"], obj["edges"]
+    m = [[2 if i == j else 0 for j in range(d)] for i in range(d)]
+    arrows: dict[tuple[int, int], None] = {}  # in input order
+    for e in edges:
+        fields = e if isinstance(e, dict) else {}
+        i, j, val = fields.get("from"), fields.get("to"), fields.get("val", [1, 1])
+        if not (isinstance(val, list) and len(val) == 2 and i != j
+                and all(type(x) is int and x >= 0 for x in (i, j, *val)) and max(i, j) < d):
+            raise ValueError('edge %r is not {"from": i, "to": j, "val": [a, b]} with '
+                             "vertices i != j below %d and naturals a, b" % (e, d))
+        if (j, i) in arrows or (i, j) in arrows:
+            raise ValueError("edge {%d,%d} listed twice" % (min(i, j), max(i, j)))
+        a, b = val
+        m[j][i] = -a
+        m[i][j] = -b
+        arrows[(i, j)] = None
+    return Quiver(validate_cartan(m), arrows)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from artifact import acceptance
+from artifact.diagrams import catalog_diagram
 from artifact.tilings import Embedding, Frontier, word_span
 
 
@@ -57,6 +58,21 @@ def test_cluster_variable_counts_and_laurent_positivity():
 
 def test_catalog_classification_and_additive_certificates():
     _passes(acceptance.check_classification)
+
+
+def test_classification_certifies_the_cycles_on_3_to_12_vertices(monkeypatch):
+    # Atilde11 names the Kronecker diagram, so the cycles are built by kind
+    checked = []
+    real = acceptance.check_subadditive
+
+    def recording(c, f):
+        checked.append(c)
+        return real(c, f)
+
+    monkeypatch.setattr(acceptance, "check_subadditive", recording)
+    _passes(acceptance.check_classification)
+    assert checked[-10:] == [catalog_diagram("Atilde", m) for m in range(2, 12)]
+    assert [c.d for c in checked[-10:]] == list(range(3, 13))
 
 
 def test_growth_probe_reports_are_consistent():

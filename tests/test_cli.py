@@ -136,6 +136,16 @@ def test_malformed_cartan_exits_1_without_traceback(command, cartan):
     _fails_cleanly(_run(command, "--cartan", cartan, *steps))
 
 
+@pytest.mark.parametrize("args", [
+    ("--name", "A3", "--cartan", "[[2,-1],[-1,2]]"),
+    (),
+])
+def test_classify_needs_exactly_one_source(args):
+    result = _run("classify", *args)
+    assert result.exit_code == 2 and "Traceback" not in result.output
+    assert "give exactly one of --name or --cartan" in result.output
+
+
 small = st.integers(-4, 3)
 square = st.integers(1, 6).flatmap(lambda d: st.lists(
     st.lists(small, min_size=d, max_size=d), min_size=d, max_size=d))

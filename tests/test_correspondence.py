@@ -14,7 +14,6 @@ from artifact.correspondence import (
     fork_quiver,
     fork_table,
     probe_conjecture,
-    validate_orientation_word,
 )
 from artifact.diagrams import (
     Quiver,
@@ -22,6 +21,7 @@ from artifact.diagrams import (
     default_quiver,
     parse_shorthand,
     validate_cartan,
+    validate_orientation_word,
 )
 from artifact.frises import frise_extend
 

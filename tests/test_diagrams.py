@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import correspondence
 from artifact.diagrams import (
     ADDITIVE,
     STRICTLY_SUBADDITIVE,
@@ -28,13 +29,19 @@ from artifact.diagrams import (
     catalog_members,
     check_subadditive,
     classify,
+    cycle_quiver,
     default_quiver,
     find_additive_function,
     parse_shorthand,
     quiver_from_json,
     validate_cartan,
 )
-from cartan_oracles import DenseCartanMatrix, centres_by_set_peel, dense_rows
+from cartan_oracles import (
+    DenseCartanMatrix,
+    centres_by_set_peel,
+    dense_rows,
+    quiver_from_json_by_rows,
+)
 
 
 def relabeled_rows(c: CartanMatrix, perm) -> list[list[int]]:
@@ -572,3 +579,114 @@ def test_json_valuation_convention():
     q = quiver_from_json(obj)
     # val[0] scales the source's step, val[1] the target's
     assert q.exponent(1, 0) == 1 and q.exponent(0, 1) == 3
+
+
+@st.composite
+def quiver_json(draw):
+    """Quiver JSON from random edges: half the time a spanning tree comes
+    first, and half the time a valuation may hold a zero or an edge come
+    twice, so every check of the reader gets its turn."""
+    d = draw(st.integers(1, 7))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, d)] if draw(st.booleans()) else []
+    pairs = st.tuples(st.integers(0, d - 1), st.integers(1, max(1, d - 1))).map(
+        lambda p: (p[0], (p[0] + p[1]) % d))
+    chosen = tree + (draw(st.lists(pairs, max_size=d)) if d > 1 else [])
+    if draw(st.booleans()):  # no edge twice
+        chosen = list({frozenset(p): p for p in reversed(chosen)}.values())
+    vals = [None, None] + VALUATIONS + ([(0, 1), (2, 0), (0, 0)] if draw(st.booleans()) else [])
+    edges = []
+    for i, j in draw(st.permutations(chosen)):
+        i, j = (j, i) if draw(st.booleans()) else (i, j)
+        val = draw(st.sampled_from(vals))
+        edges.append({"from": i, "to": j} if val is None else {"from": i, "to": j, "val": list(val)})
+    return {"vertices": d, "edges": edges}
+
+
+def _json_outcome(read, obj):
+    try:
+        q = read(obj)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return q.cartan, q.arrows, q.topological_order
+
+
+@settings(max_examples=500, deadline=None)
+@given(quiver_json())
+def test_quiver_from_json_agrees_with_the_dense_route(obj):
+    assert _json_outcome(quiver_from_json, obj) == _json_outcome(quiver_from_json_by_rows, obj)
+
+
+# Kac's index rules: a series' least index, or a fixed kind's only one
+INDEX_RULES = {
+    "A": (1, True), "B": (2, True), "C": (3, True), "D": (4, True),
+    "E6": (6, False), "E7": (7, False), "E8": (8, False), "F4": (4, False), "G2": (2, False),
+    "Atilde": (2, True), "Btilde": (3, True), "Ctilde": (2, True), "Dtilde": (4, True),
+    "BCtilde": (2, True), "BDtilde": (3, True), "CDtilde": (2, True),
+    "Atilde11": (1, False), "Atilde12": (1, False), "Etilde6": (6, False),
+    "Etilde7": (7, False), "Etilde8": (8, False), "Ftilde41": (4, False),
+    "Ftilde42": (4, False), "Gtilde21": (2, False), "Gtilde22": (2, False),
+}
+
+
+def test_the_catalog_has_the_kinds_of_the_index_rules():
+    kinds = {kind for d in range(1, 15) for _, kind, _, _ in catalog_members(d)}
+    assert kinds == set(INDEX_RULES)
+
+
+@pytest.mark.parametrize("kind", list(INDEX_RULES))
+def test_every_kind_rejects_an_index_outside_its_rule(kind):
+    m, series = INDEX_RULES[kind]
+    assert catalog_diagram(kind, m).d == m + ("tilde" in kind)
+    if series:
+        outside, message = [m - 1, 0, -3], r"^%s_m needs m >= %d" % (kind, m)
+    else:
+        outside, message = sorted({m - 1, m + 1, 1, 3} - {m}), r"^%s needs m = %d$" % (kind, m)
+    for other in outside:
+        for build in (catalog_diagram, default_quiver):
+            with pytest.raises(ValueError, match=message):
+                build(kind, other)
+
+
+def test_series_index_errors_keep_their_notes():
+    with pytest.raises(ValueError, match=r"^C_m needs m >= 3 \(C_2 is B_2\)$"):
+        catalog_diagram("C", 2)
+    with pytest.raises(ValueError, match=r"^Atilde_m needs m >= 2 "
+                       r"\(m=1 is the Kronecker diagram Atilde11\)$"):
+        default_quiver("Atilde", 1)
+    with pytest.raises(ValueError, match=r"^Dtilde_m needs m >= 4$"):
+        default_quiver("Dtilde", 3)
+    with pytest.raises(ValueError, match=r"^unknown diagram kind 'Z'$"):
+        catalog_diagram("Z", 3)
+
+
+def test_shorthand_round_trip_over_the_catalog():
+    # the name of a fixed member is its kind, of a series member kind + m
+    for d in range(1, 15):
+        for _, kind, m, c in catalog_members(d):
+            if kind == "Atilde" and m in (11, 12):
+                continue  # shadowed, see below
+            q = parse_shorthand("%s%d" % (kind, m) if INDEX_RULES[kind][1] else kind)
+            want = default_quiver(kind, m)
+            assert q.cartan == c and q.arrows == want.arrows, (kind, m)
+            assert q.topological_order == want.topological_order
+
+
+@pytest.mark.parametrize("m", [11, 12])
+def test_exceptional_names_shadow_the_atilde_series(m):
+    name = "Atilde%d" % m
+    assert ("Euclidean", "Atilde", m) in [member[:3] for member in catalog_members(m + 1)]
+    q = parse_shorthand(name)
+    assert q.cartan == catalog_diagram(name, 1) and q.cartan.d == 2
+    assert q.cartan != catalog_diagram("Atilde", m)
+
+
+def test_shorthand_indexes_are_ascii_digits():
+    # as the CLI's vertex cap reads them
+    assert classify(parse_shorthand(" A03 ").cartan) == DiagramClass("Dynkin", "A", 3)
+    for name in ("A\u0663", "A\u00b3", "A", "E66", "Ftilde4", "Etilde63"):
+        with pytest.raises(ValueError, match=r"^unrecognized diagram shorthand"):
+            parse_shorthand(name)
+
+
+def test_cycle_quiver_is_the_one_correspondence_exports():
+    assert correspondence.cycle_quiver is cycle_quiver

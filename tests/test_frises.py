@@ -10,11 +10,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.correspondence import cycle_quiver
 from artifact.diagrams import (
     Quiver,
+    _cycle_word,
     catalog_diagram,
     catalog_members,
+    cycle_quiver,
     default_quiver,
     parse_shorthand,
     quiver_from_json,
@@ -22,7 +23,6 @@ from artifact.diagrams import (
 from artifact.frises import (
     Frise,
     WindowTooShort,
-    _cycle_word,
     _division_rows,
     detect_period,
     frise_extend,

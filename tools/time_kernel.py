@@ -47,7 +47,10 @@ their frises at 60 steps and the 219 rows of those frises:
 
 Classification at the vertex cap gets two lines of its own, with the
 Cartan matrices built before the clock starts: ``classify`` on Dtilde511
-and on A512 (512 vertices each), one tree walk and one catalog scan.
+and on A512 (512 vertices each), one tree walk and one catalog scan. A
+third line times the input gate of ``--quiver-json`` at the cap:
+``quiver_from_json`` on the 512-vertex path, the JSON object built before
+the clock starts.
 
 Integer tiles (``tilings.tile_values``: side and word span from one
 ``column_run``/``row_run`` per distinct coordinate, then one letter walk
@@ -159,6 +162,7 @@ def main() -> None:
     probe_rows = [fr.row(v) for fr in probe_frises for v in range(fr.quiver.cartan.d)]
     windows, rays = geometry_calls(TILES_SEED)
     caps = [(name, diagrams.parse_shorthand(name).cartan) for name in ("Dtilde511", "A512")]
+    path_json = {"vertices": 512, "edges": [{"from": i, "to": i + 1} for i in range(511)]}
     rows = [
         ("frise_extend_vars Atilde3, 14 steps",
          best(lambda: frises.frise_extend_vars(atilde3, 14))),
@@ -185,6 +189,7 @@ def main() -> None:
         ("classify x %d probe Cartans" % len(quivers),
          best(lambda: [diagrams.classify(q.cartan) for q in quivers])),
     ] + [("classify %s" % name, best(lambda: diagrams.classify(c))) for name, c in caps] + [
+        ("quiver_from_json 512-vertex path", best(lambda: diagrams.quiver_from_json(path_json))),
         ("tile_grid x %d windows, integer-tiles seed %d" % (len(windows), TILES_SEED),
          best(lambda: [tilings.tile_grid(*w) for w in windows])),
         ("ray_values x %d rays, integer-tiles seed %d" % (len(rays), TILES_SEED),
