@@ -381,7 +381,9 @@ def frieze_cmd(letters, seed_word, stages, fmt) -> None:
 
 
 @cli.command("cluster-vars")
-@click.option("--kind", required=True, help="A<n>, Atilde<m>, or kronecker.")
+@click.option("--kind", required=True,
+              help="A<n>, Atilde<m> (the (m+1)-cycle), or kronecker. As in the catalog, "
+              "Atilde11 is kronecker and Atilde12 is refused.")
 @click.option("--bound", type=int, default=8, show_default=True,
               help="Window length for the infinite families.")
 @format_option

@@ -4,12 +4,15 @@ The matrix form of a below-point value generalizes from integers to
 variables: a frontier word a0 l1 a1 ... l_{n+1} a_{n+1} evaluates to a
 bordered product of per-letter 2x2 steps divided by the interior
 variables, and the result is always a Laurent polynomial with natural
-coefficients. One route computes it: the packed step kernel
-`laurent.nested_word_values` (exponent shifts and additions on packed
-keys, one canonical LaurentPoly per value). `variable_tile_value` sends a
-tile's word through it, and so does every cell of the cross construction,
-whose labels may be the constant 1 and whose north-east region closes with
-a swapped column.
+coefficients. Every value here is one word, so one route computes it: the
+single-word walk `laurent.bordered_word_value`, which carries a row vector
+of two packed entries from left to right (exponent shifts and additions on
+packed keys, one canonical LaurentPoly per value). `variable_tile_value`
+sends a tile's word through it, and so does every cell of the cross
+construction, whose labels may be the constant 1 and whose north-east
+region closes with a swapped column. The other step kernel,
+`laurent.nested_word_values`, keeps the full 2x2 product for the frise
+rays of `frises`, whose words grow at both ends.
 
 The cross construction turns one variable word into a partial frieze:
 the word and its transpose are laid out as two parallel staircases, two
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .diagrams import Quiver, default_quiver
-from .frises import WindowTooShort, frise_extend_vars
-from .laurent import LaurentPoly, Scalar, nested_word_values, products_differ_by_one
+from .frises import WindowTooShort, check_variable_budget, frise_extend_vars
+from .laurent import LaurentPoly, Scalar, bordered_word_value, products_differ_by_one
 from .tilings import Embedding, InconsistentGeometry, Point, transpose_word
 
 
@@ -64,24 +67,19 @@ def variable_tile_value(e: Embedding, names: Callable[[int], str], p: Point) -> 
 
     names(i) is the name of the variable sitting on frontier vertex i (a
     str; "1" is a variable name here, not the constant). Vertices give
-    their own variable; a below point's word is one span of
-    `nested_word_values` over the distinct names on its vertices; above
-    points go through the mirrored frontier exactly as in the integer
-    tiling.
+    their own variable; a below point's word goes through
+    `bordered_word_value`; above points go through the mirrored frontier
+    exactly as in the integer tiling.
     """
     side, first, last = e.locate(p)
     if side == "on":
         if e.vertex(first) != p:
             raise InconsistentGeometry("point %r is on the frontier but not vertex %d" % (p, first))
-        return LaurentPoly.var(names(first))
+        return LaurentPoly._trusted((names(first),), {(1,): 1})
     if side == "above":
         e = e.mirror()
-    labels = [names(i) for i in range(first, last + 2)]
-    universe = tuple(dict.fromkeys(labels))
-    index = {name: j for j, name in enumerate(universe)}
-    (value,) = nested_word_values(universe, e.frontier.letter,
-                                  lambda i: index[labels[i - first]], [(first, last)])
-    return value
+    return bordered_word_value([names(i) for i in range(first, last + 2)],
+                               e.frontier.factor(first, last + 1))
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +173,7 @@ class _CrossFigure:
         # the seed's names with the two closing 1s; the south-east staircase
         # carries them in reverse, so read backwards it has the same labels
         self.names = ("1",) + seed.names + ("1",)
-        self.universe = tuple(dict.fromkeys(n for n in seed.names if n != "1"))
-        index = {name: j for j, name in enumerate(self.universe)}
-        self.labels = [index.get(name) for name in self.names]  # None: the constant 1
+        self.labels = [None if name == "1" else name for name in self.names]  # None: the constant 1
 
         self.nw_letters = "y" + seed.letters + "x"
         self.nw_pos = self._walk((self.Y + 1, 0), self.nw_letters)
@@ -219,14 +215,12 @@ class _CrossFigure:
         return cells
 
     # Each region reads a factor of one staircase between the two hits of
-    # the cell's projections, as one word of the step kernel. The inner
+    # the cell's projections, as one word of the single-word walk. The inner
     # region keeps both plain borders, the right one swaps the closing
     # column, and the south-east one reads the transposed staircase backwards.
 
     def _word(self, letters: str, f: int, l: int, col_swap: bool = False) -> LaurentPoly:
-        (value,) = nested_word_values(self.universe, letters.__getitem__, self.labels.__getitem__,
-                                      [(f, l)], col_swap)
-        return value
+        return bordered_word_value(self.labels[f:l + 2], letters[f:l + 1], col_swap)
 
     def nw_cells(self):
         for c in range(self.X + 2):
@@ -379,14 +373,22 @@ def kronecker_closed_form(n: int, a: Scalar = "u1", b: Scalar = "u2") -> Laurent
 def enumerate_cluster_vars(kind: str, bound: int = 8, quiver: Optional[Quiver] = None) -> list:
     """Distinct cluster variables of type A(n) or Atilde(m) as Laurent polys.
 
-    A(n) is finite: one full period of the symbolic frise visits every
-    variable. Atilde(m) is infinite, so the frise is windowed to `bound`
-    steps (for the doubled edge m = 1, the closed form supplies the
-    sequence). Every returned value has natural coefficients over a
-    monomial denominator; the list is sorted and duplicate-free.
+    kind is A<n>, Atilde<m> or kronecker, with the catalog's meaning
+    (`diagrams.parse_shorthand`): Atilde<m> is the (m+1)-cycle, except
+    that Atilde11 is the Kronecker diagram and Atilde12, the other
+    two-vertex Euclidean diagram, is refused. A(n) is finite: one full
+    period of the symbolic frise visits every variable. Atilde(m) is
+    infinite, so the frise is windowed to `bound` steps (for the doubled
+    edge m = 1, the closed form supplies the sequence). The rank is held
+    to the variable budget of `frise_extend_vars` before any quiver is
+    built. Every returned value has natural coefficients over a monomial
+    denominator; the list is sorted and duplicate-free.
     """
     name = kind.strip().lower().replace(" ", "").replace("(", "").replace(")", "")
-    if name == "kronecker":
+    if name == "atilde12":
+        raise ValueError("Atilde12 is the two-vertex Euclidean diagram with valuation (1, 4), "
+                         "not a cycle; cluster-vars takes A<n>, Atilde<m> or kronecker")
+    if name in ("kronecker", "atilde11"):
         series, m = "Atilde", 1
     else:
         matched = re.fullmatch(r"(atilde|a)(\d+)", name)
@@ -399,17 +401,15 @@ def enumerate_cluster_vars(kind: str, bound: int = 8, quiver: Optional[Quiver] =
     if bound < 1:
         raise ValueError("bound must be at least 1")
 
-    if series == "A":
-        q = quiver if quiver is not None else default_quiver("A", m)
-        table = frise_extend_vars(q, m + 2).table  # one period is m + 3 columns
-    elif m == 1:
+    if series == "Atilde" and m == 1:
         found = {LaurentPoly.var("u1"), LaurentPoly.var("u2")}
         found.update(kronecker_closed_form(n) for n in range(2, bound + 1))
         return _natural_sorted(found)
-    else:
-        q = quiver if quiver is not None else default_quiver("Atilde", m)
-        table = frise_extend_vars(q, bound).table
-
+    if quiver is None:
+        check_variable_budget(m if series == "A" else m + 1)
+        quiver = default_quiver(series, m)
+    # one period of A(n) is n + 3 columns
+    table = frise_extend_vars(quiver, m + 2 if series == "A" else bound).table
     return _natural_sorted({v for row in table for v in row})
 
 

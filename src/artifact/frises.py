@@ -171,7 +171,14 @@ def _division_rows(quiver: Quiver, steps: int) -> list[list[LaurentPoly]]:
     return _extend(quiver, steps, lambda j: init[j], LaurentPoly.nat(1), divide)
 
 
-def frise_extend_vars(quiver: Quiver, steps: int, max_vars: int = 16) -> VarFrise:
+def check_variable_budget(d: int) -> None:
+    """Refuse a symbolic frise of more than 16 initial variables; callers
+    that know d from a rank call it before building the quiver."""
+    if d > 16:
+        raise ValueError("%d vertices exceeds the variable budget 16" % d)
+
+
+def frise_extend_vars(quiver: Quiver, steps: int) -> VarFrise:
     """Frise with the initial row replaced by variables u_1..u_d.
 
     Each cell must come out as a Laurent polynomial with natural
@@ -180,9 +187,7 @@ def frise_extend_vars(quiver: Quiver, steps: int, max_vars: int = 16) -> VarFris
     oriented cycles take the ray route, every other quiver the division
     route (see the module docstring).
     """
-    d = quiver.cartan.d
-    if d > max_vars:
-        raise ValueError("%d vertices exceeds the variable budget %d" % (d, max_vars))
+    check_variable_budget(quiver.cartan.d)
     w = _cycle_word(quiver)
     rows = _division_rows(quiver, steps) if w is None else _cycle_rows(w, steps)
     return VarFrise(quiver, rows)

@@ -10,9 +10,18 @@ Each ring operation has one route. A product with a one-term factor (a
 monomial or a nonzero constant) is an exponent shift; any other product
 of two nonzero values runs ``_mul_packed``. Division by a one-term divisor
 is the shift ``monomial_div``; any other exact division runs
-``_div_packed``. Both packed routes and the step kernel work on exponent
-vectors packed into one integer, a bit field per variable, and each result
-leaves through ``_unpacked``, which builds its canonical LaurentPoly once.
+``_div_packed``.
+
+Bordered products of 2x2 step matrices over words whose vertices carry one
+variable or 1 have two kernels. ``bordered_word_value`` walks one word as
+a row vector, two entries per step: the tiles below the frontier and the
+cells of the cross construction (``cluster``) use it. ``nested_word_values``
+keeps the whole 2x2 product, so a word can grow at both ends: the frise
+rays of oriented cycles (``frises``) use it.
+
+The packed routes and both kernels work on exponent vectors packed into
+one integer, a bit field per variable, and each result leaves through
+``_unpacked``, which builds its canonical LaurentPoly once.
 
 The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
 product. It packs exponent vectors into signed fields of one common width
@@ -27,7 +36,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import and_, lshift, neg, or_
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, "LaurentPoly"]
 
@@ -467,6 +476,9 @@ def _poly_str(p: LaurentPoly) -> str:
 # exponent key of each term is offset + key, so multiplying by a variable
 # only moves the offset. ``_shifted`` shares terms dicts, so ``_plus`` mutates
 # neither operand; coefficients are natural and only added, so no sum is 0 to prune.
+#
+# Every term of a word's value has total degree at most the word's letter
+# count, so one field of that count's bit_length per name never carries.
 
 
 def _shifted(entry: tuple[int, dict], k: int) -> tuple[int, dict]:
@@ -485,42 +497,92 @@ def _plus(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
     return off, out
 
 
+def _fields(names: Iterable[str], letters: int) -> tuple[tuple[str, ...], dict, int]:
+    """The sorted universe of names, each name's packed key (one field per
+    name) and the field width, for words of up to ``letters`` letters."""
+    universe = tuple(sorted(set(names), key=_var_key))
+    width = letters.bit_length()
+    return universe, {v: 1 << (pos * width) for pos, v in enumerate(universe)}, width
+
+
+def _over_monomial(universe: tuple[str, ...], width: int, entry: tuple[int, dict],
+                   den: int) -> LaurentPoly:
+    """The value of entry divided by the monomial whose packed key is den,
+    unpacked once into its canonical LaurentPoly."""
+    off, terms = entry
+    shifts = [pos * width for pos in range(len(universe))]
+    mask = (1 << width) - 1
+    lows = [-((den >> shift) & mask) for shift in shifts]
+    return _unpacked(universe, [k + off for k in terms], terms.values(), lows, shifts,
+                     [width] * len(universe))
+
+
+def bordered_word_value(names: Sequence[Optional[str]], letters: str,
+                        col_swap: bool = False) -> LaurentPoly:
+    """Value of the single word names[0] letters[0] names[1] ... names[-1].
+
+    Vertex i carries a_i = names[i], or the constant 1 when names[i] is
+    None. With n letters the value is
+
+        (1, a_0) M(a_1, x_1, a_2) ... M(a_{n-2}, x_{n-2}, a_{n-1}) (1, a_n)^T
+        / (a_1 ... a_{n-1}),
+
+    where M(a,x,b) = [[a,1],[0,b]] and M(a,y,b) = [[b,0],[1,a]]; the first
+    and last letters only delimit the word. With ``col_swap`` the closing
+    column is (a_n, 1)^T instead, as the north-east region of the cross
+    construction needs. A single word never grows on the left, so only the
+    row vector (x, y) = (1, a_0) is carried from left to right: an x letter
+    maps it to (a x, x + b y), a y letter to (b x + y, a y), and the close
+    is x + a_n y (a_n x + y with ``col_swap``). That is one entry sum per
+    letter and one at the close, on the packed entries of the nested kernel
+    below; a constant vertex is a zero shift, with no field and no factor
+    in the denominator.
+    """
+    n = len(letters)
+    if n < 2:
+        raise ValueError("word %r needs at least two letters" % (letters,))
+    if len(names) != n + 1:
+        raise ValueError("need one more name than letters")
+    universe, key, width = _fields((v for v in names if v is not None), n)
+    key[None] = 0
+    units = [key[v] for v in names]
+    x, y = (0, {0: 1}), (units[0], {0: 1})
+    for i in range(1, n - 1):
+        a, b = units[i], units[i + 1]
+        if letters[i] == "x":
+            x, y = _shifted(x, a), _plus(x, _shifted(y, b))
+        else:
+            x, y = _plus(_shifted(x, b), y), _shifted(y, a)
+    last = units[n]
+    value = _plus(_shifted(x, last), y) if col_swap else _plus(x, _shifted(y, last))
+    return _over_monomial(universe, width, value, sum(units[1:n]))
+
+
 def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
-                       label: Callable[[int], Optional[int]],
-                       spans: Iterable[tuple[int, int]],
-                       col_swap: bool = False) -> list[LaurentPoly]:
-    """Values of nested words whose vertices each carry one variable or 1.
+                       label: Callable[[int], int],
+                       spans: Iterable[tuple[int, int]]) -> list[LaurentPoly]:
+    """Values of nested words whose vertices each carry one variable.
 
     The word (f, l) holds the letters f..l, and vertex i (before letter i)
-    carries a_i = names[label(i)], or the constant 1 when label(i) is None.
-    Its value is
+    carries a_i = names[label(i)]. Its value is
 
         (1, a_f) P (1, a_{l+1})^T / (a_{f+1} ... a_l),
         P = M(a_{f+1}, x_{f+1}, a_{f+2}) ... M(a_{l-1}, x_{l-1}, a_l),
 
-    with M(a,x,b) = [[a,1],[0,b]] and M(a,y,b) = [[b,0],[1,a]]; with
-    ``col_swap`` the closing column is (a_{l+1}, 1)^T instead, as the
-    north-east region of the cross construction needs. Each span must
-    contain the one before it, so P is kept and extended by the step
-    matrices of the new letters at each end. A step multiplies entries by
-    one variable or adds two of them, so P's entries live over packed
-    exponent keys (one field per name, wide enough for the longest word's
-    degree) with natural coefficients and no division. A constant vertex
-    is a zero shift: it has no field and no factor in the denominator. The
-    monomial denominator is subtracted while each value is unpacked, once,
-    into its canonical LaurentPoly.
+    with M as in ``bordered_word_value``. Each span must contain the one
+    before it, so the frise rays keep P and extend it by the step matrices
+    of the new letters at each end. A step multiplies entries by one
+    variable or adds two of them, so P's entries live over packed exponent
+    keys (one field per name, wide enough for the longest word's degree)
+    with natural coefficients and no division. The monomial denominator is
+    subtracted while each value is unpacked, once, into its canonical
+    LaurentPoly.
     """
     spans = list(spans)
     if not spans:
         return []
-    order = sorted(range(len(names)), key=lambda j: _var_key(names[j]))
-    universe = tuple(names[j] for j in order)
-    field = {j: pos for pos, j in enumerate(order)}
-    # every term of a value has total degree at most the word's letter count
-    width = max(l - f + 1 for f, l in spans).bit_length()
-    shifts, widths = [pos * width for pos in range(len(universe))], [width] * len(universe)
-    unit = {j: 1 << shifts[field[j]] for j in range(len(names))}
-    unit[None] = 0
+    universe, key, width = _fields(names, max(l - f + 1 for f, l in spans))
+    unit = [key[v] for v in names]
 
     p, q, r, s = (0, {0: 1}), (0, {}), (0, {}), (0, {0: 1})  # P = identity
     lo = hi = spans[0][0] + 1  # P covers the letters lo..hi-1
@@ -548,16 +610,9 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
                               _plus(_shifted(r, b), s), _shifted(s, a))
         lo, hi = f + 1, l
         first, last = unit[label(f)], unit[label(l + 1)]
-        c0, c1 = (last, 0) if col_swap else (0, last)  # the closing column
-        off, terms = _plus(_plus(_shifted(p, c0), _shifted(q, c1)),
-                           _shifted(_plus(_shifted(r, c0), _shifted(s, c1)), first))
-        lows = [0] * len(universe)  # less the monomial denominator
-        for i in range(f + 1, l + 1):
-            j = label(i)
-            if j is not None:
-                lows[field[j]] -= 1
-        keys = [k + off for k in terms]
-        out.append(_unpacked(universe, keys, terms.values(), lows, shifts, widths))
+        value = _plus(_plus(p, _shifted(q, last)), _shifted(_plus(r, _shifted(s, last)), first))
+        den = sum(unit[label(i)] for i in range(f + 1, l + 1))
+        out.append(_over_monomial(universe, width, value, den))
     return out
 
 

@@ -1,11 +1,14 @@
 """Bordered products over LaurentPoly entries, kept as test oracles.
 
 The library computes every bordered product (1, a0) M ... M (1, a_last)^T
-with the packed step kernel `laurent.nested_word_values`. This module keeps
-the plain route it replaced: 2x2 matrices whose entries are LaurentPoly
-values, multiplied step by step, with the monomial denominator divided out
-exactly at the end. It also keeps the determinant identities that make the
-word formula SL2, checked on random draws.
+with one of two packed kernels: `laurent.bordered_word_value` walks a
+single word as a row vector (the tiles and cross-construction cells of
+`cluster`), and `laurent.nested_word_values` extends one 2x2 product over
+nested words (the frise rays of `frises`). This module keeps the plain
+route they replaced: 2x2 matrices whose entries are LaurentPoly values,
+multiplied step by step, with the monomial denominator divided out exactly
+at the end. It also keeps the determinant identities that make the word
+formula SL2, checked on random draws.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -475,6 +476,39 @@ def test_enumerate_rejects_unknown_type():
         enumerate_cluster_vars("A2", bound=0)
 
 
+@pytest.mark.parametrize("kind, d", [("A1000000", 1000000), ("A17", 17), ("Atilde16", 17)])
+def test_enumerate_holds_the_rank_to_the_budget_before_building(monkeypatch, kind, d):
+    def built(*args):
+        raise AssertionError("a quiver was built")
+
+    monkeypatch.setattr(cluster, "default_quiver", built)
+    with pytest.raises(ValueError, match="^%d vertices exceeds the variable budget 16$" % d):
+        enumerate_cluster_vars(kind, 4)
+    _cli_fails_cleanly(["cluster-vars", "--kind", kind, "--bound", "4"])
+
+
+def test_enumerate_reads_the_two_vertex_names_as_the_catalog_does():
+    # Atilde11 and Atilde12 name the two-vertex Euclidean diagrams, as in
+    # parse_shorthand; Atilde13 is still the 14-cycle
+    assert parse_shorthand("Atilde11").cartan.d == parse_shorthand("Atilde12").cartan.d == 2
+    assert enumerate_cluster_vars("Atilde11", 6) == enumerate_cluster_vars("kronecker", 6)
+    assert enumerate_cluster_vars("atilde (11)", 3) == enumerate_cluster_vars("kronecker", 3)
+    with pytest.raises(ValueError, match="Atilde12 is the two-vertex Euclidean diagram"):
+        enumerate_cluster_vars("Atilde12", 6)
+    assert len(enumerate_cluster_vars("Atilde13", 1)) == 14 * 2
+    for fmt in ("text", "tsv", "json"):
+        got, want = (_cli(["cluster-vars", "--kind", kind, "--bound", "6", "--format", fmt])
+                     for kind in ("Atilde11", "kronecker"))
+        assert got.exit_code == want.exit_code == 0
+        if fmt == "json":  # the kind is echoed as given
+            got, want = json.loads(got.stdout), json.loads(want.stdout)
+            assert got.pop("kind") == "Atilde11" and want.pop("kind") == "kronecker"
+        else:
+            got, want = got.stdout, want.stdout
+        assert got == want
+    _cli_fails_cleanly(["cluster-vars", "--kind", "Atilde12", "--bound", "6"])
+
+
 # ----------------------------------------------------------------------
 # the consistency and positivity checks are exceptions, so they survive
 # python -O and reach the CLI as one error line
@@ -488,12 +522,16 @@ class _Table:
 NOT_NATURAL = V("u1") - V("u2")
 
 
-def _cli_fails_cleanly(args):
+def _cli(args):
     from click.testing import CliRunner
 
     from artifact.cli import cli
 
-    result = CliRunner().invoke(cli, args)
+    return CliRunner().invoke(cli, args)
+
+
+def _cli_fails_cleanly(args):
+    result = _cli(args)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output

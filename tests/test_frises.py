@@ -31,7 +31,7 @@ from artifact.frises import (
     specialize_at_one,
     verify_recursion,
 )
-from artifact.laurent import LaurentPoly, nested_word_values
+from artifact.laurent import LaurentPoly, bordered_word_value, nested_word_values
 from artifact.tilings import Embedding, Frontier, word_span
 from bordered_oracles import word_value_vars
 from laurent_oracles import subst
@@ -307,17 +307,21 @@ blocks = st.text(alphabet="xy", min_size=2, max_size=6).filter(lambda w: "x" in 
        st.integers(1, 5), st.integers(1, 7), st.sets(st.integers(0, 6)), st.booleans())
 def test_nested_word_values_match_word_value_vars(left, center, right, k, period, count, ones,
                                                   col_swap):
-    # a diagonal ray below vertex k gives nested words; labels repeat with the
-    # period, and the residues in ``ones`` carry the constant 1
+    # a diagonal ray below vertex k gives nested words, with labels repeating
+    # with the period; each word is also read alone by the single-word walk,
+    # with the residues in ``ones`` carrying the constant 1 and either column
     e = Embedding(Frontier(left, center, right))
     u, v = e.vertex(k)
     spans = [word_span(e, (u + n, v - n)) for n in range(1, count + 1)]
     names = tuple("u%d" % (j + 1) for j in reversed(range(period)))
-    label = lambda i: None if i % period in ones else i % period
-    got = nested_word_values(names, e.frontier.letter, label, spans, col_swap)
+    label = lambda i: i % period
+    got = nested_word_values(names, e.frontier.letter, label, spans)
     for (f, l), value in zip(spans, got):
-        labels = ["1" if label(i) is None else names[label(i)] for i in range(f, l + 2)]
-        assert value == word_value_vars(labels, e.frontier.factor(f, l + 1), col_swap)
+        letters = e.frontier.factor(f, l + 1)
+        assert value == word_value_vars([names[label(i)] for i in range(f, l + 2)], letters)
+        walk = [None if i % period in ones else names[label(i)] for i in range(f, l + 2)]
+        assert bordered_word_value(walk, letters, col_swap) == word_value_vars(
+            ["1" if name is None else name for name in walk], letters, col_swap)
 
 
 def test_nested_word_values_need_nested_spans():

@@ -12,6 +12,7 @@ from artifact.laurent import (
     ExactDivisionError,
     LaurentPoly,
     NonMonomialDivisor,
+    bordered_word_value,
     nested_word_values,
     products_differ_by_one,
 )
@@ -402,7 +403,7 @@ def test_power_short_circuits_and_matches_repeated_product():
 
 # ----------------------------------------------------------------------
 # every packed route's result comes out canonical: products, quotients
-# and the step kernel's values
+# and the values of both word kernels
 
 
 def _canonical(r: LaurentPoly) -> bool:
@@ -428,11 +429,15 @@ def _quotient(num, den):
     return [(num.exact_div(den), oracle_div(num, den))]
 
 
-def _kernel(names, letters, labels, spans, col_swap):
-    got = nested_word_values(names, letters.__getitem__, labels.__getitem__, spans, col_swap)
-    return [(value, word_value_vars(["1" if labels[i] is None else names[labels[i]]
-                                     for i in range(f, l + 2)], letters[f:l + 1], col_swap))
+def _kernel(names, letters, labels, spans):
+    got = nested_word_values(names, letters.__getitem__, labels.__getitem__, spans)
+    return [(value, word_value_vars([names[labels[i]] for i in range(f, l + 2)], letters[f:l + 1]))
             for (f, l), value in zip(spans, got)]
+
+
+def _walk(names, letters, col_swap):
+    return [(bordered_word_value(names, letters, col_swap),
+             word_value_vars(["1" if v is None else v for v in names], letters, col_swap))]
 
 
 # m times m^-1 cancels m's variables from the product unless n brings them back
@@ -447,26 +452,69 @@ quotients = st.builds(lambda p, q, m, n: (_quotient, p * q * m, q * n),
 @st.composite
 def kernel_spans(draw):
     # nested spans over random letters; each vertex carries one of four
-    # names or the constant 1, so some names of the universe go unused
+    # names, so some names of the universe go unused
     n = draw(st.integers(2, 8))
     letters = draw(st.text("xy", min_size=n, max_size=n))
-    labels = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=n + 1,
-                           max_size=n + 1))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
     f = draw(st.integers(0, n - 2))
     l = draw(st.integers(f + 1, n - 1))
     spans = [(f, l)]
     for _ in range(draw(st.integers(0, 3))):
         f, l = draw(st.integers(0, f)), draw(st.integers(l, n - 1))
         spans.append((f, l))
-    return _kernel, ("u10", "u2", "u3", "u1"), letters, labels, spans, draw(st.booleans())
+    return _kernel, ("u10", "u2", "u3", "u1"), letters, labels, spans
+
+
+@st.composite
+def single_words(draw, min_letters=2, max_letters=8):
+    # one word whose vertices carry one of four names or the constant 1,
+    # closed by either column
+    n = draw(st.integers(min_letters, max_letters))
+    letters = draw(st.text("xy", min_size=n, max_size=n))
+    names = draw(st.lists(st.sampled_from((None, "u10", "u2", "u3", "u1")), min_size=n + 1,
+                          max_size=n + 1))
+    return _walk, names, letters, draw(st.booleans())
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(products, quotients, kernel_spans()))
+@given(st.one_of(products, quotients, kernel_spans(), single_words()))
 def test_packed_results_are_canonical_and_match_the_oracles(case):
     route, *args = case
     for got, want in route(*args):
         assert _canonical(got) and got == want
+
+
+# the single-word walk against the LaurentPoly matrix oracle, on words long
+# enough that names repeat, and against the nested kernel on one span
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_words(2, 20))
+def test_bordered_word_value_matches_word_value_vars(case):
+    route, *args = case
+    for got, want in route(*args):
+        assert _canonical(got) and got == want and got.is_natural()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 20).flatmap(lambda n: st.tuples(
+    st.text("xy", min_size=n, max_size=n),
+    st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))))
+def test_bordered_word_value_matches_nested_word_values_on_one_span(word):
+    letters, labels = word
+    names = ("u10", "u2", "u3", "u1")
+    (nested,) = nested_word_values(names, letters.__getitem__, labels.__getitem__,
+                                   [(0, len(letters) - 1)])
+    assert bordered_word_value([names[j] for j in labels], letters) == nested
+
+
+def test_both_word_kernels_need_at_least_two_letters():
+    with pytest.raises(ValueError, match="at least two letters"):
+        bordered_word_value(["a", None], "x")
+    with pytest.raises(ValueError, match="at least two letters"):
+        nested_word_values(("a",), lambda i: "x", lambda i: 0, [(2, 2)])
+    with pytest.raises(ValueError, match="one more name than letters"):
+        bordered_word_value(["a", "b", "c"], "xyx")
 
 
 # sums and one-term shifts come out canonical too; a sum can cancel whole

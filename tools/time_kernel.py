@@ -1,17 +1,20 @@
-"""Best-of-five seconds of the ray kernel's callers and of the division route.
+"""Best-of-five seconds of the two word kernels' callers and of the division route.
 
     python3 tools/time_kernel.py
 
-The ray kernel (``laurent.nested_word_values``) is not a traced span, so
-a traced benchmark run shows its time inside ``frises.extend_vars.self_s``
-and ``cluster.tile_vars.self_s``. This command times it through the calls
-that reach it:
+Neither word kernel is a traced span, so a traced benchmark run shows
+their time inside the span of their caller. The ray kernel
+(``laurent.nested_word_values``, one 2x2 product extended at both ends)
+shows in ``frises.extend_vars.self_s``; this command times it through:
 
 - ``frise_extend_vars`` on Atilde3 at 14 steps;
-- ``frise_extend_vars`` on the cycle quiver of ``xxxy`` at 10 steps;
-- the 4,608 ``variable_tile_value`` calls of one symbolic-tiles pass of
-  perfbench at seed 1 (72 windows of 8x8 cells). The frontiers, windows and
-  embeddings are built before the clock starts.
+- ``frise_extend_vars`` on the cycle quiver of ``xxxy`` at 10 steps.
+
+The single-word walk (``laurent.bordered_word_value``, a row vector of two
+entries) shows in ``cluster.tile_vars.self_s``; this command times it
+through the 4,608 ``variable_tile_value`` calls of one symbolic-tiles pass
+of perfbench at seed 1 (72 windows of 8x8 cells). The frontiers, windows
+and embeddings are built before the clock starts.
 
 Symbolic frises of diagrams that are not cycles take the division route
 instead: every cell is one exact Laurent division of ring products
@@ -24,8 +27,8 @@ on larger diagrams:
 - ``frise_extend_vars`` on Dtilde4 at 8 steps;
 - ``frise_extend_vars`` on E6 at 6 steps.
 
-The cross construction sends every cell through the same kernel, one
-single-span word per cell, and no benchmark workload runs it:
+The cross construction sends every cell through the single-word walk,
+and no benchmark workload runs it:
 
 - ``cross_construct`` on the 12-letter symbolic seed
   ``aybycxdxexfxgyhyiyjxkylxm``;
