@@ -308,8 +308,8 @@ blocks = st.text(alphabet="xy", min_size=2, max_size=6).filter(lambda w: "x" in 
 def test_nested_word_values_match_word_value_vars(left, center, right, k, period, count, ones,
                                                   col_swap):
     # a diagonal ray below vertex k gives nested words, with labels repeating
-    # with the period; each word is also read alone by the single-word walk,
-    # with the residues in ``ones`` carrying the constant 1 and either column
+    # with the period; the longest word is also read alone by the single-word
+    # walk, with the residues in ``ones`` carrying the constant 1
     e = Embedding(Frontier(left, center, right))
     u, v = e.vertex(k)
     spans = [word_span(e, (u + n, v - n)) for n in range(1, count + 1)]
@@ -317,11 +317,11 @@ def test_nested_word_values_match_word_value_vars(left, center, right, k, period
     label = lambda i: i % period
     got = nested_word_values(names, e.frontier.letter, label, spans)
     for (f, l), value in zip(spans, got):
-        letters = e.frontier.factor(f, l + 1)
-        assert value == word_value_vars([names[label(i)] for i in range(f, l + 2)], letters)
-        walk = [None if i % period in ones else names[label(i)] for i in range(f, l + 2)]
-        assert bordered_word_value(walk, letters, col_swap) == word_value_vars(
-            ["1" if name is None else name for name in walk], letters, col_swap)
+        labels = [names[label(i)] for i in range(f, l + 2)]
+        assert value == word_value_vars(labels, e.frontier.factor(f, l + 1))
+    walk = [None if i % period in ones else name for i, name in enumerate(labels, f)]
+    assert bordered_word_value(walk, e.frontier.factor(f, l + 1), col_swap) == word_value_vars(
+        ["1" if name is None else name for name in walk], e.frontier.factor(f, l + 1), col_swap)
 
 
 def test_nested_word_values_need_nested_spans():
