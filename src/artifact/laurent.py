@@ -21,7 +21,14 @@ rays of oriented cycles (``frises``) use it.
 
 The packed routes and both kernels work on exponent vectors packed into
 one integer, a bit field per variable, and each result leaves through
-``_unpacked``, which builds its canonical LaurentPoly once.
+``_unpacked``, which builds its canonical LaurentPoly once. The kernels'
+entries are dicts from packed key to coefficient; ``nested_word_values``
+switches to sorted int64 key and coefficient arrays once an entry has
+``_ARRAY_TERMS`` terms, where two bounds decided before its walk (62 key
+bits, and the last word's value at all ones below 2^62) make int64 exact.
+The kernels put the first variable in the most significant field, so
+sorted keys are lexicographic exponent tuples, and the values of the int64
+form leave with their terms in that order.
 
 The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
 product. It packs exponent vectors into signed fields of one common width
@@ -474,14 +481,16 @@ def _poly_str(p: LaurentPoly) -> str:
 #
 # An entry of a step-matrix product is a pair (offset, terms): the packed
 # exponent key of each term is offset + key, so multiplying by a variable
-# only moves the offset. ``_shifted`` shares terms dicts, so ``_plus`` mutates
-# neither operand; coefficients are natural and only added, so no sum is 0 to prune.
+# only moves the offset. The terms are a dict, or in the int64 form of
+# ``nested_word_values`` a pair of arrays (sorted keys, coefficients).
+# ``_shifted`` shares terms, so ``_plus`` and ``_array_plus`` mutate neither
+# operand; coefficients are natural and only added, so no sum is 0 to prune.
 #
 # Every term of a word's value has total degree at most the word's letter
 # count, so one field of that count's bit_length per name never carries.
 
 
-def _shifted(entry: tuple[int, dict], k: int) -> tuple[int, dict]:
+def _shifted(entry: tuple, k: int) -> tuple:
     return entry[0] + k, entry[1]
 
 
@@ -497,24 +506,91 @@ def _plus(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
     return off, out
 
 
+# From this many terms in one entry of P on, ``nested_word_values`` sums
+# sorted int64 arrays instead of dicts (while its int64 bounds hold). On the
+# sums of the symbolic-frise benchmark's frise rays the two forms cost the
+# same between 64 and 128 terms.
+_ARRAY_TERMS = 128
+
+
+def _as_arrays(entries: tuple) -> list:
+    """Dict entries in the int64 form, each offset moved into its keys."""
+    import numpy as np  # here, so that a run below the switch never loads numpy
+
+    out = []
+    for off, terms in entries:
+        keys = np.fromiter((k + off for k in terms), dtype=np.int64, count=len(terms))
+        order = keys.argsort()
+        coeffs = np.fromiter(terms.values(), dtype=np.int64, count=len(terms))
+        out.append((0, (keys[order], coeffs[order])))
+    return out
+
+
+def _array_plus(a: tuple, b: tuple) -> tuple:
+    """The sum of two int64 entries: one concatenation of both sorted key
+    runs at the lower offset, one stable sort (a merge of the two runs) and
+    one ``reduceat`` over each run of equal keys.
+
+    A nonempty entry keeps 0 <= offset <= offset + key < 2^62 for each of
+    its keys, so no key here leaves int64. An empty entry's offset, moved by
+    every shift, is unbounded, so an empty operand returns the other one.
+    """
+    import numpy as np
+
+    (off_a, (ka, ca)), (off_b, (kb, cb)) = a, b
+    if not len(kb):
+        return a
+    if not len(ka):
+        return b
+    off = min(off_a, off_b)
+    keys = np.concatenate((ka + (off_a - off), kb + (off_b - off)))
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    starts = np.empty(len(keys), dtype=bool)  # first of each run of equal keys
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts = starts.nonzero()[0]
+    return off, (keys[starts], np.add.reduceat(np.concatenate((ca, cb))[order], starts))
+
+
+def _at_ones(letter: Callable[[int], str], f: int, l: int) -> int:
+    """The value of the word (f, l) with every vertex at 1."""
+    x, y = 1, 1
+    for i in range(f + 1, l):
+        x, y = (x, x + y) if letter(i) == "x" else (x + y, y)
+    return x + y
+
+
 def _fields(names: Iterable[str], letters: int) -> tuple[tuple[str, ...], dict, int]:
     """The sorted universe of names, each name's packed key (one field per
-    name) and the field width, for words of up to ``letters`` letters."""
+    name) and the field width, for words of up to ``letters`` letters.
+
+    universe[0] takes the most significant field, so integer order on
+    packed keys is lexicographic order on exponent tuples, and terms whose
+    keys leave in increasing order leave ``_unpacked`` in lexicographic
+    order (``_shifts`` gives the same layout to ``_over_monomial``).
+    """
     universe = tuple(sorted(set(names), key=_var_key))
     width = letters.bit_length()
-    return universe, {v: 1 << (pos * width) for pos, v in enumerate(universe)}, width
+    return universe, {v: 1 << shift for v, shift in zip(universe, _shifts(universe, width))}, width
 
 
-def _over_monomial(universe: tuple[str, ...], width: int, entry: tuple[int, dict],
-                   den: int) -> LaurentPoly:
-    """The value of entry divided by the monomial whose packed key is den,
-    unpacked once into its canonical LaurentPoly."""
+def _shifts(universe: tuple[str, ...], width: int) -> list[int]:
+    return [(len(universe) - 1 - pos) * width for pos in range(len(universe))]
+
+
+def _over_monomial(universe: tuple[str, ...], width: int, entry: tuple, den: int) -> LaurentPoly:
+    """The value of entry (either form) divided by the monomial whose packed
+    key is den, unpacked once into its canonical LaurentPoly."""
     off, terms = entry
-    shifts = [pos * width for pos in range(len(universe))]
+    if isinstance(terms, dict):
+        keys, coeffs = [k + off for k in terms], terms.values()
+    else:
+        keys, coeffs = (terms[0] + off).tolist(), terms[1].tolist()
+    shifts = _shifts(universe, width)
     mask = (1 << width) - 1
     lows = [-((den >> shift) & mask) for shift in shifts]
-    return _unpacked(universe, [k + off for k in terms], terms.values(), lows, shifts,
-                     [width] * len(universe))
+    return _unpacked(universe, keys, coeffs, lows, shifts, [width] * len(universe))
 
 
 def bordered_word_value(names: Sequence[Optional[str]], letters: str,
@@ -573,17 +649,45 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
     before it, so the frise rays keep P and extend it by the step matrices
     of the new letters at each end. A step multiplies entries by one
     variable or adds two of them, so P's entries live over packed exponent
-    keys (one field per name, wide enough for the longest word's degree)
-    with natural coefficients and no division. The monomial denominator is
-    subtracted while each value is unpacked, once, into its canonical
-    LaurentPoly.
+    keys (one field per name, wide enough for the longest word's degree,
+    laid out by ``_fields``) with natural coefficients and no division. The
+    monomial denominator is subtracted while each value is unpacked, once,
+    into its canonical LaurentPoly.
+
+    An entry has one of two forms, both (offset, terms) with every packed
+    key offset + key, so a product by a variable is an offset move:
+
+    - a dict from key to coefficient, summed by ``_plus``;
+    - from the span at which the largest of P's four entries has
+      ``_ARRAY_TERMS`` terms on, sorted int64 keys with their int64
+      coefficients, summed by ``_array_plus`` (one concatenation, one
+      stable sort of two sorted runs, one ``reduceat``). The four entries
+      are converted once, and the values leave with their terms in
+      lexicographic order.
+
+    The int64 form is exact, and is used, only when two bounds decided
+    before the walk hold; outside them the dicts run throughout:
+
+    - (distinct names) * width <= 62 bits: every exponent of a term of an
+      entry or a value is at most the longest word's letter count, below
+      2^width, so a packed key is below 2^62, and so is every key and
+      offset of ``_array_plus``;
+    - the last span's value at all ones (one integer walk over its
+      letters) is below 2^62: coefficients are natural, so each is at most
+      the coefficient sum of its entry, which is that entry at all ones. At
+      all ones every step matrix is natural with ones on its diagonal, so
+      P grows entrywise from span to span, and every entry, sum of entries
+      and value formed along the way is at most the last value at all ones.
+      Then no coefficient, and no partial sum of ``reduceat``, leaves int64.
     """
     spans = list(spans)
     if not spans:
         return []
     universe, key, width = _fields(names, max(l - f + 1 for f, l in spans))
     unit = [key[v] for v in names]
+    exact = len(universe) * width <= 62 and _at_ones(letter, *spans[-1]) < 1 << 62
 
+    plus = _plus
     p, q, r, s = (0, {0: 1}), (0, {}), (0, {}), (0, {0: 1})  # P = identity
     lo = hi = spans[0][0] + 1  # P covers the letters lo..hi-1
     out = []
@@ -592,25 +696,28 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
             raise ValueError("word (%d, %d) needs at least two letters" % (f, l))
         if f >= lo or l < hi:
             raise ValueError("span (%d, %d) does not contain the previous one" % (f, l))
+        if plus is _plus and exact and max(len(e[1]) for e in (p, q, r, s)) >= _ARRAY_TERMS:
+            plus = _array_plus
+            p, q, r, s = _as_arrays((p, q, r, s))
         for i in range(lo - 1, f, -1):  # M_i P, innermost letter first
             a, b = unit[label(i)], unit[label(i + 1)]
             if letter(i) == "x":
-                p, q, r, s = (_plus(_shifted(p, a), r), _plus(_shifted(q, a), s),
+                p, q, r, s = (plus(_shifted(p, a), r), plus(_shifted(q, a), s),
                               _shifted(r, b), _shifted(s, b))
             else:
                 p, q, r, s = (_shifted(p, b), _shifted(q, b),
-                              _plus(p, _shifted(r, a)), _plus(q, _shifted(s, a)))
+                              plus(p, _shifted(r, a)), plus(q, _shifted(s, a)))
         for i in range(hi, l):  # P M_i
             a, b = unit[label(i)], unit[label(i + 1)]
             if letter(i) == "x":
-                p, q, r, s = (_shifted(p, a), _plus(p, _shifted(q, b)),
-                              _shifted(r, a), _plus(r, _shifted(s, b)))
+                p, q, r, s = (_shifted(p, a), plus(p, _shifted(q, b)),
+                              _shifted(r, a), plus(r, _shifted(s, b)))
             else:
-                p, q, r, s = (_plus(_shifted(p, b), q), _shifted(q, a),
-                              _plus(_shifted(r, b), s), _shifted(s, a))
+                p, q, r, s = (plus(_shifted(p, b), q), _shifted(q, a),
+                              plus(_shifted(r, b), s), _shifted(s, a))
         lo, hi = f + 1, l
         first, last = unit[label(f)], unit[label(l + 1)]
-        value = _plus(_plus(p, _shifted(q, last)), _shifted(_plus(r, _shifted(s, last)), first))
+        value = plus(plus(p, _shifted(q, last)), _shifted(plus(r, _shifted(s, last)), first))
         den = sum(unit[label(i)] for i in range(f + 1, l + 1))
         out.append(_over_monomial(universe, width, value, den))
     return out

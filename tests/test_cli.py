@@ -294,6 +294,20 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert _loaded_after_importing_the_cli("numpy") == "False\n"
 
 
+def test_a_small_symbolic_frise_leaves_numpy_unloaded():
+    # every entry of the ray kernel stays below its switch to int64 arrays
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, %r); sys.argv[1:] = %r\n"
+            "from artifact.cli import main\n"
+            "try:\n    main()\n"
+            "finally:\n    print('numpy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code % (src, ["frise", "--vars", "--quiver", "Atilde2", "--steps", "4"])],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr.splitlines()[-1]) == (0, "False")
+    assert proc.stdout.count("\n") == 3  # one row per vertex
+
+
 def test_importing_the_cli_leaves_acceptance_unloaded():
     assert _loaded_after_importing_the_cli("artifact.acceptance") == "False\n"
 

@@ -19,6 +19,7 @@ from artifact.laurent import (
 from bordered_oracles import (Mat2, row_times_mat, step_matrix, vec_dot, verify_det_identities,
                               word_value_vars)
 from laurent_oracles import subst
+from artifact.tilings import Embedding, Frontier, word_span
 
 a = LaurentPoly.var("a")
 b = LaurentPoly.var("b")
@@ -899,3 +900,108 @@ def test_kernel_plus_matches_the_key_set_route(off_a, terms_a, off_b, terms_b, s
     assert got == _plus_by_key_sets(a, b)
     assert all(c > 0 for c in got[1].values())
     assert (terms_a, terms_b) == before
+
+
+# the nested kernel's two entry forms: dicts throughout, or int64 arrays
+# from the switch on while the int64 bounds hold
+
+
+@contextmanager
+def array_terms(threshold):
+    """Run nested_word_values with its switch set to threshold, and count
+    the conversions of its entries to the int64 form."""
+    saved = laurent_mod._ARRAY_TERMS, laurent_mod._as_arrays
+    calls = []
+
+    def counting(entries):
+        calls.append(1)
+        return saved[1](entries)
+
+    laurent_mod._ARRAY_TERMS, laurent_mod._as_arrays = threshold, counting
+    try:
+        yield calls
+    finally:
+        laurent_mod._ARRAY_TERMS, laurent_mod._as_arrays = saved
+
+
+def _both_forms(names, letter, label, spans):
+    """The kernel's values with the switch at 0 and out of reach, checked
+    equal; the int64 form's values keep their terms in lexicographic order.
+    Returns the values and whether the int64 form ran."""
+    with array_terms(0) as calls:
+        arrays = nested_word_values(names, letter, label, spans)
+    with array_terms(1 << 62) as never:
+        dicts = nested_word_values(names, letter, label, spans)
+    assert not never and arrays == dicts
+    assert all(_canonical(v) and v.is_natural() for v in arrays)
+    if calls:
+        assert all(list(v.terms) == sorted(v.terms) for v in arrays)
+    return arrays, bool(calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.text("xy", min_size=3, max_size=6).filter(lambda w: "x" in w and "y" in w),
+       st.integers(1, 12), st.integers(0, 5), st.data())
+def test_nested_word_values_agree_in_both_entry_forms_on_cycle_rays(w, steps, start, data):
+    # the frise ray of ^inf(w)(w)^inf from one vertex, as frises reads it
+    d = len(w)
+    names = tuple("u%d" % (j + 1) for j in range(d))
+    e = Embedding(Frontier(w, "", w))
+    u0, v0 = e.vertex(start % d)
+    spans = [word_span(e, (u0 + n, v0 - n)) for n in range(1, steps + 1)]
+    values, arrays = _both_forms(names, e.frontier.letter, lambda i: i % d, spans)
+    assert arrays
+    k = data.draw(st.integers(0, min(steps, 6) - 1))
+    (f, l), value = spans[k], values[k]
+    assert value == word_value_vars([names[i % d] for i in range(f, l + 2)],
+                                    e.frontier.factor(f, l + 1))
+
+
+def _interior_at_ones(total):
+    """Interior letters of a short word whose value at all ones is total.
+
+    The walk from (1, 1) maps (x, y) to (x, x + y) on an x letter and to
+    (x + y, y) on a y letter, and the value is x + y at its end; so it is
+    read backwards by subtraction from a coprime pair (total - y, y), with
+    y near total / phi, where the words are shortest.
+    """
+    best = None
+    middle = int(total / 1.618033988749895)
+    for y in range(middle - 64, middle + 64):
+        x, out = total - y, []
+        while (x, y) != (1, 1) and min(x, y) > 0 and len(out) < 200:
+            x, y, letter = (x - y, y, "y") if x > y else (x, y - x, "x")
+            out.append(letter)
+        if (x, y) == (1, 1) and (best is None or len(out) < len(best)):
+            best = out
+    return "".join(reversed(best))
+
+
+names_31, names_21 = (tuple("u%d" % j for j in range(1, k + 1)) for k in (31, 21))
+
+
+@pytest.mark.parametrize("names, letters, total, arrays", [
+    # key bits: 31 names in fields of 2 bits (3 letters) is 62; 21 names in
+    # fields of 3 bits (4 letters) is 63, in fields of 2 bits 42
+    (names_31, "xyx", None, True),
+    (names_21, "xyxy", None, False),
+    (names_21, "xyx", None, True),
+    # the value at all ones one below 2^62, at it and one past it, with every
+    # vertex on one name so that the coefficients are large
+    (("u1",), "x%sx" % _interior_at_ones((1 << 62) - 1), (1 << 62) - 1, True),
+    (("u1",), "x%sx" % _interior_at_ones(1 << 62), 1 << 62, False),
+    (("u1",), "x%sx" % _interior_at_ones((1 << 62) + 1), (1 << 62) + 1, False),
+], ids=["62 key bits", "63 key bits", "42 key bits", "at ones 2^62-1", "at ones 2^62",
+        "at ones 2^62+1"])
+def test_nested_word_values_fall_back_to_dicts_outside_the_int64_bounds(names, letters, total,
+                                                                        arrays):
+    n = len(letters)
+    spans = [(1, n - 2), (0, n - 1)] if n > 3 else [(0, n - 1)]
+    label = lambda i: i % len(names)
+    values, took_arrays = _both_forms(names, letters.__getitem__, label, spans)
+    assert took_arrays == arrays
+    for (f, l), value in zip(spans, values):
+        assert value == word_value_vars([names[label(i)] for i in range(f, l + 2)],
+                                        letters[f:l + 1])
+    if total is not None:
+        assert sum(values[-1].terms.values()) == total

@@ -14,12 +14,16 @@ The output holds each run's metrics. For the paired workload it also
 holds, per metric and side, the median and quartiles, and the number of
 pairs the change won (ties count for neither side); for every other
 workload, per metric and side, the median of its three runs.
+
+SIGTERM and SIGINT end the run as SystemExit, so the running benchmark
+child is killed and both exported trees are removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -83,6 +87,10 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def exit_on_signal(signum: int, frame) -> None:
+    sys.exit(128 + signum)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="Parent revision.")
@@ -91,6 +99,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, exit_on_signal)
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}

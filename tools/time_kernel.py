@@ -5,10 +5,15 @@
 Neither word kernel is a traced span, so a traced benchmark run shows
 their time inside the span of their caller. The ray kernel
 (``laurent.nested_word_values``, one 2x2 product extended at both ends)
-shows in ``frises.extend_vars.self_s``; this command times it through:
+shows in ``frises.extend_vars.self_s``. Its entries are dicts from packed
+key to coefficient until one of them reaches ``laurent._ARRAY_TERMS``
+terms, and sorted int64 arrays from there on (while its int64 bounds
+hold); this command times it through:
 
-- ``frise_extend_vars`` on Atilde3 at 14 steps;
-- ``frise_extend_vars`` on the cycle quiver of ``xxxy`` at 10 steps.
+- ``frise_extend_vars`` on Atilde3 at 14 steps and on the cycle quiver of
+  ``xxxy`` at 10 steps, whose entries pass the switch;
+- ``frise_extend_vars`` on the cycle quiver of ``xxy`` at 10 steps, whose
+  entries pass it only on the last spans of its rays.
 
 The single-word walk (``laurent.bordered_word_value``, a row vector of two
 entries) shows in ``cluster.tile_vars.self_s``; this command times it
@@ -155,6 +160,7 @@ def period(fr: frises.Frise):
 def main() -> None:
     atilde3 = diagrams.parse_shorthand("Atilde3")
     xxxy = correspondence.cycle_quiver("xxxy")
+    xxy = correspondence.cycle_quiver("xxy")
     calls = tile_calls(TILES_SEED)
     minors = minor_calls(calls)
     division = [(name, steps, diagrams.parse_shorthand(name))
@@ -171,6 +177,8 @@ def main() -> None:
          best(lambda: frises.frise_extend_vars(atilde3, 14))),
         ("frise_extend_vars cycle xxxy, 10 steps",
          best(lambda: frises.frise_extend_vars(xxxy, 10))),
+        ("frise_extend_vars cycle xxy, 10 steps",
+         best(lambda: frises.frise_extend_vars(xxy, 10))),
         ("variable_tile_value x %d, symbolic-tiles seed %d" % (len(calls), TILES_SEED),
          best(lambda: [cluster.variable_tile_value(*c) for c in calls])),
         ("products_differ_by_one x %d, symbolic-tiles seed %d" % (len(minors), TILES_SEED),
