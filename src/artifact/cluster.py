@@ -75,7 +75,7 @@ def variable_tile_value(e: Embedding, names: Callable[[int], str], p: Point) -> 
     if side == "on":
         if e.vertex(first) != p:
             raise InconsistentGeometry("point %r is on the frontier but not vertex %d" % (p, first))
-        return LaurentPoly._trusted((names(first),), {(1,): 1})
+        return LaurentPoly.var(names(first))
     if side == "above":
         e = e.mirror()
     return bordered_word_value([names(i) for i in range(first, last + 2)],
@@ -403,18 +403,19 @@ def enumerate_cluster_vars(kind: str, bound: int = 8, quiver: Optional[Quiver] =
 
     if series == "Atilde" and m == 1:
         found = {LaurentPoly.var("u1"), LaurentPoly.var("u2")}
-        found.update(kronecker_closed_form(n) for n in range(2, bound + 1))
-        return _natural_sorted(found)
-    if quiver is None:
-        check_variable_budget(m if series == "A" else m + 1)
-        quiver = default_quiver(series, m)
-    # one period of A(n) is n + 3 columns
-    table = frise_extend_vars(quiver, m + 2 if series == "A" else bound).table
-    return _natural_sorted({v for row in table for v in row})
-
-
-def _natural_sorted(found: set) -> list:
-    for v in found:
-        if not v.is_natural():
-            raise NonNaturalVariable("cluster variable %s has a non-natural coefficient" % v)
+        for n in range(2, bound + 1):
+            # no frise check covers the closed form
+            value = kronecker_closed_form(n)
+            if not value.is_natural():
+                raise NonNaturalVariable("cluster variable %s has a non-natural coefficient"
+                                         % value)
+            found.add(value)
+    else:
+        if quiver is None:
+            check_variable_budget(m if series == "A" else m + 1)
+            quiver = default_quiver(series, m)
+        # one period of A(n) is n + 3 columns; frise_extend_vars checks every
+        # cell for natural coefficients
+        table = frise_extend_vars(quiver, m + 2 if series == "A" else bound).table
+        found = {v for row in table for v in row}
     return sorted(found, key=lambda v: v.sort_key())

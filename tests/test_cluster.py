@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import cluster
+from artifact import cluster, frises
 from artifact.cluster import (
     CrossSeed,
     FriezePattern,
@@ -514,11 +514,6 @@ def test_enumerate_reads_the_two_vertex_names_as_the_catalog_does():
 # python -O and reach the CLI as one error line
 
 
-class _Table:
-    def __init__(self, table):
-        self.table = table
-
-
 NOT_NATURAL = V("u1") - V("u2")
 
 
@@ -541,9 +536,12 @@ def _cli_fails_cleanly(args):
 
 @pytest.mark.parametrize("kind", ["A3", "Atilde2"])
 def test_non_natural_frise_cell_raises_arithmetic_error(monkeypatch, kind):
-    monkeypatch.setattr(cluster, "frise_extend_vars",
-                        lambda q, steps: _Table([[V("u1"), NOT_NATURAL]]))
-    with pytest.raises(ArithmeticError, match="non-natural"):
+    # the symbolic frise checks each cell (A3 by divisions, the cycle
+    # Atilde2 by its rays), and the cluster variables are not checked again
+    monkeypatch.setattr(LaurentPoly, "exact_div", lambda self, divisor: NOT_NATURAL)
+    monkeypatch.setattr(frises, "nested_word_values",
+                        lambda names, letter, label, spans: [NOT_NATURAL for _ in spans])
+    with pytest.raises(ArithmeticError, match="negative coefficient"):
         enumerate_cluster_vars(kind, 4)
     _cli_fails_cleanly(["cluster-vars", "--kind", kind, "--bound", "4"])
 

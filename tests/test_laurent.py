@@ -18,7 +18,7 @@ from artifact.laurent import (
 )
 from bordered_oracles import (Mat2, row_times_mat, step_matrix, vec_dot, verify_det_identities,
                               word_value_vars)
-from laurent_oracles import subst
+from laurent_oracles import TupleLaurent, subst
 from artifact.tilings import Embedding, Frontier, word_span
 
 a = LaurentPoly.var("a")
@@ -217,80 +217,20 @@ def test_bordered_row_determinant_orientation():
 
 
 # ----------------------------------------------------------------------
-# the ring's product and division against the tuple-dict routes they
-# replaced, kept here as oracles on plain term dicts
+# the ring's product and division against the tuple-dict oracle
 
 
-def _pairwise_product(a: dict, b: dict) -> dict:
-    """Product of two term dicts over the same variables, pair by pair."""
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-def _long_division(num: dict, den: dict) -> dict:
-    """Exact division of polynomial term dicts under lex order."""
-    lead_d = max(den)
-    quo: dict = {}
-    rem = dict(num)
-    while rem:
-        lead_r = max(rem)
-        diff = tuple(x - y for x, y in zip(lead_r, lead_d))
-        if any(d < 0 for d in diff):
-            raise ExactDivisionError("no exact quotient (monomial obstruction)")
-        c_r, c_d = rem[lead_r], den[lead_d]
-        if c_r % c_d:
-            raise ExactDivisionError("no exact quotient (coefficient obstruction)")
-        q = c_r // c_d
-        quo[diff] = q
-        for e, c in den.items():
-            key = tuple(x + y for x, y in zip(e, diff))
-            val = rem.get(key, 0) - q * c
-            if val:
-                rem[key] = val
-            else:
-                rem.pop(key, None)
-    return quo
-
-
-def _common_terms(p, q):
-    """The variables of p and q, and each one's terms over all of them."""
-    names = sorted(set(p.variables) | set(q.variables))
-
-    def terms(f):
-        pos = [names.index(v) for v in f.variables]
-        out = {}
-        for e, c in f.terms.items():
-            key = [0] * len(names)
-            for i, x in zip(pos, e):
-                key[i] = x
-            out[tuple(key)] = c
-        return out
-
-    return names, terms(p), terms(q)
+def _from_oracle(t: TupleLaurent) -> LaurentPoly:
+    return LaurentPoly(t.variables, t.terms)
 
 
 def oracle_mul(p, q):
-    names, a, b = _common_terms(p, q)
-    return LaurentPoly(names, _pairwise_product(a, b))
+    return _from_oracle(TupleLaurent.of(p) * TupleLaurent.of(q))
 
 
 def oracle_div(p, q):
     """Strip both monomial contents, long-divide, shift the quotient back."""
-    names, a, b = _common_terms(p, q)
-    if not b:
-        raise ZeroDivisionError
-    if not a:
-        return LaurentPoly.nat(0)
-    a_min = [min(col) for col in zip(*a)]
-    b_min = [min(col) for col in zip(*b)]
-    num = {tuple(x - m for x, m in zip(e, a_min)): c for e, c in a.items()}
-    den = {tuple(x - m for x, m in zip(e, b_min)): c for e, c in b.items()}
-    return LaurentPoly(names, {tuple(x + m - n for x, m, n in zip(e, a_min, b_min)): c
-                               for e, c in _long_division(num, den).items()})
+    return _from_oracle(TupleLaurent.of(p).exact_div(TupleLaurent.of(q)))
 
 
 def _division_outcome(divide, p, q):
@@ -408,8 +348,9 @@ def test_power_short_circuits_and_matches_repeated_product():
 
 
 def _canonical(r: LaurentPoly) -> bool:
+    # == compares the packed forms: variables, least exponents, width, keys
     rebuilt = LaurentPoly(r.variables, r.terms)
-    return (r.variables, r.terms) == (rebuilt.variables, rebuilt.terms)
+    return (r.variables, r.terms) == (rebuilt.variables, rebuilt.terms) and r == rebuilt
 
 
 def multi_term(names):
@@ -533,8 +474,7 @@ def _summed(*parts: dict) -> dict:
 
 
 def oracle_add(p, q):
-    names, a, b = _common_terms(p, q)
-    return LaurentPoly(names, _summed(a, b))
+    return _from_oracle(TupleLaurent.of(p) + TupleLaurent.of(q))
 
 
 def _sum(p, q):
@@ -727,8 +667,9 @@ def dict_pairs(threshold):
         laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64 = saved
 
 
-# one variable up to |exponent| 3 (w = 4, kbits = 4) and coefficients up to
-# 2^28 (cbits = 58): 7 x 7 pairs, plus 14 or 15 for r*s
+# one variable from exponent -3 in a field of 3 bits, so |exponent| <= 4
+# (w = 5, kbits = 5), and coefficients below 2^28 (cbits = 57): 7 x 7
+# pairs, plus 14 or 15 for r*s
 seven = LaurentPoly(("a",), {(i,): 1 for i in range(-3, 4)})
 
 
@@ -752,8 +693,8 @@ seven = LaurentPoly(("a",), {(i,): 1 for i in range(-3, 4)})
     ((1 << 28) * a ** 4, a ** -4, (1 << 28) - 1, 1, True),
     # cmax^2 * pairs one step below 2^62 (63 pairs), and at it (64 pairs):
     # kbits + cbits <= 62 alone bounds the sums of a run of equal keys
-    ((1 << 28) * seven, seven, 1 + a, seven, False),
-    ((1 << 28) * seven, seven, a ** -1 + 1 + a, a ** -2 + a ** -1 + 1 + a + a ** 2, False),
+    (((1 << 28) - 1) * seven, seven, 1 + a, seven, False),
+    (((1 << 28) - 1) * seven, seven, a ** -1 + 1 + a, a ** -2 + a ** -1 + 1 + a + a ** 2, False),
 ])
 def test_products_differ_by_one_falls_back_outside_the_int64_bounds(p, q, r, s, falls_back):
     p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
@@ -1005,3 +946,102 @@ def test_nested_word_values_fall_back_to_dicts_outside_the_int64_bounds(names, l
                                         letters[f:l + 1])
     if total is not None:
         assert sum(values[-1].terms.values()) == total
+
+
+# ----------------------------------------------------------------------
+# the packed form against the tuple-dict oracle, on operands over other
+# variables, with negative and wide exponents (fields of up to 41 bits,
+# so that widths are narrowed and layouts realigned), constants and zero
+
+DIFF_NAMES = [(), ("a",), ("b",), ("a", "b"), ("b", "u10"), ("a", "b", "u10")]
+
+
+@st.composite
+def packed_polys(draw, exps=st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))):
+    names = draw(st.sampled_from(DIFF_NAMES))
+    terms = draw(st.dictionaries(st.tuples(*[exps] * len(names)), st.integers(-4, 4),
+                                 max_size=4))
+    return LaurentPoly(names, terms)
+
+
+def _outcome(fn, *args):
+    """The result of fn as a TupleLaurent, or the class of what it raised."""
+    try:
+        got = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return got if isinstance(got, TupleLaurent) else TupleLaurent.of(got)
+
+
+def _matches(got: LaurentPoly, want: TupleLaurent) -> None:
+    assert TupleLaurent.of(got) == want
+    assert got == _from_oracle(want) and hash(got) == hash(_from_oracle(want))
+    assert str(got) == str(want) and got.sort_key() == want.sort_key()
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_polys(), packed_polys(), st.integers(0, 3))
+def test_ring_operations_match_the_tuple_dict_oracle(p, q, n):
+    tp, tq = TupleLaurent.of(p), TupleLaurent.of(q)
+    _matches(p, tp)
+    _matches(p + q, tp + tq)
+    _matches(p - q, tp - tq)
+    _matches(p * q, tp * tq)
+    _matches(p ** n, tp ** n)
+    num, den = p.numerator_denominator()
+    want_num, want_den = tp.numerator_denominator()
+    _matches(num, want_num)
+    _matches(den, want_den)
+    assert (p == q) == (tp == tq)
+    assert _outcome(p.monomial_div, q) == _outcome(tp.monomial_div, tq)
+    assert _outcome(p.__pow__, -1) == _outcome(tp.__pow__, -1)
+    if not q.is_zero():
+        prod = p * q
+        assert _outcome(prod.exact_div, q) == _outcome(TupleLaurent.of(prod).exact_div, tq) == tp
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_polys(exps=st.integers(-2, 3)), packed_polys(exps=st.integers(-2, 3)))
+def test_inexact_division_raises_as_the_oracle_does(p, q):
+    if q.is_zero():
+        return
+    target = p * q + LaurentPoly.var("a")
+    assert (_outcome(target.exact_div, q)
+            == _outcome(TupleLaurent.of(target).exact_div, TupleLaurent.of(q)))
+
+
+def test_a_constant_hashes_as_its_integer():
+    for n in (0, 1, 5, -7, 1 << 70):
+        assert LaurentPoly.nat(n) == n and hash(LaurentPoly.nat(n)) == hash(n)
+    assert len({5, LaurentPoly.nat(5)}) == 1
+    assert len({0, LaurentPoly.nat(0), a - a}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_words(2, 12))
+def test_one_value_built_three_ways_is_one_object(case):
+    # by a kernel, by ring products, and by the constructor from its terms
+    _, names, letters, col_swap = case
+    by_kernel = bordered_word_value(names, letters, col_swap)
+    by_products = word_value_vars(["1" if v is None else v for v in names], letters, col_swap)
+    by_constructor = LaurentPoly(tuple(reversed(by_kernel.variables)),
+                                 {tuple(reversed(e)): c for e, c in by_kernel.terms.items()})
+    assert by_kernel == by_products == by_constructor
+    assert hash(by_kernel) == hash(by_products) == hash(by_constructor)
+
+
+def test_only_laurent_reads_the_packed_form():
+    import ast
+    from pathlib import Path
+
+    private = {"_vars", "_lows", "_width", "_terms", "_trusted"}
+    src = Path(laurent_mod.__file__).parent
+    readers = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        names = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in private}
+        if names:
+            readers[path.name] = sorted(names)
+    assert readers == {}
