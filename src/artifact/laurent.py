@@ -852,7 +852,7 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
         cmax = max(map(abs, chain(tp, tq, tr, ts)), default=1)
         cbits = (2 * cmax * cmax).bit_length()
         if w * len(shifts) + cbits <= 62:
-            return _differ_by_one_int64(polys, shifts, w, bases, one, cmax * cmax, cbits)
+            return _differ_by_one_int64(polys, shifts, bases, one, cmax * cmax, cbits)
     kp, kq, kr, ks = [_packed(f, shifts, base) for f, base in zip(polys, bases)]
     acc = {one: -1}
     get = acc.get
@@ -864,7 +864,7 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     return not any(acc.values())
 
 
-def _differ_by_one_int64(polys: list, shifts: dict, w: int, bases: list, one: int, bias: int,
+def _differ_by_one_int64(polys: list, shifts: dict, bases: list, one: int, bias: int,
                          cbits: int) -> bool:
     """The int64 pass of ``products_differ_by_one``, within its bounds: each
     operand's keys move by ``_runs`` as one int64 array, plus its base. An

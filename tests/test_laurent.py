@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -691,8 +693,8 @@ seven = LaurentPoly(("a",), {(i,): 1 for i in range(-3, 4)})
     # kbits + cbits at 62 (4 + 58), and one past it (5 + 58)
     ((1 << 28) * a ** 2, a ** -2, (1 << 28) - 1, 1, False),
     ((1 << 28) * a ** 4, a ** -4, (1 << 28) - 1, 1, True),
-    # cmax^2 * pairs one step below 2^62 (63 pairs), and at it (64 pairs):
-    # kbits + cbits <= 62 alone bounds the sums of a run of equal keys
+    # cmax^2 * pairs just below 2^62 (63 pairs, and 64): kbits + cbits <= 62
+    # alone bounds the sums of a run of equal keys
     (((1 << 28) - 1) * seven, seven, 1 + a, seven, False),
     (((1 << 28) - 1) * seven, seven, a ** -1 + 1 + a, a ** -2 + a ** -1 + 1 + a + a ** 2, False),
 ])
@@ -1031,9 +1033,6 @@ def test_one_value_built_three_ways_is_one_object(case):
 
 
 def test_only_laurent_reads_the_packed_form():
-    import ast
-    from pathlib import Path
-
     private = {"_vars", "_lows", "_width", "_terms", "_trusted"}
     src = Path(laurent_mod.__file__).parent
     readers = {}
