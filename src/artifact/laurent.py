@@ -31,9 +31,10 @@ int64 exact. Each kernel value is packed once into its canonical form
 (``_over_monomial``).
 
 The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
-product. It moves the four operands' keys into signed fields of one layout
-and has two passes over the term pairs: a dict pass below ``_DICT_PAIRS``
-pairs or outside the int64 bounds, and one sort of int64 words from there.
+product. It moves the four operands' keys into one layout whose fields
+hold exponents plus a bound on their size, and has two passes over the
+term pairs: a dict pass below ``_DICT_PAIRS`` pairs or outside the int64
+bounds, and one sort of int64 words from there.
 """
 
 from __future__ import annotations
