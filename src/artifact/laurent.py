@@ -19,22 +19,22 @@ cells of the cross construction (``cluster``) use it. ``nested_word_values``
 keeps the whole 2x2 product, so a word can grow at both ends: the frise
 rays of oriented cycles (``frises``) use it.
 
-A LaurentPoly is stored in one packed form (see the class), the first
-variable in the most significant field, so integer order on keys is
-lexicographic order on exponent tuples. Every route reads keys directly
-when two layouts agree and otherwise moves each field to a common layout
-by one shift (``_packed``); exponent tuples exist only in the ``terms``
-view. The kernels' entries are dicts from packed key to coefficient;
-``nested_word_values`` switches to sorted int64 arrays once an entry has
-``_ARRAY_TERMS`` terms, where two bounds decided before its walk make
-int64 exact. Each kernel value is packed once into its canonical form
-(``_over_monomial``).
+The packed routes and both kernels work on exponent vectors packed into
+one integer, a bit field per variable, and each result leaves through
+``_unpacked``, which builds its canonical LaurentPoly once. The kernels'
+entries are dicts from packed key to coefficient; ``nested_word_values``
+switches to sorted int64 key and coefficient arrays once an entry has
+``_ARRAY_TERMS`` terms, where two bounds decided before its walk (62 key
+bits, and the last word's value at all ones below 2^62) make int64 exact.
+The kernels put the first variable in the most significant field, so
+sorted keys are lexicographic exponent tuples, and the values of the int64
+form leave with their terms in that order.
 
 The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
-product. It moves the four operands' keys into one layout whose fields
-hold exponents plus a bound on their size, and has two passes over the
-term pairs: a dict pass below ``_DICT_PAIRS`` pairs or outside the int64
-bounds, and one sort of int64 words from there.
+product. It packs exponent vectors into signed fields of one common width
+and has two passes over the term pairs, selected by their number and by
+int64 bounds: a dict pass over Python integers below ``_DICT_PAIRS`` pairs
+or outside the bounds, and one sort of int64 words from there on.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from operator import neg, or_
+from operator import and_, lshift, neg, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, "LaurentPoly"]
@@ -62,46 +62,46 @@ def _var_key(name: str) -> tuple[int, str]:
 
 
 class LaurentPoly:
-    """Immutable Laurent polynomial in one packed form, canonical on construction.
+    """Immutable Laurent polynomial, canonical on construction.
 
-    A value holds its variables (those with a nonzero exponent, sorted),
-    each one's least exponent over the terms (the monomial content), one
-    field width and a dict from packed key to nonzero coefficient. The
-    variable at position j of n has its exponent, less its least one, in
-    the key's field at bit (n - 1 - j) * width, so integer order on keys is
-    lexicographic order on exponent tuples. Every field is 0 in some key
-    and the width is the bit length of the largest field, so each value has
-    one form, which ``==`` and ``hash`` read as it is; ``terms`` unpacks it.
+    Canonical form: the variable universe is the sorted tuple of variables
+    that actually occur with a nonzero exponent; terms map dense exponent
+    tuples to nonzero integer coefficients. A value with no variables is a
+    constant, equal to its integer and hashed as it.
     """
 
-    __slots__ = ("_vars", "_lows", "_width", "_terms")
+    __slots__ = ("_vars", "_terms")
 
     def __init__(self, variables: Iterable[str] = (), terms: Mapping[tuple[int, ...], int] | None = None):
         vs = tuple(variables)
-        order = sorted(range(len(vs)), key=lambda i: _var_key(vs[i]))
-        summed: dict = {}
-        for e, c in (terms or {}).items():
+        tm = {tuple(e): int(c) for e, c in (terms or {}).items() if c}
+        for e in tm:
             if len(e) != len(vs):
                 raise ValueError("exponent tuple length does not match variable count")
-            key = tuple(e[i] for i in order)
-            summed[key] = summed.get(key, 0) + int(c)
-        summed = {e: c for e, c in summed.items() if c}
-        p = _canonical(tuple(vs[i] for i in order), [0] * len(vs), list(zip(*summed)),
-                       list(summed.values()))
-        self._vars, self._lows, self._width, self._terms = p._vars, p._lows, p._width, p._terms
+        # prune variables with exponent 0 in every term, then sort the rest
+        used = [i for i in range(len(vs)) if any(e[i] for e in tm)]
+        vs_used = [vs[i] for i in used]
+        order = sorted(range(len(vs_used)), key=lambda i: _var_key(vs_used[i]))
+        self._vars = tuple(vs_used[i] for i in order)
+        self._terms = {}
+        for e, c in tm.items():
+            key = tuple(e[used[i]] for i in order)
+            self._terms[key] = self._terms.get(key, 0) + c
+        for key in [k for k, c in self._terms.items() if c == 0]:
+            del self._terms[key]
 
     # ------------------------------------------------------------------
     # constructors
 
     @staticmethod
     def nat(n: int) -> "LaurentPoly":
-        return LaurentPoly._trusted((), (), 0, {0: int(n)} if n else {})
+        return LaurentPoly._trusted((), {(): int(n)} if n else {})
 
     @staticmethod
     def var(name: str, exponent: int = 1) -> "LaurentPoly":
         if not exponent:
             return LaurentPoly.nat(1)
-        return LaurentPoly._trusted((name,), (exponent,), 0, {0: 1})
+        return LaurentPoly._trusted((name,), {(exponent,): 1})
 
     @staticmethod
     def monomial(coeff: int, exponents: Mapping[str, int]) -> "LaurentPoly":
@@ -109,11 +109,10 @@ class LaurentPoly:
         return LaurentPoly(names, {tuple(exponents[v] for v in names): coeff})
 
     @staticmethod
-    def _trusted(variables: tuple[str, ...], lows: tuple[int, ...], width: int,
-                 terms: dict) -> "LaurentPoly":
-        # the caller guarantees the canonical form of the class docstring
+    def _trusted(variables: tuple[str, ...], terms: dict) -> "LaurentPoly":
+        # the caller guarantees the canonical form: sorted, all used, no zeros
         out = LaurentPoly.__new__(LaurentPoly)
-        out._vars, out._lows, out._width, out._terms = variables, lows, width, terms
+        out._vars, out._terms = variables, terms
         return out
 
     @staticmethod
@@ -131,9 +130,7 @@ class LaurentPoly:
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
-        """The terms as a dict from exponent tuple to coefficient, in
-        lexicographic order."""
-        return dict(self.sort_key()[1])
+        return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -148,63 +145,61 @@ class LaurentPoly:
     def as_int(self) -> int:
         if self._vars:
             raise ValueError("not a constant: %s" % self)
-        return self._terms.get(0, 0)
+        if not self._terms:
+            return 0
+        return self._terms[()]
 
     def numerator_denominator(self) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Split into (polynomial numerator, monomial denominator).
 
-        The numerator is self times the denominator, a shift of the least
-        exponents; a variable whose exponent is the same negative number
-        in every term leaves it.
+        The numerator is an exponent shift of every term; a variable whose
+        exponent is the same negative number in every term leaves it.
         """
-        den = LaurentPoly.monomial(1, {v: -m for v, m in zip(self._vars, self._lows) if m < 0})
-        return _times_monomial(self, den._vars, den._lows, self._terms), den
+        columns = list(zip(*self._terms))
+        lows = [min(0, min(col)) for col in columns]
+        if not any(lows):
+            return self, LaurentPoly.nat(1)
+        keep = [j for j, col in enumerate(columns) if not lows[j] or max(col) != lows[j]]
+        shifted = [[x - lows[j] for x in columns[j]] if lows[j] else columns[j] for j in keep]
+        # with no variable kept, every term had the same exponents: one term
+        num = LaurentPoly._trusted(
+            tuple(self._vars[j] for j in keep),
+            dict(zip(zip(*shifted) if keep else [()], self._terms.values())))
+        return num, LaurentPoly.monomial(1, {v: -m for v, m in zip(self._vars, lows) if m})
 
     # ------------------------------------------------------------------
     # ring operations
 
+    def _aligned(self, other: "LaurentPoly") -> tuple[tuple[str, ...], dict, dict]:
+        if self._vars == other._vars:
+            return self._vars, self._terms, other._terms
+        union = sorted(set(self._vars) | set(other._vars), key=_var_key)
+        pos = {v: i for i, v in enumerate(union)}
+
+        def remap(p: "LaurentPoly") -> dict:
+            idx = [pos[v] for v in p._vars]
+            out = {}
+            for e, c in p._terms.items():
+                key = [0] * len(union)
+                for i, ex in zip(idx, e):
+                    key[i] = ex
+                out[tuple(key)] = c
+            return out
+
+        return tuple(union), remap(self), remap(other)
+
     def __add__(self, other: Scalar) -> "LaurentPoly":
         other = LaurentPoly.coerce(other)
-        if not (self._terms and other._terms):
-            return other if self.is_zero() else self
-        vs, lows, width = self._vars, self._lows, self._width
-        same = (vs, lows, width) == (other._vars, other._lows, other._width)
-        if same:
-            out, keys = dict(self._terms), other._terms
-        else:
-            # the sum's least exponents, and a width from the operands'
-            # largest fields, which are below 2^width
-            owns = [dict(zip(f._vars, f._lows)) for f in (self, other)]
-            vs = _union(vs, other._vars)
-            lows = tuple(min(owns[0].get(v, 0), owns[1].get(v, 0)) for v in vs)
-            width = max(max(own[v] + (1 << f._width) - 1 if v in own else 0
-                            for f, own in zip((self, other), owns)) - low
-                        for v, low in zip(vs, lows)).bit_length()
-            shifts = _positions(vs, width)
-            ka, keys = (_packed(f, shifts, sum((own.get(v, 0) - low) << shifts[v]
-                                               for v, low in zip(vs, lows)))
-                        for f, own in zip((self, other), owns))
-            out = dict(zip(ka, self._terms.values()))
-        cancelled = False
-        get = out.get
-        for k, c in zip(keys, other._terms.values()):
-            c += get(k, 0)
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-                cancelled = True
-        # with no cancellation each least exponent is reached and every
-        # variable occurs, so only a width from the bound can be too wide
-        if cancelled or not same and max(_tops(out, len(vs), width)).bit_length() < width:
-            return _canonical(vs, lows, _columns(out, len(vs), width), list(out.values()))
-        return LaurentPoly._trusted(vs, lows, width, out)
+        vs, a, b = self._aligned(other)
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = out.get(e, 0) + c
+        return _pruned(vs, {e: c for e, c in out.items() if c}, range(len(vs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._trusted(self._vars, self._lows, self._width,
-                                    {k: -c for k, c in self._terms.items()})
+        return LaurentPoly._trusted(self._vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> "LaurentPoly":
         return self + (-LaurentPoly.coerce(other))
@@ -214,14 +209,18 @@ class LaurentPoly:
 
     def __mul__(self, other: Scalar) -> "LaurentPoly":
         other = LaurentPoly.coerce(other)
-        a, b = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
-        if len(b._terms) > 1:
-            return _mul_packed(a, b)
-        if not b._terms:
+        vs, a, b = self._aligned(other)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) > 1:
+            return _mul_packed(vs, a, b)
+        if not b:
             return LaurentPoly.nat(0)
-        (c0,) = b._terms.values()  # one term: shift the exponents
-        terms = a._terms if c0 == 1 else {k: c * c0 for k, c in a._terms.items()}
-        return _times_monomial(a, b._vars, b._lows, terms)
+        ((e0, c0),) = b.items()  # one term: shift the exponents
+        # a column can cancel only where the shift is nonzero: with e0[j]
+        # zero it is a's own column, and a uses every variable b does not
+        return _pruned(vs, {tuple(x + y for x, y in zip(e, e0)): c * c0 for e, c in a.items()},
+                       [j for j, x in enumerate(e0) if x])
 
     __rmul__ = __mul__
 
@@ -229,11 +228,10 @@ class LaurentPoly:
         if n < 0:
             if not self.is_monomial():
                 raise NonMonomialDivisor("negative power of a non-monomial")
-            (c,) = self._terms.values()
+            ((e, c),) = self._terms.items()
             if c not in (1, -1):
                 raise NonMonomialDivisor("negative power needs unit coefficient")
-            return LaurentPoly._trusted(self._vars, tuple(x * n for x in self._lows), 0,
-                                        {0: c ** -n})
+            return LaurentPoly._trusted(self._vars, {tuple(x * n for x in e): c ** -n})
         if n == 1:
             return self
         result = LaurentPoly.nat(1)
@@ -251,20 +249,22 @@ class LaurentPoly:
         divisor = LaurentPoly.coerce(divisor)
         if not divisor.is_monomial():
             raise NonMonomialDivisor("divisor has %d terms" % len(divisor._terms))
-        (dc,) = divisor._terms.values()
+        vs, a, b = self._aligned(divisor)
+        ((de, dc),) = b.items()
         out = {}
-        for k, c in self._terms.items():
+        for e, c in a.items():
             if c % dc:
                 raise ExactDivisionError("coefficient %d not divisible by %d" % (c, dc))
-            out[k] = c // dc
-        return _times_monomial(self, divisor._vars, [-x for x in divisor._lows], out)
+            out[tuple(x - y for x, y in zip(e, de))] = c // dc
+        return LaurentPoly(vs, out)
 
     def exact_div(self, divisor: Scalar) -> "LaurentPoly":
         """Exact division by an arbitrary Laurent polynomial.
 
         Divides under lexicographic term order, each operand taken less its
-        monomial content, and applies the content quotient to the result.
-        Raises ExactDivisionError when no exact Laurent quotient exists.
+        monomial content, and applies the content quotient while unpacking
+        the result. Raises ExactDivisionError when no exact Laurent quotient
+        exists.
         """
         divisor = LaurentPoly.coerce(divisor)
         if divisor.is_zero():
@@ -273,33 +273,25 @@ class LaurentPoly:
             return LaurentPoly.nat(0)
         if divisor.is_monomial():
             return self.monomial_div(divisor)
-        return _div_packed(self, divisor)
+        return _div_packed(*self._aligned(divisor))
 
     # ------------------------------------------------------------------
     # comparison, hashing, rendering
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return not self._vars and self._terms.get(0, 0) == other
+            return not self._vars and self._terms.get((), 0) == other
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return (self._vars == other._vars and self._lows == other._lows
-                and self._width == other._width and self._terms == other._terms)
+        return self._vars == other._vars and self._terms == other._terms
 
     def __hash__(self) -> int:
         if not self._vars:  # a constant hashes as the integer it equals
-            return hash(self._terms.get(0, 0))
-        return hash((self._vars, self._lows, self._width, frozenset(self._terms.items())))
+            return hash(self._terms.get((), 0))
+        return hash((self._vars, frozenset(self._terms.items())))
 
     def sort_key(self) -> tuple:
-        # the (exponent tuple, coefficient) terms in lexicographic order,
-        # which is the order of their keys
-        keys = sorted(self._terms)
-        if not self._vars:
-            return (), tuple(((), self._terms[k]) for k in keys)
-        columns = _columns(keys, len(self._vars), self._width)
-        exponents = zip(*[[x + low for x in col] for col, low in zip(columns, self._lows)])
-        return self._vars, tuple(zip(exponents, map(self._terms.__getitem__, keys)))
+        return (self._vars, tuple(sorted(self._terms.items())))
 
     def __str__(self) -> str:
         num, den = self.numerator_denominator()
@@ -317,155 +309,97 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self
 
 
-# ----------------------------------------------------------------------
-# layouts: a layout maps each variable to the bit shift of its field, all
-# fields of one width; ``_positions`` lays sorted variables out as
-# LaurentPoly does, the first most significant
+def _pruned(vs: tuple[str, ...], terms: dict, cols: Iterable[int]) -> LaurentPoly:
+    """terms over the sorted variables vs, every coefficient nonzero, as a
+    canonical LaurentPoly: the columns among cols that are 0 in every key
+    are dropped, and the result is returned through _trusted."""
+    drop = {j for j in cols if not any(e[j] for e in terms)}
+    if not drop:
+        return LaurentPoly._trusted(vs, terms)
+    keep = [j for j in range(len(vs)) if j not in drop]
+    return LaurentPoly._trusted(tuple(vs[j] for j in keep),
+                                {tuple(e[j] for j in keep): c for e, c in terms.items()})
 
 
-def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    return a if a == b else tuple(sorted(set(a) | set(b), key=_var_key))
+def _packed_keys(columns: list, lows: list, shifts: list) -> list[int]:
+    """One integer per term: exponent j less lows[j], in the field at shifts[j]."""
+    keys = [0] * len(columns[0])
+    for col, low, shift in zip(columns, lows, shifts):
+        keys = [k | ((x - low) << shift) for k, x in zip(keys, col)]
+    return keys
 
 
-def _positions(vs: Sequence[str], width: int) -> dict[str, int]:
-    return {v: (len(vs) - 1 - j) * width for j, v in enumerate(vs)}
+def _unpacked(vs: tuple[str, ...], keys: list, coeffs: Iterable[int], lows: list, shifts: list,
+              widths: list) -> LaurentPoly:
+    """LaurentPoly of packed keys: exponent j is the field at shifts[j] plus lows[j].
 
-
-def _columns(keys: Iterable[int], n: int, width: int) -> list[list[int]]:
-    """The n fields of width bits of each key, the most significant first."""
-    mask = (1 << width) - 1
-    return [[(k >> (j * width)) & mask for k in keys] for j in range(n - 1, -1, -1)]
-
-
-def _tops(keys: Iterable[int], n: int, width: int) -> list[int]:
-    """The or of each of the n fields over keys: its bit length is that of
-    the field's largest value, and it is 0 only when the field is."""
-    ors, mask = reduce(or_, keys, 0), (1 << width) - 1
-    return [(ors >> (j * width)) & mask for j in range(n - 1, -1, -1)]
-
-
-def _runs(p: LaurentPoly, shifts: Mapping[str, int]) -> list[tuple[int, int, int]]:
-    """(source shift, mask, destination shift) of each field of p that
-    moves to the layout shifts; a variable of p that shifts lacks must
-    have the field 0 in every key."""
-    n, mask = len(p._vars), (1 << p._width) - 1
-    return [((n - i) * p._width, mask, shifts[v]) for i, v in enumerate(p._vars, 1) if v in shifts]
-
-
-def _packed(p: LaurentPoly, shifts: Mapping[str, int], base: int = 0) -> list[int]:
-    """p's keys in the layout shifts, one shift per field, plus base, in
-    the order of p's terms; a variable p lacks gets the field 0."""
-    keys = p._terms
-    if not p._width:
-        return [base] * len(keys)
-    (src, mask, dst), *runs = _runs(p, shifts)
-    out = [(((k >> src) & mask) << dst) + base for k in keys]
-    for src, mask, dst in runs:
-        out = [o + (((k >> src) & mask) << dst) for o, k in zip(out, keys)]
-    return out
-
-
-def _kept(vs: Sequence[str], lows: Sequence[int], mins: Sequence[int],
-          maxs: Sequence[int]) -> tuple[list[int], tuple[str, ...], tuple[int, ...], int]:
-    """The canonical layout of fields whose least and largest values are
-    mins and maxs, field j offset by lows[j]: the indices of the fields
-    that stay (a variable whose exponent is 0 in every term leaves), their
-    variables, their least exponents and the width."""
-    kept = [j for j, (low, lo, hi) in enumerate(zip(lows, mins, maxs)) if lo != hi or lo + low]
-    width = max(((maxs[j] - mins[j]).bit_length() for j in kept), default=0)
-    return kept, tuple(vs[j] for j in kept), tuple(lows[j] + mins[j] for j in kept), width
-
-
-def _canonical(vs: tuple[str, ...], lows: Sequence[int], columns: Sequence[Sequence[int]],
-               coeffs: Sequence[int]) -> LaurentPoly:
-    """The LaurentPoly whose term i has exponent columns[j][i] + lows[j] in
-    the sorted variables vs[j] and coefficient coeffs[i], the exponent
-    vectors distinct and the coefficients nonzero: each key is packed once,
-    less its fields' least values."""
-    if not coeffs:
-        return LaurentPoly.nat(0)
-    mins = [min(col) for col in columns]
-    kept, names, new_lows, width = _kept(vs, lows, mins, [max(col) for col in columns])
-    out, least = None, 0
-    for j in kept:
-        least = (least << width) + mins[j]
-        out = columns[j] if out is None else [(k << width) + x for k, x in zip(out, columns[j])]
-    if out is None:
-        out = [0] * len(coeffs)
-    return LaurentPoly._trusted(names, new_lows, width,
-                                dict(zip([k - least for k in out] if least else out, coeffs)))
-
-
-def _times_monomial(p: LaurentPoly, m_vars: tuple[str, ...], m_exps: Sequence[int],
-                    terms: dict) -> LaurentPoly:
-    """p with the coefficients of terms (a dict over p's keys), times the
-    monomial whose exponent of m_vars[j] is m_exps[j]: only the least
-    exponents move, and the keys change only when a variable enters (m's
-    own, with the field 0) or leaves (one of p's at least exponent 0 whose
-    field is 0 in every key)."""
-    if not terms:
-        return LaurentPoly.nat(0)
-    lows = dict(zip(p._vars, p._lows))
-    for v, x in zip(m_vars, m_exps):
-        lows[v] = lows.get(v, 0) + x
-    if len(lows) == len(p._vars) and all(lows.values()):
-        return LaurentPoly._trusted(p._vars, tuple(lows.values()), p._width, terms)
-    tops = dict(zip(p._vars, _tops(p._terms, len(p._vars), p._width)))
-    vs = tuple(v for v in _union(p._vars, m_vars) if lows[v] or tops.get(v))
-    if vs != p._vars:
-        terms = dict(zip(_packed(p, _positions(vs, p._width)), terms.values()))
-    return LaurentPoly._trusted(vs, tuple(lows[v] for v in vs), p._width, terms)
-
-
-def _mul_packed(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """The product of two values of two or more terms each.
-
-    Over an integral domain the terms of a product that are least (or
-    largest) in one variable are the products of the factors' terms that
-    are, and they do not cancel: the product's least exponents and largest
-    fields are the sums of the factors'. So both factors' keys move once
-    to the product's canonical layout, and every pair's key is the sum of
-    its two keys with no carry between fields. Keys and coefficients are
-    Python integers, so the run is exact for any coefficient size.
+    Callers pass sorted variables, distinct keys and nonzero coefficients,
+    so the one canonical step left is to drop each variable whose exponent
+    is 0 in every term.
     """
-    owns = [dict(zip(f._vars, f._lows)) for f in (a, b)]
-    tops = [dict(zip(f._vars, map(max, _columns(f._terms, len(f._vars), f._width))))
-            for f in (a, b)]
-    vs, lows, width = [], [], 0
-    for v in _union(a._vars, b._vars):
-        low = owns[0].get(v, 0) + owns[1].get(v, 0)
-        span = tops[0].get(v, 0) + tops[1].get(v, 0)
-        if span or low:  # else the exponent of v is 0 in every term
-            vs.append(v)
-            lows.append(low)
-            width = max(width, span.bit_length())
-    shifts = _positions(vs, width)
-    pa, pb = (list(zip(_packed(f, shifts), f._terms.values())) for f in (a, b))
+    ors, ands = reduce(or_, keys), reduce(and_, keys)
+    fields = []
+    for v, low, shift, width in zip(vs, lows, shifts, widths):
+        mask = (1 << width) - 1
+        top = (ors >> shift) & mask
+        # a field is the same in every key when its bits agree in the or and the and
+        if top != (ands >> shift) & mask or top + low:
+            fields.append((v, shift, mask, low))
+    columns = [[((k >> shift) & mask) + low for k in keys] for _, shift, mask, low in fields]
+    return LaurentPoly._trusted(
+        tuple(field[0] for field in fields),
+        dict(zip(zip(*columns) if fields else [()] * len(keys), coeffs)))
+
+
+def _mul_packed(vs: tuple[str, ...], a: dict, b: dict) -> LaurentPoly:
+    """Multiply two term dicts over the sorted variables vs via packed keys.
+
+    The route of ``LaurentPoly.__mul__`` when both factors have two or more
+    terms. Every exponent vector, less its factor's componentwise minimum,
+    is packed into one integer, one bit field per variable, each field wide
+    enough for the sum of both factors' spans, so key addition never
+    carries between fields. Keys and coefficients are Python integers, so
+    the run is exact for any coefficient size; ``_unpacked`` adds the minima.
+    """
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    lo_a, lo_b = [min(col) for col in cols_a], [min(col) for col in cols_b]
+    widths = [(max(ca) - la + max(cb) - lb).bit_length() + 1
+              for ca, la, cb, lb in zip(cols_a, lo_a, cols_b, lo_b)]
+    shifts = [sum(widths[:j]) for j in range(len(widths))]
+    pa = dict(zip(_packed_keys(cols_a, lo_a, shifts), a.values()))
+    pb = dict(zip(_packed_keys(cols_b, lo_b, shifts), b.values()))
+    if len(pa) > len(pb):
+        pa, pb = pb, pa
     packed: dict[int, int] = {}
     get = packed.get
-    for k1, c1 in pb:
-        for k2, c2 in pa:
+    for k1, c1 in pa.items():
+        for k2, c2 in pb.items():
             k = k1 + k2
             v = get(k, 0) + c1 * c2
             if v:
                 packed[k] = v
             elif k in packed:
                 del packed[k]
-    return LaurentPoly._trusted(tuple(vs), tuple(lows), width, packed)
+    lows = [la + lb for la, lb in zip(lo_a, lo_b)]
+    return _unpacked(vs, list(packed), packed.values(), lows, shifts, widths)
 
 
-def _div_packed(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Long division of num by den, two or more terms, via packed keys.
+def _div_packed(vs: tuple[str, ...], num: dict, den: dict) -> LaurentPoly:
+    """Long division of term dicts over the sorted variables vs via packed keys.
 
-    Both operands' keys (each less its monomial content) move to one lex
-    layout, and the quotient's least exponents are the numerator's less
-    the divisor's. No field of an operand exceeds the span 2^width - 1, and
-    no exact quotient's field does, so each quotient exponent is checked to
-    lie in [0, span] before it is used (the first bound is the monomial
-    obstruction). Then a field of a remainder key is at most twice the
-    span, which the width holds: key arithmetic never carries or borrows
-    between fields, and a non-exact division ends as soon as a quotient
-    exponent leaves the box. Coefficients are Python integers.
+    The route of ``LaurentPoly.exact_div`` when the divisor has two or more
+    terms. Each operand is packed less its column minima (its monomial
+    content), and ``_unpacked`` adds the numerator's minima less the
+    divisor's to the quotient. Fields are laid out most-significant-first,
+    so integer order on packed keys equals lex order on exponent tuples.
+    Every quotient exponent is range-checked before it is used: each
+    component must be nonnegative (the monomial obstruction) and no larger
+    than the combined exponent span, which no exact quotient can exceed.
+    Within those bounds a field of a remainder key holds at most twice the
+    span, which its width leaves room for, so key arithmetic never carries
+    or borrows between fields and the packed run is exact; coefficients are
+    Python integers. The same bound ends a non-exact division as soon as a
+    quotient exponent leaves the box, instead of letting the remainder run.
 
     The lead remainder term comes from a lazy max-heap of negated keys.
     Invariant: every key of the remainder has at least one heap entry, and
@@ -474,14 +408,18 @@ def _div_packed(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     popped; a key that cancels and reappears is pushed again. A processed
     lead cancels and never returns, since later keys are strictly smaller.
     """
-    vs = _union(num._vars, den._vars)
-    span = (1 << max(num._width, den._width)) - 1
-    width = (2 * span).bit_length() + 1
-    mask, shifts = (1 << width) - 1, _positions(vs, width)
-    rem = dict(zip(_packed(num, shifts), num._terms.values()))
-    den_list = list(zip(_packed(den, shifts), den._terms.values()))
+    cols_num, cols_den = list(zip(*num)), list(zip(*den))
+    lo_num, lo_den = [min(col) for col in cols_num], [min(col) for col in cols_den]
+    spans = [max(max(cn) - ln, max(cd) - ld)
+             for cn, ln, cd, ld in zip(cols_num, lo_num, cols_den, lo_den)]
+    widths = [(2 * span).bit_length() + 1 for span in spans]
+    # slot 0 most significant: lex order
+    shifts = [sum(widths[j + 1:]) for j in range(len(widths))]
+    rem = dict(zip(_packed_keys(cols_num, lo_num, shifts), num.values()))
+    den_list = list(zip(_packed_keys(cols_den, lo_den, shifts), den.values()))
     lead_d, c_d = max(den_list)
-    fields = [(shift, (lead_d >> shift) & mask) for shift in shifts.values()]
+    ld_slots = [(lead_d >> shift) & ((1 << width) - 1) for shift, width in zip(shifts, widths)]
+    fields = list(zip(shifts, widths, ld_slots, spans))
 
     heap = [-k for k in rem]
     heapify(heap)
@@ -492,8 +430,8 @@ def _div_packed(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         c_r = get(lead_r)
         if c_r is None:
             continue  # stale: the key left the remainder after its push
-        for shift, slot in fields:
-            d = ((lead_r >> shift) & mask) - slot
+        for shift, width, slot, span in fields:
+            d = ((lead_r >> shift) & ((1 << width) - 1)) - slot
             if d < 0:
                 raise ExactDivisionError("no exact quotient (monomial obstruction)")
             if d > span:
@@ -514,16 +452,15 @@ def _div_packed(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 del rem[key]
             else:
                 rem[key] = old - qc
-    owns = [dict(zip(f._vars, f._lows)) for f in (num, den)]
-    lows = [owns[0].get(v, 0) - owns[1].get(v, 0) for v in vs]
-    return _canonical(vs, lows, _columns(quo, len(vs), width), list(quo.values()))
+    lows = [ln - ld for ln, ld in zip(lo_num, lo_den)]
+    return _unpacked(vs, list(quo), quo.values(), lows, shifts, widths)
 
 
 def _poly_str(p: LaurentPoly) -> str:
     if not p._terms:
         return "0"
     parts = []
-    for e, c in reversed(p.sort_key()[1]):
+    for e, c in sorted(p._terms.items(), reverse=True):
         factors = []
         for name, ex in zip(p._vars, e):
             if ex == 1:
@@ -633,36 +570,32 @@ def _fields(names: Iterable[str], letters: int) -> tuple[tuple[str, ...], dict, 
     """The sorted universe of names, each name's packed key (one field per
     name) and the field width, for words of up to ``letters`` letters.
 
-    The layout is LaurentPoly's (``_positions``), universe[0] in the most
-    significant field, so ``_over_monomial`` only narrows it.
+    universe[0] takes the most significant field, so integer order on
+    packed keys is lexicographic order on exponent tuples, and terms whose
+    keys leave in increasing order leave ``_unpacked`` in lexicographic
+    order (``_shifts`` gives the same layout to ``_over_monomial``).
     """
     universe = tuple(sorted(set(names), key=_var_key))
     width = letters.bit_length()
-    return universe, {v: 1 << shift for v, shift in _positions(universe, width).items()}, width
+    return universe, {v: 1 << shift for v, shift in zip(universe, _shifts(universe, width))}, width
+
+
+def _shifts(universe: tuple[str, ...], width: int) -> list[int]:
+    return [(len(universe) - 1 - pos) * width for pos in range(len(universe))]
 
 
 def _over_monomial(universe: tuple[str, ...], width: int, entry: tuple, den: int) -> LaurentPoly:
     """The value of entry (either form) divided by the monomial whose packed
-    key is den, packed once into its canonical LaurentPoly: by
-    ``_canonical`` from the dict form, and by the same steps on whole
-    arrays from the int64 form."""
+    key is den, unpacked once into its canonical LaurentPoly."""
     off, terms = entry
-    shifts = list(_positions(universe, width).values())
+    if isinstance(terms, dict):
+        keys, coeffs = [k + off for k in terms], terms.values()
+    else:
+        keys, coeffs = (terms[0] + off).tolist(), terms[1].tolist()
+    shifts = _shifts(universe, width)
     mask = (1 << width) - 1
     lows = [-((den >> shift) & mask) for shift in shifts]
-    if isinstance(terms, dict):
-        return _canonical(universe, lows, _columns([k + off for k in terms], len(universe), width),
-                          list(terms.values()))
-    import numpy as np
-
-    fields = ((terms[0] + off)[:, None] >> np.array(shifts, dtype=np.int64)) & mask
-    mins = fields.min(axis=0)
-    kept, names, new_lows, new_width = _kept(universe, lows, mins.tolist(),
-                                             fields.max(axis=0).tolist())
-    new_shifts = np.array(list(_positions(kept, new_width).values()), dtype=np.int64)
-    keys = ((fields[:, kept] - mins[kept]) << new_shifts).sum(axis=1)
-    return LaurentPoly._trusted(names, new_lows, new_width,
-                                dict(zip(keys.tolist(), terms[1].tolist())))
+    return _unpacked(universe, keys, coeffs, lows, shifts, [width] * len(universe))
 
 
 def bordered_word_value(names: Sequence[Optional[str]], letters: str,
@@ -723,8 +656,8 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
     variable or adds two of them, so P's entries live over packed exponent
     keys (one field per name, wide enough for the longest word's degree,
     laid out by ``_fields``) with natural coefficients and no division. The
-    monomial denominator is subtracted while each value is packed, once,
-    into its canonical LaurentPoly (``_over_monomial``).
+    monomial denominator is subtracted while each value is unpacked, once,
+    into its canonical LaurentPoly.
 
     An entry has one of two forms, both (offset, terms) with every packed
     key offset + key, so a product by a variable is an offset move:
@@ -734,7 +667,8 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
       ``_ARRAY_TERMS`` terms on, sorted int64 keys with their int64
       coefficients, summed by ``_array_plus`` (one concatenation, one
       stable sort of two sorted runs, one ``reduceat``). The four entries
-      are converted once.
+      are converted once, and the values leave with their terms in
+      lexicographic order.
 
     The int64 form is exact, and is used, only when two bounds decided
     before the walk hold; outside them the dicts run throughout:
@@ -809,16 +743,16 @@ _MAX_PAIRS = 1 << 22
 def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     """Exact check that p*q - r*s == 1.
 
-    No field of an operand exceeds 2^width - 1, so no |exponent| exceeds m,
-    the largest of -low and low + 2^width - 1 over the least exponents.
-    Each operand's keys move by one shift per field (``_runs``) into fields
-    of width w = (4 * m).bit_length(), one per variable, plus its packed
-    least exponents, and p's and r's plus 2m in every field. A pair's key
-    is then the sum of its two keys, each field an exponent of the product
-    plus 2m, in [0, 4m]: no sum carries, and two pairs share a key exactly
-    when they share an exponent vector. Every pair of p*q and of -r*s is
-    summed at its key, 1 is subtracted at the key of the zero vector, and
-    the check holds when every sum is 0.
+    Each exponent vector e packs into one integer, the sum of e_v << (w * i_v)
+    over its variables v, with i_v the position of v among the variables of
+    all four operands and one signed field width w = (2 * emax).bit_length()
+    + 1 for all of them (emax the largest |exponent|). The map is linear, so
+    a term pair's key is the sum of its two keys, and the zero vector packs
+    to 0. It is injective on sums of two operand vectors: each component of
+    such a sum lies in [-2 * emax, 2 * emax], so two of them differ by less
+    than 2^w per component, and sum d_v 2^(w * i_v) with every |d_v| < 2^w is
+    0 only when every d_v is. Every pair of p*q and of -r*s is summed at its
+    key, 1 is subtracted at key 0, and the check holds when every sum is 0.
 
     Below ``_DICT_PAIRS`` pairs the sums are one dict pass over Python
     integers, which is exact for every input. From there on each pair is
@@ -828,36 +762,33 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     bounds hold; outside either of them the check is the dict pass:
 
     - kbits + cbits <= 62, with kbits = w * n for n variables and cbits =
-      (2 * cmax^2).bit_length(): a key lies in [0, 2^kbits) and a biased
-      coefficient in [0, 2^cbits), so every word fits in an int64 and
-      words sort by key first. A run of one key holds at most 2^(kbits+1)
-      + 1 words, the subtracted 1 included (each product has at most one
-      pair per key of its first factor), each of size at most cmax^2 <
-      2^(cbits-1), so its partial sums stay below 2^63;
+      (2 * cmax^2).bit_length(): a key lies strictly between -2^(kbits-1)
+      and 2^(kbits-1), and a biased coefficient in [0, 2^cbits), so every
+      word fits in an int64 and words sort by key first. A run of one key
+      holds at most 2^(kbits+1) + 1 words, the subtracted 1 included (each
+      product has at most one pair per first exponent vector in the box
+      [-emax, emax]^n, and 2 * emax + 1 <= 2^(w-1)), each of size at most
+      cmax^2 < 2^(cbits-1), so its partial sums stay below 2^63;
     - pairs <= ``_MAX_PAIRS``, which caps the pass's memory.
     """
     polys = [LaurentPoly.coerce(v) for v in (p, q, r, s)]
-    m = 0
-    for f in polys:
-        if f._lows:
-            m = max(m, -min(f._lows), max(f._lows) + (1 << f._width) - 1)
-    w = (4 * m).bit_length()
-    names = dict.fromkeys(chain.from_iterable(f._vars for f in polys))
-    shifts = {v: i * w for i, v in enumerate(names)}
-    one = sum(2 * m << shift for shift in shifts.values())
-    bases = [sum(low << shifts[v] for v, low in zip(f._vars, f._lows)) + offset
-             for f, offset in zip(polys, (one, 0, one, 0))]
-    tp, tq, tr, ts = (f._terms.values() for f in polys)
+    pos = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(f._vars for f in polys)))}
+    emax = max(map(abs, chain.from_iterable(chain.from_iterable(f._terms for f in polys))),
+               default=0)
+    w = (2 * emax).bit_length() + 1
+    shifts = [[w * pos[v] for v in f._vars] for f in polys]
+    tp, tq, tr, ts = (f._terms for f in polys)
     pairs = len(tp) * len(tq) + len(tr) * len(ts)
     if _DICT_PAIRS <= pairs <= _MAX_PAIRS:
-        cmax = max(map(abs, chain(tp, tq, tr, ts)), default=1)
+        cmax = max(map(abs, chain(tp.values(), tq.values(), tr.values(), ts.values())), default=1)
         cbits = (2 * cmax * cmax).bit_length()
-        if w * len(shifts) + cbits <= 62:
-            return _differ_by_one_int64(polys, shifts, bases, one, cmax * cmax, cbits)
-    kp, kq, kr, ks = [_packed(f, shifts, base) for f, base in zip(polys, bases)]
-    acc = {one: -1}
+        if w * len(pos) + cbits <= 62:
+            return _differ_by_one_int64(polys, shifts, cmax * cmax, cbits)
+    acc = {0: -1}
     get = acc.get
-    for k1s, c1s, k2s, c2s in ((kp, tp, kq, tq), (kr, map(neg, tr), ks, ts)):
+    kp, kq, kr, ks = ([sum(map(lshift, e, sh)) for e in t] for t, sh in zip((tp, tq, tr, ts), shifts))
+    for k1s, c1s, k2s, c2s in ((kp, tp.values(), kq, tq.values()),
+                               (kr, map(neg, tr.values()), ks, ts.values())):
         for k1, c1 in zip(k1s, c1s):
             for k2, c2 in zip(k2s, c2s):
                 k = k1 + k2
@@ -865,27 +796,25 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     return not any(acc.values())
 
 
-def _differ_by_one_int64(polys: list, shifts: dict, bases: list, one: int, bias: int,
-                         cbits: int) -> bool:
-    """The int64 pass of ``products_differ_by_one``, within its bounds: each
-    operand's keys move by ``_runs`` as one int64 array, plus its base. An
-    operand's own keys are narrower than the layout's, and no key, and no
-    partial sum of one, leaves the int64 range."""
+def _differ_by_one_int64(polys: list, shifts: list, bias: int, cbits: int) -> bool:
+    """The int64 pass of ``products_differ_by_one``, within its bounds.
+
+    The keys are the same packing, taken as one int64 product of each
+    operand's exponent rows with the field weights 2^(w * i_v); within the
+    bounds no key, and no partial sum of one, leaves the int64 range.
+    """
     import numpy as np  # here, so that importing artifact does not load numpy
 
     packed = []
-    for f, base in zip(polys, bases):
+    for f, sh in zip(polys, shifts):
         n = len(f._terms)
-        keys = np.fromiter(f._terms, dtype=np.int64, count=n)
-        if f._width:
-            src, mask, dst = (np.array(x, dtype=np.int64) for x in zip(*_runs(f, shifts)))
-            keys = (((keys[:, None] >> src) & mask) << dst).sum(axis=1)
-        keys += base
+        exps = np.fromiter(chain.from_iterable(f._terms), dtype=np.int64, count=n * len(sh))
+        keys = exps.reshape(n, len(sh)) @ np.array([1 << x for x in sh], dtype=np.int64)
         packed.append((keys, np.fromiter(f._terms.values(), dtype=np.int64, count=n)))
     (kp, cp), (kq, cq), (kr, cr), (ks, cs) = packed
     n_pq = len(kp) * len(kq)
     words = np.empty(n_pq + len(kr) * len(ks) + 1, dtype=np.int64)
-    words[-1] = (one << cbits) + bias - 1  # the 1 subtracted at its key
+    words[-1] = bias - 1  # the 1 subtracted at key 0
     for k1s, c1s, k2s, c2s, out in ((kp, cp, kq, cq, words[:n_pq]),
                                     (kr, -cr, ks, cs, words[n_pq:-1])):
         out = out.reshape(len(k1s), len(k2s))

@@ -4,8 +4,9 @@ The library reads a Laurent polynomial at all ones as the sum of its
 coefficients (`frises.specialize_at_one`). This module keeps the general
 substitution that route replaced: each term is built by ring products and
 the shifts of negative exponents are divided out once at the end. It also
-keeps the tuple-dict Laurent polynomial (`TupleLaurent`) that the packed
-form of `LaurentPoly` replaced.
+keeps `TupleLaurent`, a Laurent polynomial whose every operation is a plain
+loop over exponent tuples: the oracle of `LaurentPoly`'s routes over packed
+keys and of its exponent shifts.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ def _var_key(name: str) -> tuple[int, str]:
 
 
 class TupleLaurent:
-    """The tuple-dict form that LaurentPoly's packed form replaced, kept as
-    its oracle: the sorted variables that occur with a nonzero exponent and
-    a dict from dense exponent tuples to nonzero coefficients. Every
-    operation is a plain loop over exponent tuples; the two operands of a
-    binary operation are first written over the union of their variables.
+    """LaurentPoly's canonical form, the sorted variables that occur with a
+    nonzero exponent and a dict from dense exponent tuples to nonzero
+    coefficients, with every operation a plain loop over exponent tuples;
+    the two operands of a binary operation are first written over the
+    union of their variables.
     """
 
     __slots__ = ("variables", "terms")

@@ -350,7 +350,6 @@ def test_power_short_circuits_and_matches_repeated_product():
 
 
 def _canonical(r: LaurentPoly) -> bool:
-    # == compares the packed forms: variables, least exponents, width, keys
     rebuilt = LaurentPoly(r.variables, r.terms)
     return (r.variables, r.terms) == (rebuilt.variables, rebuilt.terms) and r == rebuilt
 
@@ -669,9 +668,8 @@ def dict_pairs(threshold):
         laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64 = saved
 
 
-# one variable from exponent -3 in a field of 3 bits, so |exponent| <= 4
-# (w = 5, kbits = 5), and coefficients below 2^28 (cbits = 57): 7 x 7
-# pairs, plus 14 or 15 for r*s
+# one variable up to |exponent| 3 (w = 4, kbits = 4) and coefficients up to
+# 2^28 (cbits = 58): 7 x 7 pairs, plus 14 or 15 for r*s
 seven = LaurentPoly(("a",), {(i,): 1 for i in range(-3, 4)})
 
 
@@ -693,10 +691,10 @@ seven = LaurentPoly(("a",), {(i,): 1 for i in range(-3, 4)})
     # kbits + cbits at 62 (4 + 58), and one past it (5 + 58)
     ((1 << 28) * a ** 2, a ** -2, (1 << 28) - 1, 1, False),
     ((1 << 28) * a ** 4, a ** -4, (1 << 28) - 1, 1, True),
-    # cmax^2 * pairs just below 2^62 (63 pairs, and 64): kbits + cbits <= 62
-    # alone bounds the sums of a run of equal keys
-    (((1 << 28) - 1) * seven, seven, 1 + a, seven, False),
-    (((1 << 28) - 1) * seven, seven, a ** -1 + 1 + a, a ** -2 + a ** -1 + 1 + a + a ** 2, False),
+    # cmax^2 * pairs one step below 2^62 (63 pairs), and at it (64 pairs):
+    # kbits + cbits <= 62 alone bounds the sums of a run of equal keys
+    ((1 << 28) * seven, seven, 1 + a, seven, False),
+    ((1 << 28) * seven, seven, a ** -1 + 1 + a, a ** -2 + a ** -1 + 1 + a + a ** 2, False),
 ])
 def test_products_differ_by_one_falls_back_outside_the_int64_bounds(p, q, r, s, falls_back):
     p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
@@ -951,15 +949,15 @@ def test_nested_word_values_fall_back_to_dicts_outside_the_int64_bounds(names, l
 
 
 # ----------------------------------------------------------------------
-# the packed form against the tuple-dict oracle, on operands over other
-# variables, with negative and wide exponents (fields of up to 41 bits,
-# so that widths are narrowed and layouts realigned), constants and zero
+# the ring against the tuple-dict oracle, on operands over other variables,
+# with negative and wide exponents (fields of up to 41 bits in the packed
+# product and division), constants and zero
 
 DIFF_NAMES = [(), ("a",), ("b",), ("a", "b"), ("b", "u10"), ("a", "b", "u10")]
 
 
 @st.composite
-def packed_polys(draw, exps=st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))):
+def ring_polys(draw, exps=st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))):
     names = draw(st.sampled_from(DIFF_NAMES))
     terms = draw(st.dictionaries(st.tuples(*[exps] * len(names)), st.integers(-4, 4),
                                  max_size=4))
@@ -982,7 +980,7 @@ def _matches(got: LaurentPoly, want: TupleLaurent) -> None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(packed_polys(), packed_polys(), st.integers(0, 3))
+@given(ring_polys(), ring_polys(), st.integers(0, 3))
 def test_ring_operations_match_the_tuple_dict_oracle(p, q, n):
     tp, tq = TupleLaurent.of(p), TupleLaurent.of(q)
     _matches(p, tp)
@@ -1003,7 +1001,7 @@ def test_ring_operations_match_the_tuple_dict_oracle(p, q, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(packed_polys(exps=st.integers(-2, 3)), packed_polys(exps=st.integers(-2, 3)))
+@given(ring_polys(exps=st.integers(-2, 3)), ring_polys(exps=st.integers(-2, 3)))
 def test_inexact_division_raises_as_the_oracle_does(p, q):
     if q.is_zero():
         return
@@ -1032,8 +1030,8 @@ def test_one_value_built_three_ways_is_one_object(case):
     assert hash(by_kernel) == hash(by_products) == hash(by_constructor)
 
 
-def test_only_laurent_reads_the_packed_form():
-    private = {"_vars", "_lows", "_width", "_terms", "_trusted"}
+def test_only_laurent_reads_the_term_layout():
+    private = {"_vars", "_terms", "_trusted"}
     src = Path(laurent_mod.__file__).parent
     readers = {}
     for path in sorted(src.glob("*.py")):
