@@ -1,9 +1,9 @@
 """Command-line entry point: one executable over all the library modules.
 
-Every data product goes to stdout in the selected format (tsv, json, or
-text); the version banner goes to stderr so stdout stays byte-identical
-for identical inputs. Exit codes: 0 success, 1 failed computation or
-failed verification, 2 usage error, 3 resource-limit abort.
+Every command writes its result to stdout once, through `_emit`, in the
+selected format; the version banner goes to stderr so stdout stays
+byte-identical for identical inputs. Exit codes: 0 success, 1 failed
+computation or failed verification, 2 usage error, 3 resource-limit abort.
 
 Default resource limits come from environment variables, all positive
 integers: ARTIFACT_MAX_STEPS (frise/ray/window lengths, default 512),
@@ -34,7 +34,7 @@ from .diagrams import (
     quiver_from_json,
     validate_cartan,
 )
-from .frises import WindowTooShort, frise_extend, frise_extend_vars
+from .frises import frise_extend, frise_extend_vars
 from .recurrences import find_min_recurrence, human_form
 from .tilings import Embedding, brute_fill, parse_frontier, ray_values, tile_grid
 
@@ -76,8 +76,6 @@ def _data(fn, *args, **kwargs):
     """Run a library call, turning its validation errors into exit code 1."""
     try:
         return fn(*args, **kwargs)
-    except click.ClickException:
-        raise
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         raise click.ClickException(str(exc) or exc.__class__.__name__)
 
@@ -97,15 +95,26 @@ def _pair(text: str, what: str) -> tuple[int, int]:
     return a, b
 
 
-def _echo_rows(rows: list[list[str]], fmt: str) -> None:
-    if fmt == "tsv":
-        for row in rows:
-            click.echo("\t".join(row))
-        return
+def _aligned(rows: list[list[str]]) -> list[str]:
     widths = [max((len(r[i]) for r in rows if i < len(r)), default=0)
               for i in range(max(len(r) for r in rows))]
-    for row in rows:
-        click.echo("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())
+    return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+
+
+def _emit(fmt: str, obj, rows: list[list[str]], lines: list[str] | None = None) -> None:
+    """Write a command's result to stdout, the only place that does.
+
+    json: obj as one line. tsv: rows, tab-separated. text: lines if
+    given, else rows right-aligned in columns two spaces apart.
+    """
+    if fmt == "json":
+        out = [json.dumps(obj)]
+    elif fmt == "tsv":
+        out = ["\t".join(row) for row in rows]
+    else:
+        out = _aligned(rows) if lines is None else lines
+    for line in out:
+        click.echo(line)
 
 
 def _word_length(e: Embedding, p: tuple[int, int]) -> int:
@@ -192,25 +201,13 @@ def classify_cmd(name: str | None, cartan: str | None, fmt: str) -> None:
     f = _data(find_additive_function, c)
     cert = None if f is None else [str(f[i]) for i in range(c.d)]
     status = None if f is None else _data(check_subadditive, c, f)
-    if fmt == "json":
-        click.echo(json.dumps({
-            "classification": str(diagram),
-            "tag": diagram.tag,
-            "kind": diagram.kind,
-            "m": diagram.m,
-            "additive": cert,
-            "certificate": status,
-        }))
-        return
-    if fmt == "tsv":
-        rows = [[str(diagram)]]
-        if cert is not None:
-            rows.append(["additive"] + cert)
-        _echo_rows(rows, "tsv")
-        return
-    click.echo(str(diagram))
+    obj = {"classification": str(diagram), "tag": diagram.tag, "kind": diagram.kind,
+           "m": diagram.m, "additive": cert, "certificate": status}
+    rows, lines = [[str(diagram)]], [str(diagram)]
     if cert is not None:
-        click.echo("additive: %s" % " ".join(cert))
+        rows.append(["additive"] + cert)
+        lines.append("additive: %s" % " ".join(cert))
+    _emit(fmt, obj, rows, lines)
 
 
 @cli.command("frise")
@@ -229,11 +226,9 @@ def frise_cmd(name, cartan, quiver_json, steps, symbolic, fmt) -> None:
     q = _quiver_from_options(name, cartan, quiver_json)
     fr = _data(frise_extend_vars if symbolic else frise_extend, q, steps)
     table = [fr.row(v) for v in range(q.cartan.d)]
-    if fmt == "json":
-        rows = [[str(x) if symbolic else _json_int(x) for x in row] for row in table]
-        click.echo(json.dumps({"vertices": q.cartan.d, "steps": steps, "rows": rows}))
-        return
-    _echo_rows([[str(x) for x in row] for row in table], fmt)
+    rows = [[str(x) for x in row] for row in table]
+    values = rows if symbolic else [[_json_int(x) for x in row] for row in table]
+    _emit(fmt, {"vertices": q.cartan.d, "steps": steps, "rows": values}, rows)
 
 
 @cli.command("tile")
@@ -253,12 +248,9 @@ def tile_cmd(frontier, region, oracle, fmt) -> None:
     if oracle:
         _check_limit("oracle box cells", _oracle_box_cells(e, region), "ARTIFACT_MAX_REGION")
     grid = _data(brute_fill if oracle else tile_grid, e, region)
-    rows = [[grid[(u, v)] for u in range(u0, u1 + 1)] for v in range(v1, v0 - 1, -1)]
-    if fmt == "json":
-        click.echo(json.dumps({"region": list(region),
-                               "rows": [[_json_int(x) for x in row] for row in rows]}))
-        return
-    _echo_rows([[str(x) for x in row] for row in rows], fmt)
+    table = [[grid[(u, v)] for u in range(u0, u1 + 1)] for v in range(v1, v0 - 1, -1)]
+    _emit(fmt, {"region": list(region), "rows": [[_json_int(x) for x in row] for row in table]},
+          [[str(x) for x in row] for row in table])
 
 
 @cli.command("rays")
@@ -277,14 +269,9 @@ def rays_cmd(frontier, origin, direction, count, fmt) -> None:
     d = _pair(direction, "--dir")
     _check_words(e, [o, (o[0] + (count - 1) * d[0], o[1] + (count - 1) * d[1])])
     ray = _data(ray_values, e, o, d, count)
-    if fmt == "json":
-        click.echo(json.dumps({"origin": list(o), "direction": list(d),
-                               "values": [_json_int(x) for x in ray.values]}))
-    elif fmt == "tsv":
-        click.echo("\t".join(str(x) for x in ray.values))
-    else:
-        for x in ray.values:
-            click.echo(str(x))
+    values = [str(x) for x in ray.values]
+    _emit(fmt, {"origin": list(o), "direction": list(d),
+                "values": [_json_int(x) for x in ray.values]}, [values], values)
 
 
 @cli.command("recur")
@@ -310,31 +297,20 @@ def recur_cmd(seq, source, max_order, fmt) -> None:
         raise click.UsageError("empty sequence")
     rec = _data(find_min_recurrence, values, max_order)
     window = len(values)
-    if fmt == "json":
-        out = {"window": window, "max_order": max_order}
-        if rec is None:
-            out.update({"order": None, "coeffs": None})
-        else:
-            out.update({"order": rec.order,
-                        "coeffs": [[_json_int(c.numerator), _json_int(c.denominator)]
-                                   for c in rec.coeffs]})
-        click.echo(json.dumps(out))
-        return
+    obj = {"window": window, "max_order": max_order, "order": None, "coeffs": None}
     if rec is None:
         rows = [["order", "none"], ["window", str(window)]]
+        lines = ["no linear recurrence of order <= %d certified on %d terms"
+                 % (max_order, window)]
     else:
+        obj.update({"order": rec.order,
+                    "coeffs": [[_json_int(c.numerator), _json_int(c.denominator)]
+                               for c in rec.coeffs]})
         rows = [["order", str(rec.order)],
                 ["coeffs"] + [str(c) for c in rec.coeffs],
                 ["window", str(window)]]
-    if fmt == "tsv":
-        _echo_rows(rows, "tsv")
-        return
-    if rec is None:
-        click.echo("no linear recurrence of order <= %d certified on %d terms"
-                   % (max_order, window))
-    else:
-        click.echo(human_form(rec))
-        click.echo("window: %d terms" % window)
+        lines = [human_form(rec), "window: %d terms" % window]
+    _emit(fmt, obj, rows, lines)
 
 
 @cli.command("frieze")
@@ -352,32 +328,16 @@ def frieze_cmd(letters, seed_word, stages, fmt) -> None:
     _check_limit("stages", stages, "ARTIFACT_MAX_STEPS")
     seed = _data(CrossSeed.ones, letters) if letters else _data(CrossSeed.parse, seed_word)
     pattern = _data(cross_construct, seed)
-
-    def cell_str(v):
-        try:
-            return str(v.as_int())
-        except ValueError:
-            return str(v)
-
     rs = sorted({r for r, _ in pattern.cells})
     cs = sorted({c for _, c in pattern.cells})
-    rows = [[cell_str(pattern.cells[(r, c)]) if (r, c) in pattern.cells else ""
+    rows = [[str(pattern.cells[(r, c)]) if (r, c) in pattern.cells else ""
              for c in range(cs[0], cs[-1] + 1)] for r in range(rs[0], rs[-1] + 1)]
-    try:
-        period = _data(frieze_period, seed, stages)
-    except click.ClickException:
-        raise
-    except WindowTooShort as exc:
-        period = {"period": None, "note": str(exc)}
-    if fmt == "json":
-        click.echo(json.dumps({"rows": rows, "minors_checked": pattern.minor_check(),
-                               "period": period}))
-        return
-    _echo_rows(rows, fmt)
-    if fmt == "text":
-        click.echo("period: %s" % period.get("period"))
-        if "candidate_letters_plus_3" in period:
-            click.echo("candidate: letters+3=%d" % period["candidate_letters_plus_3"])
+    period = _data(frieze_period, seed, stages)
+    # the second minor pass runs only when its count is printed
+    minors = pattern.minor_check() if fmt == "json" else None
+    _emit(fmt, {"rows": rows, "minors_checked": minors, "period": period}, rows,
+          _aligned(rows) + ["period: %s" % period["period"],
+                            "candidate: letters+3=%d" % period["candidate_letters_plus_3"]])
 
 
 @cli.command("cluster-vars")
@@ -392,13 +352,9 @@ def cluster_vars_cmd(kind, bound, fmt) -> None:
     if bound < 1:
         raise click.UsageError("--bound must be positive")
     _check_limit("bound", bound, "ARTIFACT_MAX_STEPS")
-    vals = _data(enumerate_cluster_vars, kind, bound)
-    if fmt == "json":
-        click.echo(json.dumps({"kind": kind, "bound": bound, "count": len(vals),
-                               "variables": [str(v) for v in vals]}))
-        return
-    for v in vals:
-        click.echo(str(v))
+    vals = [str(v) for v in _data(enumerate_cluster_vars, kind, bound)]
+    _emit(fmt, {"kind": kind, "bound": bound, "count": len(vals), "variables": vals},
+          [[v] for v in vals], vals)
 
 
 @cli.command("probe")
@@ -418,19 +374,10 @@ def probe_cmd(name, cartan, quiver_json, steps, max_order, fmt) -> None:
     _check_limit("order", max_order, "ARTIFACT_MAX_ORDER")
     q = _quiver_from_options(name, cartan, quiver_json)
     report = _data(probe_conjecture, q, steps=steps, max_order=max_order)
-    if fmt == "json":
-        out = dict(report)
-        if out["period"] is not None:
-            out["period"] = list(out["period"])
-        click.echo(json.dumps(out))
-        return
     keys = ("diagram", "bounded", "period", "recurrence_orders",
             "recurrence_found", "expected", "consistent")
-    if fmt == "tsv":
-        _echo_rows([[k, str(report[k])] for k in keys], "tsv")
-        return
-    for k in keys:
-        click.echo("%s: %s" % (k, report[k]))
+    _emit(fmt, report, [[k, str(report[k])] for k in keys],
+          ["%s: %s" % (k, report[k]) for k in keys])
 
 
 @cli.command("verify")
@@ -446,11 +393,8 @@ def verify_cmd(ctx, suites, fmt) -> None:
         reports = run_suite(suites)
     except KeyError as exc:
         raise click.UsageError("unknown suite %s" % exc)
-    if fmt == "json":
-        click.echo(json.dumps(reports))
-    else:
-        rows = [[r["name"], "PASS" if r["ok"] else "FAIL", r["detail"]] for r in reports]
-        _echo_rows(rows, fmt)
+    _emit(fmt, reports, [[r["name"], "PASS" if r["ok"] else "FAIL", r["detail"]]
+                         for r in reports])
     if not all(r["ok"] for r in reports):
         ctx.exit(1)
 

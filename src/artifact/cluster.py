@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .diagrams import Quiver, default_quiver
+from .diagrams import default_quiver
 from .frises import WindowTooShort, check_variable_budget, frise_extend_vars
 from .laurent import LaurentPoly, Scalar, bordered_word_value, products_differ_by_one
 from .tilings import Embedding, InconsistentGeometry, Point, transpose_word
@@ -370,7 +370,7 @@ def kronecker_closed_form(n: int, a: Scalar = "u1", b: Scalar = "u2") -> Laurent
 # cluster variables of the small types
 
 
-def enumerate_cluster_vars(kind: str, bound: int = 8, quiver: Optional[Quiver] = None) -> list:
+def enumerate_cluster_vars(kind: str, bound: int = 8) -> list:
     """Distinct cluster variables of type A(n) or Atilde(m) as Laurent polys.
 
     kind is A<n>, Atilde<m> or kronecker, with the catalog's meaning
@@ -379,9 +379,10 @@ def enumerate_cluster_vars(kind: str, bound: int = 8, quiver: Optional[Quiver] =
     two-vertex Euclidean diagram, is refused. A(n) is finite: one full
     period of the symbolic frise visits every variable. Atilde(m) is
     infinite, so the frise is windowed to `bound` steps (for the doubled
-    edge m = 1, the closed form supplies the sequence). The rank is held
-    to the variable budget of `frise_extend_vars` before any quiver is
-    built. Every returned value has natural coefficients over a monomial
+    edge m = 1, the closed form supplies the sequence). The frise runs on
+    `diagrams.default_quiver` of the type, and the rank is held to the
+    variable budget of `frise_extend_vars` before that quiver is built.
+    Every returned value has natural coefficients over a monomial
     denominator; the list is sorted and duplicate-free.
     """
     name = kind.strip().lower().replace(" ", "").replace("(", "").replace(")", "")
@@ -411,9 +412,8 @@ def enumerate_cluster_vars(kind: str, bound: int = 8, quiver: Optional[Quiver] =
                                          % value)
             found.add(value)
     else:
-        if quiver is None:
-            check_variable_budget(m if series == "A" else m + 1)
-            quiver = default_quiver(series, m)
+        check_variable_budget(m if series == "A" else m + 1)
+        quiver = default_quiver(series, m)
         # one period of A(n) is n + 3 columns; frise_extend_vars checks every
         # cell for natural coefficients
         table = frise_extend_vars(quiver, m + 2 if series == "A" else bound).table

@@ -74,6 +74,9 @@ class LaurentPoly:
 
     def __init__(self, variables: Iterable[str] = (), terms: Mapping[tuple[int, ...], int] | None = None):
         vs = tuple(variables)
+        if len(set(vs)) < len(vs):
+            raise ValueError("repeated variable name %r"
+                             % next(v for i, v in enumerate(vs) if v in vs[:i]))
         tm = {tuple(e): int(c) for e, c in (terms or {}).items() if c}
         for e in tm:
             if len(e) != len(vs):

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import artifact.cli as cli_module
 from artifact.cli import cli
+from artifact.frises import WindowTooShort
 
 
 def _run(*args: str):
@@ -352,3 +355,38 @@ def test_word_cap_is_read_from_the_environment():
 def test_rays_bad_direction_exits_1(direction):
     _fails_cleanly(_run("rays", "--frontier", "[xy]* [xy]*", "--origin", "1,1",
                         "--dir", direction, "--n", "3"))
+
+
+@pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+def test_frieze_without_a_certified_period_exits_1_without_traceback(monkeypatch, fmt):
+    def too_short(seed, stages):
+        raise WindowTooShort("no translation period certified within %d stages" % stages)
+
+    monkeypatch.setattr("artifact.cli.frieze_period", too_short)
+    result = _run("frieze", "--letters", "yyxxxxyyy", "--format", fmt)
+    _fails_cleanly(result)
+    assert "no translation period certified within 4 stages" in result.output
+    assert result.stdout == ""  # no grid without its period
+
+
+def _stdout_writes(node: ast.AST) -> list[str]:
+    """json.dumps, print, sys.stdout and click.echo without err=True under node."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and ast.unparse(sub) == "sys.stdout":
+            found.append("sys.stdout at line %d" % sub.lineno)
+        if not isinstance(sub, ast.Call):
+            continue
+        name = ast.unparse(sub.func)
+        to_stderr = any(k.arg == "err" and ast.unparse(k.value) == "True" for k in sub.keywords)
+        if name in ("json.dumps", "print") or (name == "click.echo" and not to_stderr):
+            found.append("%s at line %d" % (name, sub.lineno))
+    return found
+
+
+def test_emit_is_the_only_output_path():
+    tree = ast.parse(Path(cli_module.__file__).read_text())
+    emit = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_emit"]
+    inside = [w for n in emit for w in _stdout_writes(n)]
+    assert [w for w in _stdout_writes(tree) if w not in inside] == []
+    assert {w.split(" ")[0] for w in inside} == {"json.dumps", "click.echo"}

@@ -44,6 +44,16 @@ def test_variable_order_is_length_then_name():
     assert p.variables == ("u2", "u10")
 
 
+@pytest.mark.parametrize("variables", [("a", "a"), ("b", "a", "c", "a"), ("a", "b", "a")])
+def test_a_repeated_variable_name_is_refused(variables):
+    # one exponent per name: ("a", "a") would print as a*a yet differ from a**2
+    exponents = tuple(1 for _ in variables)
+    with pytest.raises(ValueError, match="repeated variable name 'a'"):
+        LaurentPoly(variables, {exponents: 1})
+    with pytest.raises(ValueError, match="repeated variable name 'a'"):
+        LaurentPoly(variables, {})
+
+
 def test_natural_and_int_views():
     assert (a + 1).is_natural()
     assert not (a - 1).is_natural()
