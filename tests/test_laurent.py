@@ -47,7 +47,7 @@ def test_variable_order_is_length_then_name():
 @pytest.mark.parametrize("variables", [("a", "a"), ("b", "a", "c", "a"), ("a", "b", "a")])
 def test_a_repeated_variable_name_is_refused(variables):
     # one exponent per name: ("a", "a") would print as a*a yet differ from a**2
-    exponents = tuple(1 for _ in variables)
+    exponents = (1,) * len(variables)
     with pytest.raises(ValueError, match="repeated variable name 'a'"):
         LaurentPoly(variables, {exponents: 1})
     with pytest.raises(ValueError, match="repeated variable name 'a'"):
