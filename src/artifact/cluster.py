@@ -20,7 +20,8 @@ diagonals of 1s close the figure, and the four regions delimited by the
 central cross are filled by four bordered matrix products that agree on
 the overlaps.  Repeating the construction with the transposed word over
 and over tiles a diagonal band whose translation period is measured
-empirically (`frieze_period`).
+empirically (`frieze_period`). Every figure passes `tilings.verify_sl2`,
+the one 2x2 check of the package, with its cells keyed (c, -r).
 
 The doubled-edge frise in two variables has a closed matrix-power form
 and satisfies a subtraction-free linear recurrence; one period of a
@@ -32,12 +33,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .diagrams import default_quiver
 from .frises import WindowTooShort, check_variable_budget, frise_extend_vars
-from .laurent import LaurentPoly, Scalar, bordered_word_value, products_differ_by_one
-from .tilings import Embedding, InconsistentGeometry, Point, transpose_word
+from .laurent import LaurentPoly, Scalar, bordered_word_value
+from .tilings import Embedding, InconsistentGeometry, Point, transpose_word, verify_sl2
 
 
 class RegionOutsideComponents(ValueError):
@@ -142,18 +143,11 @@ class FriezePattern:
             raise RegionOutsideComponents("cell (%d, %d) is empty" % (row, col)) from None
 
     def minor_check(self) -> int:
-        """Verify det = 1 on every fully filled 2x2 block; return the count."""
-        checked = 0
-        for (r, c), a in self.cells.items():
-            b = self.cells.get((r, c + 1))
-            lo = self.cells.get((r + 1, c))
-            d = self.cells.get((r + 1, c + 1))
-            if b is None or lo is None or d is None:
-                continue
-            if not products_differ_by_one(a, d, b, lo):
-                raise ArithmeticError("2x2 block at (%d, %d) is not unimodular" % (r, c))
-            checked += 1
-        return checked
+        """Verify det = 1 on every fully filled 2x2 block; return the count.
+
+        Rows grow downward, so cell (r, c) is the tiling point (c, -r), and a
+        failing block is named by its lower-left cell in those coordinates."""
+        return verify_sl2({(c, -r): v for (r, c), v in self.cells.items()})
 
 
 class _CrossFigure:
@@ -252,13 +246,11 @@ class _CrossFigure:
                           self.K - self.se_col_hit[c] - 1)
 
 
-def cross_construct(seed: CrossSeed, region: Optional[tuple] = None) -> FriezePattern:
-    """Fill the figure of a seed word; optionally restrict to a rectangle.
+def cross_construct(seed: CrossSeed) -> FriezePattern:
+    """Fill the figure of a seed word.
 
-    region is (row0, col0, row1, col1) inclusive and must stay within the
-    filled figure, else RegionOutsideComponents is raised. Overlaps
-    between the four regions are recomputed and compared, and the whole
-    grid passes the unimodularity check before being returned.
+    Overlaps between the four regions are recomputed and compared, and the
+    whole grid passes the unimodularity check before being returned.
     """
     fig = _CrossFigure(seed)
     mirrored = _CrossFigure(seed.transposed())
@@ -281,48 +273,37 @@ def cross_construct(seed: CrossSeed, region: Optional[tuple] = None) -> FriezePa
 
     pattern = FriezePattern(cells)
     pattern.minor_check()
-    if region is None:
-        return pattern
-    r0, c0, r1, c1 = region
-    if r0 > r1 or c0 > c1:
-        raise ValueError("empty region %r" % (region,))
-    window = {}
-    for r in range(r0, r1 + 1):
-        for c in range(c0, c1 + 1):
-            if (r, c) not in cells:
-                raise RegionOutsideComponents("cell (%d, %d) is outside the figure" % (r, c))
-            window[(r, c)] = cells[(r, c)]
-    return FriezePattern(window)
+    return pattern
 
 
 def frieze_period(seed: CrossSeed, stages: int = 4) -> dict:
     """Repeat the construction with transposed words and measure its period.
 
     Consecutive figures share a staircase: the transposed word of one is
-    the seed of the next. The smallest diagonal translation (p, p) that
-    matches every overlapping cell, with at least one figure's worth of
-    evidence, is reported next to the book-keeping candidate letters+3
-    (the same number as variables+2).
+    the seed of the next. Transposing twice gives the seed back, so the
+    figures alternate between two, and each is built once. The smallest
+    diagonal translation (p, p) that matches every overlapping cell, with
+    at least one figure's worth of evidence, is reported next to the
+    book-keeping candidate letters+3 (the same number as variables+2).
     """
     if stages < 3:
         raise ValueError("need at least three figures to certify a period")
+    # each figure's cells and the offset from its corner to the next one's
+    figures = [(cross_construct(s).cells, s.y_count + 2, s.x_count + 2)
+               for s in (seed, seed.transposed())]
     union: dict = {}
     off_r = off_c = 0
-    stage_seed = seed
-    figure_cells = None
-    for _ in range(stages):
-        pattern = cross_construct(stage_seed)
-        for (r, c), v in pattern.cells.items():
+    for stage in range(stages):
+        cells, step_r, step_c = figures[stage % 2]
+        for (r, c), v in cells.items():
             p = (r + off_r, c + off_c)
             old = union.get(p)
             if old is not None and old != v:
                 raise InconsistentOverlap("stitch mismatch at %r" % (p,))
             union[p] = v
-        if figure_cells is None:
-            figure_cells = len(pattern.cells)
-        off_r += stage_seed.y_count + 2
-        off_c += stage_seed.x_count + 2
-        stage_seed = stage_seed.transposed()
+        off_r += step_r
+        off_c += step_c
+    figure_cells = len(figures[0][0])
 
     k = len(seed.letters)
     for p in range(1, max(r for r, _ in union) + 1):

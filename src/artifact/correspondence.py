@@ -22,7 +22,7 @@ from typing import Optional
 from .diagrams import EUCLIDEAN_SERIES, Quiver, catalog_diagram, classify, cycle_quiver
 from .frises import Frise, WindowTooShort, detect_period, frise_extend
 from .recurrences import find_min_recurrence
-from .tilings import Embedding, Frontier, PeriodicFrontier, periodic_frontier, ray_values
+from .tilings import Embedding, Frontier, PeriodicFrontier, ray_values
 
 
 def cycle_check(w: str, steps: int = 12) -> dict:
@@ -74,7 +74,7 @@ class ForkSpec:
             raise ValueError("first interior letter is fixed to x")
 
     def frontier(self) -> PeriodicFrontier:
-        return periodic_frontier(self.word, 1, 0)
+        return PeriodicFrontier(self.word, 1, 0)
 
 
 def fork_quiver(spec: ForkSpec) -> Quiver:

@@ -101,10 +101,8 @@ class LaurentPoly:
         return LaurentPoly._trusted((), {(): int(n)} if n else {})
 
     @staticmethod
-    def var(name: str, exponent: int = 1) -> "LaurentPoly":
-        if not exponent:
-            return LaurentPoly.nat(1)
-        return LaurentPoly._trusted((name,), {(exponent,): 1})
+    def var(name: str) -> "LaurentPoly":
+        return LaurentPoly._trusted((name,), {(1,): 1})
 
     @staticmethod
     def monomial(coeff: int, exponents: Mapping[str, int]) -> "LaurentPoly":

@@ -56,7 +56,6 @@ class LinearRecurrence:
     """u[n+k] = coeffs[0] u[n+k-1] + ... + coeffs[k-1] u[n]."""
 
     coeffs: tuple[Fraction, ...]
-    minimal: bool = True
 
     @property
     def order(self) -> int:
@@ -268,9 +267,7 @@ def _delay_line(steady: Mat, boundary: Vec, tape: int, left: bool) -> Mat:
     return tuple(tuple(r) for r in rows)
 
 
-def nrational_witness(
-    e: Embedding, origin: Point, direction: Point, check_terms: int = 16
-) -> NRationalWitness:
+def nrational_witness(e: Embedding, origin: Point, direction: Point) -> NRationalWitness:
     """Natural matrix representation of n -> t(origin + n*direction).
 
     The frontier's periodic tails make the cut words of each residue class
@@ -281,9 +278,7 @@ def nrational_witness(
     if (a, b) == (0, 0) or a * b > 0:
         raise BadDirection("direction (%d,%d) must be nonzero with a*b <= 0" % (a, b))
     if a < 0 or b > 0:
-        inner = nrational_witness(
-            e.mirror(), (origin[1], origin[0]), (b, a), check_terms
-        )
+        inner = nrational_witness(e.mirror(), (origin[1], origin[0]), (b, a))
         return NRationalWitness(origin, direction, inner.q, inner.residues)
 
     fr = e.frontier
@@ -348,7 +343,8 @@ def nrational_witness(
 
     witness = NRationalWitness(origin, direction, q, tuple(residues))
     deepest = max(len(r.lam) - 2 for r in residues)
-    terms = max(check_terms, (deepest + 3) * q)
+    # at least 16 terms, and three per residue class past the longest delay line
+    terms = max(16, (deepest + 3) * q)
     expected = ray_values(e, origin, direction, terms).values
     for idx, want in enumerate(expected):
         got = witness.value(idx)

@@ -16,7 +16,8 @@ brute_fill recomputes grids purely from the unimodularity of 2x2 blocks
 and is kept as an independent oracle.
 
 The adjacent-diagonal relation everywhere: with A=t(u,v), B=t(u+1,v),
-C=t(u,v+1), D=t(u+1,v+1) it reads C*B - D*A = 1.
+C=t(u,v+1), D=t(u+1,v+1) it reads C*B - D*A = 1, and verify_sl2 is its one
+check, on grids of integers and of Laurent polynomials (`cluster`) alike.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
+
+from .laurent import Scalar, products_differ_by_one
 
 Point = tuple[int, int]
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -141,17 +144,16 @@ class Embedding:
     """Frontier laid into the plane; vertex i sits between letters i-1, i.
 
     The word is ultimately periodic, so every query is index arithmetic on
-    its three blocks, with no walk. Vertex i is the anchor plus the letter
-    counts from index 0 to i (center, whole tail blocks by one divmod, and
-    a block prefix), so it lies on the antidiagonal u + v = i + sum(anchor).
-    The vertices on column (row) anchor + t run from just after the t-th
-    x (y) up to the (t+1)-th, found the same way from letter positions.
+    its three blocks, with no walk. Vertex 0 is the origin and vertex i is
+    the letter counts from index 0 to i (center, whole tail blocks by one
+    divmod, and a block prefix), so it lies on the antidiagonal u + v = i.
+    The vertices on column (row) t run from just after the t-th x (y) up
+    to the (t+1)-th, found the same way from letter positions.
     locate and tile_values read side and word span off them.
     """
 
-    def __init__(self, frontier: Frontier, anchor: Point = (0, 0)):
+    def __init__(self, frontier: Frontier):
         self.frontier = frontier
-        self.anchor = anchor
         self._mirror: Optional["Embedding"] = None
         blocks = (frontier.left, frontier.center, frontier.right)
         # per block: the x counts of its prefixes, and the index just after
@@ -170,7 +172,7 @@ class Embedding:
         else:
             q, r = divmod(i, len(left) - 1)
             x = q * left[-1] + left[r]
-        return (self.anchor[0] + x, self.anchor[1] + i - x)
+        return (x, i - x)
 
     def _after(self, t: int, axis: int) -> int:
         """Index just after the t-th x (axis 0) or y (axis 1), counting the
@@ -184,17 +186,13 @@ class Embedding:
         q, r = divmod(t - 1, len(left))
         return q * len(self.frontier.left) + left[r]
 
-    def _run(self, coord: int, axis: int) -> tuple[int, int]:
-        # the t-th letter of the axis enters line anchor + t, the next leaves it
-        t = coord - self.anchor[axis]
-        return self._after(t, axis), self._after(t + 1, axis) - 1
-
     def column_run(self, u: int) -> tuple[int, int]:
-        """Vertex indices entering and leaving column u."""
-        return self._run(u, 0)
+        """Vertex indices entering and leaving column u: the u-th x enters
+        it and the next x leaves it."""
+        return self._after(u, 0), self._after(u + 1, 0) - 1
 
     def row_run(self, v: int) -> tuple[int, int]:
-        return self._run(v, 1)
+        return self._after(v, 1), self._after(v + 1, 1) - 1
 
     def locate(self, p: Point) -> tuple[str, int, int]:
         """p's side of the path, and the letter span (first, last) of its word.
@@ -204,15 +202,15 @@ class Embedding:
         mirror(), whose indices are the same. On the path it is (i, i), for
         vertex i. Two lookups below the path, three on or above it.
         """
-        du, dv = p[0] - self.anchor[0], p[1] - self.anchor[1]
-        i = du + dv  # the index of vertices on p's antidiagonal
-        ilo = self._after(du, 0)
+        u, v = p
+        i = u + v  # the index of vertices on p's antidiagonal
+        ilo = self._after(u, 0)
         if i < ilo:
-            return "below", self._after(dv + 1, 1) - 1, ilo - 1
-        ihi = self._after(du + 1, 0) - 1
+            return "below", self._after(v + 1, 1) - 1, ilo - 1
+        ihi = self._after(u + 1, 0) - 1
         if i <= ihi:
             return "on", i, i
-        return "above", ihi, self._after(dv, 1) - 1
+        return "above", ihi, self._after(v, 1) - 1
 
     def classify(self, p: Point) -> str:
         """'below', 'on', or 'above' the frontier path."""
@@ -222,7 +220,7 @@ class Embedding:
         """Letter-swapped frontier: reflecting across the main diagonal
         carries this path onto it and swaps the two sides of the plane."""
         if self._mirror is None:
-            self._mirror = Embedding(self.frontier.swapped(), (self.anchor[1], self.anchor[0]))
+            self._mirror = Embedding(self.frontier.swapped())
         return self._mirror
 
 
@@ -270,10 +268,10 @@ def tile_values(e: Embedding, points: list[Point]) -> list[int]:
     """
     cols = {u: e.column_run(u) for u in {p[0] for p in points}}
     rows = {v: e.row_run(v) for v in {p[1] for p in points}}
-    shift, vals, sides = sum(e.anchor), [1] * len(points), ([], [])
+    vals, sides = [1] * len(points), ([], [])
     for n, (u, v) in enumerate(points):
         (clo, chi), (rlo, rhi) = cols[u], rows[v]
-        i = u + v - shift  # the index of the vertices on p's antidiagonal
+        i = u + v  # the index of the vertices on p's antidiagonal
         if i < clo:
             sides[0].append((rhi, clo - 1, n))  # (first, last, n) below
         elif i > chi:
@@ -386,16 +384,23 @@ def tile_grid(e: Embedding, region: Region) -> dict[Point, int]:
     return dict(zip(points, tile_values(e, points)))
 
 
-def verify_sl2(grid: dict[Point, int]) -> None:
-    """Check C*B - D*A = 1 on every complete 2x2 block of the grid."""
+def verify_sl2(grid: Mapping[Point, Scalar]) -> int:
+    """Check C*B - D*A = 1 on every complete 2x2 block; return their number.
+
+    Each block of integers or Laurent polynomials goes through
+    products_differ_by_one, so no ring product is formed; the first failing
+    one raises ArithmeticError naming its corner A."""
+    checked = 0
     for (u, v), va in grid.items():
         vb = grid.get((u + 1, v))
         vc = grid.get((u, v + 1))
         vd = grid.get((u + 1, v + 1))
-        if None in (vb, vc, vd):
+        if vb is None or vc is None or vd is None:
             continue
-        if vc * vb - vd * va != 1:
-            raise ValueError("unimodularity fails at the block with corner %r" % ((u, v),))
+        if not products_differ_by_one(vc, vb, vd, va):
+            raise ArithmeticError("unimodularity fails at the block with corner %r" % ((u, v),))
+        checked += 1
+    return checked
 
 
 # ----------------------------------------------------------------------
@@ -433,8 +438,9 @@ def ray_values(e: Embedding, origin: Point, direction: Point, count: int) -> Ray
 class SquareEmbedding(Embedding):
     """Embedding of ts . y x^h y . s with the corner vertices exposed.
 
-    s may be a plain block (purely periodic) or a (head, block) pair for an
-    ultimately periodic right side.
+    The ray i runs right from the corner, and j and k run diagonally below
+    it. s may be a plain block (purely periodic) or a (head, block) pair
+    for an ultimately periodic right side.
     """
 
     def __init__(self, s: Union[str, tuple[str, str]], h: int):
@@ -473,11 +479,6 @@ class SquareEmbedding(Embedding):
     def k_right_values(self, count: int) -> tuple[int, ...]:
         u, v = self.point_j
         return ray_values(self, (u + 1, v), (1, -1), count).values
-
-
-def square_frontier(s: Union[str, tuple[str, str]], h: int) -> SquareEmbedding:
-    """Embed ts y x^h y s; i runs right from the corner, j and k run diagonally."""
-    return SquareEmbedding(s, h)
 
 
 def verify_square_lemma(e: SquareEmbedding, n_max: int) -> list[dict]:
@@ -542,16 +543,12 @@ class PeriodicFrontier(Frontier):
                     "periodic frontier is not transpose-symmetric at step %d" % step)
 
 
-def periodic_frontier(w: str, h: int, hp: int) -> PeriodicFrontier:
-    return PeriodicFrontier(w, h, hp)
-
-
 def verify_quadratic_lemma(e: Embedding, n_max: int) -> dict:
     """Check the four-case diagonal recursion along w, plus the primed
     square and product identities, on the periodic frontier embedding."""
     fr = e.frontier
     if not isinstance(fr, PeriodicFrontier):
-        raise TypeError("embedding must come from periodic_frontier")
+        raise TypeError("embedding must come from a PeriodicFrontier")
     k = len(fr.w)
     b = [ray_values(e, e.vertex(j), (1, -1), n_max + 2).values for j in range(k + 1)]
     cases = []

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,7 +163,7 @@ def _tile_by_word_value_vars(e: Embedding, names, p) -> LaurentPoly:
     # the per-cell form variable_tile_value replaced: one LaurentPoly per step
     side = e.classify(p)
     if side == "on":
-        return V(names((p[0] + p[1]) - sum(e.anchor)))
+        return V(names(p[0] + p[1]))
     if side == "above":
         return _tile_by_word_value_vars(e.mirror(), names, (p[1], p[0]))
     first, last = word_span(e, p)
@@ -176,10 +177,9 @@ NAME_POOL = ("u10", "u2", "a", "b1", "zz", "u1", "c", "q7")
 
 @settings(max_examples=60, deadline=None)
 @given(blocks, st.text(alphabet="xy", max_size=5), blocks,
-       st.tuples(st.integers(-5, 5), st.integers(-5, 5)), st.integers(-8, 8),
-       st.permutations(NAME_POOL), st.integers(1, 8))
-def test_variable_tile_value_matches_word_value_vars(left, center, right, anchor, k, pool, period):
-    e = Embedding(Frontier(left, center, right), anchor)
+       st.integers(-8, 8), st.permutations(NAME_POOL), st.integers(1, 8))
+def test_variable_tile_value_matches_word_value_vars(left, center, right, k, pool, period):
+    e = Embedding(Frontier(left, center, right))
     names = lambda i: pool[i % period]
     u0, v0 = e.vertex(k)
     sides = set()
@@ -245,6 +245,8 @@ def test_cross_all_ones_grid_matches_the_figure():
         assert cols == list(range(start, start + len(values)))
         assert [by_row[r][c] for c in cols] == values
     assert fp.minor_check() == 65
+    with pytest.raises(RegionOutsideComponents):
+        fp.value(0, 0)  # row 0 starts at column 4
 
 
 def test_cross_symbolic_seed_value_and_denominator():
@@ -380,22 +382,23 @@ def test_cross_specializing_ones_reproduces_integer_grid():
     assert subst_pattern(symbolic, mapping).cells == ones.cells
 
 
-def test_cross_region_window_and_errors():
-    seed = CrossSeed.ones("yyxxxxyyy")
-    window = cross_construct(seed, region=(4, 0, 5, 9))
-    assert sorted(window.cells) == [(r, c) for r in (4, 5) for c in range(10)]
-    with pytest.raises(RegionOutsideComponents):
-        cross_construct(seed, region=(0, 0, 1, 1))
-    with pytest.raises(ValueError):
-        cross_construct(seed, region=(5, 5, 4, 4))
-    with pytest.raises(RegionOutsideComponents):
-        window.value(0, 0)
-
-
 def test_frieze_pattern_minor_check_rejects_bad_grid():
     bad = FriezePattern({(0, 0): ONE, (0, 1): ONE, (1, 0): ONE, (1, 1): ONE})
     with pytest.raises(ArithmeticError):
         bad.minor_check()
+
+
+@pytest.mark.parametrize("cell, corner", [
+    ((0, 5), (4, -1)),  # the top-right cell: only the block of rows 0-1, columns 4-5
+    ((11, 5), (5, -11)),  # the bottom-left cell: only the block of rows 10-11, columns 5-6
+], ids=["top-right", "bottom-left"])
+def test_minor_check_names_the_broken_block_at_c_minus_r(cell, corner):
+    cells = dict(cross_construct(CrossSeed.ones("yyxxxxyyy")).cells)
+    cells[cell] = cells[cell] * V("a")
+    # frieze cell (r, c) is the tiling point (c, -r); a block is named by
+    # its lower-left cell
+    with pytest.raises(ArithmeticError, match=re.escape(repr(corner))):
+        FriezePattern(cells).minor_check()
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +413,53 @@ def test_frieze_period_reports_the_candidate():
     assert not report["matches_letters_plus_3"]
     assert "candidate_variables_plus_2" not in report
     assert not report["anti_palindrome"]
+
+
+def test_frieze_period_builds_each_of_the_two_figures_once(monkeypatch):
+    built = []
+
+    def counting(seed):
+        built.append(seed)
+        return cross_construct(seed)
+
+    monkeypatch.setattr(cluster, "cross_construct", counting)
+    seed = CrossSeed.ones("yyxxxxyyy")
+    report = frieze_period(seed, stages=8)
+    assert built == [seed, seed.transposed()]
+    assert report["period"] == 13 and report["stages"] == 8
+
+
+def _period_by_rebuilding(seed, stages):
+    # every stage built afresh from the previous stage's transposed seed
+    union, off_r, off_c, stage_seed, first = {}, 0, 0, seed, None
+    for _ in range(stages):
+        cells = cross_construct(stage_seed).cells
+        for (r, c), v in cells.items():
+            p = (r + off_r, c + off_c)
+            assert union.setdefault(p, v) == v, p
+        first = first or len(cells)
+        off_r += stage_seed.y_count + 2
+        off_c += stage_seed.x_count + 2
+        stage_seed = stage_seed.transposed()
+    for p in range(1, max(r for r, _ in union) + 1):
+        pairs = [(q, (q[0] + p, q[1] + p)) for q in union if (q[0] + p, q[1] + p) in union]
+        if len(pairs) < first:
+            return None, len(union)
+        if all(union[a] == union[b] for a, b in pairs):
+            return p, len(union)
+    return None, len(union)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cross_seeds(), st.integers(3, 5))
+def test_frieze_period_matches_rebuilding_every_stage(seed, stages):
+    want, cells = _period_by_rebuilding(seed, stages)
+    if want is None:
+        with pytest.raises(frises.WindowTooShort):
+            frieze_period(seed, stages)
+    else:
+        report = frieze_period(seed, stages)
+        assert (report["period"], report["cells"]) == (want, cells)
 
 
 def test_frieze_period_halves_on_anti_palindrome():

