@@ -149,7 +149,7 @@ def main() -> int:
         traced = {side: run(trees[side], args.workload, args.seed, 1) for side in trees}
 
     verdicts = {args.workload: labels(runs, bounds)}
-    verdicts.update((w, labels({side: sides[side]["runs"] for side in sides}, bounds))
+    verdicts.update((w, labels({side: r["runs"] for side, r in sides.items()}, bounds))
                     for w, sides in others.items())
     for w, by_metric in verdicts.items():
         print("%-15s %s" % (w, "  ".join("%s %s" % item for item in by_metric.items())))
