@@ -31,10 +31,12 @@ sorted keys are lexicographic exponent tuples, and the values of the int64
 form leave with their terms in that order.
 
 The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
-product. It packs exponent vectors into signed fields of one common width
-and has two passes over the term pairs, selected by their number and by
-int64 bounds: a dict pass over Python integers below ``_DICT_PAIRS`` pairs
-or outside the bounds, and one sort of int64 words from there on.
+product: it packs exponent vectors into signed fields of one common width
+and sums the term pairs in one of two passes. From ``_DICT_PAIRS`` pairs on,
+the four operands' exponents and coefficients go into two int64 arrays,
+whose max() and min() give the bounds that make one sort of int64 words
+exact; below that size, and for values outside int64 or the bounds, a dict
+pass over Python integers decides.
 """
 
 from __future__ import annotations
@@ -567,25 +569,23 @@ def _at_ones(letter: Callable[[int], str], f: int, l: int) -> int:
     return x + y
 
 
-def _fields(names: Iterable[str], letters: int) -> tuple[tuple[str, ...], dict, int]:
-    """The sorted universe of names, each name's packed key (one field per
-    name) and the field width, for words of up to ``letters`` letters.
+def _fields(names: Iterable[str], letters: int) -> tuple[tuple[str, ...], list, int, dict]:
+    """The one layout of packed keys for words of up to ``letters`` letters:
+    the sorted universe of names, their field shifts, the field width and
+    each name's packed key.
 
     universe[0] takes the most significant field, so integer order on
     packed keys is lexicographic order on exponent tuples, and terms whose
-    keys leave in increasing order leave ``_unpacked`` in lexicographic
-    order (``_shifts`` gives the same layout to ``_over_monomial``).
+    keys leave ``_over_monomial`` in increasing order leave ``_unpacked``
+    in lexicographic order.
     """
     universe = tuple(sorted(set(names), key=_var_key))
     width = letters.bit_length()
-    return universe, {v: 1 << shift for v, shift in zip(universe, _shifts(universe, width))}, width
+    shifts = [(len(universe) - 1 - pos) * width for pos in range(len(universe))]
+    return universe, shifts, width, {v: 1 << shift for v, shift in zip(universe, shifts)}
 
 
-def _shifts(universe: tuple[str, ...], width: int) -> list[int]:
-    return [(len(universe) - 1 - pos) * width for pos in range(len(universe))]
-
-
-def _over_monomial(universe: tuple[str, ...], width: int, entry: tuple, den: int) -> LaurentPoly:
+def _over_monomial(universe: tuple, shifts: list, width: int, entry: tuple, den: int) -> LaurentPoly:
     """The value of entry (either form) divided by the monomial whose packed
     key is den, unpacked once into its canonical LaurentPoly."""
     off, terms = entry
@@ -593,7 +593,6 @@ def _over_monomial(universe: tuple[str, ...], width: int, entry: tuple, den: int
         keys, coeffs = [k + off for k in terms], terms.values()
     else:
         keys, coeffs = (terms[0] + off).tolist(), terms[1].tolist()
-    shifts = _shifts(universe, width)
     mask = (1 << width) - 1
     lows = [-((den >> shift) & mask) for shift in shifts]
     return _unpacked(universe, keys, coeffs, lows, shifts, [width] * len(universe))
@@ -625,7 +624,7 @@ def bordered_word_value(names: Sequence[Optional[str]], letters: str,
         raise ValueError("word %r needs at least two letters" % (letters,))
     if len(names) != n + 1:
         raise ValueError("need one more name than letters")
-    universe, key, width = _fields((v for v in names if v is not None), n)
+    universe, shifts, width, key = _fields((v for v in names if v is not None), n)
     key[None] = 0
     units = [key[v] for v in names]
     x, y = (0, {0: 1}), (units[0], {0: 1})
@@ -637,7 +636,7 @@ def bordered_word_value(names: Sequence[Optional[str]], letters: str,
             x, y = _plus(_shifted(x, b), y), _shifted(y, a)
     last = units[n]
     value = _plus(_shifted(x, last), y) if col_swap else _plus(x, _shifted(y, last))
-    return _over_monomial(universe, width, value, sum(units[1:n]))
+    return _over_monomial(universe, shifts, width, value, sum(units[1:n]))
 
 
 def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
@@ -689,7 +688,7 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
     spans = list(spans)
     if not spans:
         return []
-    universe, key, width = _fields(names, max(l - f + 1 for f, l in spans))
+    universe, shifts, width, key = _fields(names, max(l - f + 1 for f, l in spans))
     unit = [key[v] for v in names]
     exact = len(universe) * width <= 62 and _at_ones(letter, *spans[-1]) < 1 << 62
 
@@ -725,7 +724,7 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
         first, last = unit[label(f)], unit[label(l + 1)]
         value = plus(plus(p, _shifted(q, last)), _shifted(plus(r, _shifted(s, last)), first))
         den = sum(unit[label(i)] for i in range(f + 1, l + 1))
-        out.append(_over_monomial(universe, width, value, den))
+        out.append(_over_monomial(universe, shifts, width, value, den))
     return out
 
 
@@ -733,9 +732,9 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
 # the minor check
 
 # Below this many term pairs the minor check is one dict pass; from it on,
-# while the int64 bounds hold, one sort of int64 words. Near this size the
-# two passes cost the same on the minors of the symbolic-tiles benchmark.
-_DICT_PAIRS = 256
+# while the int64 bounds hold, one sort of int64 words. The two passes cost
+# the same at 96-128 pairs on symbolic-tiles' minors (tools/time_kernel.py).
+_DICT_PAIRS = 128
 # The int64 pass holds 24 bytes per pair at its peak (numpy buffers, read
 # with tracemalloc): about 100 MB at this cap.
 _MAX_PAIRS = 1 << 22
@@ -755,12 +754,16 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     0 only when every d_v is. Every pair of p*q and of -r*s is summed at its
     key, 1 is subtracted at key 0, and the check holds when every sum is 0.
 
-    Below ``_DICT_PAIRS`` pairs the sums are one dict pass over Python
-    integers, which is exact for every input. From there on each pair is
-    one int64 word (key << cbits) + (c1*c2 + cmax^2), cmax the largest
-    |coefficient| (at least 1); one in-place sort puts equal keys together,
-    and ``reduceat`` sums each run of them. That pass is exact while two
-    bounds hold; outside either of them the check is the dict pass:
+    From ``_DICT_PAIRS`` pairs on, an int64 pass comes first: the exponents
+    of all four operands go into one int64 array and their coefficients into
+    another, and emax and cmax (the largest |coefficient|, at least 1) are
+    read off each array's max() and min() as exact Python integers, so -2^63
+    counts as 2^63. Each pair is one int64 word (key << cbits) + (c1*c2 +
+    cmax^2); one in-place sort puts equal keys together, and ``reduceat``
+    sums each run of them. The pass is exact while two bounds hold. Below
+    ``_DICT_PAIRS`` pairs, for a value that int64 cannot hold and outside
+    either bound, the check is one dict pass over Python integers, which is
+    exact for every input:
 
     - kbits + cbits <= 62, with kbits = w * n for n variables and cbits =
       (2 * cmax^2).bit_length(): a key lies strictly between -2^(kbits-1)
@@ -774,17 +777,16 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     """
     polys = [LaurentPoly.coerce(v) for v in (p, q, r, s)]
     pos = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(f._vars for f in polys)))}
+    tp, tq, tr, ts = (f._terms for f in polys)
+    pairs = len(tp) * len(tq) + len(tr) * len(ts)
+    if _DICT_PAIRS <= pairs <= _MAX_PAIRS:
+        verdict = _differ_by_one_int64(polys, pos)
+        if verdict is not None:
+            return verdict
     emax = max(map(abs, chain.from_iterable(chain.from_iterable(f._terms for f in polys))),
                default=0)
     w = (2 * emax).bit_length() + 1
     shifts = [[w * pos[v] for v in f._vars] for f in polys]
-    tp, tq, tr, ts = (f._terms for f in polys)
-    pairs = len(tp) * len(tq) + len(tr) * len(ts)
-    if _DICT_PAIRS <= pairs <= _MAX_PAIRS:
-        cmax = max(map(abs, chain(tp.values(), tq.values(), tr.values(), ts.values())), default=1)
-        cbits = (2 * cmax * cmax).bit_length()
-        if w * len(pos) + cbits <= 62:
-            return _differ_by_one_int64(polys, shifts, cmax * cmax, cbits)
     acc = {0: -1}
     get = acc.get
     kp, kq, kr, ks = ([sum(map(lshift, e, sh)) for e in t] for t, sh in zip((tp, tq, tr, ts), shifts))
@@ -797,21 +799,36 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     return not any(acc.values())
 
 
-def _differ_by_one_int64(polys: list, shifts: list, bias: int, cbits: int) -> bool:
-    """The int64 pass of ``products_differ_by_one``, within its bounds.
+def _differ_by_one_int64(polys: list, pos: dict) -> Optional[bool]:
+    """The int64 pass of ``products_differ_by_one``, or None when a value
+    leaves int64 or the bounds fail.
 
-    The keys are the same packing, taken as one int64 product of each
-    operand's exponent rows with the field weights 2^(w * i_v); within the
-    bounds no key, and no partial sum of one, leaves the int64 range.
+    The keys are the same packing shifted left by cbits, taken as one int64
+    product of each operand's exponent rows with its field weights
+    2^(w * i_v + cbits); within the bounds no key, and no partial sum of
+    one, leaves the int64 range.
     """
     import numpy as np  # here, so that importing artifact does not load numpy
 
-    packed = []
-    for f, sh in zip(polys, shifts):
-        n = len(f._terms)
-        exps = np.fromiter(chain.from_iterable(f._terms), dtype=np.int64, count=n * len(sh))
-        keys = exps.reshape(n, len(sh)) @ np.array([1 << x for x in sh], dtype=np.int64)
-        packed.append((keys, np.fromiter(f._terms.values(), dtype=np.int64, count=n)))
+    sizes = [len(f._terms) for f in polys]
+    try:
+        exps = np.fromiter(chain.from_iterable(chain.from_iterable(f._terms for f in polys)),
+                           dtype=np.int64, count=sum(n * len(f._vars) for n, f in zip(sizes, polys)))
+        coeffs = np.fromiter(chain.from_iterable(f._terms.values() for f in polys),
+                             dtype=np.int64, count=sum(sizes))
+    except OverflowError:
+        return None
+    emax = max(int(exps.max(initial=0)), -int(exps.min(initial=0)))
+    bias = max(int(coeffs.max(initial=1)), -int(coeffs.min(initial=-1))) ** 2  # cmax^2
+    w, cbits = (2 * emax).bit_length() + 1, (2 * bias).bit_length()
+    if w * len(pos) + cbits > 62:
+        return None
+    packed, at, ct = [], 0, 0
+    for f, n in zip(polys, sizes):
+        m = n * len(f._vars)
+        weights = np.array([1 << w * pos[v] + cbits for v in f._vars], dtype=np.int64)
+        packed.append((exps[at:at + m].reshape(n, len(f._vars)) @ weights, coeffs[ct:ct + n]))
+        at, ct = at + m, ct + n
     (kp, cp), (kq, cq), (kr, cr), (ks, cs) = packed
     n_pq = len(kp) * len(kq)
     words = np.empty(n_pq + len(kr) * len(ks) + 1, dtype=np.int64)
@@ -820,11 +837,10 @@ def _differ_by_one_int64(polys: list, shifts: list, bias: int, cbits: int) -> bo
                                     (kr, -cr, ks, cs, words[n_pq:-1])):
         out = out.reshape(len(k1s), len(k2s))
         np.add.outer(k1s, k2s, out=out)
-        out <<= cbits
-        coeffs = np.multiply.outer(c1s, c2s)
-        coeffs += bias
-        out += coeffs
-        del coeffs  # freed before the next block and the sort: the memory peak
+        prods = np.multiply.outer(c1s, c2s)
+        prods += bias
+        out += prods
+        del prods  # freed before the next block and the sort: the memory peak
     words.sort()
     keys = words >> cbits
     starts = np.empty(len(words), dtype=bool)  # first of each run of equal keys

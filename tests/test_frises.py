@@ -302,7 +302,8 @@ def test_cycle_word_only_reads_simply_laced_cycles_in_vertex_order():
 blocks = st.text(alphabet="xy", min_size=2, max_size=6).filter(lambda w: "x" in w and "y" in w)
 
 
-@settings(max_examples=60, deadline=None)
+# a fixed draw, so that this slow test's time does not move from run to run
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(blocks, st.text(alphabet="xy", max_size=5), blocks, st.integers(-6, 6),
        st.integers(1, 5), st.integers(1, 7), st.sets(st.integers(0, 6)), st.booleans())
 def test_nested_word_values_match_word_value_vars(left, center, right, k, period, count, ones,

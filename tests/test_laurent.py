@@ -663,17 +663,20 @@ def test_products_differ_by_one_on_true_and_perturbed_minors(minor, slot, delta)
 @contextmanager
 def dict_pairs(threshold):
     """Run products_differ_by_one with its size threshold set to threshold,
-    and count the calls of its int64 pass."""
+    and count the verdicts of its int64 pass (calls that did not return
+    None)."""
     saved = laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64
-    calls = []
+    verdicts = []
 
     def counting(*args):
-        calls.append(1)
-        return saved[1](*args)
+        verdict = saved[1](*args)
+        if verdict is not None:
+            verdicts.append(verdict)
+        return verdict
 
     laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64 = threshold, counting
     try:
-        yield calls
+        yield verdicts
     finally:
         laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64 = saved
 
@@ -705,12 +708,25 @@ seven = LaurentPoly(("a",), {(i,): 1 for i in range(-3, 4)})
     # kbits + cbits <= 62 alone bounds the sums of a run of equal keys
     ((1 << 28) * seven, seven, 1 + a, seven, False),
     ((1 << 28) * seven, seven, a ** -1 + 1 + a, a ** -2 + a ** -1 + 1 + a + a ** 2, False),
+    # -2^63 fits int64 but is its own negation there: the bounds read 2^63
+    (LaurentPoly.nat(-(1 << 63)), 1, 0, 0, True),
+    (LaurentPoly.nat(-(1 << 63)), -1, (1 << 62) - 1, 2, True),
+    (a ** -(1 << 63) + 1, 1, a ** -(1 << 63), 1, True),
+    # 2^63 and past: the values do not fit int64
+    (LaurentPoly.nat(1 << 63), 1, (1 << 63) - 1, 1, True),
+    (LaurentPoly.nat(1 << 63) + a, 1 + a, 1 << 63, 1, True),
+    (a ** (1 << 63) + 1, 1, a ** (1 << 63), 1, True),
+    (a ** (1 << 64) * b, a ** -(1 << 64), b - 1, 1, True),
+    # no terms at all, or none on one side
+    (0, 0, 0, 0, False),
+    (0, a, 1, -1, False),
+    (LaurentPoly.nat(1), 1, 0, b, False),
 ])
 def test_products_differ_by_one_falls_back_outside_the_int64_bounds(p, q, r, s, falls_back):
     p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
-    with dict_pairs(0) as calls:
+    with dict_pairs(0) as verdicts:
         got = products_differ_by_one(p, q, r, s)
-    assert (not calls) == falls_back
+    assert (not verdicts) == falls_back
     assert got == _products_differ_by_one_by_dicts(p, q, r, s) == (p * q - r * s == 1)
 
 

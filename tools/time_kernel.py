@@ -39,9 +39,13 @@ and no benchmark workload runs it:
   ``aybycxdxexfxgyhyiyjxkylxm``;
 - ``frieze_period`` of the all-ones seed ``yyxxxxyyy`` over 32 figures.
 
-The minor check has a line of its own: the 3,528 ``products_differ_by_one``
-calls of one symbolic-tiles pass at seed 1 (49 minors of each window), with
-every tile value built before the clock starts.
+The minor check has two lines of its own, on the 3,528
+``products_differ_by_one`` calls of one symbolic-tiles pass at seed 1 (49
+minors of each window), with every tile value built before the clock
+starts: the minors of fewer than ``laurent._DICT_PAIRS`` term pairs (the
+dict pass) and the rest (the int64 pass, where its bounds hold).
+``--dict-pairs N`` sets that threshold for the run, so the sum of the two
+lines at several N shows where the passes cost the same.
 
 The probe layers get four lines, on the inputs of one probe pass of
 perfbench: the default quivers of the 51 catalog diagrams of rank 1..6,
@@ -71,10 +75,13 @@ with every embedding built before the clock starts:
 
 Each line is the best of five runs in one process. Run from the root of a
 checkout; the library is imported from ./src.
+
+    python3 tools/time_kernel.py [--dict-pairs N]
 """
 
 from __future__ import annotations
 
+import argparse
 import random
 import sys
 import time
@@ -157,12 +164,24 @@ def period(fr: frises.Frise):
         return None
 
 
+def pairs(minor: tuple) -> int:
+    p, q, r, s = minor
+    return len(p.terms) * len(q.terms) + len(r.terms) * len(s.terms)
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--dict-pairs", type=int, default=laurent._DICT_PAIRS,
+                        help="term pairs from which the minor check takes the int64 pass "
+                             "(default %(default)s, the library's)")
+    laurent._DICT_PAIRS = parser.parse_args().dict_pairs
     atilde3 = diagrams.parse_shorthand("Atilde3")
     xxxy = correspondence.cycle_quiver("xxxy")
     xxy = correspondence.cycle_quiver("xxy")
     calls = tile_calls(TILES_SEED)
     minors = minor_calls(calls)
+    small = [m for m in minors if pairs(m) < laurent._DICT_PAIRS]
+    large = [m for m in minors if pairs(m) >= laurent._DICT_PAIRS]
     division = [(name, steps, diagrams.parse_shorthand(name))
                 for name, steps in (("Btilde3", 6), ("Dtilde4", 8), ("E6", 6))]
     quivers = [diagrams.default_quiver(kind, m) for d in range(1, 7)
@@ -181,10 +200,12 @@ def main() -> None:
          best(lambda: frises.frise_extend_vars(xxy, 10))),
         ("variable_tile_value x %d, symbolic-tiles seed %d" % (len(calls), TILES_SEED),
          best(lambda: [cluster.variable_tile_value(*c) for c in calls])),
-        ("products_differ_by_one x %d, symbolic-tiles seed %d" % (len(minors), TILES_SEED),
-         best(lambda: [laurent.products_differ_by_one(*m) for m in minors])),
-    ] + [("frise_extend_vars %s, %d steps (division)" % (name, steps),
-          best(lambda: frises.frise_extend_vars(q, steps))) for name, steps, q in division] + [
+    ] + [("products_differ_by_one x %d %s %d pairs, symbolic-tiles seed %d"
+          % (len(group), side, laurent._DICT_PAIRS, TILES_SEED),
+          best(lambda: [laurent.products_differ_by_one(*m) for m in group]))
+         for side, group in (("<", small), (">=", large))] + [
+        ("frise_extend_vars %s, %d steps (division)" % (name, steps),
+         best(lambda: frises.frise_extend_vars(q, steps))) for name, steps, q in division] + [
         ("cross_construct %s" % CROSS_SEED,
          best(lambda: cluster.cross_construct(cluster.CrossSeed.parse(CROSS_SEED)))),
         ("frieze_period yyxxxxyyy, 32 figures",
@@ -207,7 +228,7 @@ def main() -> None:
          best(lambda: [tilings.ray_values(*r) for r in rays])),
     ]
     for label, seconds in rows:
-        print("%-54s %8.4f s" % (label, seconds))
+        print("%-66s %8.4f s" % (label, seconds))
 
 
 if __name__ == "__main__":
