@@ -760,10 +760,10 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     read off each array's max() and min() as exact Python integers, so -2^63
     counts as 2^63. Each pair is one int64 word (key << cbits) + (c1*c2 +
     cmax^2); one in-place sort puts equal keys together, and ``reduceat``
-    sums each run of them. The pass is exact while two bounds hold. Below
-    ``_DICT_PAIRS`` pairs, for a value that int64 cannot hold and outside
-    either bound, the check is one dict pass over Python integers, which is
-    exact for every input:
+    sums each run of them. Below ``_DICT_PAIRS`` pairs, and whenever a
+    value does not fit int64, the check is one dict pass over Python
+    integers, which is exact for every input. So it is outside either of
+    the two bounds under which the int64 pass is exact:
 
     - kbits + cbits <= 62, with kbits = w * n for n variables and cbits =
       (2 * cmax^2).bit_length(): a key lies strictly between -2^(kbits-1)
