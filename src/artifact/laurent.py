@@ -733,7 +733,8 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
 
 # Below this many term pairs the minor check is one dict pass; from it on,
 # while the int64 bounds hold, one sort of int64 words. The two passes cost
-# the same at 96-128 pairs on symbolic-tiles' minors (tools/time_kernel.py).
+# the same at 96-127 pairs on symbolic-tiles' minors at seeds 1 and 24 (the
+# band table of tools/time_kernel.py).
 _DICT_PAIRS = 128
 # The int64 pass holds 24 bytes per pair at its peak (numpy buffers, read
 # with tracemalloc): about 100 MB at this cap.
@@ -779,10 +780,13 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     pos = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(f._vars for f in polys)))}
     tp, tq, tr, ts = (f._terms for f in polys)
     pairs = len(tp) * len(tq) + len(tr) * len(ts)
-    if _DICT_PAIRS <= pairs <= _MAX_PAIRS:
-        verdict = _differ_by_one_int64(polys, pos)
-        if verdict is not None:
-            return verdict
+    verdict = _differ_by_one_int64(polys, pos) if _DICT_PAIRS <= pairs <= _MAX_PAIRS else None
+    return _differ_by_one_dicts(polys, pos) if verdict is None else verdict
+
+
+def _differ_by_one_dicts(polys: list, pos: dict) -> bool:
+    """The dict pass of ``products_differ_by_one``, exact for every input."""
+    tp, tq, tr, ts = (f._terms for f in polys)
     emax = max(map(abs, chain.from_iterable(chain.from_iterable(f._terms for f in polys))),
                default=0)
     w = (2 * emax).bit_length() + 1

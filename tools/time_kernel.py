@@ -43,9 +43,12 @@ The minor check has two lines of its own, on the 3,528
 ``products_differ_by_one`` calls of one symbolic-tiles pass at seed 1 (49
 minors of each window), with every tile value built before the clock
 starts: the minors of fewer than ``laurent._DICT_PAIRS`` term pairs (the
-dict pass) and the rest (the int64 pass, where its bounds hold).
-``--dict-pairs N`` sets that threshold for the run, so the sum of the two
-lines at several N shows where the passes cost the same.
+dict pass) and the rest (the int64 pass, where its bounds hold). A table
+after the lines places that threshold: for each band of 32 to 511 pairs,
+the microseconds a minor of its dict pass and of its int64 pass, both run
+on every minor of the band. The bands and passes take turns within each of
+15 rounds in one process, and each keeps its best round, so load that
+comes and goes during the run falls on both passes alike.
 
 The probe layers get four lines, on the inputs of one probe pass of
 perfbench: the default quivers of the 51 catalog diagrams of rank 1..6,
@@ -74,9 +77,10 @@ with every embedding built before the clock starts:
 - ``ray_values`` over the rays of ``perfbench/rays.json``.
 
 Each line is the best of five runs in one process. Run from the root of a
-checkout; the library is imported from ./src.
+checkout; the library is imported from ./src. ``--seed N`` draws the
+symbolic-tiles and integer-tiles inputs at seed N instead of 1.
 
-    python3 tools/time_kernel.py [--dict-pairs N]
+    python3 tools/time_kernel.py [--seed N]
 """
 
 from __future__ import annotations
@@ -85,6 +89,7 @@ import argparse
 import random
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,7 +100,8 @@ from artifact import (  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 RUNS = 5
-TILES_SEED = 1
+BAND_ROUNDS = 15
+BAND_EDGES = (32, 64, 96, 128, 192, 256, 384, 512)
 CROSS_SEED = "aybycxdxexfxgyhyiyjxkylxm"
 
 
@@ -169,16 +175,39 @@ def pairs(minor: tuple) -> int:
     return len(p.terms) * len(q.terms) + len(r.terms) * len(s.terms)
 
 
+def pass_bands(minors: list) -> list:
+    """(lo, hi, minors, dict µs, int64 µs) for each band [lo, hi) of
+    BAND_EDGES: each pass's best of BAND_ROUNDS rounds over the band's
+    minors, per minor, with the bands and passes taking turns in each round."""
+    bands = []
+    for lo, hi in zip(BAND_EDGES, BAND_EDGES[1:]):
+        args = []
+        for m in (m for m in minors if lo <= pairs(m) < hi):
+            polys = [laurent.LaurentPoly.coerce(v) for v in m]
+            names = dict.fromkeys(chain.from_iterable(f._vars for f in polys))
+            args.append((polys, {v: i for i, v in enumerate(names)}))
+        bands.append((lo, hi, args, [float("inf")] * 2))
+    passes = (laurent._differ_by_one_dicts, laurent._differ_by_one_int64)
+    for r in range(BAND_ROUNDS):
+        for _, _, args, times in bands:
+            for i in ((0, 1) if r % 2 else (1, 0)):
+                start = time.perf_counter()
+                for a in args:
+                    passes[i](*a)
+                times[i] = min(times[i], time.perf_counter() - start)
+    return [(lo, hi, len(args), *(1e6 * t / max(len(args), 1) for t in times))
+            for lo, hi, args, times in bands]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--dict-pairs", type=int, default=laurent._DICT_PAIRS,
-                        help="term pairs from which the minor check takes the int64 pass "
-                             "(default %(default)s, the library's)")
-    laurent._DICT_PAIRS = parser.parse_args().dict_pairs
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the symbolic-tiles and integer-tiles inputs")
+    seed = parser.parse_args().seed
     atilde3 = diagrams.parse_shorthand("Atilde3")
     xxxy = correspondence.cycle_quiver("xxxy")
     xxy = correspondence.cycle_quiver("xxy")
-    calls = tile_calls(TILES_SEED)
+    calls = tile_calls(seed)
     minors = minor_calls(calls)
     small = [m for m in minors if pairs(m) < laurent._DICT_PAIRS]
     large = [m for m in minors if pairs(m) >= laurent._DICT_PAIRS]
@@ -188,7 +217,7 @@ def main() -> None:
                for _, kind, m, _ in diagrams.catalog_members(d)]
     probe_frises = [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers]
     probe_rows = [fr.row(v) for fr in probe_frises for v in range(fr.quiver.cartan.d)]
-    windows, rays = geometry_calls(TILES_SEED)
+    windows, rays = geometry_calls(seed)
     caps = [(name, diagrams.parse_shorthand(name).cartan) for name in ("Dtilde511", "A512")]
     path_json = {"vertices": 512, "edges": [{"from": i, "to": i + 1} for i in range(511)]}
     rows = [
@@ -198,10 +227,10 @@ def main() -> None:
          best(lambda: frises.frise_extend_vars(xxxy, 10))),
         ("frise_extend_vars cycle xxy, 10 steps",
          best(lambda: frises.frise_extend_vars(xxy, 10))),
-        ("variable_tile_value x %d, symbolic-tiles seed %d" % (len(calls), TILES_SEED),
+        ("variable_tile_value x %d, symbolic-tiles seed %d" % (len(calls), seed),
          best(lambda: [cluster.variable_tile_value(*c) for c in calls])),
     ] + [("products_differ_by_one x %d %s %d pairs, symbolic-tiles seed %d"
-          % (len(group), side, laurent._DICT_PAIRS, TILES_SEED),
+          % (len(group), side, laurent._DICT_PAIRS, seed),
           best(lambda: [laurent.products_differ_by_one(*m) for m in group]))
          for side, group in (("<", small), (">=", large))] + [
         ("frise_extend_vars %s, %d steps (division)" % (name, steps),
@@ -222,13 +251,16 @@ def main() -> None:
          best(lambda: [diagrams.classify(q.cartan) for q in quivers])),
     ] + [("classify %s" % name, best(lambda: diagrams.classify(c))) for name, c in caps] + [
         ("quiver_from_json 512-vertex path", best(lambda: diagrams.quiver_from_json(path_json))),
-        ("tile_grid x %d windows, integer-tiles seed %d" % (len(windows), TILES_SEED),
+        ("tile_grid x %d windows, integer-tiles seed %d" % (len(windows), seed),
          best(lambda: [tilings.tile_grid(*w) for w in windows])),
-        ("ray_values x %d rays, integer-tiles seed %d" % (len(rays), TILES_SEED),
+        ("ray_values x %d rays, integer-tiles seed %d" % (len(rays), seed),
          best(lambda: [tilings.ray_values(*r) for r in rays])),
     ]
     for label, seconds in rows:
         print("%-66s %8.4f s" % (label, seconds))
+    print("minor check passes by term pairs, symbolic-tiles seed %d, µs a minor:" % seed)
+    for lo, hi, n, dicts, int64 in pass_bands(minors):
+        print("  %4d-%-4d pairs x %4d   dict %6.1f   int64 %6.1f" % (lo, hi - 1, n, dicts, int64))
 
 
 if __name__ == "__main__":
