@@ -732,9 +732,8 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
 # the minor check
 
 # Below this many term pairs the minor check is one dict pass; from it on,
-# while the int64 bounds hold, one sort of int64 words. The two passes cost
-# the same at 96-127 pairs on symbolic-tiles' minors at seeds 1 and 24 (the
-# band table of tools/time_kernel.py).
+# while the int64 bounds hold, one sort of int64 words. Both cost the same at
+# 96-127 pairs on symbolic-tiles' minors, seeds 1 and 24 (tools/time_kernel.py).
 _DICT_PAIRS = 128
 # The int64 pass holds 24 bytes per pair at its peak (numpy buffers, read
 # with tracemalloc): about 100 MB at this cap.
