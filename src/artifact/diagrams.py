@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 
 class CartanValidationError(ValueError):
@@ -308,17 +309,14 @@ def catalog_diagram(kind: str, m: int) -> CartanMatrix:
     return row.build(m)
 
 
-def _members(d: int) -> Iterator[tuple[str, str, int, CartanMatrix]]:
-    """The catalog diagrams on exactly d vertices, each built when reached."""
+def catalog_members(d: int) -> list[tuple[str, str, int, CartanMatrix]]:
+    """All catalog diagrams on exactly d vertices, as (tag, kind, m, C)."""
+    members = []
     for row in _CATALOG:
         m = d - (row.tag == "Euclidean")
         if row.admits(m):
-            yield row.tag, row.name, m, row.build(m)
-
-
-def catalog_members(d: int) -> list[tuple[str, str, int, CartanMatrix]]:
-    """All catalog diagrams on exactly d vertices, as (tag, kind, m, C)."""
-    return list(_members(d))
+            members.append((row.tag, row.name, m, row.build(m)))
+    return members
 
 
 def _walk(c: CartanMatrix) -> tuple[Optional[str], list[tuple[dict, list]]]:
@@ -370,18 +368,24 @@ def canonical_key(c: CartanMatrix):
     return min(keys)
 
 
+@lru_cache(maxsize=512)  # every rank up to the default ARTIFACT_MAX_VERTICES
+def _member_keys(d: int) -> dict:
+    """The canonical_key of each catalog member on d vertices, mapped to the
+    (tag, kind, m) of the first member with it."""
+    keys: dict = {}
+    for tag, kind, m, member in catalog_members(d):
+        keys.setdefault(canonical_key(member), (tag, kind, m))
+    return keys
+
+
 def classify(c: CartanMatrix) -> DiagramClass:
     """The catalog member on c.d vertices with c's canonical_key, else
     Indefinite. The key is complete on the catalog: every member is a valued
     tree or a simply-laced cycle, and two valued trees are isomorphic exactly
     when their centre-rooted encodings agree (an isomorphism carries centres
     to centres, and an AHU string determines its rooted tree)."""
-    key = canonical_key(c)
-    if key is not None:
-        for tag, kind, m, member in _members(c.d):
-            if canonical_key(member) == key:
-                return DiagramClass(tag, kind, m)
-    return DiagramClass("Indefinite")
+    member = _member_keys(c.d).get(canonical_key(c))  # no member's key is None
+    return DiagramClass(*member) if member else DiagramClass("Indefinite")
 
 
 # ----------------------------------------------------------------------

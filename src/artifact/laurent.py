@@ -139,8 +139,8 @@ class LaurentPoly:
         return not self._terms
 
     def is_natural(self) -> bool:
-        """True when every coefficient is a positive integer."""
-        return all(c > 0 for c in self._terms.values())
+        """True when every coefficient is a positive integer (vacuously for 0)."""
+        return min(self._terms.values(), default=1) > 0
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -332,15 +332,23 @@ def _packed_keys(columns: list, lows: list, shifts: list) -> list[int]:
     return keys
 
 
-def _unpacked(vs: tuple[str, ...], keys: list, coeffs: Iterable[int], lows: list, shifts: list,
+def _unpacked(vs: tuple[str, ...], keys, coeffs: Iterable[int], lows: list, shifts: list,
               widths: list) -> LaurentPoly:
     """LaurentPoly of packed keys: exponent j is the field at shifts[j] plus lows[j].
 
     Callers pass sorted variables, distinct keys and nonzero coefficients,
     so the one canonical step left is to drop each variable whose exponent
-    is 0 in every term.
+    is 0 in every term. Keys are a list of integers, or an int64 array
+    whose or/and reductions and kept fields numpy reads, one ``tolist`` a
+    column.
     """
-    ors, ands = reduce(or_, keys), reduce(and_, keys)
+    arrays = not isinstance(keys, list)
+    if arrays:
+        import numpy as np  # only int64 keys get here, so a dict-only run never loads numpy
+
+        ors, ands = int(np.bitwise_or.reduce(keys)), int(np.bitwise_and.reduce(keys))
+    else:
+        ors, ands = reduce(or_, keys), reduce(and_, keys)
     fields = []
     for v, low, shift, width in zip(vs, lows, shifts, widths):
         mask = (1 << width) - 1
@@ -348,7 +356,9 @@ def _unpacked(vs: tuple[str, ...], keys: list, coeffs: Iterable[int], lows: list
         # a field is the same in every key when its bits agree in the or and the and
         if top != (ands >> shift) & mask or top + low:
             fields.append((v, shift, mask, low))
-    columns = [[((k >> shift) & mask) + low for k in keys] for _, shift, mask, low in fields]
+    columns = ([(((keys >> shift) & mask) + low).tolist() for _, shift, mask, low in fields]
+               if arrays else
+               [[((k >> shift) & mask) + low for k in keys] for _, shift, mask, low in fields])
     return LaurentPoly._trusted(
         tuple(field[0] for field in fields),
         dict(zip(zip(*columns) if fields else [()] * len(keys), coeffs)))
@@ -592,7 +602,7 @@ def _over_monomial(universe: tuple, shifts: list, width: int, entry: tuple, den:
     if isinstance(terms, dict):
         keys, coeffs = [k + off for k in terms], terms.values()
     else:
-        keys, coeffs = (terms[0] + off).tolist(), terms[1].tolist()
+        keys, coeffs = terms[0] + off, terms[1].tolist()
     mask = (1 << width) - 1
     lows = [-((den >> shift) & mask) for shift in shifts]
     return _unpacked(universe, keys, coeffs, lows, shifts, [width] * len(universe))

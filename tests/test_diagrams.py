@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import correspondence
+from artifact import correspondence, diagrams
 from artifact.diagrams import (
     ADDITIVE,
     STRICTLY_SUBADDITIVE,
@@ -313,6 +313,23 @@ def test_classify_at_the_vertex_cap():
     assert classify(fork) == DiagramClass("Euclidean", "Dtilde", 511)
     marks = [1, 1] + [2] * 508 + [1, 1]
     assert find_additive_function(fork) == {perm[k]: mark for k, mark in enumerate(marks)}
+
+
+def test_classify_keys_the_members_of_a_rank_once(monkeypatch):
+    calls = []
+
+    def counting(c):
+        calls.append(c.d)
+        return key(c)
+
+    key = diagrams.canonical_key
+    monkeypatch.setattr(diagrams, "canonical_key", counting)
+    diagrams._member_keys.cache_clear()
+    assert classify(catalog_diagram("D", 7)) == DiagramClass("Dynkin", "D", 7)
+    assert len(calls) == 1 + len(catalog_members(7))  # the input, then every member of rank 7
+    del calls[:]
+    assert classify(catalog_diagram("Etilde6", 6)) == DiagramClass("Euclidean", "Etilde6", 6)
+    assert calls == [7]  # the input only
 
 
 def test_b3_and_c3_differ():

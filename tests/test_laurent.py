@@ -57,6 +57,12 @@ def test_a_repeated_variable_name_is_refused(variables):
 def test_natural_and_int_views():
     assert (a + 1).is_natural()
     assert not (a - 1).is_natural()
+    # the zero polynomial has no coefficient, so none fails
+    assert LaurentPoly.nat(0).is_natural() and (a - a).is_natural()
+    # one negative coefficient among many, at neither end of the term order
+    many = LaurentPoly(("a", "b"), {(i, j): 1 + i + j for i in range(6) for j in range(6)})
+    assert many.is_natural()
+    assert not (many - 7 * a ** 2 * b ** 3).is_natural()  # 6 - 7 at a^2 b^3
     assert LaurentPoly.nat(7).as_int() == 7
     with pytest.raises(ValueError):
         (a + 1).as_int()
@@ -972,6 +978,50 @@ def test_nested_word_values_fall_back_to_dicts_outside_the_int64_bounds(names, l
                                         letters[f:l + 1])
     if total is not None:
         assert sum(values[-1].terms.values()) == total
+
+
+@st.composite
+def packed_values(draw):
+    """A value as _over_monomial reads it: the layout of _fields for 1-8
+    names in fields of 2-6 bits (or 31 names of 2 bits, so that keys reach
+    bit 61), distinct keys with natural int64 coefficients, one field
+    constant in every key, at the denominator's value (so dropped) or not,
+    and an offset below every key, positive unless a key is 0. Returns the
+    layout, the field rows, the dict entry, the denominator's fields and
+    the constant field's position and whether it is dropped."""
+    n, width = draw(st.one_of(st.tuples(st.integers(1, 8), st.integers(2, 6)), st.just((31, 2))))
+    universe, shifts, width, _ = laurent_mod._fields(["u%d" % (j + 1) for j in range(n)],
+                                                     (1 << width) - 1)
+    field = st.integers(0, (1 << width) - 1)
+    const, at, dropped = draw(st.integers(0, n - 1)), draw(field), draw(st.booleans())
+    rows = [row[:const] + (at,) + row[const:] for row in
+            draw(st.lists(st.tuples(*[field] * (n - 1)), min_size=1, max_size=40, unique=True))]
+    den = [draw(field) for _ in range(n)]
+    den[const] = at if dropped else draw(field.filter(lambda x: x != at))
+    keys = [sum(x << s for x, s in zip(row, shifts)) for row in rows]
+    off = draw(st.integers(min(1, min(keys)), min(keys)))
+    coeffs = draw(st.lists(st.integers(1, (1 << 63) - 1), min_size=len(keys), max_size=len(keys)))
+    terms = {k - off: c for k, c in zip(keys, coeffs)}
+    return (universe, shifts, width), rows, (off, terms), den, const, dropped
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_values())
+def test_over_monomial_reads_int64_keys_as_the_dict_branch_does(case):
+    import numpy as np
+
+    (universe, shifts, width), rows, (off, terms), den, const, dropped = case
+    keys = sorted(terms)
+    arrays = (off, (np.array(keys, dtype=np.int64),
+                    np.array([terms[k] for k in keys], dtype=np.int64)))
+    den_key = sum(d << s for d, s in zip(den, shifts))
+    got = laurent_mod._over_monomial(universe, shifts, width, arrays, den_key)
+    want = laurent_mod._over_monomial(universe, shifts, width, (off, terms), den_key)
+    assert got == want and _canonical(got)
+    assert got == LaurentPoly(universe, {tuple(x - d for x, d in zip(row, den)): c
+                                         for row, c in zip(rows, terms.values())})
+    assert list(got.terms) == sorted(got.terms)  # lexicographic, as the keys were sorted
+    assert (universe[const] in got.variables) != dropped
 
 
 # ----------------------------------------------------------------------

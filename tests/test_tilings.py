@@ -590,17 +590,16 @@ def test_asymmetric_periodic_frontier_raises_arithmetic_error(monkeypatch):
         PeriodicFrontier("xyxx", 1, 0)
 
 
-@pytest.mark.parametrize("run, shift, fill", [
-    # a row's last vertex one letter early: its words start with an x
-    ("row_run", (0, -1), lambda e: tile_grid(e, (1, -4, 4, -1))),
-    # a column's first vertex one letter late: its words end with a y
-    ("column_run", (1, 0), lambda e: ray_values(e, (0, -3), (1, 0), 5)),
-    ("column_run", (1, 0), lambda e: tile_value(e, (1, -1))),
+@pytest.mark.parametrize("axis, step, fill", [
+    # every row run one vertex early: a row's words start with an x
+    (1, -1, lambda e: tile_grid(e, (1, -4, 4, -1))),
+    # every column run one vertex late: a column's words end with a y
+    (0, 1, lambda e: ray_values(e, (0, -3), (1, 0), 5)),
+    (0, 1, lambda e: tile_value(e, (1, -1))),
 ])
-def test_inconsistent_runs_raise_arithmetic_error(monkeypatch, run, shift, fill):
+def test_inconsistent_runs_raise_arithmetic_error(monkeypatch, axis, step, fill):
     e = Embedding(parse_frontier("[xy]* [xy]*"))
-    true_run = getattr(Embedding, run)
-    monkeypatch.setattr(Embedding, run, lambda self, c: tuple(
-        end + step for end, step in zip(true_run(self, c), shift)))
+    after = Embedding._after
+    monkeypatch.setattr(Embedding, "_after", lambda self, t, a: after(self, t, a) + step * (a == axis))
     with pytest.raises(InconsistentGeometry, match="not y...x"):
         fill(e)

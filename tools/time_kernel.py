@@ -12,6 +12,9 @@ hold); this command times it through:
 
 - ``frise_extend_vars`` on Atilde3 at 14 steps and on the cycle quiver of
   ``xxxy`` at 10 steps, whose entries pass the switch;
+- ``frise_extend_vars`` on Atilde5 at 12 steps, whose values are so
+  large that reading them out of the int64 form (``laurent._unpacked``,
+  one numpy column per kept field) is the largest part of the kernel;
 - ``frise_extend_vars`` on the cycle quiver of ``xxy`` at 10 steps, whose
   entries pass it only on the last spans of its rays.
 
@@ -204,7 +207,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the symbolic-tiles and integer-tiles inputs")
     seed = parser.parse_args().seed
-    atilde3 = diagrams.parse_shorthand("Atilde3")
+    atilde3, atilde5 = (diagrams.parse_shorthand(name) for name in ("Atilde3", "Atilde5"))
     xxxy = correspondence.cycle_quiver("xxxy")
     xxy = correspondence.cycle_quiver("xxy")
     calls = tile_calls(seed)
@@ -223,6 +226,8 @@ def main() -> None:
     rows = [
         ("frise_extend_vars Atilde3, 14 steps",
          best(lambda: frises.frise_extend_vars(atilde3, 14))),
+        ("frise_extend_vars Atilde5, 12 steps",
+         best(lambda: frises.frise_extend_vars(atilde5, 12))),
         ("frise_extend_vars cycle xxxy, 10 steps",
          best(lambda: frises.frise_extend_vars(xxxy, 10))),
         ("frise_extend_vars cycle xxy, 10 steps",
