@@ -28,7 +28,9 @@ switches to sorted int64 key and coefficient arrays once an entry has
 bits, and the last word's value at all ones below 2^62) make int64 exact.
 The kernels put the first variable in the most significant field, so
 sorted keys are lexicographic exponent tuples, and the values of the int64
-form leave with their terms in that order.
+form leave with their terms in that order. How a value leaves follows its
+form: ``_unpacked`` reads a list of Python keys one term at a time, and an
+int64 key array with numpy, one column of exponents per kept field.
 
 The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
 product: it packs exponent vectors into signed fields of one common width
@@ -332,7 +334,7 @@ def _packed_keys(columns: list, lows: list, shifts: list) -> list[int]:
     return keys
 
 
-def _unpacked(vs: tuple[str, ...], keys, coeffs: Iterable[int], lows: list, shifts: list,
+def _unpacked(vs: tuple[str, ...], keys: Sequence[int], coeffs: Iterable[int], lows: list, shifts: list,
               widths: list) -> LaurentPoly:
     """LaurentPoly of packed keys: exponent j is the field at shifts[j] plus lows[j].
 
