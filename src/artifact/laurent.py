@@ -6,47 +6,53 @@ need it, but every value meant to be a tiling entry or a cluster variable
 must satisfy ``is_natural()`` (checked at the producing call sites).
 Denominators are always monomials, absorbed as negative exponents.
 
-Each ring operation has one route. A product with a one-term factor (a
-monomial or a nonzero constant) is an exponent shift; any other product
-of two nonzero values runs ``_mul_packed``. Division by a one-term divisor
-is the shift ``monomial_div``; any other exact division runs
-``_div_packed``.
+A value has one form, canonical by construction: its sorted variables,
+each with a nonzero exponent in some term; one field width W, the
+smallest of 8, 16, 32, ... bits such that every exponent e has
+-2^(W-3) <= e < 2^(W-3); and a dict from packed key to nonzero
+coefficient. The key of an exponent vector e is the sum of
+(e_i + 2^(W-2)) << W*(n-1-i), so the first variable holds the most
+significant field and integer order on keys is lexicographic order on
+exponent tuples. Since W is a function of the value, ``==`` and ``hash``
+read the variables and the dict. ``terms``, ``sort_key`` and ``str``
+decode the keys.
+
+Two keys of one layout (variables and width) add field by field without
+a carry, so the ring works on keys: a one-term factor or divisor is one
+key shift; any other product runs ``_mul_keys``, any other exact division
+``_div_keys``. Operands over different layouts are realigned once by
+``_relaid``, and each result leaves through ``_canonical``, which repacks
+only when a variable cancels out or the width changes.
 
 Bordered products of 2x2 step matrices over words whose vertices carry one
 variable or 1 have two kernels. ``bordered_word_value`` walks one word as
 a row vector, two entries per step: the tiles below the frontier and the
 cells of the cross construction (``cluster``) use it. ``nested_word_values``
 keeps the whole 2x2 product, so a word can grow at both ends: the frise
-rays of oriented cycles (``frises``) use it.
-
-The packed routes and both kernels work on exponent vectors packed into
-one integer, a bit field per variable, and each result leaves through
-``_unpacked``, which builds its canonical LaurentPoly once. The kernels'
-entries are dicts from packed key to coefficient; ``nested_word_values``
-switches to sorted int64 key and coefficient arrays once an entry has
-``_ARRAY_TERMS`` terms, where two bounds decided before its walk (62 key
-bits, and the last word's value at all ones below 2^62) make int64 exact.
-The kernels put the first variable in the most significant field, so
-sorted keys are lexicographic exponent tuples, and the values of the int64
-form leave with their terms in that order. How a value leaves follows its
-form: ``_unpacked`` reads a list of Python keys one term at a time, and an
-int64 key array with numpy, one column of exponents per kept field.
+rays of oriented cycles (``frises``) use it. Both walk in the layout of
+their values, with the width bounded by how often each name occurs, so a
+value leaves with one constant added to each key. The kernels' entries
+are dicts from key to coefficient; ``nested_word_values`` switches to
+sorted int64 key and coefficient arrays once an entry has ``_ARRAY_TERMS``
+terms, where two bounds decided before its walk (62 key bits, and the last
+word's value at all ones below 2^62) make int64 exact.
 
 The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
-product: it packs exponent vectors into signed fields of one common width
-and sums the term pairs in one of two passes. From ``_DICT_PAIRS`` pairs on,
-the four operands' exponents and coefficients go into two int64 arrays,
-whose max() and min() give the bounds that make one sort of int64 words
-exact; below that size, and for values outside int64 or the bounds, a dict
-pass over Python integers decides.
+product: it sums the term pairs at the sums of their keys, read directly
+when the four operands share a layout, in one of two passes. From
+``_DICT_PAIRS`` pairs on, the keys and coefficients go into two int64
+arrays; the exponents decoded from them give the bounds that make one sort
+of int64 words exact. Below that size, and for values outside int64 or the
+bounds, a dict pass over Python integers decides.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from collections import Counter
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from operator import and_, lshift, neg, or_
+from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, "LaurentPoly"]
@@ -65,16 +71,39 @@ def _var_key(name: str) -> tuple[int, str]:
     return (len(name), name)
 
 
-class LaurentPoly:
-    """Immutable Laurent polynomial, canonical on construction.
+@lru_cache(maxsize=4096)
+def _union(*variables: tuple[str, ...]) -> tuple[str, ...]:
+    """The sorted union of sorted variable tuples."""
+    return tuple(sorted(set().union(*variables), key=_var_key))
 
-    Canonical form: the variable universe is the sorted tuple of variables
-    that actually occur with a nonzero exponent; terms map dense exponent
-    tuples to nonzero integer coefficients. A value with no variables is a
-    constant, equal to its integer and hashed as it.
+
+def _ones(n: int, width: int) -> int:
+    """The key with 1 in each of n fields of the given width."""
+    return ((1 << n * width) - 1) // ((1 << width) - 1)
+
+
+def _width(lo: int, hi: int) -> int:
+    """The smallest field width 8, 16, 32, ... whose exponents,
+    -2^(W-3) to 2^(W-3) - 1, hold lo and hi."""
+    width = 8
+    while hi >= 1 << width - 3 or lo < -(1 << width - 3):
+        width *= 2
+    return width
+
+
+def _columns(n: int, width: int, keys: Iterable[int], fields: Iterable[int]) -> list[list[int]]:
+    """The exponents of the given fields (positions among n), one list per field."""
+    keys, mask, bias = list(keys), (1 << width) - 1, 1 << width - 2
+    return [[((k >> width * (n - 1 - i)) & mask) - bias for k in keys] for i in fields]
+
+
+class LaurentPoly:
+    """Immutable Laurent polynomial in its one packed, canonical form (see
+    the module docstring). A value with no variables is a constant, equal
+    to its integer and hashed as it.
     """
 
-    __slots__ = ("_vars", "_terms")
+    __slots__ = ("_vars", "_width", "_terms")
 
     def __init__(self, variables: Iterable[str] = (), terms: Mapping[tuple[int, ...], int] | None = None):
         vs = tuple(variables)
@@ -85,28 +114,28 @@ class LaurentPoly:
         for e in tm:
             if len(e) != len(vs):
                 raise ValueError("exponent tuple length does not match variable count")
-        # prune variables with exponent 0 in every term, then sort the rest
-        used = [i for i in range(len(vs)) if any(e[i] for e in tm)]
-        vs_used = [vs[i] for i in used]
-        order = sorted(range(len(vs_used)), key=lambda i: _var_key(vs_used[i]))
-        self._vars = tuple(vs_used[i] for i in order)
-        self._terms = {}
-        for e, c in tm.items():
-            key = tuple(e[used[i]] for i in order)
-            self._terms[key] = self._terms.get(key, 0) + c
-        for key in [k for k, c in self._terms.items() if c == 0]:
-            del self._terms[key]
+        # keep the variables with a nonzero exponent in some term, sorted;
+        # dropping all-zero columns keeps the exponent tuples distinct
+        order = sorted((i for i in range(len(vs)) if any(e[i] for e in tm)),
+                       key=lambda i: _var_key(vs[i]))
+        columns = [[e[i] for e in tm] for i in order]
+        width = _width(min(map(min, columns), default=0), max(map(max, columns), default=0))
+        n, keys = len(order), [_ones(len(order), width) << width - 2] * len(tm)
+        for j, col in enumerate(columns):
+            keys = [k + (x << width * (n - 1 - j)) for k, x in zip(keys, col)]
+        self._vars, self._width = tuple(vs[i] for i in order), width
+        self._terms = dict(zip(keys, tm.values()))
 
     # ------------------------------------------------------------------
     # constructors
 
     @staticmethod
     def nat(n: int) -> "LaurentPoly":
-        return LaurentPoly._trusted((), {(): int(n)} if n else {})
+        return LaurentPoly._trusted((), 8, {0: int(n)} if n else {})
 
     @staticmethod
     def var(name: str) -> "LaurentPoly":
-        return LaurentPoly._trusted((name,), {(1,): 1})
+        return LaurentPoly._trusted((name,), 8, {(1 << 6) + 1: 1})
 
     @staticmethod
     def monomial(coeff: int, exponents: Mapping[str, int]) -> "LaurentPoly":
@@ -114,10 +143,11 @@ class LaurentPoly:
         return LaurentPoly(names, {tuple(exponents[v] for v in names): coeff})
 
     @staticmethod
-    def _trusted(variables: tuple[str, ...], terms: dict) -> "LaurentPoly":
-        # the caller guarantees the canonical form: sorted, all used, no zeros
+    def _trusted(variables: tuple[str, ...], width: int, terms: dict) -> "LaurentPoly":
+        # the caller guarantees the canonical form: sorted, all used, the
+        # canonical width, no zeros
         out = LaurentPoly.__new__(LaurentPoly)
-        out._vars, out._terms = variables, terms
+        out._vars, out._width, out._terms = variables, width, terms
         return out
 
     @staticmethod
@@ -135,7 +165,12 @@ class LaurentPoly:
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
-        return dict(self._terms)
+        return dict(zip(self._exponents(self._terms), self._terms.values()))
+
+    def _exponents(self, keys: Iterable[int]) -> list[tuple[int, ...]]:
+        n = len(self._vars)
+        keys = list(keys)
+        return list(zip(*_columns(n, self._width, keys, range(n)))) if n else [()] * len(keys)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -150,61 +185,50 @@ class LaurentPoly:
     def as_int(self) -> int:
         if self._vars:
             raise ValueError("not a constant: %s" % self)
-        if not self._terms:
-            return 0
-        return self._terms[()]
+        return self._terms.get(0, 0)
 
     def numerator_denominator(self) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Split into (polynomial numerator, monomial denominator).
 
-        The numerator is an exponent shift of every term; a variable whose
+        The numerator is a key shift of every term; a variable whose
         exponent is the same negative number in every term leaves it.
         """
-        columns = list(zip(*self._terms))
-        lows = [min(0, min(col)) for col in columns]
+        n, width = len(self._vars), self._width
+        lows = [min(0, min(col)) for col in _columns(n, width, self._terms, range(n))]
         if not any(lows):
             return self, LaurentPoly.nat(1)
-        keep = [j for j, col in enumerate(columns) if not lows[j] or max(col) != lows[j]]
-        shifted = [[x - lows[j] for x in columns[j]] if lows[j] else columns[j] for j in keep]
-        # with no variable kept, every term had the same exponents: one term
-        num = LaurentPoly._trusted(
-            tuple(self._vars[j] for j in keep),
-            dict(zip(zip(*shifted) if keep else [()], self._terms.values())))
+        shift = sum(-low << width * (n - 1 - i) for i, low in enumerate(lows))
+        num = _canonical(self._vars, width, {k + shift: c for k, c in self._terms.items()})
         return num, LaurentPoly.monomial(1, {v: -m for v, m in zip(self._vars, lows) if m})
 
     # ------------------------------------------------------------------
     # ring operations
 
-    def _aligned(self, other: "LaurentPoly") -> tuple[tuple[str, ...], dict, dict]:
-        if self._vars == other._vars:
-            return self._vars, self._terms, other._terms
-        union = sorted(set(self._vars) | set(other._vars), key=_var_key)
-        pos = {v: i for i, v in enumerate(union)}
+    def _relaid(self, variables: tuple[str, ...], width: int) -> dict:
+        if self._vars == variables and self._width == width:
+            return self._terms
+        return _relaid(self._terms, self._vars, self._width, variables, width)
 
-        def remap(p: "LaurentPoly") -> dict:
-            idx = [pos[v] for v in p._vars]
-            out = {}
-            for e, c in p._terms.items():
-                key = [0] * len(union)
-                for i, ex in zip(idx, e):
-                    key[i] = ex
-                out[tuple(key)] = c
-            return out
-
-        return tuple(union), remap(self), remap(other)
+    def _aligned(self, other: "LaurentPoly") -> tuple[tuple[str, ...], int, dict, dict]:
+        """Both operands' terms in one layout: the union of their variables
+        at the wider of their widths."""
+        if self._vars == other._vars and self._width == other._width:
+            return self._vars, self._width, self._terms, other._terms
+        vs, width = _union(self._vars, other._vars), max(self._width, other._width)
+        return vs, width, self._relaid(vs, width), other._relaid(vs, width)
 
     def __add__(self, other: Scalar) -> "LaurentPoly":
         other = LaurentPoly.coerce(other)
-        vs, a, b = self._aligned(other)
+        vs, width, a, b = self._aligned(other)
         out = dict(a)
-        for e, c in b.items():
-            out[e] = out.get(e, 0) + c
-        return _pruned(vs, {e: c for e, c in out.items() if c}, range(len(vs)))
+        for k, c in b.items():
+            out[k] = out.get(k, 0) + c
+        return _canonical(vs, width, {k: c for k, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._trusted(self._vars, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._trusted(self._vars, self._width, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: Scalar) -> "LaurentPoly":
         return self + (-LaurentPoly.coerce(other))
@@ -214,18 +238,17 @@ class LaurentPoly:
 
     def __mul__(self, other: Scalar) -> "LaurentPoly":
         other = LaurentPoly.coerce(other)
-        vs, a, b = self._aligned(other)
+        vs, width, a, b = self._aligned(other)
         if len(a) < len(b):
             a, b = b, a
+        bias = _ones(len(vs), width) << width - 2
         if len(b) > 1:
-            return _mul_packed(vs, a, b)
+            return _canonical(vs, width, _mul_keys(a, b, bias))
         if not b:
             return LaurentPoly.nat(0)
-        ((e0, c0),) = b.items()  # one term: shift the exponents
-        # a column can cancel only where the shift is nonzero: with e0[j]
-        # zero it is a's own column, and a uses every variable b does not
-        return _pruned(vs, {tuple(x + y for x, y in zip(e, e0)): c * c0 for e, c in a.items()},
-                       [j for j, x in enumerate(e0) if x])
+        ((k0, c0),) = b.items()  # one term: shift the keys
+        k0 -= bias
+        return _canonical(vs, width, {k + k0: c * c0 for k, c in a.items()})
 
     __rmul__ = __mul__
 
@@ -233,10 +256,11 @@ class LaurentPoly:
         if n < 0:
             if not self.is_monomial():
                 raise NonMonomialDivisor("negative power of a non-monomial")
-            ((e, c),) = self._terms.items()
+            ((k, c),) = self._terms.items()
             if c not in (1, -1):
                 raise NonMonomialDivisor("negative power needs unit coefficient")
-            return LaurentPoly._trusted(self._vars, {tuple(x * n for x in e): c ** -n})
+            (e,) = self._exponents([k])
+            return LaurentPoly(self._vars, {tuple(x * n for x in e): c ** -n})
         if n == 1:
             return self
         result = LaurentPoly.nat(1)
@@ -250,26 +274,26 @@ class LaurentPoly:
         return result
 
     def monomial_div(self, divisor: Scalar) -> "LaurentPoly":
-        """Exact division by a single-term divisor (an exponent shift)."""
+        """Exact division by a single-term divisor (a key shift)."""
         divisor = LaurentPoly.coerce(divisor)
         if not divisor.is_monomial():
             raise NonMonomialDivisor("divisor has %d terms" % len(divisor._terms))
-        vs, a, b = self._aligned(divisor)
-        ((de, dc),) = b.items()
+        vs, width, a, b = self._aligned(divisor)
+        ((kd, dc),) = b.items()
+        shift = (_ones(len(vs), width) << width - 2) - kd
         out = {}
-        for e, c in a.items():
+        for k, c in a.items():
             if c % dc:
                 raise ExactDivisionError("coefficient %d not divisible by %d" % (c, dc))
-            out[tuple(x - y for x, y in zip(e, de))] = c // dc
-        return LaurentPoly(vs, out)
+            out[k + shift] = c // dc
+        return _canonical(vs, width, out)
 
     def exact_div(self, divisor: Scalar) -> "LaurentPoly":
         """Exact division by an arbitrary Laurent polynomial.
 
-        Divides under lexicographic term order, each operand taken less its
-        monomial content, and applies the content quotient while unpacking
-        the result. Raises ExactDivisionError when no exact Laurent quotient
-        exists.
+        Long division under lexicographic term order on keys (see
+        ``_div_keys``). Raises ExactDivisionError when no exact Laurent
+        quotient exists.
         """
         divisor = LaurentPoly.coerce(divisor)
         if divisor.is_zero():
@@ -278,25 +302,26 @@ class LaurentPoly:
             return LaurentPoly.nat(0)
         if divisor.is_monomial():
             return self.monomial_div(divisor)
-        return _div_packed(*self._aligned(divisor))
+        return _div_keys(*self._aligned(divisor))
 
     # ------------------------------------------------------------------
     # comparison, hashing, rendering
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return not self._vars and self._terms.get((), 0) == other
+            return not self._vars and self._terms.get(0, 0) == other
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._vars == other._vars and self._terms == other._terms
 
     def __hash__(self) -> int:
         if not self._vars:  # a constant hashes as the integer it equals
-            return hash(self._terms.get((), 0))
+            return hash(self._terms.get(0, 0))
         return hash((self._vars, frozenset(self._terms.items())))
 
     def sort_key(self) -> tuple:
-        return (self._vars, tuple(sorted(self._terms.items())))
+        keys = sorted(self._terms)
+        return (self._vars, tuple(zip(self._exponents(keys), map(self._terms.__getitem__, keys))))
 
     def __str__(self) -> str:
         num, den = self.numerator_denominator()
@@ -314,107 +339,115 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % self
 
 
-def _pruned(vs: tuple[str, ...], terms: dict, cols: Iterable[int]) -> LaurentPoly:
-    """terms over the sorted variables vs, every coefficient nonzero, as a
-    canonical LaurentPoly: the columns among cols that are 0 in every key
-    are dropped, and the result is returned through _trusted."""
-    drop = {j for j in cols if not any(e[j] for e in terms)}
-    if not drop:
-        return LaurentPoly._trusted(vs, terms)
-    keep = [j for j in range(len(vs)) if j not in drop]
-    return LaurentPoly._trusted(tuple(vs[j] for j in keep),
-                                {tuple(e[j] for j in keep): c for e, c in terms.items()})
+def _relaid(terms: dict, vs: tuple[str, ...], width: int, to_vs: tuple[str, ...], to_width: int) -> dict:
+    """terms of the layout (vs, width) in the layout (to_vs, to_width).
 
-
-def _packed_keys(columns: list, lows: list, shifts: list) -> list[int]:
-    """One integer per term: exponent j less lows[j], in the field at shifts[j]."""
-    keys = [0] * len(columns[0])
-    for col, low, shift in zip(columns, lows, shifts):
-        keys = [k | ((x - low) << shift) for k, x in zip(keys, col)]
-    return keys
-
-
-def _unpacked(vs: tuple[str, ...], keys: Sequence[int], coeffs: Iterable[int], lows: list, shifts: list,
-              widths: list) -> LaurentPoly:
-    """LaurentPoly of packed keys: exponent j is the field at shifts[j] plus lows[j].
-
-    Callers pass sorted variables, distinct keys and nonzero coefficients,
-    so the one canonical step left is to drop each variable whose exponent
-    is 0 in every term. Keys are a list of integers, or an int64 array
-    whose or/and reductions and kept fields numpy reads, one ``tolist`` a
-    column.
+    Each variable of vs missing from to_vs must have exponent 0 in every
+    term, and every exponent must fit to_width.
     """
-    arrays = not isinstance(keys, list)
-    if arrays:
-        import numpy as np  # only int64 keys get here, so a dict-only run never loads numpy
+    add, runs = _moves(vs, width, to_vs, to_width)
+    keys = [add] * len(terms)
+    for down, mask, up in runs:
+        keys = [x + (((k >> down) & mask) << up) for x, k in zip(keys, terms)]
+    return dict(zip(keys, terms.values()))
 
-        ors, ands = int(np.bitwise_or.reduce(keys)), int(np.bitwise_and.reduce(keys))
+
+@lru_cache(maxsize=4096)
+def _moves(vs: tuple[str, ...], width: int, to_vs: tuple[str, ...], to_width: int) -> tuple:
+    """How ``_relaid`` moves keys: a run of fields that stay adjacent at an
+    unchanged width moves as one bit block (its shift down, mask and shift
+    up), and the new fields' bias, less the old bias of the fields that
+    move, is one constant added."""
+    n, m = len(vs), len(to_vs)
+    at = {v: i for i, v in enumerate(vs)}
+    add, runs = _ones(m, to_width) << to_width - 2, []  # runs: [last i, last j, fields]
+    for j, v in enumerate(to_vs):
+        i = at.get(v)
+        if i is None:
+            continue
+        add -= (1 << width - 2) << to_width * (m - 1 - j)
+        if runs and width == to_width and runs[-1][:2] == [i - 1, j - 1]:
+            runs[-1] = [i, j, runs[-1][2] + 1]
+        else:
+            runs.append([i, j, 1])
+    return add, tuple((width * (n - 1 - i), (1 << width * count) - 1, to_width * (m - 1 - j))
+                      for i, j, count in runs)
+
+
+def _canonical(vs: tuple[str, ...], width: int, terms: dict, keys=None) -> LaurentPoly:
+    """The LaurentPoly of terms: nonzero coefficients at distinct keys over
+    the sorted variables vs, each field of width bits holding an exponent
+    e in (-2^(width-2), 2^(width-2)) as e + 2^(width-2).
+
+    Each key plus a constant puts e + 2^(width-1) + 2^(width-3) in its
+    fields, without a carry. The or and the and of those sums tell which
+    variables have exponent 0 in every term (the field is 5 * 2^(width-3)
+    in both) and whether every exponent fits the width (in every field of
+    every sum bit width-1 is set and bit width-2 clear). The terms are
+    repacked by ``_relaid`` only when a variable goes or the width
+    changes. keys, when given, is an int64 array of the dict's keys for
+    numpy to reduce.
+    """
+    if not vs or not terms:
+        return LaurentPoly._trusted((), 8, terms)
+    n, mask = len(vs), (1 << width) - 1
+    ones = _ones(n, width)
+    add, zero = ones * (3 << width - 3), ones * (5 << width - 3)
+    if keys is None:
+        sums = [k + add for k in terms]
+        ors, ands = reduce(or_, sums), reduce(and_, sums)
     else:
-        ors, ands = reduce(or_, keys), reduce(and_, keys)
-    fields = []
-    for v, low, shift, width in zip(vs, lows, shifts, widths):
-        mask = (1 << width) - 1
-        top = (ors >> shift) & mask
-        # a field is the same in every key when its bits agree in the or and the and
-        if top != (ands >> shift) & mask or top + low:
-            fields.append((v, shift, mask, low))
-    columns = ([(((keys >> shift) & mask) + low).tolist() for _, shift, mask, low in fields]
-               if arrays else
-               [[((k >> shift) & mask) + low for k in keys] for _, shift, mask, low in fields])
-    return LaurentPoly._trusted(
-        tuple(field[0] for field in fields),
-        dict(zip(zip(*columns) if fields else [()] * len(keys), coeffs)))
+        import numpy as np
+
+        sums = keys + add
+        ors, ands = int(np.bitwise_or.reduce(sums)), int(np.bitwise_and.reduce(sums))
+    fits = ands & (ones << width - 1) == ones << width - 1 and not ors & (ones << width - 2)
+    varies = (ors ^ ands) | (ands ^ zero)  # a field is 0 where its variable is unused
+    keep = [i for i in range(n) if (varies >> width * (n - 1 - i)) & mask]
+    to_width = width
+    if width > 8 or not fits:
+        columns = _columns(n, width, terms, keep)
+        to_width = _width(min(map(min, columns), default=0), max(map(max, columns), default=0))
+    if len(keep) == n and to_width == width:
+        return LaurentPoly._trusted(vs, width, terms)
+    to_vs = tuple(vs[i] for i in keep)
+    return LaurentPoly._trusted(to_vs, to_width, _relaid(terms, vs, width, to_vs, to_width))
 
 
-def _mul_packed(vs: tuple[str, ...], a: dict, b: dict) -> LaurentPoly:
-    """Multiply two term dicts over the sorted variables vs via packed keys.
-
-    The route of ``LaurentPoly.__mul__`` when both factors have two or more
-    terms. Every exponent vector, less its factor's componentwise minimum,
-    is packed into one integer, one bit field per variable, each field wide
-    enough for the sum of both factors' spans, so key addition never
-    carries between fields. Keys and coefficients are Python integers, so
-    the run is exact for any coefficient size; ``_unpacked`` adds the minima.
-    """
-    cols_a, cols_b = list(zip(*a)), list(zip(*b))
-    lo_a, lo_b = [min(col) for col in cols_a], [min(col) for col in cols_b]
-    widths = [(max(ca) - la + max(cb) - lb).bit_length() + 1
-              for ca, la, cb, lb in zip(cols_a, lo_a, cols_b, lo_b)]
-    shifts = [sum(widths[:j]) for j in range(len(widths))]
-    pa = dict(zip(_packed_keys(cols_a, lo_a, shifts), a.values()))
-    pb = dict(zip(_packed_keys(cols_b, lo_b, shifts), b.values()))
-    if len(pa) > len(pb):
-        pa, pb = pb, pa
+def _mul_keys(a: dict, b: dict, bias: int) -> dict:
+    """The product of two term dicts of one layout whose fields are biased
+    by bias: each key pair sums less bias. Coefficients are Python
+    integers, so the product is exact for any coefficient size."""
+    if len(a) > len(b):
+        a, b = b, a
     packed: dict[int, int] = {}
     get = packed.get
-    for k1, c1 in pa.items():
-        for k2, c2 in pb.items():
+    for k1, c1 in a.items():
+        k1 -= bias
+        for k2, c2 in b.items():
             k = k1 + k2
             v = get(k, 0) + c1 * c2
             if v:
                 packed[k] = v
             elif k in packed:
                 del packed[k]
-    lows = [la + lb for la, lb in zip(lo_a, lo_b)]
-    return _unpacked(vs, list(packed), packed.values(), lows, shifts, widths)
+    return packed
 
 
-def _div_packed(vs: tuple[str, ...], num: dict, den: dict) -> LaurentPoly:
-    """Long division of term dicts over the sorted variables vs via packed keys.
+def _div_keys(vs: tuple[str, ...], width: int, num: dict, den: dict) -> LaurentPoly:
+    """Long division of two term dicts of one layout, under lexicographic
+    order on keys.
 
     The route of ``LaurentPoly.exact_div`` when the divisor has two or more
-    terms. Each operand is packed less its column minima (its monomial
-    content), and ``_unpacked`` adds the numerator's minima less the
-    divisor's to the quotient. Fields are laid out most-significant-first,
-    so integer order on packed keys equals lex order on exponent tuples.
-    Every quotient exponent is range-checked before it is used: each
-    component must be nonnegative (the monomial obstruction) and no larger
-    than the combined exponent span, which no exact quotient can exceed.
-    Within those bounds a field of a remainder key holds at most twice the
-    span, which its width leaves room for, so key arithmetic never carries
-    or borrows between fields and the packed run is exact; coefficients are
-    Python integers. The same bound ends a non-exact division as soon as a
-    quotient exponent leaves the box, instead of letting the remainder run.
+    terms. An exact quotient's exponents lie in the box between the
+    numerator's column minima less the divisor's and its column maxima less
+    the divisor's, per variable. Each quotient exponent is checked against
+    that box before it is used; the first outside it proves that no exact
+    quotient exists. Within the box every term of quotient times divisor,
+    and so every remainder term, has its exponents between the numerator's
+    column minima and maxima: in the fields of the layout, so key
+    arithmetic never carries or borrows between fields. Coefficients are
+    Python integers.
 
     The lead remainder term comes from a lazy max-heap of negated keys.
     Invariant: every key of the remainder has at least one heap entry, and
@@ -423,18 +456,18 @@ def _div_packed(vs: tuple[str, ...], num: dict, den: dict) -> LaurentPoly:
     popped; a key that cancels and reappears is pushed again. A processed
     lead cancels and never returns, since later keys are strictly smaller.
     """
-    cols_num, cols_den = list(zip(*num)), list(zip(*den))
-    lo_num, lo_den = [min(col) for col in cols_num], [min(col) for col in cols_den]
-    spans = [max(max(cn) - ln, max(cd) - ld)
-             for cn, ln, cd, ld in zip(cols_num, lo_num, cols_den, lo_den)]
-    widths = [(2 * span).bit_length() + 1 for span in spans]
-    # slot 0 most significant: lex order
-    shifts = [sum(widths[j + 1:]) for j in range(len(widths))]
-    rem = dict(zip(_packed_keys(cols_num, lo_num, shifts), num.values()))
-    den_list = list(zip(_packed_keys(cols_den, lo_den, shifts), den.values()))
-    lead_d, c_d = max(den_list)
-    ld_slots = [(lead_d >> shift) & ((1 << width) - 1) for shift, width in zip(shifts, widths)]
-    fields = list(zip(shifts, widths, ld_slots, spans))
+    n, mask = len(vs), (1 << width) - 1
+    cols_num, cols_den = _columns(n, width, num, range(n)), _columns(n, width, den, range(n))
+    lead_d, c_d = max(den.items())
+    bias = 1 << width - 2
+    # per variable: the shift of its field and the bounds of that field in a
+    # lead remainder key whose quotient exponent lies in the box
+    fields = [(width * (n - 1 - i), bias + e + min(cn) - min(cd), bias + e + max(cn) - max(cd))
+              for i, ((e,), cn, cd) in enumerate(zip(_columns(n, width, [lead_d], range(n)),
+                                                    cols_num, cols_den))]
+    key_bias = _ones(n, width) << width - 2
+    rem = dict(num)
+    den_list = list(den.items())
 
     heap = [-k for k in rem]
     heapify(heap)
@@ -445,17 +478,14 @@ def _div_packed(vs: tuple[str, ...], num: dict, den: dict) -> LaurentPoly:
         c_r = get(lead_r)
         if c_r is None:
             continue  # stale: the key left the remainder after its push
-        for shift, width, slot, span in fields:
-            d = ((lead_r >> shift) & ((1 << width) - 1)) - slot
-            if d < 0:
-                raise ExactDivisionError("no exact quotient (monomial obstruction)")
-            if d > span:
+        for shift, lo, hi in fields:
+            if not lo <= (lead_r >> shift) & mask <= hi:
                 raise ExactDivisionError("no exact quotient (exponent out of range)")
         if c_r % c_d:
             raise ExactDivisionError("no exact quotient (coefficient obstruction)")
         q = c_r // c_d
         diff = lead_r - lead_d
-        quo[diff] = q
+        quo[diff + key_bias] = q
         for k0, c in den_list:
             key = k0 + diff
             qc = q * c
@@ -467,15 +497,15 @@ def _div_packed(vs: tuple[str, ...], num: dict, den: dict) -> LaurentPoly:
                 del rem[key]
             else:
                 rem[key] = old - qc
-    lows = [ln - ld for ln, ld in zip(lo_num, lo_den)]
-    return _unpacked(vs, list(quo), quo.values(), lows, shifts, widths)
+    return _canonical(vs, width, quo)
 
 
 def _poly_str(p: LaurentPoly) -> str:
     if not p._terms:
         return "0"
     parts = []
-    for e, c in sorted(p._terms.items(), reverse=True):
+    keys = sorted(p._terms, reverse=True)
+    for e, c in zip(p._exponents(keys), map(p._terms.__getitem__, keys)):
         factors = []
         for name, ex in zip(p._vars, e):
             if ex == 1:
@@ -499,15 +529,21 @@ def _poly_str(p: LaurentPoly) -> str:
 # ----------------------------------------------------------------------
 # bordered products over words whose labels are single variables or 1
 #
-# An entry of a step-matrix product is a pair (offset, terms): the packed
-# exponent key of each term is offset + key, so multiplying by a variable
-# only moves the offset. The terms are a dict, or in the int64 form of
-# ``nested_word_values`` a pair of arrays (sorted keys, coefficients).
-# ``_shifted`` shares terms, so ``_plus`` and ``_array_plus`` mutate neither
-# operand; coefficients are natural and only added, so no sum is 0 to prune.
+# An entry of a step-matrix product is a pair (offset, terms): the key of
+# each term is offset + key, so multiplying by a variable only moves the
+# offset. Keys are packed as LaurentPoly's but without its bias, so an
+# entry's fields hold its natural exponents. The terms are a dict, or in
+# the int64 form of ``nested_word_values`` a pair of arrays (sorted keys,
+# coefficients). ``_shifted`` shares terms, so ``_plus`` and ``_array_plus``
+# mutate neither operand; coefficients are natural and only added, so no
+# sum is 0 to prune.
 #
-# Every term of a word's value has total degree at most the word's letter
-# count, so one field of that count's bit_length per name never carries.
+# A term of a step-matrix product takes one entry from each step matrix,
+# and the two matrices beside a vertex cannot both take its variable (the
+# one before it would end in the row, the one after it start in the column,
+# that leaves the variable out). So an exponent of a name in an entry or a
+# value, and in its denominator, is at most the number of the word's
+# vertices that carry that name.
 
 
 def _shifted(entry: tuple, k: int) -> tuple:
@@ -581,33 +617,31 @@ def _at_ones(letter: Callable[[int], str], f: int, l: int) -> int:
     return x + y
 
 
-def _fields(names: Iterable[str], letters: int) -> tuple[tuple[str, ...], list, int, dict]:
-    """The one layout of packed keys for words of up to ``letters`` letters:
-    the sorted universe of names, their field shifts, the field width and
-    each name's packed key.
+def _layout(names: Iterable[str]) -> tuple[tuple[str, ...], int, dict]:
+    """The layout of the values of words whose vertices carry names (one
+    name a vertex, repeats counted): the sorted universe of names, the
+    field width and each name's unbiased key.
 
-    universe[0] takes the most significant field, so integer order on
-    packed keys is lexicographic order on exponent tuples, and terms whose
-    keys leave ``_over_monomial`` in increasing order leave ``_unpacked``
-    in lexicographic order.
+    Every exponent of such a value lies within the most vertices one name
+    carries, so that count sets the width, and the width is the values'
+    own unless some value keeps only smaller exponents.
     """
-    universe = tuple(sorted(set(names), key=_var_key))
-    width = letters.bit_length()
-    shifts = [(len(universe) - 1 - pos) * width for pos in range(len(universe))]
-    return universe, shifts, width, {v: 1 << shift for v, shift in zip(universe, shifts)}
+    counts = Counter(names)
+    universe = tuple(sorted(counts, key=_var_key))
+    most = max(counts.values(), default=0)
+    width = _width(-most, most)
+    return universe, width, {v: 1 << width * (len(universe) - 1 - i) for i, v in enumerate(universe)}
 
 
-def _over_monomial(universe: tuple, shifts: list, width: int, entry: tuple, den: int) -> LaurentPoly:
-    """The value of entry (either form) divided by the monomial whose packed
-    key is den, unpacked once into its canonical LaurentPoly."""
+def _over_monomial(universe: tuple, width: int, entry: tuple, den: int) -> LaurentPoly:
+    """The value of entry (either form) divided by the monomial whose
+    unbiased key is den: each key plus one constant, the bias less den."""
     off, terms = entry
+    shift = off + (_ones(len(universe), width) << width - 2) - den
     if isinstance(terms, dict):
-        keys, coeffs = [k + off for k in terms], terms.values()
-    else:
-        keys, coeffs = terms[0] + off, terms[1].tolist()
-    mask = (1 << width) - 1
-    lows = [-((den >> shift) & mask) for shift in shifts]
-    return _unpacked(universe, keys, coeffs, lows, shifts, [width] * len(universe))
+        return _canonical(universe, width, {k + shift: c for k, c in terms.items()})
+    keys = terms[0] + shift
+    return _canonical(universe, width, dict(zip(keys.tolist(), terms[1].tolist())), keys)
 
 
 def bordered_word_value(names: Sequence[Optional[str]], letters: str,
@@ -636,7 +670,7 @@ def bordered_word_value(names: Sequence[Optional[str]], letters: str,
         raise ValueError("word %r needs at least two letters" % (letters,))
     if len(names) != n + 1:
         raise ValueError("need one more name than letters")
-    universe, shifts, width, key = _fields((v for v in names if v is not None), n)
+    universe, width, key = _layout(v for v in names if v is not None)
     key[None] = 0
     units = [key[v] for v in names]
     x, y = (0, {0: 1}), (units[0], {0: 1})
@@ -648,7 +682,7 @@ def bordered_word_value(names: Sequence[Optional[str]], letters: str,
             x, y = _plus(_shifted(x, b), y), _shifted(y, a)
     last = units[n]
     value = _plus(_shifted(x, last), y) if col_swap else _plus(x, _shifted(y, last))
-    return _over_monomial(universe, shifts, width, value, sum(units[1:n]))
+    return _over_monomial(universe, width, value, sum(units[1:n]))
 
 
 def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
@@ -665,11 +699,10 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
     with M as in ``bordered_word_value``. Each span must contain the one
     before it, so the frise rays keep P and extend it by the step matrices
     of the new letters at each end. A step multiplies entries by one
-    variable or adds two of them, so P's entries live over packed exponent
-    keys (one field per name, wide enough for the longest word's degree,
-    laid out by ``_fields``) with natural coefficients and no division. The
-    monomial denominator is subtracted while each value is unpacked, once,
-    into its canonical LaurentPoly.
+    variable or adds two of them, so P's entries live over unbiased keys in
+    the layout of the values (``_layout`` of the last word's vertices) with
+    natural coefficients and no division. Each value leaves with one
+    constant, the bias less its denominator's key, added to each key.
 
     An entry has one of two forms, both (offset, terms) with every packed
     key offset + key, so a product by a variable is an offset move:
@@ -685,10 +718,9 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
     The int64 form is exact, and is used, only when two bounds decided
     before the walk hold; outside them the dicts run throughout:
 
-    - (distinct names) * width <= 62 bits: every exponent of a term of an
-      entry or a value is at most the longest word's letter count, below
-      2^width, so a packed key is below 2^62, and so is every key and
-      offset of ``_array_plus``;
+    - (distinct names) * width <= 62 bits: every field of a key of an
+      entry, or of a value, is below 2^(width-1), so every such key is
+      below 2^61, and so is every key and offset of ``_array_plus``;
     - the last span's value at all ones (one integer walk over its
       letters) is below 2^62: coefficients are natural, so each is at most
       the coefficient sum of its entry, which is that entry at all ones. At
@@ -700,8 +732,9 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
     spans = list(spans)
     if not spans:
         return []
-    universe, shifts, width, key = _fields(names, max(l - f + 1 for f, l in spans))
-    unit = [key[v] for v in names]
+    f, l = spans[-1]
+    universe, width, key = _layout(names[label(i)] for i in range(f, l + 2))
+    unit = [key.get(v, 0) for v in names]  # a name no word carries has no field
     exact = len(universe) * width <= 62 and _at_ones(letter, *spans[-1]) < 1 << 62
 
     plus = _plus
@@ -736,7 +769,7 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
         first, last = unit[label(f)], unit[label(l + 1)]
         value = plus(plus(p, _shifted(q, last)), _shifted(plus(r, _shifted(s, last)), first))
         den = sum(unit[label(i)] for i in range(f + 1, l + 1))
-        out.append(_over_monomial(universe, shifts, width, value, den))
+        out.append(_over_monomial(universe, width, value, den))
     return out
 
 
@@ -755,27 +788,31 @@ _MAX_PAIRS = 1 << 22
 def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     """Exact check that p*q - r*s == 1.
 
-    Each exponent vector e packs into one integer, the sum of e_v << (w * i_v)
-    over its variables v, with i_v the position of v among the variables of
-    all four operands and one signed field width w = (2 * emax).bit_length()
-    + 1 for all of them (emax the largest |exponent|). The map is linear, so
-    a term pair's key is the sum of its two keys, and the zero vector packs
-    to 0. It is injective on sums of two operand vectors: each component of
-    such a sum lies in [-2 * emax, 2 * emax], so two of them differ by less
-    than 2^w per component, and sum d_v 2^(w * i_v) with every |d_v| < 2^w is
-    0 only when every d_v is. Every pair of p*q and of -r*s is summed at its
-    key, 1 is subtracted at key 0, and the check holds when every sum is 0.
+    The four operands' keys are taken in one layout: their own when they
+    share it, else each is realigned once to the union of their variables
+    at the widest of their widths. Two keys of one layout sum without a
+    carry to the key of the exponent sum plus the bias twice, so every pair
+    of p*q and of -r*s is summed at the sum of its keys, 1 is subtracted at
+    twice the bias, and the check holds when every sum is 0.
 
-    From ``_DICT_PAIRS`` pairs on, an int64 pass comes first: the exponents
-    of all four operands go into one int64 array and their coefficients into
-    another, and emax and cmax (the largest |coefficient|, at least 1) are
-    read off each array's max() and min() as exact Python integers, so -2^63
-    counts as 2^63. Each pair is one int64 word (key << cbits) + (c1*c2 +
-    cmax^2); one in-place sort puts equal keys together, and ``reduceat``
-    sums each run of them. Below ``_DICT_PAIRS`` pairs, and whenever a
-    value does not fit int64, the check is one dict pass over Python
-    integers, which is exact for every input. So it is outside either of
-    the two bounds under which the int64 pass is exact:
+    From ``_DICT_PAIRS`` pairs on, an int64 pass comes first: the keys of
+    all four operands go into one int64 array and their coefficients into
+    another. The exponents decoded from the keys give emax (the largest
+    |exponent|), and the coefficients give cmax (the largest |coefficient|,
+    at least 1), read off each array's max() and min() as exact Python
+    integers, so -2^63 counts as 2^63. Each exponent vector is repacked, by
+    one int64 product with its field weights, into one integer: the sum of
+    e_v << (w * i_v + cbits) over the variables, with i_v the position of v
+    and one signed field width w = (2 * emax).bit_length() + 1. Each pair is
+    one int64 word (key sum) + (c1*c2 + cmax^2); one in-place sort puts
+    equal keys together, and ``reduceat`` sums each run of them. The
+    repacking is linear and injective on sums of two exponent vectors: each
+    component of such a sum lies in [-2 * emax, 2 * emax], so two of them
+    differ by less than 2^w per component, and sum d_v 2^(w * i_v) with
+    every |d_v| < 2^w is 0 only when every d_v is. Below ``_DICT_PAIRS``
+    pairs, and whenever a value does not fit int64, the check is one dict
+    pass over Python integers, which is exact for every input. So it is
+    outside either of the two bounds under which the int64 pass is exact:
 
     - kbits + cbits <= 62, with kbits = w * n for n variables and cbits =
       (2 * cmax^2).bit_length(): a key lies strictly between -2^(kbits-1)
@@ -787,64 +824,69 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
       cmax^2 < 2^(cbits-1), so its partial sums stay below 2^63;
     - pairs <= ``_MAX_PAIRS``, which caps the pass's memory.
     """
-    polys = [LaurentPoly.coerce(v) for v in (p, q, r, s)]
-    pos = {v: i for i, v in enumerate(dict.fromkeys(chain.from_iterable(f._vars for f in polys)))}
-    tp, tq, tr, ts = (f._terms for f in polys)
+    terms, n, width = _minor_operands(p, q, r, s)
+    tp, tq, tr, ts = terms
     pairs = len(tp) * len(tq) + len(tr) * len(ts)
-    verdict = _differ_by_one_int64(polys, pos) if _DICT_PAIRS <= pairs <= _MAX_PAIRS else None
-    return _differ_by_one_dicts(polys, pos) if verdict is None else verdict
+    verdict = _differ_by_one_int64(terms, n, width) if _DICT_PAIRS <= pairs <= _MAX_PAIRS else None
+    return _differ_by_one_dicts(terms, n, width) if verdict is None else verdict
 
 
-def _differ_by_one_dicts(polys: list, pos: dict) -> bool:
+def _minor_operands(*operands: Scalar) -> tuple[list[dict], int, int]:
+    """The operands' term dicts in one layout, its variable count and width."""
+    polys = [LaurentPoly.coerce(v) for v in operands]
+    vs, width = polys[0]._vars, polys[0]._width
+    if all(f._vars == vs and f._width == width for f in polys):
+        return [f._terms for f in polys], len(vs), width
+    vs, width = _union(*(f._vars for f in polys)), max(f._width for f in polys)
+    return [f._relaid(vs, width) for f in polys], len(vs), width
+
+
+def _differ_by_one_dicts(terms: list, n: int, width: int) -> bool:
     """The dict pass of ``products_differ_by_one``, exact for every input."""
-    tp, tq, tr, ts = (f._terms for f in polys)
-    emax = max(map(abs, chain.from_iterable(chain.from_iterable(f._terms for f in polys))),
-               default=0)
-    w = (2 * emax).bit_length() + 1
-    shifts = [[w * pos[v] for v in f._vars] for f in polys]
-    acc = {0: -1}
+    tp, tq, tr, ts = terms
+    acc = {_ones(n, width) << width - 1: -1}  # the 1, at twice the bias
     get = acc.get
-    kp, kq, kr, ks = ([sum(map(lshift, e, sh)) for e in t] for t, sh in zip((tp, tq, tr, ts), shifts))
-    for k1s, c1s, k2s, c2s in ((kp, tp.values(), kq, tq.values()),
-                               (kr, map(neg, tr.values()), ks, ts.values())):
-        for k1, c1 in zip(k1s, c1s):
-            for k2, c2 in zip(k2s, c2s):
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
+    for k1, c1 in tp.items():
+        for k2, c2 in tq.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    for k1, c1 in tr.items():
+        for k2, c2 in ts.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) - c1 * c2
     return not any(acc.values())
 
 
-def _differ_by_one_int64(polys: list, pos: dict) -> Optional[bool]:
+def _differ_by_one_int64(terms: list, n: int, width: int) -> Optional[bool]:
     """The int64 pass of ``products_differ_by_one``, or None when a value
     leaves int64 or the bounds fail.
 
-    The keys are the same packing shifted left by cbits, taken as one int64
-    product of each operand's exponent rows with its field weights
-    2^(w * i_v + cbits); within the bounds no key, and no partial sum of
-    one, leaves the int64 range.
+    A key below 2^63 with two or more fields has fields of at most 32 bits,
+    so every mask fits int64; the top field needs none. Within the bounds
+    no repacked key, and no partial sum of one, leaves the int64 range.
     """
     import numpy as np  # here, so that importing artifact does not load numpy
 
-    sizes = [len(f._terms) for f in polys]
+    sizes = [len(t) for t in terms]
     try:
-        exps = np.fromiter(chain.from_iterable(chain.from_iterable(f._terms for f in polys)),
-                           dtype=np.int64, count=sum(n * len(f._vars) for n, f in zip(sizes, polys)))
-        coeffs = np.fromiter(chain.from_iterable(f._terms.values() for f in polys),
-                             dtype=np.int64, count=sum(sizes))
+        keys = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=sum(sizes))
+        coeffs = np.fromiter(chain.from_iterable(t.values() for t in terms), dtype=np.int64,
+                             count=sum(sizes))
     except OverflowError:
         return None
+    exps = keys[:, None] >> np.array([width * (n - 1 - i) for i in range(n)], dtype=np.int64)
+    if n > 1:
+        exps[:, 1:] &= (1 << width) - 1
+    exps -= 1 << width - 2
     emax = max(int(exps.max(initial=0)), -int(exps.min(initial=0)))
     bias = max(int(coeffs.max(initial=1)), -int(coeffs.min(initial=-1))) ** 2  # cmax^2
     w, cbits = (2 * emax).bit_length() + 1, (2 * bias).bit_length()
-    if w * len(pos) + cbits > 62:
+    if w * n + cbits > 62:
         return None
-    packed, at, ct = [], 0, 0
-    for f, n in zip(polys, sizes):
-        m = n * len(f._vars)
-        weights = np.array([1 << w * pos[v] + cbits for v in f._vars], dtype=np.int64)
-        packed.append((exps[at:at + m].reshape(n, len(f._vars)) @ weights, coeffs[ct:ct + n]))
-        at, ct = at + m, ct + n
-    (kp, cp), (kq, cq), (kr, cr), (ks, cs) = packed
+    packed = exps @ np.array([1 << w * (n - 1 - i) + cbits for i in range(n)], dtype=np.int64)
+    a, b, c = sizes[0], sizes[0] + sizes[1], sizes[0] + sizes[1] + sizes[2]
+    kp, kq, kr, ks = packed[:a], packed[a:b], packed[b:c], packed[c:]
+    cp, cq, cr, cs = coeffs[:a], coeffs[a:b], coeffs[b:c], coeffs[c:]
     n_pq = len(kp) * len(kq)
     words = np.empty(n_pq + len(kr) * len(ks) + 1, dtype=np.int64)
     words[-1] = bias - 1  # the 1 subtracted at key 0

@@ -950,22 +950,27 @@ def _interior_at_ones(total):
     return "".join(reversed(best))
 
 
-names_31, names_21 = (tuple("u%d" % j for j in range(1, k + 1)) for k in (31, 21))
+def _names(k):
+    return tuple("u%d" % j for j in range(1, k + 1))
 
 
 @pytest.mark.parametrize("names, letters, total, arrays", [
-    # key bits: 31 names in fields of 2 bits (3 letters) is 62; 21 names in
-    # fields of 3 bits (4 letters) is 63, in fields of 2 bits 42
-    (names_31, "xyx", None, True),
-    (names_21, "xyxy", None, False),
-    (names_21, "xyx", None, True),
+    # key bits: the last word's n + 1 vertices carry the names in turn. 7
+    # names in fields of 8 bits is 56, 8 names 64; 3 names in fields of 16
+    # bits (one name on 32 vertices) is 48, 4 names 64, and 4 names on 31
+    # vertices each take fields of 8 bits again
+    (_names(7), "xyxyxy", None, True),
+    (_names(8), "xyxyxyx", None, False),
+    (_names(3), "x" * 94, None, True),
+    (_names(4), "x" * 127, None, False),
+    (_names(4), "x" * 123, None, True),
     # the value at all ones one below 2^62, at it and one past it, with every
     # vertex on one name so that the coefficients are large
     (("u1",), "x%sx" % _interior_at_ones((1 << 62) - 1), (1 << 62) - 1, True),
     (("u1",), "x%sx" % _interior_at_ones(1 << 62), 1 << 62, False),
     (("u1",), "x%sx" % _interior_at_ones((1 << 62) + 1), (1 << 62) + 1, False),
-], ids=["62 key bits", "63 key bits", "42 key bits", "at ones 2^62-1", "at ones 2^62",
-        "at ones 2^62+1"])
+], ids=["56 key bits", "64 key bits", "48 key bits", "64 key bits wide", "32 key bits",
+        "at ones 2^62-1", "at ones 2^62", "at ones 2^62+1"])
 def test_nested_word_values_fall_back_to_dicts_outside_the_int64_bounds(names, letters, total,
                                                                         arrays):
     n = len(letters)
@@ -982,27 +987,36 @@ def test_nested_word_values_fall_back_to_dicts_outside_the_int64_bounds(names, l
 
 @st.composite
 def packed_values(draw):
-    """A value as _over_monomial reads it: the layout of _fields for 1-8
-    names in fields of 2-6 bits (or 31 names of 2 bits, so that keys reach
-    bit 61), distinct keys with natural int64 coefficients, one field
-    constant in every key, at the denominator's value (so dropped) or not,
-    and an offset below every key, positive unless a key is 0. Returns the
-    layout, the field rows, the dict entry, the denominator's fields and
-    the constant field's position and whether it is dropped."""
-    n, width = draw(st.one_of(st.tuples(st.integers(1, 8), st.integers(2, 6)), st.just((31, 2))))
-    universe, shifts, width, _ = laurent_mod._fields(["u%d" % (j + 1) for j in range(n)],
-                                                     (1 << width) - 1)
-    field = st.integers(0, (1 << width) - 1)
-    const, at, dropped = draw(st.integers(0, n - 1)), draw(field), draw(st.booleans())
-    rows = [row[:const] + (at,) + row[const:] for row in
-            draw(st.lists(st.tuples(*[field] * (n - 1)), min_size=1, max_size=40, unique=True))]
-    den = [draw(field) for _ in range(n)]
-    den[const] = at if dropped else draw(field.filter(lambda x: x != at))
-    keys = [sum(x << s for x, s in zip(row, shifts)) for row in rows]
+    """A value as _over_monomial reads it: the layout of _layout for 1-7
+    names on 1-31 vertices each (fields of 8 bits), or for 1-3 names, one
+    on 32-40 vertices (fields of 16 bits); distinct rows of unbiased
+    fields, each at most its name's vertex count, with natural int64
+    coefficients, one field constant in every row, at the denominator's
+    value (so dropped) or not, and an offset below every key, positive
+    unless a key is 0. Returns the layout, the rows, the dict entry, the
+    denominator's fields and the constant field's position and whether it
+    is dropped."""
+    wide = draw(st.booleans())
+    n = draw(st.integers(1, 3 if wide else 7))
+    counts = [draw(st.integers(1, 31)) for _ in range(n)]
+    if wide:
+        counts[draw(st.integers(0, n - 1))] = draw(st.integers(32, 40))
+    names = ["u%d" % (j + 1) for j in range(n)]
+    universe, width, unit = laurent_mod._layout(v for v, c in zip(names, counts) for _ in range(c))
+    assert universe == tuple(names) and width == (16 if wide else 8)
+    fields = [st.integers(0, c) for c in counts]
+    const, dropped = draw(st.integers(0, n - 1)), draw(st.booleans())
+    at = draw(fields[const])
+    rows = list(dict.fromkeys(row[:const] + (at,) + row[const + 1:] for row in
+                              draw(st.lists(st.tuples(*fields), min_size=1, max_size=40))))
+    den = [draw(f) for f in fields]
+    den[const] = at if dropped else draw(fields[const].filter(lambda x: x != at))
+    keys = [sum(x * unit[v] for x, v in zip(row, names)) for row in rows]
     off = draw(st.integers(min(1, min(keys)), min(keys)))
     coeffs = draw(st.lists(st.integers(1, (1 << 63) - 1), min_size=len(keys), max_size=len(keys)))
     terms = {k - off: c for k, c in zip(keys, coeffs)}
-    return (universe, shifts, width), rows, (off, terms), den, const, dropped
+    den_key = sum(x * unit[v] for x, v in zip(den, names))
+    return (universe, width), rows, (off, terms), den, den_key, const, dropped
 
 
 @settings(max_examples=200, deadline=None)
@@ -1010,13 +1024,12 @@ def packed_values(draw):
 def test_over_monomial_reads_int64_keys_as_the_dict_branch_does(case):
     import numpy as np
 
-    (universe, shifts, width), rows, (off, terms), den, const, dropped = case
+    (universe, width), rows, (off, terms), den, den_key, const, dropped = case
     keys = sorted(terms)
     arrays = (off, (np.array(keys, dtype=np.int64),
                     np.array([terms[k] for k in keys], dtype=np.int64)))
-    den_key = sum(d << s for d, s in zip(den, shifts))
-    got = laurent_mod._over_monomial(universe, shifts, width, arrays, den_key)
-    want = laurent_mod._over_monomial(universe, shifts, width, (off, terms), den_key)
+    got = laurent_mod._over_monomial(universe, width, arrays, den_key)
+    want = laurent_mod._over_monomial(universe, width, (off, terms), den_key)
     assert got == want and _canonical(got)
     assert got == LaurentPoly(universe, {tuple(x - d for x, d in zip(row, den)): c
                                          for row, c in zip(rows, terms.values())})
@@ -1107,7 +1120,7 @@ def test_one_value_built_three_ways_is_one_object(case):
 
 
 def test_only_laurent_reads_the_term_layout():
-    private = {"_vars", "_terms", "_trusted"}
+    private = {"_vars", "_width", "_terms", "_trusted"}
     src = Path(laurent_mod.__file__).parent
     readers = {}
     for path in sorted(src.glob("*.py")):

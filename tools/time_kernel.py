@@ -92,7 +92,6 @@ import argparse
 import random
 import sys
 import time
-from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -184,11 +183,7 @@ def pass_bands(minors: list) -> list:
     minors, per minor, with the bands and passes taking turns in each round."""
     bands = []
     for lo, hi in zip(BAND_EDGES, BAND_EDGES[1:]):
-        args = []
-        for m in (m for m in minors if lo <= pairs(m) < hi):
-            polys = [laurent.LaurentPoly.coerce(v) for v in m]
-            names = dict.fromkeys(chain.from_iterable(f._vars for f in polys))
-            args.append((polys, {v: i for i, v in enumerate(names)}))
+        args = [laurent._minor_operands(*m) for m in minors if lo <= pairs(m) < hi]
         bands.append((lo, hi, args, [float("inf")] * 2))
     passes = (laurent._differ_by_one_dicts, laurent._differ_by_one_int64)
     for r in range(BAND_ROUNDS):
