@@ -405,7 +405,7 @@ def _canonical(vs: tuple[str, ...], width: int, terms: dict, keys=None) -> Laure
     varies = (ors ^ ands) | (ands ^ zero)  # a field is 0 where its variable is unused
     keep = [i for i in range(n) if (varies >> width * (n - 1 - i)) & mask]
     to_width = width
-    if width > 8 or not fits:
+    if width != 8 or not fits:
         columns = _columns(n, width, terms, keep)
         to_width = _width(min(map(min, columns), default=0), max(map(max, columns), default=0))
     if len(keep) == n and to_width == width:
@@ -617,19 +617,25 @@ def _at_ones(letter: Callable[[int], str], f: int, l: int) -> int:
     return x + y
 
 
-def _layout(names: Iterable[str]) -> tuple[tuple[str, ...], int, dict]:
-    """The layout of the values of words whose vertices carry names (one
+def _layout(names: Iterable[str], narrow: bool = False) -> tuple[tuple[str, ...], int, dict]:
+    """The layout of the walk over words whose vertices carry names (one
     name a vertex, repeats counted): the sorted universe of names, the
     field width and each name's unbiased key.
 
-    Every exponent of such a value lies within the most vertices one name
+    Every exponent of a value lies within the most vertices one name
     carries, so that count sets the width, and the width is the values'
-    own unless some value keeps only smaller exponents.
+    own unless some value keeps only smaller exponents. With ``narrow``,
+    where that width takes more than 62 key bits and fields only as wide as
+    the count needs (its bit_length + 3) take at most 62, the fields are
+    that narrow, so that the walk can run in int64, and ``_over_monomial``
+    repacks each value.
     """
     counts = Counter(names)
     universe = tuple(sorted(counts, key=_var_key))
     most = max(counts.values(), default=0)
     width = _width(-most, most)
+    if narrow and len(universe) * width > 62 >= len(universe) * (most.bit_length() + 3):
+        width = most.bit_length() + 3
     return universe, width, {v: 1 << width * (len(universe) - 1 - i) for i, v in enumerate(universe)}
 
 
@@ -640,8 +646,20 @@ def _over_monomial(universe: tuple, width: int, entry: tuple, den: int) -> Laure
     shift = off + (_ones(len(universe), width) << width - 2) - den
     if isinstance(terms, dict):
         return _canonical(universe, width, {k + shift: c for k, c in terms.items()})
-    keys = terms[0] + shift
-    return _canonical(universe, width, dict(zip(keys.tolist(), terms[1].tolist())), keys)
+    keys, to_width = terms[0] + shift, _width(-(1 << width - 3), (1 << width - 3) - 1)
+    if to_width == width:  # the values' own width
+        return _canonical(universe, width, dict(zip(keys.tolist(), terms[1].tolist())), keys)
+    # a narrow walk: each field rebiased at the values' width, written as
+    # one big-endian unsigned integer of width bits, one key per row
+    import numpy as np
+
+    n = len(universe)
+
+    fields = (keys[:, None] >> np.arange(n - 1, -1, -1) * width) & (1 << width) - 1
+    fields += (1 << to_width - 2) - (1 << width - 2)
+    raw, step = fields.astype(">u%d" % (to_width // 8)).tobytes(), n * to_width // 8
+    keys = [int.from_bytes(raw[i:i + step], "big") for i in range(0, len(raw), step)]
+    return _canonical(universe, to_width, dict(zip(keys, terms[1].tolist())))
 
 
 def bordered_word_value(names: Sequence[Optional[str]], letters: str,
@@ -733,9 +751,10 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
     if not spans:
         return []
     f, l = spans[-1]
-    universe, width, key = _layout(names[label(i)] for i in range(f, l + 2))
+    small = _at_ones(letter, f, l) < 1 << 62
+    universe, width, key = _layout((names[label(i)] for i in range(f, l + 2)), narrow=small)
     unit = [key.get(v, 0) for v in names]  # a name no word carries has no field
-    exact = len(universe) * width <= 62 and _at_ones(letter, *spans[-1]) < 1 << 62
+    exact = len(universe) * width <= 62 and small
 
     plus = _plus
     p, q, r, s = (0, {0: 1}), (0, {}), (0, {}), (0, {0: 1})  # P = identity

@@ -956,21 +956,27 @@ def _names(k):
 
 @pytest.mark.parametrize("names, letters, total, arrays", [
     # key bits: the last word's n + 1 vertices carry the names in turn. 7
-    # names in fields of 8 bits is 56, 8 names 64; 3 names in fields of 16
-    # bits (one name on 32 vertices) is 48, 4 names 64, and 4 names on 31
-    # vertices each take fields of 8 bits again
+    # names in fields of 8 bits is 56; 3 names in fields of 16 bits (one
+    # name on 32 vertices) is 48, and 4 names on 31 vertices each take
+    # fields of 8 bits again. Past 62 bits the walk narrows its fields to
+    # the vertex count's bit_length + 3: 8 and 15 names on one vertex each
+    # to 4 bits (32 and 60 key bits), 4 names on 32 vertices each to 9 bits
+    # (36); 16 names on one vertex each need 64 even so
     (_names(7), "xyxyxy", None, True),
-    (_names(8), "xyxyxyx", None, False),
     (_names(3), "x" * 94, None, True),
-    (_names(4), "x" * 127, None, False),
     (_names(4), "x" * 123, None, True),
+    (_names(8), "xyxyxyx", None, True),
+    (_names(15), "xy" * 7, None, True),
+    (_names(4), "x" * 127, None, True),
+    (_names(16), "xy" * 7 + "x", None, False),
     # the value at all ones one below 2^62, at it and one past it, with every
     # vertex on one name so that the coefficients are large
     (("u1",), "x%sx" % _interior_at_ones((1 << 62) - 1), (1 << 62) - 1, True),
     (("u1",), "x%sx" % _interior_at_ones(1 << 62), 1 << 62, False),
     (("u1",), "x%sx" % _interior_at_ones((1 << 62) + 1), (1 << 62) + 1, False),
-], ids=["56 key bits", "64 key bits", "48 key bits", "64 key bits wide", "32 key bits",
-        "at ones 2^62-1", "at ones 2^62", "at ones 2^62+1"])
+], ids=["56 key bits", "48 key bits", "32 key bits", "narrow 32 key bits",
+        "narrow 60 key bits", "narrow 36 key bits", "narrow 64 key bits", "at ones 2^62-1",
+        "at ones 2^62", "at ones 2^62+1"])
 def test_nested_word_values_fall_back_to_dicts_outside_the_int64_bounds(names, letters, total,
                                                                         arrays):
     n = len(letters)
