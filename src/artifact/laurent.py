@@ -7,42 +7,34 @@ must satisfy ``is_natural()`` (checked at the producing call sites).
 Denominators are always monomials, absorbed as negative exponents.
 
 A value has one form, canonical by construction: its sorted variables,
-each with a nonzero exponent in some term; one field width W, the
-smallest of 8, 16, 32, ... bits such that every exponent e has
--2^(W-3) <= e < 2^(W-3); and a dict from packed key to nonzero
-coefficient. The key of an exponent vector e is the sum of
-(e_i + 2^(W-2)) << W*(n-1-i), so the first variable holds the most
-significant field and integer order on keys is lexicographic order on
-exponent tuples. Since W is a function of the value, ``==`` and ``hash``
-read the variables and the dict. ``terms``, ``sort_key`` and ``str``
-decode the keys.
+each with a nonzero exponent in some term; one field width W, the smallest
+of 8, 16, 32, ... bits with -2^(W-3) <= e < 2^(W-3) for every exponent e;
+and a dict from key to nonzero coefficient, where the key of an exponent
+vector is the sum of (e_i + 2^(W-2)) << W*(n-1-i). The first variable
+holds the most significant field, so integer order on keys is
+lexicographic order on exponent tuples. W is a function of the value, so
+``==`` and ``hash`` read the variables and the dict; ``terms``,
+``sort_key`` and ``str`` decode the keys.
 
-Two keys of one layout (variables and width) add field by field without
-a carry, so the ring works on keys: a one-term factor or divisor is one
-key shift; any other product runs ``_mul_keys``, any other exact division
-``_div_keys``. Operands over different layouts are realigned once by
-``_relaid``, and each result leaves through ``_canonical``, which repacks
-only when a variable cancels out or the width changes.
+Two keys of one layout (variables and width) add without a carry between
+fields, so every route works on keys: a one-term factor or divisor is one
+key shift, other products run ``_mul_keys`` and divisions ``_div_keys``.
+Operands of different layouts are realigned once (``_relaid``); results
+leave through ``_canonical``, which repacks only when a variable cancels
+out or the width changes.
 
 Bordered products of 2x2 step matrices over words whose vertices carry one
-variable or 1 have two kernels. ``bordered_word_value`` walks one word as
-a row vector, two entries per step: the tiles below the frontier and the
-cells of the cross construction (``cluster``) use it. ``nested_word_values``
-keeps the whole 2x2 product, so a word can grow at both ends: the frise
-rays of oriented cycles (``frises``) use it. Both walk in the layout of
-their values, with the width bounded by how often each name occurs, so a
-value leaves with one constant added to each key. The kernels' entries
-are dicts from key to coefficient; ``nested_word_values`` switches to
-sorted int64 key and coefficient arrays once an entry has ``_ARRAY_TERMS``
-terms, where two bounds decided before its walk (62 key bits, and the last
-word's value at all ones below 2^62) make int64 exact.
+variable or 1 have two kernels: ``bordered_word_value`` walks one word as a
+row vector (tiles below the frontier and cells of the cross construction,
+``cluster``), and ``nested_word_values`` keeps the whole 2x2 product, so a
+word can grow at both ends (frise rays of oriented cycles, ``frises``).
+Both walk in their values' layout, so a value leaves with one constant
+added to each key; the ray kernel moves large entries to int64 arrays.
 
 The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
 product: it sums the term pairs at the sums of their keys, read directly
-when the four operands share a layout, in one of two passes. From
-``_DICT_PAIRS`` pairs on, the keys and coefficients go into two int64
-arrays; the exponents decoded from them give the bounds that make one sort
-of int64 words exact. Below that size, and for values outside int64 or the
+when the four operands share a layout. From ``_DICT_PAIRS`` pairs on, an
+int64 pass sorts one word per pair; below that size, and outside its
 bounds, a dict pass over Python integers decides.
 """
 
@@ -51,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -204,18 +196,14 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # ring operations
 
-    def _relaid(self, variables: tuple[str, ...], width: int) -> dict:
-        if self._vars == variables and self._width == width:
-            return self._terms
-        return _relaid(self._terms, self._vars, self._width, variables, width)
-
     def _aligned(self, other: "LaurentPoly") -> tuple[tuple[str, ...], int, dict, dict]:
         """Both operands' terms in one layout: the union of their variables
         at the wider of their widths."""
         if self._vars == other._vars and self._width == other._width:
             return self._vars, self._width, self._terms, other._terms
         vs, width = _union(self._vars, other._vars), max(self._width, other._width)
-        return vs, width, self._relaid(vs, width), other._relaid(vs, width)
+        return (vs, width, _relaid(self._terms, self._vars, self._width, vs, width),
+                _relaid(other._terms, other._vars, other._width, vs, width))
 
     def __add__(self, other: Scalar) -> "LaurentPoly":
         other = LaurentPoly.coerce(other)
@@ -289,12 +277,8 @@ class LaurentPoly:
         return _canonical(vs, width, out)
 
     def exact_div(self, divisor: Scalar) -> "LaurentPoly":
-        """Exact division by an arbitrary Laurent polynomial.
-
-        Long division under lexicographic term order on keys (see
-        ``_div_keys``). Raises ExactDivisionError when no exact Laurent
-        quotient exists.
-        """
+        """Exact division by an arbitrary Laurent polynomial (``_div_keys``);
+        raises ExactDivisionError when no exact Laurent quotient exists."""
         divisor = LaurentPoly.coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("Laurent division by zero")
@@ -340,11 +324,11 @@ class LaurentPoly:
 
 
 def _relaid(terms: dict, vs: tuple[str, ...], width: int, to_vs: tuple[str, ...], to_width: int) -> dict:
-    """terms of the layout (vs, width) in the layout (to_vs, to_width).
-
-    Each variable of vs missing from to_vs must have exponent 0 in every
-    term, and every exponent must fit to_width.
-    """
+    """terms of the layout (vs, width) in the layout (to_vs, to_width). Each
+    variable of vs missing from to_vs must have exponent 0 in every term,
+    and every exponent must fit to_width."""
+    if vs == to_vs and width == to_width:
+        return terms
     add, runs = _moves(vs, width, to_vs, to_width)
     keys = [add] * len(terms)
     for down, mask, up in runs:
@@ -354,10 +338,9 @@ def _relaid(terms: dict, vs: tuple[str, ...], width: int, to_vs: tuple[str, ...]
 
 @lru_cache(maxsize=4096)
 def _moves(vs: tuple[str, ...], width: int, to_vs: tuple[str, ...], to_width: int) -> tuple:
-    """How ``_relaid`` moves keys: a run of fields that stay adjacent at an
-    unchanged width moves as one bit block (its shift down, mask and shift
-    up), and the new fields' bias, less the old bias of the fields that
-    move, is one constant added."""
+    """How ``_relaid`` moves keys: each run of fields that stay adjacent at
+    one width as one bit block (shift down, mask, shift up), and the new
+    bias less the old bias of the moved fields as one constant."""
     n, m = len(vs), len(to_vs)
     at = {v: i for i, v in enumerate(vs)}
     add, runs = _ones(m, to_width) << to_width - 2, []  # runs: [last i, last j, fields]
@@ -376,22 +359,20 @@ def _moves(vs: tuple[str, ...], width: int, to_vs: tuple[str, ...], to_width: in
 
 def _canonical(vs: tuple[str, ...], width: int, terms: dict, keys=None) -> LaurentPoly:
     """The LaurentPoly of terms: nonzero coefficients at distinct keys over
-    the sorted variables vs, each field of width bits holding an exponent
-    e in (-2^(width-2), 2^(width-2)) as e + 2^(width-2).
+    the sorted variables vs, fields of width bits holding exponents e in
+    (-2^(width-2), 2^(width-2)) as e + 2^(width-2).
 
-    Each key plus a constant puts e + 2^(width-1) + 2^(width-3) in its
-    fields, without a carry. The or and the and of those sums tell which
-    variables have exponent 0 in every term (the field is 5 * 2^(width-3)
-    in both) and whether every exponent fits the width (in every field of
-    every sum bit width-1 is set and bit width-2 clear). The terms are
-    repacked by ``_relaid`` only when a variable goes or the width
-    changes. keys, when given, is an int64 array of the dict's keys for
-    numpy to reduce.
+    Each key plus a constant holds e + 2^(width-1) + 2^(width-3) in each
+    field, without a carry. The or and the and of those sums show the
+    variables with exponent 0 in every term (5 * 2^(width-3) in both) and
+    whether every exponent fits the width (bit width-1 set and bit width-2
+    clear in every field). ``_relaid`` repacks only when a variable goes or
+    the width changes. keys, when given, is the dict's keys as an int64
+    array, for numpy to reduce.
     """
     if not vs or not terms:
         return LaurentPoly._trusted((), 8, terms)
-    n, mask = len(vs), (1 << width) - 1
-    ones = _ones(n, width)
+    n, mask, ones = len(vs), (1 << width) - 1, _ones(len(vs), width)
     add, zero = ones * (3 << width - 3), ones * (5 << width - 3)
     if keys is None:
         sums = [k + add for k in terms]
@@ -435,19 +416,16 @@ def _mul_keys(a: dict, b: dict, bias: int) -> dict:
 
 
 def _div_keys(vs: tuple[str, ...], width: int, num: dict, den: dict) -> LaurentPoly:
-    """Long division of two term dicts of one layout, under lexicographic
-    order on keys.
+    """Long division of two term dicts of one layout under lexicographic
+    order on keys: the route of ``LaurentPoly.exact_div`` when the divisor
+    has two or more terms.
 
-    The route of ``LaurentPoly.exact_div`` when the divisor has two or more
-    terms. An exact quotient's exponents lie in the box between the
-    numerator's column minima less the divisor's and its column maxima less
-    the divisor's, per variable. Each quotient exponent is checked against
-    that box before it is used; the first outside it proves that no exact
-    quotient exists. Within the box every term of quotient times divisor,
-    and so every remainder term, has its exponents between the numerator's
-    column minima and maxima: in the fields of the layout, so key
-    arithmetic never carries or borrows between fields. Coefficients are
-    Python integers.
+    Per variable, an exact quotient's exponents lie between the numerator's
+    minimum less the divisor's and its maximum less the divisor's. Each
+    quotient exponent is checked against that box before it is used (one
+    outside it proves that no exact quotient exists), so every remainder
+    exponent stays within the numerator's range and key arithmetic never
+    carries or borrows between fields. Coefficients are Python integers.
 
     The lead remainder term comes from a lazy max-heap of negated keys.
     Invariant: every key of the remainder has at least one heap entry, and
@@ -531,19 +509,16 @@ def _poly_str(p: LaurentPoly) -> str:
 #
 # An entry of a step-matrix product is a pair (offset, terms): the key of
 # each term is offset + key, so multiplying by a variable only moves the
-# offset. Keys are packed as LaurentPoly's but without its bias, so an
-# entry's fields hold its natural exponents. The terms are a dict, or in
-# the int64 form of ``nested_word_values`` a pair of arrays (sorted keys,
-# coefficients). ``_shifted`` shares terms, so ``_plus`` and ``_array_plus``
-# mutate neither operand; coefficients are natural and only added, so no
-# sum is 0 to prune.
+# offset. Keys are packed as LaurentPoly's without its bias, so fields hold
+# natural exponents. The terms are a dict, or in the int64 form of
+# ``nested_word_values`` a pair of arrays (sorted keys, coefficients).
+# ``_shifted`` shares terms, so ``_plus`` and ``_array_plus`` mutate neither
+# operand; coefficients are natural and only added, so no sum is 0 to prune.
 #
 # A term of a step-matrix product takes one entry from each step matrix,
-# and the two matrices beside a vertex cannot both take its variable (the
-# one before it would end in the row, the one after it start in the column,
-# that leaves the variable out). So an exponent of a name in an entry or a
-# value, and in its denominator, is at most the number of the word's
-# vertices that carry that name.
+# and of the two matrices beside a vertex at most one takes its variable.
+# So an exponent of a name in an entry, a value or its denominator is at
+# most the number of the word's vertices that carry that name.
 
 
 def _shifted(entry: tuple, k: int) -> tuple:
@@ -622,13 +597,10 @@ def _layout(names: Iterable[str], narrow: bool = False) -> tuple[tuple[str, ...]
     name a vertex, repeats counted): the sorted universe of names, the
     field width and each name's unbiased key.
 
-    Every exponent of a value lies within the most vertices one name
-    carries, so that count sets the width, and the width is the values'
-    own unless some value keeps only smaller exponents. With ``narrow``,
-    where that width takes more than 62 key bits and fields only as wide as
-    the count needs (its bit_length + 3) take at most 62, the fields are
-    that narrow, so that the walk can run in int64, and ``_over_monomial``
-    repacks each value.
+    The most vertices one name carries bounds every exponent and sets the
+    width. With ``narrow``, where that width takes over 62 key bits and the
+    count's bit_length + 3 at most 62, fields are that narrow, so that the
+    walk can run in int64, and ``_over_monomial`` repacks each value.
     """
     counts = Counter(names)
     universe = tuple(sorted(counts, key=_var_key))
@@ -649,14 +621,12 @@ def _over_monomial(universe: tuple, width: int, entry: tuple, den: int) -> Laure
     keys, to_width = terms[0] + shift, _width(-(1 << width - 3), (1 << width - 3) - 1)
     if to_width == width:  # the values' own width
         return _canonical(universe, width, dict(zip(keys.tolist(), terms[1].tolist())), keys)
-    # a narrow walk: each field rebiased at the values' width, written as
-    # one big-endian unsigned integer of width bits, one key per row
-    import numpy as np
+    import numpy as np  # a narrow walk: rebias each field at the values' width
 
     n = len(universe)
-
     fields = (keys[:, None] >> np.arange(n - 1, -1, -1) * width) & (1 << width) - 1
     fields += (1 << to_width - 2) - (1 << width - 2)
+    # a row of big-endian unsigned fields is the bytes of its key
     raw, step = fields.astype(">u%d" % (to_width // 8)).tobytes(), n * to_width // 8
     keys = [int.from_bytes(raw[i:i + step], "big") for i in range(0, len(raw), step)]
     return _canonical(universe, to_width, dict(zip(keys, terms[1].tolist())))
@@ -678,10 +648,8 @@ def bordered_word_value(names: Sequence[Optional[str]], letters: str,
     construction needs. A single word never grows on the left, so only the
     row vector (x, y) = (1, a_0) is carried from left to right: an x letter
     maps it to (a x, x + b y), a y letter to (b x + y, a y), and the close
-    is x + a_n y (a_n x + y with ``col_swap``). That is one entry sum per
-    letter and one at the close, on the packed entries of the nested kernel
-    below; a constant vertex is a zero shift, with no field and no factor
-    in the denominator.
+    is x + a_n y (a_n x + y with ``col_swap``). A constant vertex is a zero
+    shift, with no field and no factor in the denominator.
     """
     n = len(letters)
     if n < 2:
@@ -716,36 +684,28 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
 
     with M as in ``bordered_word_value``. Each span must contain the one
     before it, so the frise rays keep P and extend it by the step matrices
-    of the new letters at each end. A step multiplies entries by one
-    variable or adds two of them, so P's entries live over unbiased keys in
-    the layout of the values (``_layout`` of the last word's vertices) with
-    natural coefficients and no division. Each value leaves with one
-    constant, the bias less its denominator's key, added to each key.
+    of the new letters at each end: a step multiplies entries by one
+    variable or adds two of them. P's entries have natural coefficients
+    over unbiased keys in the layout of ``_layout`` (of the last word's
+    vertices), and each value leaves with one constant, the bias less its
+    denominator's key, added to each key.
 
-    An entry has one of two forms, both (offset, terms) with every packed
-    key offset + key, so a product by a variable is an offset move:
-
-    - a dict from key to coefficient, summed by ``_plus``;
-    - from the span at which the largest of P's four entries has
-      ``_ARRAY_TERMS`` terms on, sorted int64 keys with their int64
-      coefficients, summed by ``_array_plus`` (one concatenation, one
-      stable sort of two sorted runs, one ``reduceat``). The four entries
-      are converted once, and the values leave with their terms in
-      lexicographic order.
-
-    The int64 form is exact, and is used, only when two bounds decided
-    before the walk hold; outside them the dicts run throughout:
+    An entry is (offset, terms), every key offset + key, so a product by a
+    variable is an offset move. Its terms are a dict summed by ``_plus``,
+    and from the span at which one of P's four entries has
+    ``_ARRAY_TERMS`` terms on, sorted int64 keys and coefficients summed by
+    ``_array_plus``; the values then leave with their terms in
+    lexicographic order. The int64 form is exact, and is used, only within
+    two bounds decided before the walk:
 
     - (distinct names) * width <= 62 bits: every field of a key of an
-      entry, or of a value, is below 2^(width-1), so every such key is
-      below 2^61, and so is every key and offset of ``_array_plus``;
-    - the last span's value at all ones (one integer walk over its
-      letters) is below 2^62: coefficients are natural, so each is at most
-      the coefficient sum of its entry, which is that entry at all ones. At
-      all ones every step matrix is natural with ones on its diagonal, so
-      P grows entrywise from span to span, and every entry, sum of entries
-      and value formed along the way is at most the last value at all ones.
-      Then no coefficient, and no partial sum of ``reduceat``, leaves int64.
+      entry or a value is below 2^(width-1), so every such key, and every
+      key and offset of ``_array_plus``, is below 2^61;
+    - the last span's value at all ones is below 2^62: at all ones every
+      step matrix is natural with ones on its diagonal, so P grows
+      entrywise from span to span, and every coefficient, entry, sum and
+      value along the way is at most the last value at all ones. Then no
+      coefficient, and no partial sum of ``reduceat``, leaves int64.
     """
     spans = list(spans)
     if not spans:
@@ -807,40 +767,26 @@ _MAX_PAIRS = 1 << 22
 def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     """Exact check that p*q - r*s == 1.
 
-    The four operands' keys are taken in one layout: their own when they
-    share it, else each is realigned once to the union of their variables
-    at the widest of their widths. Two keys of one layout sum without a
-    carry to the key of the exponent sum plus the bias twice, so every pair
-    of p*q and of -r*s is summed at the sum of its keys, 1 is subtracted at
-    twice the bias, and the check holds when every sum is 0.
+    The operands' keys are read in one layout (their own when they share
+    it), where two keys sum without a carry to the key of the exponent sum
+    plus twice the bias. The dict pass sums each pair of p*q and of -r*s at
+    the sum of its keys and 1 less at twice the bias, and the check holds
+    when every sum is 0: exact for every input.
 
-    From ``_DICT_PAIRS`` pairs on, an int64 pass comes first: the keys of
-    all four operands go into one int64 array and their coefficients into
-    another. The exponents decoded from the keys give emax (the largest
-    |exponent|), and the coefficients give cmax (the largest |coefficient|,
-    at least 1), read off each array's max() and min() as exact Python
-    integers, so -2^63 counts as 2^63. Each exponent vector is repacked, by
-    one int64 product with its field weights, into one integer: the sum of
-    e_v << (w * i_v + cbits) over the variables, with i_v the position of v
-    and one signed field width w = (2 * emax).bit_length() + 1. Each pair is
-    one int64 word (key sum) + (c1*c2 + cmax^2); one in-place sort puts
-    equal keys together, and ``reduceat`` sums each run of them. The
-    repacking is linear and injective on sums of two exponent vectors: each
-    component of such a sum lies in [-2 * emax, 2 * emax], so two of them
-    differ by less than 2^w per component, and sum d_v 2^(w * i_v) with
-    every |d_v| < 2^w is 0 only when every d_v is. Below ``_DICT_PAIRS``
-    pairs, and whenever a value does not fit int64, the check is one dict
-    pass over Python integers, which is exact for every input. So it is
-    outside either of the two bounds under which the int64 pass is exact:
+    From ``_DICT_PAIRS`` pairs on an int64 pass comes first. It decodes the
+    exponents with numpy and reads emax (the largest |exponent|) and cmax
+    (the largest |coefficient|, at least 1) as Python integers, so -2^63
+    counts as 2^63. One int64 product repacks each exponent vector into
+    signed fields of width w = (2 * emax).bit_length() + 1 shifted left by
+    cbits = (2 * cmax^2).bit_length(), injective on sums of two vectors.
+    Each pair is one word, (key sum) + c1*c2 + cmax^2; one sort puts equal
+    keys together and ``reduceat`` sums each run. It runs within two bounds:
 
-    - kbits + cbits <= 62, with kbits = w * n for n variables and cbits =
-      (2 * cmax^2).bit_length(): a key lies strictly between -2^(kbits-1)
-      and 2^(kbits-1), and a biased coefficient in [0, 2^cbits), so every
-      word fits in an int64 and words sort by key first. A run of one key
-      holds at most 2^(kbits+1) + 1 words, the subtracted 1 included (each
-      product has at most one pair per first exponent vector in the box
-      [-emax, emax]^n, and 2 * emax + 1 <= 2^(w-1)), each of size at most
-      cmax^2 < 2^(cbits-1), so its partial sums stay below 2^63;
+    - w * n + cbits <= 62 for n variables: every word fits int64 and words
+      sort by key first. A run of one key holds at most 2^(w*n+1) + 1
+      words (one pair per first exponent vector in the box [-emax, emax]^n
+      in each product, and the subtracted 1), each at most cmax^2 <
+      2^(cbits-1), so its partial sums stay below 2^63;
     - pairs <= ``_MAX_PAIRS``, which caps the pass's memory.
     """
     terms, n, width = _minor_operands(p, q, r, s)
@@ -853,11 +799,8 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
 def _minor_operands(*operands: Scalar) -> tuple[list[dict], int, int]:
     """The operands' term dicts in one layout, its variable count and width."""
     polys = [LaurentPoly.coerce(v) for v in operands]
-    vs, width = polys[0]._vars, polys[0]._width
-    if all(f._vars == vs and f._width == width for f in polys):
-        return [f._terms for f in polys], len(vs), width
     vs, width = _union(*(f._vars for f in polys)), max(f._width for f in polys)
-    return [f._relaid(vs, width) for f in polys], len(vs), width
+    return [_relaid(f._terms, f._vars, f._width, vs, width) for f in polys], len(vs), width
 
 
 def _differ_by_one_dicts(terms: list, n: int, width: int) -> bool:
@@ -865,14 +808,12 @@ def _differ_by_one_dicts(terms: list, n: int, width: int) -> bool:
     tp, tq, tr, ts = terms
     acc = {_ones(n, width) << width - 1: -1}  # the 1, at twice the bias
     get = acc.get
-    for k1, c1 in tp.items():
-        for k2, c2 in tq.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-    for k1, c1 in tr.items():
-        for k2, c2 in ts.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) - c1 * c2
+    for t1, t2, sign in ((tp, tq, 1), (tr, ts, -1)):
+        for k1, c1 in t1.items():
+            c1 *= sign
+            for k2, c2 in t2.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
     return not any(acc.values())
 
 
@@ -881,8 +822,7 @@ def _differ_by_one_int64(terms: list, n: int, width: int) -> Optional[bool]:
     leaves int64 or the bounds fail.
 
     A key below 2^63 with two or more fields has fields of at most 32 bits,
-    so every mask fits int64; the top field needs none. Within the bounds
-    no repacked key, and no partial sum of one, leaves the int64 range.
+    so every mask fits int64; the top field needs none.
     """
     import numpy as np  # here, so that importing artifact does not load numpy
 
@@ -903,9 +843,8 @@ def _differ_by_one_int64(terms: list, n: int, width: int) -> Optional[bool]:
     if w * n + cbits > 62:
         return None
     packed = exps @ np.array([1 << w * (n - 1 - i) + cbits for i in range(n)], dtype=np.int64)
-    a, b, c = sizes[0], sizes[0] + sizes[1], sizes[0] + sizes[1] + sizes[2]
-    kp, kq, kr, ks = packed[:a], packed[a:b], packed[b:c], packed[c:]
-    cp, cq, cr, cs = coeffs[:a], coeffs[a:b], coeffs[b:c], coeffs[c:]
+    (kp, cp), (kq, cq), (kr, cr), (ks, cs) = [(packed[i - m:i], coeffs[i - m:i])
+                                              for i, m in zip(accumulate(sizes), sizes)]
     n_pq = len(kp) * len(kq)
     words = np.empty(n_pq + len(kr) * len(ks) + 1, dtype=np.int64)
     words[-1] = bias - 1  # the 1 subtracted at key 0
