@@ -106,17 +106,15 @@ class LaurentPoly:
         for e in tm:
             if len(e) != len(vs):
                 raise ValueError("exponent tuple length does not match variable count")
-        # keep the variables with a nonzero exponent in some term, sorted;
-        # dropping all-zero columns keeps the exponent tuples distinct
-        order = sorted((i for i in range(len(vs)) if any(e[i] for e in tm)),
-                       key=lambda i: _var_key(vs[i]))
+        order = sorted(range(len(vs)), key=lambda i: _var_key(vs[i]))
         columns = [[e[i] for e in tm] for i in order]
-        width = _width(min(map(min, columns), default=0), max(map(max, columns), default=0))
-        n, keys = len(order), [_ones(len(order), width) << width - 2] * len(tm)
+        width = _width(min(chain(*columns), default=0), max(chain(*columns), default=0))
+        keys = [_ones(len(vs), width) << width - 2] * len(tm)
         for j, col in enumerate(columns):
-            keys = [k + (x << width * (n - 1 - j)) for k, x in zip(keys, col)]
-        self._vars, self._width = tuple(vs[i] for i in order), width
-        self._terms = dict(zip(keys, tm.values()))
+            keys = [k + (x << width * (len(vs) - 1 - j)) for k, x in zip(keys, col)]
+        # _canonical drops the variables with exponent 0 in every term
+        p = _canonical(tuple(vs[i] for i in order), width, dict(zip(keys, tm.values())))
+        self._vars, self._width, self._terms = p._vars, p._width, p._terms
 
     # ------------------------------------------------------------------
     # constructors
@@ -268,13 +266,10 @@ class LaurentPoly:
             raise NonMonomialDivisor("divisor has %d terms" % len(divisor._terms))
         vs, width, a, b = self._aligned(divisor)
         ((kd, dc),) = b.items()
+        if any(c % dc for c in a.values()):
+            raise ExactDivisionError("a coefficient is not divisible by %d" % dc)
         shift = (_ones(len(vs), width) << width - 2) - kd
-        out = {}
-        for k, c in a.items():
-            if c % dc:
-                raise ExactDivisionError("coefficient %d not divisible by %d" % (c, dc))
-            out[k + shift] = c // dc
-        return _canonical(vs, width, out)
+        return _canonical(vs, width, {k + shift: c // dc for k, c in a.items()})
 
     def exact_div(self, divisor: Scalar) -> "LaurentPoly":
         """Exact division by an arbitrary Laurent polynomial (``_div_keys``);
@@ -434,7 +429,7 @@ def _div_keys(vs: tuple[str, ...], width: int, num: dict, den: dict) -> LaurentP
     popped; a key that cancels and reappears is pushed again. A processed
     lead cancels and never returns, since later keys are strictly smaller.
     """
-    n, mask = len(vs), (1 << width) - 1
+    n, mask, key_bias = len(vs), (1 << width) - 1, _ones(len(vs), width) << width - 2
     cols_num, cols_den = _columns(n, width, num, range(n)), _columns(n, width, den, range(n))
     lead_d, c_d = max(den.items())
     bias = 1 << width - 2
@@ -443,9 +438,7 @@ def _div_keys(vs: tuple[str, ...], width: int, num: dict, den: dict) -> LaurentP
     fields = [(width * (n - 1 - i), bias + e + min(cn) - min(cd), bias + e + max(cn) - max(cd))
               for i, ((e,), cn, cd) in enumerate(zip(_columns(n, width, [lead_d], range(n)),
                                                     cols_num, cols_den))]
-    key_bias = _ones(n, width) << width - 2
-    rem = dict(num)
-    den_list = list(den.items())
+    rem, den_list = dict(num), list(den.items())
 
     heap = [-k for k in rem]
     heapify(heap)
@@ -560,12 +553,9 @@ def _as_arrays(entries: tuple) -> list:
 def _array_plus(a: tuple, b: tuple) -> tuple:
     """The sum of two int64 entries: one concatenation of both sorted key
     runs at the lower offset, one stable sort (a merge of the two runs) and
-    one ``reduceat`` over each run of equal keys.
-
-    A nonempty entry keeps 0 <= offset <= offset + key < 2^62 for each of
-    its keys, so no key here leaves int64. An empty entry's offset, moved by
-    every shift, is unbounded, so an empty operand returns the other one.
-    """
+    one ``reduceat`` over each run of equal keys. A nonempty entry keeps
+    0 <= offset <= offset + key < 2^62 for each key, so no key here leaves
+    int64; an empty one's offset is unbounded, so it returns the other."""
     import numpy as np
 
     (off_a, (ka, ca)), (off_b, (kb, cb)) = a, b
@@ -756,9 +746,11 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
 # the minor check
 
 # Below this many term pairs the minor check is one dict pass; from it on,
-# while the int64 bounds hold, one sort of int64 words. Both cost the same at
-# 96-127 pairs on symbolic-tiles' minors, seeds 1 and 24 (tools/time_kernel.py).
-_DICT_PAIRS = 128
+# while the int64 bounds hold, one sort of int64 words. The band table of
+# tools/time_kernel.py on symbolic-tiles' minors, seeds 1 and 24, puts the
+# crossover here: dict 42-43 us a minor against int64 50-55 at 192-255
+# pairs, and 61-65 against 55-58 at 256-383.
+_DICT_PAIRS = 256
 # The int64 pass holds 24 bytes per pair at its peak (numpy buffers, read
 # with tracemalloc): about 100 MB at this cap.
 _MAX_PAIRS = 1 << 22
@@ -780,14 +772,12 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     signed fields of width w = (2 * emax).bit_length() + 1 shifted left by
     cbits = (2 * cmax^2).bit_length(), injective on sums of two vectors.
     Each pair is one word, (key sum) + c1*c2 + cmax^2; one sort puts equal
-    keys together and ``reduceat`` sums each run. It runs within two bounds:
-
-    - w * n + cbits <= 62 for n variables: every word fits int64 and words
-      sort by key first. A run of one key holds at most 2^(w*n+1) + 1
-      words (one pair per first exponent vector in the box [-emax, emax]^n
-      in each product, and the subtracted 1), each at most cmax^2 <
-      2^(cbits-1), so its partial sums stay below 2^63;
-    - pairs <= ``_MAX_PAIRS``, which caps the pass's memory.
+    keys together and ``reduceat`` sums each run. It runs only while pairs
+    <= ``_MAX_PAIRS`` (a memory cap) and w * n + cbits <= 62 for n
+    variables: then every word fits int64, words sort by key first, and a
+    run of one key holds at most 2^(w*n+1) + 1 words (one pair per first
+    exponent vector in [-emax, emax]^n in each product, and the 1), each at
+    most cmax^2 < 2^(cbits-1), so its partial sums stay below 2^63.
     """
     terms, n, width = _minor_operands(p, q, r, s)
     tp, tq, tr, ts = terms

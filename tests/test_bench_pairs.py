@@ -52,3 +52,20 @@ def test_labels_cover_every_end_to_end_metric_of_the_benchmark():
     got = bench_pairs.labels({"parent": runs([1.0, 1.0, 1.0]), "change": runs([2.0, 2.0, 2.0])},
                              bounds)
     assert got == {name: "worse" for name in bounds}
+
+
+def test_traced_runs_alternate_sides_and_record_per_layer_medians(monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, trace):
+        calls.append((tree, trace))
+        return {"correct": True, "metrics": {"layer.laurent.self_s": float(len(calls))}}
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    got = bench_pairs.with_medians(bench_pairs.alternating(
+        {"parent": "P", "change": "C"}, "symbolic-tiles", 1, bench_pairs.TRACED_RUNS, trace=1))
+    assert calls == [("P", 1), ("C", 1), ("C", 1), ("P", 1), ("P", 1), ("C", 1)]
+    assert got["parent"]["median"] == {"layer.laurent.self_s": 4.0}  # runs 1, 4 and 5
+    assert got["change"]["median"] == {"layer.laurent.self_s": 3.0}  # runs 2, 3 and 6
+    assert [len(side["runs"]) for side in got.values()] == [3, 3]
+

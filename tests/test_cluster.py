@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -413,6 +414,15 @@ def test_frieze_period_reports_the_candidate():
     assert not report["matches_letters_plus_3"]
     assert "candidate_variables_plus_2" not in report
     assert not report["anti_palindrome"]
+
+
+@pytest.mark.parametrize("letters", range(1, 7))
+def test_frieze_period_divides_variables_plus_3(letters):
+    # Conway-Coxeter: a frieze of n variables repeats after n + 3 columns,
+    # here letters + 4, and its least period divides that
+    for word in map("".join, itertools.product("xy", repeat=letters)):
+        report = frieze_period(CrossSeed.ones(word))
+        assert (report["variables"] + 3) % report["period"] == 0, word
 
 
 def test_frieze_period_builds_each_of_the_two_figures_once(monkeypatch):

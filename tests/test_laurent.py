@@ -792,6 +792,7 @@ def _passes_agree(p, q, r, s):
         with dict_pairs(threshold):
             got.append(products_differ_by_one(p, q, r, s))
     assert got[0] == got[1] == _products_differ_by_one_by_dicts(p, q, r, s) == (p * q - r * s == 1)
+    return got[0]
 
 
 @settings(max_examples=300)
@@ -1137,3 +1138,74 @@ def test_only_laurent_reads_the_term_layout():
         if names:
             readers[path.name] = sorted(names)
     assert readers == {}
+
+
+# ----------------------------------------------------------------------
+# the packed form at the boundary of its 8-bit fields: exponents from -32
+# to 31 fit 8 bits, and -33 or 32 take 16
+
+
+boundary_exps = st.one_of(st.integers(-3, 3), st.sampled_from([-33, -32, -31, 31, 32, 33]))
+
+
+def _canonical_width(p: LaurentPoly) -> int:
+    exps = [x for e in p.terms for x in e]
+    return 8 if -32 <= min(exps, default=0) and max(exps, default=0) <= 31 else 16
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_polys(exps=boundary_exps), ring_polys(exps=boundary_exps), st.integers(0, 2))
+def test_the_packed_form_matches_the_tuple_oracle_across_the_width_boundary(p, q, n):
+    tp, tq = TupleLaurent.of(p), TupleLaurent.of(q)
+    # a product can widen its fields, a quotient narrow them, and a sum or
+    # difference drop a variable whose exponent cancels to 0 in every term
+    cases = [(p, tp), (p + q, tp + tq), (p - q, tp - tq), (p * q, tp * tq), (p ** n, tp ** n),
+             (p + q - q, tp), (-p - q + p, -tq)]
+    if not q.is_zero():
+        cases.append(((p * q).exact_div(q), tp))
+    num, den = p.numerator_denominator()
+    want_num, want_den = tp.numerator_denominator()
+    cases += [(num, want_num), (den, want_den)]
+    for got, want in cases:
+        _matches(got, want)
+        assert got._width == _canonical_width(got)
+        assert got == LaurentPoly(got.variables, got.terms)
+        if not got.variables:  # a constant equals and hashes as its integer
+            assert got == got.as_int() and hash(got) == hash(got.as_int())
+    assert (p == q) == (tp == tq)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert (p.sort_key() < q.sort_key()) == (tp.sort_key() < tq.sort_key())
+
+
+@st.composite
+def mixed_minors(draw):
+    """(p, q, r, s) with p*q - r*s = 1 from elementary matrices whose
+    entries have different variable sets, some of them in fields of 16
+    bits, and a slot whose partner (q for p, p for q, s for r, r for s) is
+    nonzero, with a term of its operand to perturb."""
+    m = Mat2.identity()
+    for i in range(draw(st.integers(1, 3))):
+        t = draw(ring_polys(exps=boundary_exps))
+        m = m * (Mat2(1, t, 0, 1) if i % 2 else Mat2(1, 0, t, 1))
+    minor = [m.a, m.d, m.b, m.c]
+    slots = [i for i in range(4) if not minor[i].is_zero() and not minor[i ^ 1].is_zero()]
+    return minor, draw(st.sampled_from(slots)) if slots else None, draw(st.integers(0, 1 << 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_minors(), st.sampled_from([1, -1, 2, -7]))
+def test_minors_of_mixed_layouts_hold_and_one_perturbed_coefficient_breaks_them(case, delta):
+    minor, slot, pick = case
+    assert _passes_agree(*minor)
+    if slot is None:
+        return
+    operand = minor[slot]
+    terms = operand.terms
+    e = sorted(terms)[pick % len(terms)]
+    terms[e] += delta
+    # p*q - r*s moves by delta x^e times the partner, which is not 0
+    perturbed = list(minor)
+    perturbed[slot] = LaurentPoly(operand.variables, terms)
+    assert not _passes_agree(*perturbed)
+

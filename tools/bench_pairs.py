@@ -7,13 +7,15 @@ Both commits are exported with `git archive` into a temporary directory,
 and perfbench/run.py runs in each export, so every side measures its own
 committed library with its own committed benchmark, at that benchmark's
 own run length. Ten pairs run, alternating which side runs first. After
-them, every other workload runs three times per side, again alternating
-which side runs first, and the paired workload runs once per side traced.
+them, every other workload runs three times per side, and the paired
+workload three times per side traced, again alternating which side runs
+first.
 
 The output holds each run's metrics. For the paired workload it also
 holds, per metric and side, the median and quartiles, and the number of
 pairs the change won (ties count for neither side); for every other
-workload, per metric and side, the median of its three runs.
+workload, and for the traced runs (whose metrics include the per-layer
+ones), per metric and side, the median of the three runs.
 
 Each end-to-end metric of BENCHMARK.json (which is only read) gets a label
 per workload, written to the output and printed:
@@ -45,6 +47,7 @@ WORKLOADS = ("probe", "symbolic-frise", "symbolic-tiles", "integer-tiles")
 TIMEOUT_S = 1800
 PAIRS = 10
 OTHER_RUNS = 3
+TRACED_RUNS = 3
 
 
 def export(rev: str, dest: Path) -> str:
@@ -77,12 +80,17 @@ def run(tree: Path, workload: str, seed: int, trace: int) -> dict:
     return {**result, "metrics": values}
 
 
-def alternating(trees: dict, workload: str, seed: int, count: int) -> dict[str, list[dict]]:
+def alternating(trees: dict, workload: str, seed: int, count: int,
+                trace: int = 0) -> dict[str, list[dict]]:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(count):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            runs[side].append(run(trees[side], workload, seed, 0))
+            runs[side].append(run(trees[side], workload, seed, trace))
     return runs
+
+
+def with_medians(runs: dict[str, list[dict]]) -> dict:
+    return {side: {"median": medians(r), "runs": r} for side, r in runs.items()}
 
 
 def medians(runs: list[dict]) -> dict:
@@ -143,10 +151,9 @@ def main() -> int:
         commits = {side: export(rev, trees[side])
                    for side, rev in (("parent", args.base), ("change", args.change))}
         runs = alternating(trees, args.workload, args.seed, PAIRS)
-        others = {w: {side: {"median": medians(r), "runs": r}
-                      for side, r in alternating(trees, w, args.seed, OTHER_RUNS).items()}
+        others = {w: with_medians(alternating(trees, w, args.seed, OTHER_RUNS))
                   for w in WORKLOADS if w != args.workload}
-        traced = {side: run(trees[side], args.workload, args.seed, 1) for side in trees}
+        traced = with_medians(alternating(trees, args.workload, args.seed, TRACED_RUNS, trace=1))
 
     verdicts = {args.workload: labels(runs, bounds)}
     verdicts.update((w, labels({side: r["runs"] for side, r in sides.items()}, bounds))
@@ -170,8 +177,9 @@ def main() -> int:
         "traced": traced,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    every = [*runs["parent"], *runs["change"], *traced.values(),
-             *(r for sides in others.values() for side in sides.values() for r in side["runs"])]
+    every = [*runs["parent"], *runs["change"],
+             *(r for sides in [traced, *others.values()] for side in sides.values()
+               for r in side["runs"])]
     return 0 if all(r["correct"] for r in every) else 1
 
 

@@ -13,8 +13,9 @@ hold); this command times it through:
 - ``frise_extend_vars`` on Atilde3 at 14 steps and on the cycle quiver of
   ``xxxy`` at 10 steps, whose entries pass the switch;
 - ``frise_extend_vars`` on Atilde5 at 12 steps, whose values are so
-  large that reading them out of the int64 form (``laurent._unpacked``,
-  one numpy column per kept field) is the largest part of the kernel;
+  large that moving them out of the int64 form (``laurent._over_monomial``:
+  one constant added to each key, then one ``tolist``) is a large part of
+  the kernel;
 - ``frise_extend_vars`` on the cycle quiver of ``xxy`` at 10 steps, whose
   entries pass it only on the last spans of its rays.
 
