@@ -746,10 +746,9 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
 # the minor check
 
 # Below this many term pairs the minor check is one dict pass; from it on,
-# while the int64 bounds hold, one sort of int64 words. The band table of
-# tools/time_kernel.py on symbolic-tiles' minors, seeds 1 and 24, puts the
-# crossover here: dict 42-43 us a minor against int64 50-55 at 192-255
-# pairs, and 61-65 against 55-58 at 256-383.
+# while the int64 bounds hold, one sort of int64 words: the crossover in the
+# band table of tools/time_kernel.py at seeds 1 and 24 (dict 47 us a minor
+# against int64 56-58 at 192-255 pairs, 67-71 against 59-63 at 256-383).
 _DICT_PAIRS = 256
 # The int64 pass holds 24 bytes per pair at its peak (numpy buffers, read
 # with tracemalloc): about 100 MB at this cap.
@@ -808,25 +807,27 @@ def _differ_by_one_dicts(terms: list, n: int, width: int) -> bool:
 
 
 def _differ_by_one_int64(terms: list, n: int, width: int) -> Optional[bool]:
-    """The int64 pass of ``products_differ_by_one``, or None when a value
-    leaves int64 or the bounds fail.
-
-    A key below 2^63 with two or more fields has fields of at most 32 bits,
-    so every mask fits int64; the top field needs none.
-    """
+    """The int64 pass of ``products_differ_by_one``, or None when a
+    coefficient leaves int64 or the bounds fail. Keys of up to 64 bits
+    (below 2^63, as a top field is below 2^(width-1)) go to numpy as int64,
+    longer ones as big-endian bytes: their fields as unsigned integers."""
     import numpy as np  # here, so that importing artifact does not load numpy
 
-    sizes = [len(t) for t in terms]
+    sizes, keys = [len(t) for t in terms], chain.from_iterable(terms)
     try:
-        keys = np.fromiter(chain.from_iterable(terms), dtype=np.int64, count=sum(sizes))
         coeffs = np.fromiter(chain.from_iterable(t.values() for t in terms), dtype=np.int64,
                              count=sum(sizes))
     except OverflowError:
         return None
-    exps = keys[:, None] >> np.array([width * (n - 1 - i) for i in range(n)], dtype=np.int64)
-    if n > 1:
-        exps[:, 1:] &= (1 << width) - 1
-    exps -= 1 << width - 2
+    if width > 64:  # exponents of 2^61 or more: w passes 62
+        return None
+    if n * width <= 64 and width < 64:
+        keys = np.fromiter(keys, dtype=np.int64, count=sum(sizes))
+        exps = keys[:, None] >> np.arange(n - 1, -1, -1) * width & (1 << width) - 1
+    else:
+        raw = b"".join([k.to_bytes(n * width // 8, "big") for k in keys])
+        exps = np.frombuffer(raw, dtype=">u%d" % (width // 8)).reshape(sum(sizes), n)
+    exps = exps.astype(np.int64, copy=False) - (1 << width - 2)
     emax = max(int(exps.max(initial=0)), -int(exps.min(initial=0)))
     bias = max(int(coeffs.max(initial=1)), -int(coeffs.min(initial=-1))) ** 2  # cmax^2
     w, cbits = (2 * emax).bit_length() + 1, (2 * bias).bit_length()

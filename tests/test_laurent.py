@@ -1053,8 +1053,9 @@ DIFF_NAMES = [(), ("a",), ("b",), ("a", "b"), ("b", "u10"), ("a", "b", "u10")]
 
 
 @st.composite
-def ring_polys(draw, exps=st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))):
-    names = draw(st.sampled_from(DIFF_NAMES))
+def ring_polys(draw, exps=st.one_of(st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40)),
+               names=st.sampled_from(DIFF_NAMES)):
+    names = draw(names)
     terms = draw(st.dictionaries(st.tuples(*[exps] * len(names)), st.integers(-4, 4),
                                  max_size=4))
     return LaurentPoly(names, terms)
@@ -1145,6 +1146,7 @@ def test_only_laurent_reads_the_term_layout():
 # to 31 fit 8 bits, and -33 or 32 take 16
 
 
+NINE = tuple("u%d" % i for i in range(1, 10))
 boundary_exps = st.one_of(st.integers(-3, 3), st.sampled_from([-33, -32, -31, 31, 32, 33]))
 
 
@@ -1181,12 +1183,14 @@ def test_the_packed_form_matches_the_tuple_oracle_across_the_width_boundary(p, q
 @st.composite
 def mixed_minors(draw):
     """(p, q, r, s) with p*q - r*s = 1 from elementary matrices whose
-    entries have different variable sets, some of them in fields of 16
-    bits, and a slot whose partner (q for p, p for q, s for r, r for s) is
-    nonzero, with a term of its operand to perturb."""
+    entries have different variable sets, some in fields of 16 bits and
+    some over five or nine variables (keys past 64 bits, in fields of 16 or
+    8 bits), and a slot whose partner (q for p, p for q, s for r, r for s)
+    is nonzero, with a term of its operand to perturb."""
     m = Mat2.identity()
+    names = st.sampled_from(DIFF_NAMES + [NINE[:5], NINE])
     for i in range(draw(st.integers(1, 3))):
-        t = draw(ring_polys(exps=boundary_exps))
+        t = draw(ring_polys(exps=boundary_exps, names=names))
         m = m * (Mat2(1, t, 0, 1) if i % 2 else Mat2(1, 0, t, 1))
     minor = [m.a, m.d, m.b, m.c]
     slots = [i for i in range(4) if not minor[i].is_zero() and not minor[i ^ 1].is_zero()]
