@@ -355,7 +355,7 @@ def _moves(vs: tuple[str, ...], width: int, to_vs: tuple[str, ...], to_width: in
 def _canonical(vs: tuple[str, ...], width: int, terms: dict, keys=None) -> LaurentPoly:
     """The LaurentPoly of terms: nonzero coefficients at distinct keys over
     the sorted variables vs, fields of width bits holding exponents e in
-    (-2^(width-2), 2^(width-2)) as e + 2^(width-2).
+    [-2^(width-2), 2^(width-2)) as e + 2^(width-2).
 
     Each key plus a constant holds e + 2^(width-1) + 2^(width-3) in each
     field, without a carry. The or and the and of those sums show the
