@@ -383,20 +383,17 @@ def probe_cmd(name, cartan, quiver_json, steps, max_order, fmt) -> None:
 @cli.command("verify")
 @click.option("--suite", "suites", multiple=True, default=("all",), show_default=True,
               help="Check names, or 'all'. Repeatable.")
-@click.option("--timings", is_flag=True,
-              help="Add each check's seconds: a 'seconds' key in json, a column in text and tsv.")
 @format_option
 @click.pass_context
-def verify_cmd(ctx, suites, timings, fmt) -> None:
+def verify_cmd(ctx, suites, fmt) -> None:
     """Run the reproducibility suite; exit 0 iff every check passes."""
     from .acceptance import run_suite  # here, so that the other commands start faster
 
     try:
-        reports = run_suite(suites, timings)
+        reports = run_suite(suites)
     except KeyError as exc:
         raise click.UsageError("unknown suite %s" % exc)
-    _emit(fmt, reports, [[r["name"], "PASS" if r["ok"] else "FAIL"]
-                         + (["%.3f" % r["seconds"]] if timings else []) + [r["detail"]]
+    _emit(fmt, reports, [[r["name"], "PASS" if r["ok"] else "FAIL", r["detail"]]
                          for r in reports])
     if not all(r["ok"] for r in reports):
         ctx.exit(1)

@@ -509,9 +509,13 @@ def _poly_str(p: LaurentPoly) -> str:
 # operand; coefficients are natural and only added, so no sum is 0 to prune.
 #
 # A term of a step-matrix product takes one entry from each step matrix,
-# and of the two matrices beside a vertex at most one takes its variable.
-# So an exponent of a name in an entry, a value or its denominator is at
-# most the number of the word's vertices that carry that name.
+# and both matrices beside a vertex may take its variable: in
+# M(a1,x,a2) M(a2,y,a3) = [[a1 a3 + 1, a2], [a2, a2^2]] an x letter then
+# a y letter take a2 twice. So with c the number of the word's vertices
+# that carry a name, its exponent in an entry is at most 2c, and in a
+# value or its denominator at most c in absolute value. ``_layout`` keeps
+# c < 2^(W-3): 2c < 2^(W-2) keeps unbiased keys free of carries and each
+# of their fields below 2^(W-2), and a value's biased fields below 2^(W-1).
 
 
 def _shifted(entry: tuple, k: int) -> tuple:

@@ -278,25 +278,6 @@ def test_verify_golden(case):
     assert result.stdout == case["stdout"]
 
 
-@pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
-def test_verify_timings_add_seconds_and_leave_the_rest_as_the_golden(fmt):
-    args = ["verify", "--suite", "frieze", "--format", fmt]
-    (want,) = [c["stdout"] for c in VERIFY_GOLDENS if c["args"] == args]
-    assert _run(*args).stdout == want
-    result = _run(*args, "--timings")
-    assert result.exit_code == 0
-    if fmt == "json":
-        reports = json.loads(result.stdout)
-        seconds = [r.pop("seconds") for r in reports]
-        assert json.dumps(reports) + "\n" == want
-    else:
-        sep = "\t" if fmt == "tsv" else None
-        rows = [line.split(sep, 3) for line in result.stdout.splitlines()]
-        seconds = [float(row.pop(2)) for row in rows]
-        assert rows == [line.split(sep, 2) for line in want.splitlines()]
-    assert len(seconds) == 1 and seconds[0] >= 0
-
-
 def test_classify_at_the_vertex_cap_prints_the_marks():
     result = _run("classify", "--name", "Dtilde511")
     assert result.exit_code == 0

@@ -962,7 +962,11 @@ def _names(k):
     # fields of 8 bits again. Past 62 bits the walk narrows its fields to
     # the vertex count's bit_length + 3: 8 and 15 names on one vertex each
     # to 4 bits (32 and 60 key bits), 4 names on 32 vertices each to 9 bits
-    # (36); 16 names on one vertex each need 64 even so
+    # (36); 16 names on one vertex each need 64 even so, and 7 names on 32
+    # vertices each 63. An x letter then a y letter take their shared
+    # vertex's name twice in an entry: alternating words on 2 names of 31
+    # vertices each (8 bits) and on 8 names of 3 vertices each (narrow, 5
+    # bits) take entry exponents of 60 and 6, about twice the vertex count
     (_names(7), "xyxyxy", None, True),
     (_names(3), "x" * 94, None, True),
     (_names(4), "x" * 123, None, True),
@@ -970,13 +974,17 @@ def _names(k):
     (_names(15), "xy" * 7, None, True),
     (_names(4), "x" * 127, None, True),
     (_names(16), "xy" * 7 + "x", None, False),
+    (_names(7), "x" * 223, None, False),
+    (_names(2), "xy" * 30 + "x", None, True),
+    (_names(8), "xy" * 11 + "x", None, True),
     # the value at all ones one below 2^62, at it and one past it, with every
     # vertex on one name so that the coefficients are large
     (("u1",), "x%sx" % _interior_at_ones((1 << 62) - 1), (1 << 62) - 1, True),
     (("u1",), "x%sx" % _interior_at_ones(1 << 62), 1 << 62, False),
     (("u1",), "x%sx" % _interior_at_ones((1 << 62) + 1), (1 << 62) + 1, False),
 ], ids=["56 key bits", "48 key bits", "32 key bits", "narrow 32 key bits",
-        "narrow 60 key bits", "narrow 36 key bits", "narrow 64 key bits", "at ones 2^62-1",
+        "narrow 60 key bits", "narrow 36 key bits", "narrow 64 key bits", "narrow 63 key bits",
+        "alternating 16 key bits", "alternating narrow 40 key bits", "at ones 2^62-1",
         "at ones 2^62", "at ones 2^62+1"])
 def test_nested_word_values_fall_back_to_dicts_outside_the_int64_bounds(names, letters, total,
                                                                         arrays):

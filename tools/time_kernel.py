@@ -17,7 +17,11 @@ hold); this command times it through:
   one constant added to each key, then one ``tolist``) is a large part of
   the kernel;
 - ``frise_extend_vars`` on the cycle quiver of ``xxy`` at 10 steps, whose
-  entries pass it only on the last spans of its rays.
+  entries pass it only on the last spans of its rays;
+- ``frise_extend_vars`` on Atilde7 at 10 steps, whose rays carry 8 names:
+  their layouts pass 62 bits, so the walk narrows its fields to stay in
+  int64 and ``laurent._over_monomial`` repacks each value to its own
+  width with numpy.
 
 The single-word walk (``laurent.bordered_word_value``, a row vector of two
 entries) shows in ``cluster.tile_vars.self_s``; this command times it
@@ -203,7 +207,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the symbolic-tiles and integer-tiles inputs")
     seed = parser.parse_args().seed
-    atilde3, atilde5 = (diagrams.parse_shorthand(name) for name in ("Atilde3", "Atilde5"))
+    atilde3, atilde5, atilde7 = (diagrams.parse_shorthand(name)
+                                 for name in ("Atilde3", "Atilde5", "Atilde7"))
     xxxy = correspondence.cycle_quiver("xxxy")
     xxy = correspondence.cycle_quiver("xxy")
     calls = tile_calls(seed)
@@ -228,6 +233,8 @@ def main() -> None:
          best(lambda: frises.frise_extend_vars(xxxy, 10))),
         ("frise_extend_vars cycle xxy, 10 steps",
          best(lambda: frises.frise_extend_vars(xxy, 10))),
+        ("frise_extend_vars Atilde7, 10 steps",
+         best(lambda: frises.frise_extend_vars(atilde7, 10))),
         ("variable_tile_value x %d, symbolic-tiles seed %d" % (len(calls), seed),
          best(lambda: [cluster.variable_tile_value(*c) for c in calls])),
     ] + [("products_differ_by_one x %d %s %d pairs, symbolic-tiles seed %d"
