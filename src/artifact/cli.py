@@ -36,7 +36,7 @@ from .diagrams import (
 )
 from .frises import frise_extend, frise_extend_vars
 from .recurrences import find_min_recurrence, human_form
-from .tilings import Embedding, brute_fill, parse_frontier, ray_values, tile_grid
+from .tilings import Embedding, brute_fill, brute_fill_box, parse_frontier, ray_values, tile_grid
 
 _LIMIT_DEFAULTS = {
     "ARTIFACT_MAX_STEPS": 512,
@@ -129,16 +129,6 @@ def _check_words(e: Embedding, ends: list[tuple[int, int]]) -> None:
     # more letters per side than that word has: the cap bounds the real work
     _check_limit("frontier word length", max(_word_length(e, p) for p in ends),
                  "ARTIFACT_MAX_REGION")
-
-
-def _oracle_box_cells(e: Embedding, region) -> int:
-    """Cells of the box brute_fill fills: the region and the frontier from
-    below-left of it to above-right of it, through vertex 0."""
-    u0, v0, u1, v1 = region
-    lo = min(0, e.column_run(u0 - 1)[0] - 1, e.row_run(v0 - 1)[0] - 1)
-    hi = max(0, e.column_run(u1 + 1)[1] + 1, e.row_run(v1 + 1)[1] + 1)
-    (a, b), (c, d) = e.vertex(lo), e.vertex(hi)
-    return (max(c, u1) - min(a, u0) + 1) * (max(d, v1) - min(b, v0) + 1)
 
 
 def _quiver_from_options(name: str | None, cartan: str | None, quiver_json: str | None):
@@ -246,7 +236,8 @@ def tile_cmd(frontier, region, oracle, fmt) -> None:
     e = Embedding(_data(parse_frontier, frontier))
     _check_words(e, [(u, v) for u in (u0, u1) for v in (v0, v1)])
     if oracle:
-        _check_limit("oracle box cells", _oracle_box_cells(e, region), "ARTIFACT_MAX_REGION")
+        bu0, bv0, bu1, bv1 = brute_fill_box(e, region)[2]
+        _check_limit("oracle box cells", (bu1 - bu0 + 1) * (bv1 - bv0 + 1), "ARTIFACT_MAX_REGION")
     grid = _data(brute_fill if oracle else tile_grid, e, region)
     table = [[grid[(u, v)] for u in range(u0, u1 + 1)] for v in range(v1, v0 - 1, -1)]
     _emit(fmt, {"region": list(region), "rows": [[_json_int(x) for x in row] for row in table]},

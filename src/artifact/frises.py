@@ -207,9 +207,8 @@ def verify_recursion(fr: Frise) -> None:
 
 
 def specialize_at_one(vf: VarFrise) -> Frise:
-    """Set every variable to 1, reproducing the integer frise cell by cell:
-    at all ones a Laurent polynomial is the sum of its coefficients."""
-    table = [[sum(cell.terms.values()) for cell in row] for row in vf.table]
+    """Set every variable to 1, reproducing the integer frise cell by cell."""
+    table = [[cell.at_ones() for cell in row] for row in vf.table]
     return Frise(vf.quiver, table)
 
 

@@ -177,6 +177,10 @@ class LaurentPoly:
             raise ValueError("not a constant: %s" % self)
         return self._terms.get(0, 0)
 
+    def at_ones(self) -> int:
+        """The value with every variable at 1: the sum of the coefficients."""
+        return sum(self._terms.values())
+
     def numerator_denominator(self) -> tuple["LaurentPoly", "LaurentPoly"]:
         """Split into (polynomial numerator, monomial denominator).
 

@@ -310,26 +310,35 @@ def tile_value(e: Embedding, p: Point) -> int:
 # independent oracle: fill a rectangle from the frontier by 2x2 completions
 
 
+def brute_fill_box(e: Embedding, region: Region) -> tuple[int, int, Region]:
+    """Vertex indices lo..hi that brute_fill seeds, and the box it fills.
+
+    lo is the last index <= 0 whose vertex lies more than one cell left of
+    and below the region, hi the first >= 0 more than one cell right of and
+    above it; the box spans the region and vertices lo..hi. Coordinates
+    never decrease along the path, so lo is one before the first vertex of
+    column u0-1 or row v0-1, whichever comes first, and hi one past the
+    last vertex of column u1+1 or row v1+1, whichever comes last.
+    """
+    u0, v0, u1, v1 = region
+    lo = min(0, e.column_run(u0 - 1)[0] - 1, e.row_run(v0 - 1)[0] - 1)
+    hi = max(0, e.column_run(u1 + 1)[1] + 1, e.row_run(v1 + 1)[1] + 1)
+    (a, b), (c, d) = e.vertex(lo), e.vertex(hi)
+    return lo, hi, (min(a, u0), min(b, v0), max(c, u1), max(d, v1))
+
+
 def brute_fill(e: Embedding, region: Region) -> dict[Point, int]:
     """Fill region (u0,v0,u1,v1) inclusive using only unimodular 2x2 blocks.
 
-    Seeds 1 on every frontier vertex of an enlarged box, then repeatedly
-    solves any 2x2 block with exactly one unknown corner. Shares no code
-    with tile_value.
+    Seeds 1 on every frontier vertex of brute_fill_box's enlarged box, then
+    repeatedly solves any 2x2 block with exactly one unknown corner. Shares
+    no code with tile_value.
     """
     u0, v0, u1, v1 = region
     if u0 > u1 or v0 > v1:
         raise ValueError("empty region %r" % (region,))
-    lo = 0
-    while not (e.vertex(lo)[0] < u0 - 1 and e.vertex(lo)[1] < v0 - 1):
-        lo -= 1
-    hi = 0
-    while not (e.vertex(hi)[0] > u1 + 1 and e.vertex(hi)[1] > v1 + 1):
-        hi += 1
+    lo, hi, (bu0, bv0, bu1, bv1) = brute_fill_box(e, region)
     walk = [e.vertex(i) for i in range(lo, hi + 1)]
-    us = [p[0] for p in walk] + [u0, u1]
-    vs = [p[1] for p in walk] + [v0, v1]
-    bu0, bu1, bv0, bv1 = min(us), max(us), min(vs), max(vs)
 
     known: dict[Point, int] = {p: 1 for p in walk}
     pending = deque(known)

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import artifact.laurent as laurent_mod
 from artifact.laurent import (
@@ -1113,6 +1113,15 @@ def test_inexact_division_raises_as_the_oracle_does(p, q):
     target = p * q + LaurentPoly.var("a")
     assert (_outcome(target.exact_div, q)
             == _outcome(TupleLaurent.of(target).exact_div, TupleLaurent.of(q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_polys(), ring_polys())
+@example(LaurentPoly.nat(0), a - a)
+def test_at_ones_sums_the_decoded_coefficients(p, q):
+    for value in (p, q, p * q):
+        assert value.at_ones() == sum(value.terms.values())
+    assert (a - a).at_ones() == 0 and ((1 + a + b) ** 5).monomial_div(a ** 3).at_ones() == 243
 
 
 def test_a_constant_hashes_as_its_integer():

@@ -6,30 +6,34 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from artifact.acceptance import _random_frontier
 from artifact.diagrams import parse_shorthand
 from artifact.frises import detect_period, frise_extend
-import artifact.recurrences as recurrences_mod
 from artifact.recurrences import (
-    BadDirection,
-    InconsistentWitness,
     LinearRecurrence,
-    LinearRep,
-    NonNaturalEntry,
     PrefixTooShort,
     find_min_recurrence,
     human_form,
-    nrational_witness,
-    tensor_hadamard,
     verify_recurrence,
 )
 from artifact.tilings import (
     Embedding,
+    Frontier,
     Ray,
     parse_frontier,
     ray_values,
     step_product,
     tile_value,
     word_span,
+)
+import witness_oracles
+from witness_oracles import (
+    BadDirection,
+    InconsistentWitness,
+    LinearRep,
+    NonNaturalEntry,
+    nrational_witness,
+    tensor_hadamard,
 )
 
 EVEN_FIB = [1, 1, 2, 5, 13, 34, 89, 233]
@@ -284,6 +288,40 @@ def test_two_power_to_single_power():
     assert [single.value(n) for n in range(12)] == [res.value(n) for n in range(12)]
 
 
+# Rays whose first candidate pumping point has a word ending on the
+# center's first or last letter, from where a step of the residue class
+# is not a whole number of tail blocks.
+PUMP_START_RAYS = [
+    (parse_frontier("[xy]* yyx [xxy]*"), (1, -1), (1, -1)),
+    (Frontier("yxx", "x", "xy"), (0, 0), (1, -1)),
+    (Frontier("yx", "x", "yxxxy"), (-1, 0), (2, -1)),
+]
+
+
+@pytest.mark.parametrize("fr, origin, direction", PUMP_START_RAYS)
+def test_witness_pumps_only_from_words_inside_both_tails(fr, origin, direction):
+    e = Embedding(fr)
+    w = nrational_witness(e, origin, direction)
+    assert w.values(60) == list(ray_values(e, origin, direction, 60).values)
+
+
+WITNESS_DIRECTIONS = [(1, 0), (0, -1), (1, -1), (2, -1), (1, -2), (-1, 0), (0, 1), (-1, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(WITNESS_DIRECTIONS),
+       st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+def test_witness_reproduces_far_ray_terms(rng, direction, origin):
+    # the witness reaches term n by matrix powers of the pump words, not by
+    # tile_values' prefix pairing, so this checks Embedding's block
+    # arithmetic many tail blocks out
+    e = Embedding(_random_frontier(rng))
+    w = nrational_witness(e, origin, direction)
+    want = ray_values(e, origin, direction, 300).values
+    assert w.values(300) == list(want)
+    assert w.value(299) == want[299]
+
+
 def test_tensor_hadamard():
     twos = LinearRep((1,), ((2,),), (1,))
     threes = LinearRep((1,), ((3,),), (1,))
@@ -302,7 +340,7 @@ def test_tensor_hadamard():
 
 def test_non_natural_witness_entry_raises_arithmetic_error(monkeypatch):
     e = Embedding(parse_frontier("[xy]* [xy]*"))
-    monkeypatch.setattr(recurrences_mod, "step_product",
+    monkeypatch.setattr(witness_oracles, "step_product",
                         lambda w: tuple(tuple(-x for x in row) for row in step_product(w)))
     with pytest.raises(NonNaturalEntry, match="not natural"):
         nrational_witness(e, (1, -1), (1, -1))
@@ -311,7 +349,7 @@ def test_non_natural_witness_entry_raises_arithmetic_error(monkeypatch):
 def test_unpumped_cut_word_raises_arithmetic_error(monkeypatch):
     e = Embedding(parse_frontier("[xy]* [xy]*"))
     # the third point of the ray reports one letter too many on its left
-    monkeypatch.setattr(recurrences_mod, "word_span",
+    monkeypatch.setattr(witness_oracles, "word_span",
                         lambda e, p: (lambda f, l: (f - (p == (3, -3)), l))(*word_span(e, p)))
     with pytest.raises(InconsistentWitness, match="does not pump"):
         nrational_witness(e, (1, -1), (1, -1))
@@ -319,7 +357,7 @@ def test_unpumped_cut_word_raises_arithmetic_error(monkeypatch):
 
 def test_witness_disagreeing_with_ray_raises_arithmetic_error(monkeypatch):
     e = Embedding(parse_frontier("[xy]* [xy]*"))
-    monkeypatch.setattr(recurrences_mod, "ray_values", lambda e, o, d, n: Ray(
+    monkeypatch.setattr(witness_oracles, "ray_values", lambda e, o, d, n: Ray(
         o, d, tuple(v + 1 for v in ray_values(e, o, d, n).values)))
     with pytest.raises(InconsistentWitness, match="witness gives"):
         nrational_witness(e, (1, -1), (1, -1))

@@ -20,6 +20,7 @@ from artifact.tilings import (
     Ray,
     SquareEmbedding,
     brute_fill,
+    brute_fill_box,
     frontier_to_text,
     parse_frontier,
     pythagorean_triple,
@@ -35,7 +36,7 @@ from artifact.tilings import (
     verify_square_lemma,
     word_of_point,
 )
-from tiling_oracles import ray_values_nested, tile_value_by_word
+from tiling_oracles import brute_fill_box_by_walk, ray_values_nested, tile_value_by_word
 
 # The big staircase grid: head of the right tail, continued by an xy zigzag.
 PREFIX = "xyxxxyyyyyxyyyx"
@@ -285,6 +286,15 @@ def test_fuzz_tile_matches_brute_fill():
         assert grid == brute_fill(e, region)
         verify_sl2(grid)
         assert min(grid.values()) >= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(-12, 12), st.integers(-12, 12),
+       st.integers(0, 8), st.integers(0, 8))
+def test_brute_fill_box_matches_the_vertex_walk(rng, u0, v0, du, dv):
+    e = Embedding(_random_frontier(rng))
+    region = (u0, v0, u0 + du, v0 + dv)
+    assert brute_fill_box(e, region) == brute_fill_box_by_walk(e, region)
 
 
 @pytest.mark.parametrize("kind", ["integer", "laurent"])

@@ -4,12 +4,13 @@ The library computes every integer value as one bilinear pairing of two
 prefix products of step matrices (`tilings.tile_values`). This module
 keeps the two routes it replaced: one step product over each point's own
 word, and the ray kernel that extends nested transfer matrices from the
-shortest word out.
+shortest word out. It also keeps the vertex-by-vertex walk that found
+brute_fill's box before `tilings.brute_fill_box` read it off the runs.
 """
 
 from __future__ import annotations
 
-from artifact.tilings import Embedding, Mat2, Point, step_product, word_of_point
+from artifact.tilings import Embedding, Mat2, Point, Region, step_product, word_of_point
 
 
 def tile_value_by_word(e: Embedding, p: Point) -> int:
@@ -56,3 +57,19 @@ def ray_values_nested(e: Embedding, origin: Point, direction: Point, count: int)
             f, l = f2, l2
             vals[n] = sum(m[0]) + sum(m[1])
     return tuple(vals)
+
+
+def brute_fill_box_by_walk(e: Embedding, region: Region) -> tuple[int, int, Region]:
+    """tilings.brute_fill_box by stepping out from vertex 0 one vertex at a
+    time until the walk is past the region on both axes, each way."""
+    u0, v0, u1, v1 = region
+    lo = 0
+    while not (e.vertex(lo)[0] < u0 - 1 and e.vertex(lo)[1] < v0 - 1):
+        lo -= 1
+    hi = 0
+    while not (e.vertex(hi)[0] > u1 + 1 and e.vertex(hi)[1] > v1 + 1):
+        hi += 1
+    walk = [e.vertex(i) for i in range(lo, hi + 1)]
+    us = [p[0] for p in walk] + [u0, u1]
+    vs = [p[1] for p in walk] + [v0, v1]
+    return lo, hi, (min(us), min(vs), max(us), max(vs))
