@@ -313,12 +313,10 @@ def tile_value(e: Embedding, p: Point) -> int:
 def brute_fill_box(e: Embedding, region: Region) -> tuple[int, int, Region]:
     """Vertex indices lo..hi that brute_fill seeds, and the box it fills.
 
-    lo is the last index <= 0 whose vertex lies more than one cell left of
-    and below the region, hi the first >= 0 more than one cell right of and
-    above it; the box spans the region and vertices lo..hi. Coordinates
-    never decrease along the path, so lo is one before the first vertex of
-    column u0-1 or row v0-1, whichever comes first, and hi one past the
-    last vertex of column u1+1 or row v1+1, whichever comes last.
+    lo is the last index <= 0 whose vertex is more than one cell left of
+    and below the region, hi the first >= 0 more than one cell right of
+    and above it, both read off the runs since coordinates never decrease
+    along the path; the box spans the region and vertices lo..hi.
     """
     u0, v0, u1, v1 = region
     lo = min(0, e.column_run(u0 - 1)[0] - 1, e.row_run(v0 - 1)[0] - 1)
@@ -330,9 +328,10 @@ def brute_fill_box(e: Embedding, region: Region) -> tuple[int, int, Region]:
 def brute_fill(e: Embedding, region: Region) -> dict[Point, int]:
     """Fill region (u0,v0,u1,v1) inclusive using only unimodular 2x2 blocks.
 
-    Seeds 1 on every frontier vertex of brute_fill_box's enlarged box, then
-    repeatedly solves any 2x2 block with exactly one unknown corner. Shares
-    no code with tile_value.
+    Seeds 1 on every frontier vertex of brute_fill_box's box, then
+    repeatedly solves any 2x2 block with exactly one unknown corner. The
+    values share no code with tile_value: the runs size only the box, so
+    an error in them leaves cells unreachable, not wrong.
     """
     u0, v0, u1, v1 = region
     if u0 > u1 or v0 > v1:

@@ -288,7 +288,7 @@ def test_two_power_to_single_power():
     assert [single.value(n) for n in range(12)] == [res.value(n) for n in range(12)]
 
 
-# Rays whose first candidate pumping point has a word ending on the
+# Rays whose first candidate pumping point has a word with an end on the
 # center's first or last letter, from where a step of the residue class
 # is not a whole number of tail blocks.
 PUMP_START_RAYS = [
