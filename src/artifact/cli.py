@@ -317,7 +317,7 @@ def frieze_cmd(letters, seed_word, stages, fmt) -> None:
     if stages < 3:
         raise click.UsageError("--stages must be at least 3")
     _check_limit("stages", stages, "ARTIFACT_MAX_STEPS")
-    seed = _data(CrossSeed.ones, letters) if letters else _data(CrossSeed.parse, seed_word)
+    seed = _data(CrossSeed.parse, seed_word) if letters is None else _data(CrossSeed.ones, letters)
     pattern = _data(cross_construct, seed)
     rs = sorted({r for r, _ in pattern.cells})
     cs = sorted({c for _, c in pattern.cells})

@@ -8,7 +8,7 @@ where e(i,j) is the valuation the neighbor i carries in j's own relation.
 Out-neighbors contribute at the current step, in-neighbors at the next one,
 so computing step n+1 in topological order needs no iteration. Acyclicity
 makes the table well-defined; exactness of every division is checked rather
-than assumed.
+than assumed; verify_recursion rechecks it via products_differ_by_one.
 
 Symbolic frises (u_1..u_d in row 0) take one of two routes:
 
@@ -26,10 +26,12 @@ Symbolic frises (u_1..u_d in row 0) take one of two routes:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from functools import reduce
+from operator import mul
+from typing import Optional, Sequence
 
 from .diagrams import Quiver, _cycle_word
-from .laurent import ExactDivisionError, LaurentPoly, nested_word_values
+from .laurent import ExactDivisionError, LaurentPoly, nested_word_values, products_differ_by_one
 from .tilings import Embedding, Frontier, word_span
 
 
@@ -84,12 +86,6 @@ class Frise:
 
     def row(self, vertex: int) -> tuple:
         return self.table[vertex]
-
-
-class VarFrise(Frise):
-    """Frise of Laurent polynomials; row 0 holds the variables u_1..u_d."""
-
-    __slots__ = ()
 
 
 def initial_variables(d: int) -> list[LaurentPoly]:
@@ -178,7 +174,7 @@ def check_variable_budget(d: int) -> None:
         raise ValueError("%d vertices exceeds the variable budget 16" % d)
 
 
-def frise_extend_vars(quiver: Quiver, steps: int) -> VarFrise:
+def frise_extend_vars(quiver: Quiver, steps: int) -> Frise:
     """Frise with the initial row replaced by variables u_1..u_d.
 
     Each cell must come out as a Laurent polynomial with natural
@@ -190,23 +186,27 @@ def frise_extend_vars(quiver: Quiver, steps: int) -> VarFrise:
     check_variable_budget(quiver.cartan.d)
     w = _cycle_word(quiver)
     rows = _division_rows(quiver, steps) if w is None else _cycle_rows(w, steps)
-    return VarFrise(quiver, rows)
+    return Frise(quiver, rows)
 
 
 def verify_recursion(fr: Frise) -> None:
-    """Recheck the defining relation at every computed cell; raise on failure."""
-    one = LaurentPoly.nat(1) if isinstance(fr, VarFrise) else 1
+    """Recheck the defining relation at every computed cell; raise on failure.
+
+    Each relation, integer or Laurent, is one products_differ_by_one call:
+    with its factors flattened to powers (e copies of a factor of exponent
+    e), s is the last power (1 for A1) and r the ring product of the rest,
+    so r*s is the right-hand product and two powers or fewer form none."""
     plan = _relations(fr.quiver, fr.table)
     for n in range(fr.steps):
         for j, row, factors in plan:
-            prod = one
-            for other, e, s in factors:
-                prod = prod * other[n + s] ** e
-            if row[n] * row[n + 1] != 1 + prod:
+            powers = [other[n + s] for other, e, s in factors for _ in range(e)]
+            last = powers.pop() if powers else 1
+            rest = reduce(mul, powers) if powers else 1
+            if not products_differ_by_one(row[n], row[n + 1], rest, last):
                 raise ValueError("relation fails at vertex %d, step %d" % (j, n))
 
 
-def specialize_at_one(vf: VarFrise) -> Frise:
+def specialize_at_one(vf: Frise) -> Frise:
     """Set every variable to 1, reproducing the integer frise cell by cell."""
     table = [[cell.at_ones() for cell in row] for row in vf.table]
     return Frise(vf.quiver, table)

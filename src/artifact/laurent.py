@@ -31,11 +31,11 @@ word can grow at both ends (frise rays of oriented cycles, ``frises``).
 Both walk in their values' layout, so a value leaves with one constant
 added to each key; the ray kernel moves large entries to int64 arrays.
 
-The minor check ``products_differ_by_one`` (p*q - r*s == 1) forms no ring
-product: it sums the term pairs at the sums of their keys, read directly
-when the four operands share a layout. From ``_DICT_PAIRS`` pairs on, an
-int64 pass sorts one word per pair; below that size, and outside its
-bounds, a dict pass over Python integers decides.
+``products_differ_by_one`` (p*q - r*s == 1), the one relation check of
+``tilings.verify_sl2`` and ``frises.verify_recursion``, forms no ring
+product: it sums each term pair at the sum of its keys (read directly when
+the four operands share a layout). From ``_DICT_PAIRS`` pairs on, within its
+bounds, an int64 pass sorts one word per pair; else a dict pass decides.
 """
 
 from __future__ import annotations
@@ -575,11 +575,15 @@ def _array_plus(a: tuple, b: tuple) -> tuple:
     keys = np.concatenate((ka + (off_a - off), kb + (off_b - off)))
     order = keys.argsort(kind="stable")
     keys = keys[order]
-    starts = np.empty(len(keys), dtype=bool)  # first of each run of equal keys
-    starts[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    starts = starts.nonzero()[0]
+    starts = _run_starts(keys).nonzero()[0]
     return off, (keys[starts], np.add.reduceat(np.concatenate((ca, cb))[order], starts))
+
+
+def _run_starts(keys):
+    """The mask of the first of each run of equal keys in a sorted array."""
+    import numpy as np
+
+    return np.concatenate(([True], keys[1:] != keys[:-1]))
 
 
 def _at_ones(letter: Callable[[int], str], f: int, l: int) -> int:
@@ -856,12 +860,7 @@ def _differ_by_one_int64(terms: list, n: int, width: int) -> Optional[bool]:
         out += prods
         del prods  # freed before the next block and the sort: the memory peak
     words.sort()
-    keys = words >> cbits
-    starts = np.empty(len(words), dtype=bool)  # first of each run of equal keys
-    starts[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    del keys
-    starts = starts.nonzero()[0]
+    starts = _run_starts(words >> cbits).nonzero()[0]  # the keys are freed first
     words &= (1 << cbits) - 1
     words -= bias
     return not np.add.reduceat(words, starts).any()

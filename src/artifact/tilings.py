@@ -17,7 +17,8 @@ and is kept as an independent oracle.
 
 The adjacent-diagonal relation everywhere: with A=t(u,v), B=t(u+1,v),
 C=t(u,v+1), D=t(u+1,v+1) it reads C*B - D*A = 1, and verify_sl2 is its one
-check, on grids of integers and of Laurent polynomials (`cluster`) alike.
+check, on grids of integers and of Laurent polynomials (`cluster`) alike,
+through laurent.products_differ_by_one, which frises.verify_recursion uses too.
 """
 
 from __future__ import annotations

@@ -369,6 +369,13 @@ def test_frieze_without_a_certified_period_exits_1_without_traceback(monkeypatch
     assert result.stdout == ""  # no grid without its period
 
 
+@pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+def test_frieze_of_the_empty_word_exits_1_without_traceback(fmt):
+    result = _run("frieze", "--letters", "", "--format", fmt)
+    _fails_cleanly(result)
+    assert "letters must be a nonempty word over x and y" in result.output
+
+
 def _stdout_writes(node: ast.AST) -> list[str]:
     """json.dumps, print, sys.stdout and click.echo without err=True under node."""
     found = []

@@ -24,6 +24,7 @@ from artifact.frises import (
     Frise,
     WindowTooShort,
     _division_rows,
+    _relations,
     detect_period,
     frise_extend,
     frise_extend_vars,
@@ -173,6 +174,69 @@ def test_specialization_at_one_matches_the_subst_oracle():
             ones = {"u%d" % (j + 1): 1 for j in range(d)}
             want = tuple(tuple(subst(cell, ones).as_int() for cell in row) for row in vf.table)
             assert specialize_at_one(vf).table == want, (kind, m)
+
+
+# ----------------------------------------------------------------------
+# verify_recursion against the ring-product check it replaced
+
+
+def _verify_recursion_by_products(fr: Frise) -> None:
+    """Each relation as ring products of its cell pair and its factors."""
+    plan = _relations(fr.quiver, fr.table)
+    for n in range(fr.steps):
+        for j, row, factors in plan:
+            prod = 1
+            for other, e, s in factors:
+                prod = prod * other[n + s] ** e
+            if row[n] * row[n + 1] != 1 + prod:
+                raise ValueError("relation fails at vertex %d, step %d" % (j, n))
+
+
+_SWEEP = [(kind, m) for d in range(1, 7) for _, kind, m, _ in catalog_members(d)]
+
+
+@st.composite
+def recursion_tables(draw) -> Frise:
+    """A catalog quiver of rank <= 6 in a random acyclic orientation (edges
+    run up a random vertex order), as an integer table of 12 steps or a
+    Laurent table of 3, intact or with one cell moved by +-1 or multiplied
+    by a variable."""
+    kind, m = draw(st.sampled_from(_SWEEP))
+    c = catalog_diagram(kind, m)
+    rank = {v: i for i, v in enumerate(draw(st.permutations(range(c.d))))}
+    q = Quiver(c, [(i, j) if rank[i] < rank[j] else (j, i) for i, j in c.edges()])
+    fr = frise_extend_vars(q, 3) if draw(st.booleans()) else frise_extend(q, 12)
+    table = [list(row) for row in fr.table]
+    change = draw(st.sampled_from([None, 1, -1, "u1"]))
+    if change is not None:
+        j, n = draw(st.integers(0, c.d - 1)), draw(st.integers(0, fr.steps))
+        if change == "u1":
+            table[j][n] = table[j][n] * LaurentPoly.var("u1")
+        else:
+            table[j][n] += change
+    return Frise(q, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(recursion_tables())
+def test_verify_recursion_agrees_with_the_ring_products(fr):
+    verdicts = []
+    for check in (verify_recursion, _verify_recursion_by_products):
+        try:
+            check(fr)
+            verdicts.append(None)
+        except ValueError as exc:
+            verdicts.append(str(exc))
+    assert verdicts[0] == verdicts[1]
+
+
+def test_every_catalog_quiver_of_rank_at_most_6_passes_its_symbolic_relations():
+    # relations of three or more powers: D, E, the Euclidean types, valued edges
+    for kind, m in _SWEEP:
+        q = default_quiver(kind, m)
+        vf = frise_extend_vars(q, 4)
+        verify_recursion(vf)
+        assert specialize_at_one(vf).table == frise_extend(q, 4).table, (kind, m)
 
 
 def test_detect_period_dynkin_rank_two():

@@ -40,6 +40,12 @@ on larger diagrams:
 - ``frise_extend_vars`` on Dtilde4 at 8 steps;
 - ``frise_extend_vars`` on E6 at 6 steps.
 
+The relation check of frises (``frises.verify_recursion``: one
+``products_differ_by_one`` call a cell, with a ring product only of
+relations of three or more powers) runs in no workload either. One line
+times it on the symbolic frises of the default quivers of the 51 catalog
+diagrams of rank 1..6 at 4 steps, built before the clock starts.
+
 The cross construction sends every cell through the single-word walk,
 and no benchmark workload runs it:
 
@@ -219,6 +225,7 @@ def main() -> None:
                 for name, steps in (("Btilde3", 6), ("Dtilde4", 8), ("E6", 6))]
     quivers = [diagrams.default_quiver(kind, m) for d in range(1, 7)
                for _, kind, m, _ in diagrams.catalog_members(d)]
+    sweep = [frises.frise_extend_vars(q, 4) for q in quivers]
     probe_frises = [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers]
     probe_rows = [fr.row(v) for fr in probe_frises for v in range(fr.quiver.cartan.d)]
     windows, rays = geometry_calls(seed)
@@ -243,6 +250,8 @@ def main() -> None:
          for side, group in (("<", small), (">=", large))] + [
         ("frise_extend_vars %s, %d steps (division)" % (name, steps),
          best(lambda: frises.frise_extend_vars(q, steps))) for name, steps, q in division] + [
+        ("verify_recursion x %d symbolic frises, 4 steps" % len(sweep),
+         best(lambda: [frises.verify_recursion(fr) for fr in sweep])),
         ("cross_construct %s" % CROSS_SEED,
          best(lambda: cluster.cross_construct(cluster.CrossSeed.parse(CROSS_SEED)))),
         ("frieze_period yyxxxxyyy, 32 figures",
