@@ -8,10 +8,10 @@ at the frontier vertex V_v. cycle_check verifies this cell by cell.
 The forked diagram on m+1 vertices (two short arms at each end of a
 path) is covered the same way through the notched periodic frontier
 built from the interior word: fork_table assembles the frise table from
-corner and diagonal rays of that frontier, and fork_check compares it
-against the quiver recursion. probe_conjecture runs the growth/linear
-recurrence dichotomy on any quiver and reports whether the outcome is
-consistent with its diagram class.
+corner and diagonal rays of that frontier, certified by verify_recursion,
+and fork_check compares it with frise_extend. probe_conjecture runs the
+growth/linear recurrence dichotomy on any quiver and reports whether the
+outcome is consistent with its diagram class.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagrams import EUCLIDEAN_SERIES, Quiver, catalog_diagram, classify, cycle_quiver
-from .frises import Frise, WindowTooShort, detect_period, frise_extend
+from .diagrams import EUCLIDEAN_SERIES, Quiver, _fork_quiver, classify, cycle_quiver
+from .frises import Frise, WindowTooShort, detect_period, frise_extend, verify_recursion
 from .recurrences import find_min_recurrence
 from .tilings import Embedding, Frontier, PeriodicFrontier, ray_values
 
@@ -79,12 +79,7 @@ class ForkSpec:
 
 def fork_quiver(spec: ForkSpec) -> Quiver:
     """The orientation of the forked diagram encoded by spec.word."""
-    m, w = spec.m, spec.word
-    arrows = [(0, 2), (1, 2)]
-    for i in range(2, m - 2):
-        arrows.append((i, i + 1) if w[i - 1] == "x" else ((i + 1, i)))
-    arrows += [(m - 2, m - 1), (m, m - 2)]
-    return Quiver(catalog_diagram("Dtilde", m), arrows)
+    return _fork_quiver(spec.m, spec.word)
 
 
 def fork_table(spec: ForkSpec, steps: int) -> tuple[tuple[int, ...], ...]:
@@ -94,48 +89,28 @@ def fork_table(spec: ForkSpec, steps: int) -> tuple[tuple[int, ...], ...]:
     branches both read the vertical ray i' at the lower corner, interior
     vertex j reads the diagonal ray from V_{j-1}, and the two far branches
     interleave the horizontal corner ray i with its double, offset by one
-    step against each other. The doubled-square identity
-    a(m-1, n) * a(m, n+1) = 2 * i_n^2 and the step relations that only
-    involve assembled rows are checked before returning.
+    step against each other. verify_recursion certifies every relation of
+    the table; ForkRelationFails names the vertex and step of a failure.
+    The doubled square a(m-1, n) * a(m, n+1) = 2 * i_n^2 holds by
+    construction (its factors are i_n and 2 * i_n), so
+    acceptance.check_correspondences checks it on frise_extend rows.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    m, w = spec.m, spec.word
-    k = len(w)
     e = Embedding(spec.frontier())
-    i_vals = ray_values(e, e.vertex(k + 2), (1, 0), steps + 1).values
+    i_vals = ray_values(e, e.vertex(len(spec.word) + 2), (1, 0), steps + 1).values
     ip_vals = ray_values(e, e.vertex(-1), (0, -1), steps + 1).values
-    diag = [
-        ray_values(e, e.vertex(j), (1, -1), steps + 1).values for j in range(1, k + 1)
-    ]
-
-    rows: list[tuple[int, ...]] = [ip_vals, ip_vals]
-    rows += [diag[j - 2] for j in range(2, m - 1)]
-    rows.append(tuple(i_vals[n] if n % 2 == 0 else 2 * i_vals[n] for n in range(steps + 1)))
-    rows.append(
-        (1,) + tuple(i_vals[n - 1] if n % 2 == 0 else 2 * i_vals[n - 1] for n in range(1, steps + 1))
-    )
-
-    for n in range(steps):
-        expected = 2 if n == 0 else 1 + rows[m - 2][n]
-        relations = [
-            rows[m - 1][n] * rows[m][n + 1] == 2 * i_vals[n] ** 2,
-            rows[0][n] * rows[0][n + 1] == 1 + rows[2][n],
-            rows[m - 1][n] * rows[m - 1][n + 1] == 1 + rows[m - 2][n + 1],
-            rows[m][n] * rows[m][n + 1] == expected,
-        ]
-        if m >= 5:
-            np = n if w[1] == "x" else n + 1
-            npp = n + 1 if w[-1] == "x" else n
-            relations += [
-                rows[2][n] * rows[2][n + 1] == 1 + rows[0][n + 1] * rows[1][n + 1] * rows[3][np],
-                rows[m - 2][n] * rows[m - 2][n + 1]
-                == 1 + rows[m - 3][npp] * rows[m - 1][n] * rows[m][n + 1],
-            ]
-        if not all(relations):
-            raise ForkRelationFails("%r: relation %d fails at step %d"
-                                    % (spec, relations.index(False), n))
-    return tuple(rows)
+    rows = [ip_vals, ip_vals]
+    rows += [ray_values(e, e.vertex(j), (1, -1), steps + 1).values
+             for j in range(1, len(spec.word) + 1)]
+    rows.append(tuple(i_vals[n] * (1 + n % 2) for n in range(steps + 1)))
+    rows.append((1,) + tuple(i_vals[n - 1] * (1 + n % 2) for n in range(1, steps + 1)))
+    fr = Frise(fork_quiver(spec), rows)
+    try:
+        verify_recursion(fr)
+    except ValueError as exc:
+        raise ForkRelationFails("%r: %s" % (spec, exc)) from exc
+    return fr.table
 
 
 def fork_check(spec: ForkSpec, steps: int = 10) -> dict:

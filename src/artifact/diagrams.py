@@ -491,10 +491,17 @@ def default_quiver(kind: str, m: int) -> Quiver:
     if kind == "Atilde":
         return cycle_quiver("x" * m + "y")
     if kind == "Dtilde":
-        arrows = [(0, 2), (1, 2), (m - 2, m - 1), (m, m - 2)]
-        arrows += [(i, i + 1) for i in range(2, m - 2)]
-        return Quiver(c, arrows)
+        return _fork_quiver(m, "x" * (m - 3))
     return Quiver(c, list(c.edges()))
+
+
+def _fork_quiver(m: int, word: str) -> Quiver:
+    """Dtilde_m with arrows 0->2, 1->2, (m-2)->(m-1) and m->(m-2), and the
+    path edge {i, i+1} oriented i->i+1 when word[i-1] is x, else i+1->i
+    (2 <= i <= m-3; word[0] orients no edge)."""
+    arrows = [(0, 2), (1, 2), (m - 2, m - 1), (m, m - 2)]
+    arrows += [(i, i + 1) if word[i - 1] == "x" else (i + 1, i) for i in range(2, m - 2)]
+    return Quiver(catalog_diagram("Dtilde", m), arrows)
 
 
 def parse_shorthand(text: str) -> Quiver:

@@ -770,7 +770,8 @@ _MAX_PAIRS = 1 << 22
 def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     """Exact check that p*q - r*s == 1.
 
-    The operands' keys are read in one layout (their own when they share
+    Four int operands take the integer route, p*q - r*s == 1 itself. Else
+    the operands' keys are read in one layout (their own when they share
     it), where two keys sum without a carry to the key of the exponent sum
     plus twice the bias. The dict pass sums each pair of p*q and of -r*s at
     the sum of its keys and 1 less at twice the bias, and the check holds
@@ -790,6 +791,8 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     exponent vector in [-emax, emax]^n in each product, and the 1), each at
     most cmax^2 < 2^(cbits-1), so its partial sums stay below 2^63.
     """
+    if type(p) is type(q) is type(r) is type(s) is int:
+        return p * q - r * s == 1
     terms, n, width = _minor_operands(p, q, r, s)
     tp, tq, tr, ts = terms
     pairs = len(tp) * len(tq) + len(tr) * len(ts)

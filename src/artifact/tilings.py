@@ -27,7 +27,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .laurent import Scalar, products_differ_by_one
 
@@ -490,20 +490,17 @@ class SquareEmbedding(Embedding):
         return ray_values(self, (u + 1, v), (1, -1), count).values
 
 
+def _square_checks(i: Sequence[int], j: Sequence[int], k: Sequence[int], w: int,
+                   n_max: int) -> list[dict]:
+    """j_n = w i_n^2 and k_n + 1 = w i_n i_{n+1}, for each n <= n_max."""
+    return [{"n": n, "square_ok": j[n] == w * i[n] ** 2,
+             "product_ok": k[n] + 1 == w * i[n] * i[n + 1]} for n in range(n_max + 1)]
+
+
 def verify_square_lemma(e: SquareEmbedding, n_max: int) -> list[dict]:
     """Check j_n = (h+1) i_n^2 and k_n + 1 = (h+1) i_n i_{n+1} for n <= n_max."""
-    i = e.i_values(n_max + 2)
-    j = e.j_values(n_max + 1)
-    k = e.k_values(n_max + 1)
-    w = e.h + 1
-    return [
-        {
-            "n": n,
-            "square_ok": j[n] == w * i[n] ** 2,
-            "product_ok": k[n] + 1 == w * i[n] * i[n + 1],
-        }
-        for n in range(n_max + 1)
-    ]
+    return _square_checks(e.i_values(n_max + 2), e.j_values(n_max + 1), e.k_values(n_max + 1),
+                          e.h + 1, n_max)
 
 
 def pythagorean_triple(e: SquareEmbedding, n: int) -> tuple[int, int, int]:
@@ -522,7 +519,14 @@ def pythagorean_triple(e: SquareEmbedding, n: int) -> tuple[int, int, int]:
 
 
 class PeriodicFrontier(Frontier):
-    """Frontier ^inf(w x y^h x tw x y^h' x)(w y x^h y tw y x^h' y)^inf."""
+    """Frontier ^inf(w x y^h x tw x y^h' x)(w y x^h y tw y x^h' y)^inf.
+
+    It is transpose-symmetric about both corners by construction, for every
+    (w, h, h'): the transposed left block y x^h' y . w . y x^h y . tw is a
+    rotation of the right block, so the letters leftward from k - 1 (k = |w|)
+    transpose to those rightward from the upper corner k + h + 2, and those
+    leftward from the lower corner -(h' + 3) to those rightward from 0.
+    """
 
     __slots__ = ("w", "h", "hp")
 
@@ -537,19 +541,6 @@ class PeriodicFrontier(Frontier):
         self.w = w
         self.h = h
         self.hp = hp
-        self._check_transpose_symmetry()
-
-    def _check_transpose_symmetry(self) -> None:
-        # reading right of the upper corner must be the transpose of reading
-        # left of it, and likewise around the lower corner
-        k = len(self.w)
-        upper = k + self.h + 2  # s starts here
-        lower = -(self.hp + 3)  # s' ends here
-        for step in range(50):
-            if (transpose_word(self.letter(upper + step)) != self.letter(k - 1 - step)
-                    or transpose_word(self.letter(lower - step)) != self.letter(step)):
-                raise InconsistentGeometry(
-                    "periodic frontier is not transpose-symmetric at step %d" % step)
 
 
 def verify_quadratic_lemma(e: Embedding, n_max: int) -> dict:
@@ -579,15 +570,7 @@ def verify_quadratic_lemma(e: Embedding, n_max: int) -> dict:
     ip = ray_values(e, (iu, iv), (0, -1), n_max + 2).values
     jp = ray_values(e, (iu + 1, iv), (1, -1), n_max + 1).values
     kp = ray_values(e, (iu + 2, iv), (1, -1), n_max + 1).values
-    w = fr.hp + 1
-    primed = [
-        {
-            "n": n,
-            "square_ok": jp[n] == w * ip[n] ** 2,
-            "product_ok": kp[n] + 1 == w * ip[n] * ip[n + 1],
-        }
-        for n in range(n_max + 1)
-    ]
+    primed = _square_checks(ip, jp, kp, fr.hp + 1, n_max)
     all_ok = all(c["ok"] for c in cases) and all(
         p["square_ok"] and p["product_ok"] for p in primed
     )

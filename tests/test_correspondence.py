@@ -24,6 +24,7 @@ from artifact.diagrams import (
     validate_orientation_word,
 )
 from artifact.frises import frise_extend
+from artifact.tilings import Embedding
 
 
 def all_words(length):
@@ -84,6 +85,11 @@ def test_fork_quiver_shape():
     assert sorted(fork_quiver(ForkSpec(4, "x")).arrows) == [(0, 2), (1, 2), (2, 3), (4, 2)]
 
 
+@pytest.mark.parametrize("m", range(4, 13))
+def test_default_dtilde_orientation_is_the_all_x_fork(m):
+    assert default_quiver("Dtilde", m).arrows == fork_quiver(ForkSpec(m, "x" * (m - 3))).arrows
+
+
 def test_fork_frise_spot_values():
     fr = frise_extend(fork_quiver(ForkSpec(7, "xyxx")), 3)
     assert fr.column(1) == (2, 2, 9, 2, 3, 7, 8, 2)
@@ -110,8 +116,29 @@ def test_broken_fork_relation_raises_arithmetic_error(monkeypatch, spec):
         return type(ray)(ray.origin, ray.direction, tuple(v + shift for v in ray.values))
 
     monkeypatch.setattr(correspondence, "ray_values", off_by_one)
-    with pytest.raises(ForkRelationFails, match=r"relation \d fails at step 0"):
+    with pytest.raises(ForkRelationFails, match=r"relation fails at vertex \d+, step 0$"):
         fork_table(spec, 3)
+
+
+@pytest.mark.parametrize("m, word, j, step", [
+    (6, "xxy", 3, 4), (7, "xyxy", 4, 4), (8, "xyxyx", 4, 2), (9, "xxyyxx", 5, 3),
+])
+def test_broken_interior_ray_raises_at_its_step(monkeypatch, m, word, j, step):
+    # interior vertex j reads the diagonal ray from V_{j-1}; its value at
+    # step, off by one, first enters the relations from step - 1 to step
+    spec, rays = ForkSpec(m, word), correspondence.ray_values
+    origin = Embedding(spec.frontier()).vertex(j - 1)
+
+    def off_by_one(e, o, direction, count):
+        ray = rays(e, o, direction, count)
+        if (o, direction) != (origin, (1, -1)):
+            return ray
+        values = tuple(v + (n == step) for n, v in enumerate(ray.values))
+        return type(ray)(ray.origin, ray.direction, values)
+
+    monkeypatch.setattr(correspondence, "ray_values", off_by_one)
+    with pytest.raises(ForkRelationFails, match=r"vertex \d+, step %d$" % (step - 1)):
+        fork_table(spec, 4)
 
 
 def test_fork_check_examples():

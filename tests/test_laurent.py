@@ -216,6 +216,36 @@ def test_products_differ_by_one_matches_subtraction(p, q, r):
     assert products_differ_by_one(p, q, r, 1) == expected
 
 
+huge_ints = st.integers(-(1 << 70), 1 << 70)
+
+
+@st.composite
+def int_minors(draw):
+    """[[p, r], [s, q]] of rank one, unimodular or of determinant 2, so
+    p*q - r*s is 0, 1 or 2, with entries past 2^63; or four arbitrary ints."""
+    kind = draw(st.sampled_from(("rank one", "unimodular", "det 2", "any")))
+    if kind == "any":
+        return tuple(draw(huge_ints) for _ in range(4))
+    if kind == "rank one":
+        u1, u2, v1, v2 = (draw(huge_ints) for _ in range(4))
+        return u1 * v1, u2 * v2, u1 * v2, u2 * v1
+    p, r, s, q = 1, 0, 0, 1
+    for i, t in enumerate(draw(st.lists(huge_ints, max_size=4))):
+        if i % 2:  # row 2 += t * row 1
+            s, q = s + t * p, q + t * r
+        else:  # column 1 += t * column 2
+            p, s = p + t * r, s + t * q
+    return (p, 2 * q, 2 * r, s) if kind == "det 2" else (p, q, r, s)
+
+
+@given(int_minors())
+def test_products_differ_by_one_on_ints_matches_the_laurent_route(minor):
+    p, q, r, s = minor
+    got = products_differ_by_one(p, q, r, s)
+    assert got is products_differ_by_one(*(LaurentPoly.nat(v) for v in minor))
+    assert got == (p * q - r * s == 1)
+
+
 def test_det_identity_sweep_is_clean():
     report = verify_det_identities(instances=60, rng_seed=5)
     assert report["all_ok"]

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from artifact._fixtures import load_grid
@@ -592,12 +592,17 @@ def test_broken_square_triple_raises_arithmetic_error(monkeypatch):
         pythagorean_triple(e, 0)
 
 
-def test_asymmetric_periodic_frontier_raises_arithmetic_error(monkeypatch):
-    letter = PeriodicFrontier.letter
-    monkeypatch.setattr(PeriodicFrontier, "letter",
-                        lambda self, i: "x" if i == 40 else letter(self, i))
-    with pytest.raises(InconsistentGeometry, match="transpose-symmetric"):
-        PeriodicFrontier("xyxx", 1, 0)
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="xy", max_size=8), st.integers(0, 5), st.integers(0, 5))
+def test_periodic_frontier_is_transpose_symmetric_about_both_corners(w, h, hp):
+    # over two full tail periods: rightward from the upper corner against
+    # leftward from the end of w, leftward from the lower corner against
+    # rightward from 0
+    assume(w or h or hp)  # else both tails are constant
+    fr = PeriodicFrontier(w, h, hp)
+    k, upper, lower, n = len(w), len(w) + h + 2, -(hp + 3), 2 * len(fr.right)
+    assert transpose_word(fr.factor(upper, upper + n)) == fr.factor(k - n, k)
+    assert transpose_word(fr.factor(lower - n + 1, lower + 1)) == fr.factor(0, n)
 
 
 @pytest.mark.parametrize("axis, step, fill", [

@@ -42,9 +42,11 @@ on larger diagrams:
 
 The relation check of frises (``frises.verify_recursion``: one
 ``products_differ_by_one`` call a cell, with a ring product only of
-relations of three or more powers) runs in no workload either. One line
-times it on the symbolic frises of the default quivers of the 51 catalog
-diagrams of rank 1..6 at 4 steps, built before the clock starts.
+relations of three or more powers) runs in no workload either. Two lines
+time it on the default quivers of the 51 catalog diagrams of rank 1..6,
+the tables built before the clock starts: their symbolic frises at 4
+steps, and their integer frises at 40 steps (four ints, so the integer
+route of ``products_differ_by_one``).
 
 The cross construction sends every cell through the single-word walk,
 and no benchmark workload runs it:
@@ -226,6 +228,7 @@ def main() -> None:
     quivers = [diagrams.default_quiver(kind, m) for d in range(1, 7)
                for _, kind, m, _ in diagrams.catalog_members(d)]
     sweep = [frises.frise_extend_vars(q, 4) for q in quivers]
+    int_sweep = [frises.frise_extend(q, 40) for q in quivers]
     probe_frises = [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers]
     probe_rows = [fr.row(v) for fr in probe_frises for v in range(fr.quiver.cartan.d)]
     windows, rays = geometry_calls(seed)
@@ -252,6 +255,8 @@ def main() -> None:
          best(lambda: frises.frise_extend_vars(q, steps))) for name, steps, q in division] + [
         ("verify_recursion x %d symbolic frises, 4 steps" % len(sweep),
          best(lambda: [frises.verify_recursion(fr) for fr in sweep])),
+        ("verify_recursion x %d integer frises, 40 steps" % len(int_sweep),
+         best(lambda: [frises.verify_recursion(fr) for fr in int_sweep])),
         ("cross_construct %s" % CROSS_SEED,
          best(lambda: cluster.cross_construct(cluster.CrossSeed.parse(CROSS_SEED)))),
         ("frieze_period yyxxxxyyy, 32 figures",
