@@ -323,10 +323,8 @@ def frieze_cmd(letters, seed_word, stages, fmt) -> None:
     cs = sorted({c for _, c in pattern.cells})
     rows = [[str(pattern.cells[(r, c)]) if (r, c) in pattern.cells else ""
              for c in range(cs[0], cs[-1] + 1)] for r in range(rs[0], rs[-1] + 1)]
-    period = _data(frieze_period, seed, stages)
-    # the second minor pass runs only when its count is printed
-    minors = pattern.minor_check() if fmt == "json" else None
-    _emit(fmt, {"rows": rows, "minors_checked": minors, "period": period}, rows,
+    period = _data(frieze_period, pattern, stages)
+    _emit(fmt, {"rows": rows, "minors_checked": pattern.minors, "period": period}, rows,
           _aligned(rows) + ["period: %s" % period["period"],
                             "candidate: letters+3=%d" % period["candidate_letters_plus_3"]])
 

@@ -18,10 +18,11 @@ The cross construction turns one variable word into a partial frieze:
 the word and its transpose are laid out as two parallel staircases, two
 diagonals of 1s close the figure, and the four regions delimited by the
 central cross are filled by four bordered matrix products that agree on
-the overlaps.  Repeating the construction with the transposed word over
-and over tiles a diagonal band whose translation period is measured
-empirically (`frieze_period`). Every figure passes `tilings.verify_sl2`,
-the one 2x2 check of the package, with its cells keyed (c, -r).
+the overlaps. Every figure passes `tilings.verify_sl2`, the one 2x2 check
+of the package, once, with its cells keyed (c, -r). Repeating the
+construction with the transposed word tiles a diagonal band whose
+translation period is measured empirically (`frieze_period`); the
+transposed word's figure is the figure transposed, so one is built.
 
 The doubled-edge frise in two variables has a closed matrix-power form
 and satisfies a subtraction-free linear recurrence; one period of a
@@ -37,7 +38,7 @@ from typing import Callable
 
 from .diagrams import default_quiver
 from .frises import WindowTooShort, check_variable_budget, frise_extend_vars
-from .laurent import LaurentPoly, Scalar, bordered_word_value
+from .laurent import LaurentPoly, bordered_word_value
 from .tilings import Embedding, InconsistentGeometry, Point, transpose_word, verify_sl2
 
 
@@ -53,14 +54,8 @@ class NonNaturalVariable(ArithmeticError):
     """An enumerated cluster variable has a non-natural coefficient."""
 
 
-def _scalar(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, int):
-        return LaurentPoly.nat(x)
-    if x == "1":
-        return LaurentPoly.nat(1)
-    return LaurentPoly.var(x)
+def _scalar(name: str) -> LaurentPoly:
+    return LaurentPoly.nat(1) if name == "1" else LaurentPoly.var(name)
 
 
 def variable_tile_value(e: Embedding, names: Callable[[int], str], p: Point) -> LaurentPoly:
@@ -132,9 +127,12 @@ class CrossSeed:
 
 @dataclass(eq=False)
 class FriezePattern:
-    """Partial grid of Laurent values; every filled 2x2 block has det 1."""
+    """A seed's figure: its partial grid of Laurent values, and the number of
+    filled 2x2 blocks of det 1 that `cross_construct`'s minor check counted."""
 
+    seed: CrossSeed
     cells: dict
+    minors: int
 
     def value(self, row: int, col: int) -> LaurentPoly:
         try:
@@ -271,26 +269,32 @@ def cross_construct(seed: CrossSeed) -> FriezePattern:
     for r, c in mirrored.ne_cells():  # the far-left region, seen transposed
         put((c, r), mirrored.ne_value(r, c))
 
-    pattern = FriezePattern(cells)
-    pattern.minor_check()
+    pattern = FriezePattern(seed, cells, 0)
+    pattern.minors = pattern.minor_check()
     return pattern
 
 
-def frieze_period(seed: CrossSeed, stages: int = 4) -> dict:
+def frieze_period(pattern: FriezePattern, stages: int = 4) -> dict:
     """Repeat the construction with transposed words and measure its period.
 
     Consecutive figures share a staircase: the transposed word of one is
-    the seed of the next. Transposing twice gives the seed back, so the
-    figures alternate between two, and each is built once. The smallest
-    diagonal translation (p, p) that matches every overlapping cell, with
-    at least one figure's worth of evidence, is reported next to the
-    book-keeping candidate letters+3 (the same number as variables+2).
+    the seed of the next, and transposing twice gives the seed back. The
+    transposed seed's figure is the pattern with cell (r, c) moved to
+    (c, r), so no figure is built here: its boundary (two staircases and two
+    diagonals of 1s) is this boundary transposed, transposition keeps the
+    C*B - D*A of every 2x2 block, and every other cell is the unique 2x2
+    completion from the boundary (the brute refill of the tests). The
+    smallest diagonal translation (p, p) that matches every overlapping
+    cell, with at least one figure's worth of evidence, is reported next to
+    the book-keeping candidate letters+3 (the same number as variables+2).
     """
     if stages < 3:
         raise ValueError("need at least three figures to certify a period")
+    seed = pattern.seed
+    step_r, step_c = seed.y_count + 2, seed.x_count + 2
     # each figure's cells and the offset from its corner to the next one's
-    figures = [(cross_construct(s).cells, s.y_count + 2, s.x_count + 2)
-               for s in (seed, seed.transposed())]
+    figures = [(pattern.cells, step_r, step_c),
+               ({(c, r): v for (r, c), v in pattern.cells.items()}, step_c, step_r)]
     union: dict = {}
     off_r = off_c = 0
     for stage in range(stages):
@@ -328,16 +332,16 @@ def frieze_period(seed: CrossSeed, stages: int = 4) -> dict:
 # the doubled edge in two variables
 
 
-def kronecker_closed_form(n: int, a: Scalar = "u1", b: Scalar = "u2") -> LaurentPoly:
-    """n-th value of the doubled-edge frise seeded with the pair (a, b).
+def kronecker_closed_form(n: int) -> LaurentPoly:
+    """n-th value of the doubled-edge frise seeded with the pair (u1, u2).
 
-    A power of one fixed 2x2 matrix bordered by (1, b) on both sides,
-    divided by a^(n-1) b^(n-2); it satisfies u_{n+2} u_n = 1 + u_{n+1}^2
-    with u_0 = a and u_1 = b.
+    A power of one fixed 2x2 matrix bordered by (1, u2) on both sides,
+    divided by u1^(n-1) u2^(n-2); it satisfies u_{n+2} u_n = 1 + u_{n+1}^2
+    with u_0 = u1 and u_1 = u2.
     """
     if n < 2:
         raise ValueError("the closed form starts at n = 2")
-    pa, pb = _scalar(a), _scalar(b)
+    pa, pb = LaurentPoly.var("u1"), LaurentPoly.var("u2")
     m0, m1, m2 = pa * pa + 1, pb, pb * pb  # the matrix [[m0, m1], [m1, m2]]
     # its powers are symmetric too, so [[p, q], [q, s]] holds the product
     p, q, s = LaurentPoly.nat(1), LaurentPoly.nat(0), LaurentPoly.nat(1)

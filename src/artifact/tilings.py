@@ -555,14 +555,8 @@ def verify_quadratic_lemma(e: Embedding, n_max: int) -> dict:
     for j in range(1, k):
         pair = fr.w[j - 1] + fr.w[j]
         for n in range(n_max + 1):
-            if pair == "xx":
-                rhs = b[j - 1][n + 1] * b[j + 1][n]
-            elif pair == "xy":
-                rhs = b[j - 1][n + 1] * b[j + 1][n + 1]
-            elif pair == "yx":
-                rhs = b[j - 1][n] * b[j + 1][n]
-            else:
-                rhs = b[j - 1][n] * b[j + 1][n + 1]
+            # the frise rule on the path oriented by w: in-neighbours at n + 1, out at n
+            rhs = b[j - 1][n + (pair[0] == "x")] * b[j + 1][n + (pair[1] == "y")]
             cases.append(
                 {"j": j, "n": n, "pair": pair, "ok": b[j][n] * b[j][n + 1] == 1 + rhs}
             )

@@ -53,7 +53,7 @@ def subst(p: LaurentPoly, mapping: Mapping[str, Scalar]) -> LaurentPoly:
 
 
 def subst_pattern(fp: FriezePattern, mapping: Mapping[str, Scalar]) -> FriezePattern:
-    return FriezePattern({p: subst(v, mapping) for p, v in fp.cells.items()})
+    return FriezePattern(fp.seed, {p: subst(v, mapping) for p, v in fp.cells.items()}, fp.minors)
 
 
 # ----------------------------------------------------------------------

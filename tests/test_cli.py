@@ -359,7 +359,7 @@ def test_rays_bad_direction_exits_1(direction):
 
 @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
 def test_frieze_without_a_certified_period_exits_1_without_traceback(monkeypatch, fmt):
-    def too_short(seed, stages):
+    def too_short(pattern, stages):
         raise WindowTooShort("no translation period certified within %d stages" % stages)
 
     monkeypatch.setattr("artifact.cli.frieze_period", too_short)

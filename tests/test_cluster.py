@@ -43,21 +43,21 @@ def V(name: str) -> LaurentPoly:
 
 
 def test_kronecker_ones_is_even_fibonacci():
-    assert [kronecker_closed_form(n, 1, 1).as_int() for n in range(2, 8)] == [2, 5, 13, 34, 89, 233]
+    assert [kronecker_closed_form(n).at_ones() for n in range(2, 8)] == [2, 5, 13, 34, 89, 233]
 
 
 def test_kronecker_symbolic_start():
-    a, b = V("a"), V("b")
-    assert kronecker_closed_form(2, "a", "b") == (ONE + b * b).exact_div(a)
+    a, b = V("u1"), V("u2")
+    assert kronecker_closed_form(2) == (ONE + b * b).exact_div(a)
 
 
 def test_kronecker_closed_form_equals_recursion_symbolically():
-    a, b = V("a"), V("b")
+    a, b = V("u1"), V("u2")
     us = [a, b]
     for _ in range(11):
         us.append((ONE + us[-1] * us[-1]).exact_div(us[-2]))
     for n in range(2, 13):
-        assert kronecker_closed_form(n, "a", "b") == us[n]
+        assert kronecker_closed_form(n) == us[n]
 
 
 def test_kronecker_closed_form_rejects_small_n():
@@ -361,8 +361,8 @@ def _regions_by_word_value_vars(seed: CrossSeed) -> list:
 
 
 @st.composite
-def cross_seeds(draw):
-    letters = draw(st.text(alphabet="xy", min_size=1, max_size=8))
+def cross_seeds(draw, max_letters=8):
+    letters = draw(st.text(alphabet="xy", min_size=1, max_size=max_letters))
     names = st.sampled_from(("1", "a", "b", "c", "d", "e"))
     return CrossSeed(letters, tuple(draw(st.lists(names, min_size=len(letters) + 1,
                                                   max_size=len(letters) + 1))))
@@ -376,6 +376,16 @@ def test_cross_regions_match_word_value_vars(seed):
         assert cells[p] == value, p
 
 
+@settings(max_examples=80, deadline=None)
+@given(cross_seeds(max_letters=9))
+def test_transposed_seed_figure_is_the_figure_transposed(seed):
+    # frieze_period reads the transposed seed's figure this way
+    cells = cross_construct(seed).cells
+    transposed = cross_construct(seed.transposed()).cells
+    assert set(transposed) == {(c, r) for r, c in cells}
+    assert transposed == {(c, r): v for (r, c), v in cells.items()}
+
+
 def test_cross_specializing_ones_reproduces_integer_grid():
     symbolic = cross_construct(CrossSeed.parse("aybxcxdye"))
     ones = cross_construct(CrossSeed.ones("yxxy"))
@@ -384,7 +394,8 @@ def test_cross_specializing_ones_reproduces_integer_grid():
 
 
 def test_frieze_pattern_minor_check_rejects_bad_grid():
-    bad = FriezePattern({(0, 0): ONE, (0, 1): ONE, (1, 0): ONE, (1, 1): ONE})
+    cells = {(0, 0): ONE, (0, 1): ONE, (1, 0): ONE, (1, 1): ONE}
+    bad = FriezePattern(CrossSeed.ones("x"), cells, 0)
     with pytest.raises(ArithmeticError):
         bad.minor_check()
 
@@ -399,7 +410,7 @@ def test_minor_check_names_the_broken_block_at_c_minus_r(cell, corner):
     # frieze cell (r, c) is the tiling point (c, -r); a block is named by
     # its lower-left cell
     with pytest.raises(ArithmeticError, match=re.escape(repr(corner))):
-        FriezePattern(cells).minor_check()
+        FriezePattern(CrossSeed.ones("yyxxxxyyy"), cells, 0).minor_check()
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +418,7 @@ def test_minor_check_names_the_broken_block_at_c_minus_r(cell, corner):
 
 
 def test_frieze_period_reports_the_candidate():
-    report = frieze_period(CrossSeed.ones("yyxxxxyyy"))
+    report = frieze_period(cross_construct(CrossSeed.ones("yyxxxxyyy")))
     assert report["period"] == 13
     assert report["variables"] == report["letters"] + 1 == 10
     assert report["candidate_letters_plus_3"] == 12
@@ -421,22 +432,30 @@ def test_frieze_period_divides_variables_plus_3(letters):
     # Conway-Coxeter: a frieze of n variables repeats after n + 3 columns,
     # here letters + 4, and its least period divides that
     for word in map("".join, itertools.product("xy", repeat=letters)):
-        report = frieze_period(CrossSeed.ones(word))
+        report = frieze_period(cross_construct(CrossSeed.ones(word)))
         assert (report["variables"] + 3) % report["period"] == 0, word
 
 
-def test_frieze_period_builds_each_of_the_two_figures_once(monkeypatch):
-    built = []
+@pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+def test_frieze_builds_one_figure_and_checks_it_once(monkeypatch, fmt):
+    from artifact import cli
 
-    def counting(seed):
-        built.append(seed)
-        return cross_construct(seed)
+    calls = {"cli": [], "period": [], "minors": []}
 
-    monkeypatch.setattr(cluster, "cross_construct", counting)
-    seed = CrossSeed.ones("yyxxxxyyy")
-    report = frieze_period(seed, stages=8)
-    assert built == [seed, seed.transposed()]
-    assert report["period"] == 13 and report["stages"] == 8
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key].append(args)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cli, "cross_construct", counting("cli", cross_construct))
+    monkeypatch.setattr(cluster, "cross_construct", counting("period", cross_construct))
+    monkeypatch.setattr(cluster, "verify_sl2", counting("minors", cluster.verify_sl2))
+    result = _cli(["frieze", "--letters", "yyxxxxyyy", "--stages", "8", "--format", fmt])
+    assert result.exit_code == 0
+    assert calls["cli"] == [(CrossSeed.ones("yyxxxxyyy"),)]
+    assert calls["period"] == []  # frieze_period transposes, it never builds
+    assert len(calls["minors"]) == 1
 
 
 def _period_by_rebuilding(seed, stages):
@@ -466,32 +485,32 @@ def test_frieze_period_matches_rebuilding_every_stage(seed, stages):
     want, cells = _period_by_rebuilding(seed, stages)
     if want is None:
         with pytest.raises(frises.WindowTooShort):
-            frieze_period(seed, stages)
+            frieze_period(cross_construct(seed), stages)
     else:
-        report = frieze_period(seed, stages)
+        report = frieze_period(cross_construct(seed), stages)
         assert (report["period"], report["cells"]) == (want, cells)
 
 
 def test_frieze_period_halves_on_anti_palindrome():
-    report = frieze_period(CrossSeed.ones("xy"))
+    report = frieze_period(cross_construct(CrossSeed.ones("xy")))
     assert report["anti_palindrome"]
     assert report["period"] == 3  # half of the generic letters + 4
 
 
 def test_frieze_period_symbolic_needs_palindromic_names():
-    assert frieze_period(CrossSeed("xy", ("a", "b", "a")))["period"] == 3
-    assert frieze_period(CrossSeed("xy", ("a", "b", "c")))["period"] == 6
+    assert frieze_period(cross_construct(CrossSeed("xy", ("a", "b", "a"))))["period"] == 3
+    assert frieze_period(cross_construct(CrossSeed("xy", ("a", "b", "c"))))["period"] == 6
 
 
 def test_frieze_period_single_letter_matches_frise_period():
-    report = frieze_period(CrossSeed.ones("x"))
+    report = frieze_period(cross_construct(CrossSeed.ones("x")))
     fr = frise_extend(parse_shorthand("A2"), 20)
     assert detect_period(fr) == (0, report["period"]) == (0, 5)
 
 
 def test_frieze_period_rejects_short_runs():
     with pytest.raises(ValueError):
-        frieze_period(CrossSeed.ones("xy"), stages=2)
+        frieze_period(cross_construct(CrossSeed.ones("xy")), stages=2)
 
 
 # ----------------------------------------------------------------------
@@ -619,17 +638,12 @@ def test_cross_overlap_mismatch_raises_arithmetic_error(monkeypatch):
         cross_construct(CrossSeed.ones("xxyy"))
 
 
-def test_frieze_stitch_mismatch_raises_arithmetic_error(monkeypatch):
-    calls = []
-
-    def shifting_figure(seed):
-        calls.append(seed)
-        n = LaurentPoly.nat(len(calls))
-        return FriezePattern({(r, c): n for r in range(12) for c in range(12)})
-
-    monkeypatch.setattr(cluster, "cross_construct", shifting_figure)
+def test_frieze_stitch_mismatch_raises_arithmetic_error():
+    # cell (r, c) holds r, so the transposed figure holds c there, and the
+    # two disagree where the second figure lands on the first
+    cells = {(r, c): LaurentPoly.nat(r) for r in range(12) for c in range(12)}
     with pytest.raises(ArithmeticError, match="stitch mismatch"):
-        frieze_period(CrossSeed.ones("xxyy"))
+        frieze_period(FriezePattern(CrossSeed.ones("xxyy"), cells, 0))
 
 
 def test_off_frontier_vertex_raises_arithmetic_error(monkeypatch):

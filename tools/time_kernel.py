@@ -53,7 +53,11 @@ and no benchmark workload runs it:
 
 - ``cross_construct`` on the 12-letter symbolic seed
   ``aybycxdxexfxgyhyiyjxkylxm``;
-- ``frieze_period`` of the all-ones seed ``yyxxxxyyy`` over 32 figures.
+- ``frieze_period`` of the all-ones seed ``yyxxxxyyy`` over 32 figures,
+  its pattern built before the clock starts;
+- ``cross_construct`` and ``frieze_period`` (4 figures, as ``frieze``
+  runs them) on the 17-letter symbolic seed
+  ``aybycxdxexfxgyhyiyjxkylxmxnyoypxqxr``.
 
 The minor check has two lines of its own, on the 3,528
 ``products_differ_by_one`` calls of one symbolic-tiles pass at seed 1 (49
@@ -118,6 +122,7 @@ RUNS = 5
 BAND_ROUNDS = 15
 BAND_EDGES = (32, 64, 96, 128, 192, 256, 384, 512)
 CROSS_SEED = "aybycxdxexfxgyhyiyjxkylxm"
+LONG_CROSS_SEED = "aybycxdxexfxgyhyiyjxkylxmxnyoypxqxr"
 
 
 def best(fn) -> float:
@@ -233,6 +238,7 @@ def main() -> None:
     probe_rows = [fr.row(v) for fr in probe_frises for v in range(fr.quiver.cartan.d)]
     windows, rays = geometry_calls(seed)
     caps = [(name, diagrams.parse_shorthand(name).cartan) for name in ("Dtilde511", "A512")]
+    ones_pattern = cluster.cross_construct(cluster.CrossSeed.ones("yyxxxxyyy"))
     path_json = {"vertices": 512, "edges": [{"from": i, "to": i + 1} for i in range(511)]}
     rows = [
         ("frise_extend_vars Atilde3, 14 steps",
@@ -260,7 +266,10 @@ def main() -> None:
         ("cross_construct %s" % CROSS_SEED,
          best(lambda: cluster.cross_construct(cluster.CrossSeed.parse(CROSS_SEED)))),
         ("frieze_period yyxxxxyyy, 32 figures",
-         best(lambda: cluster.frieze_period(cluster.CrossSeed.ones("yyxxxxyyy"), 32))),
+         best(lambda: cluster.frieze_period(ones_pattern, 32))),
+        ("cross_construct + frieze_period %s" % LONG_CROSS_SEED,
+         best(lambda: cluster.frieze_period(
+             cluster.cross_construct(cluster.CrossSeed.parse(LONG_CROSS_SEED))))),
         ("frise_extend x %d probe quivers, %d steps" % (len(quivers), workloads.PROBE_STEPS),
          best(lambda: [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers])),
         ("find_min_recurrence x %d probe rows, max order %d"
