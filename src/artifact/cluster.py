@@ -33,12 +33,13 @@ cluster variables with certified positivity (`enumerate_cluster_vars`).
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .diagrams import default_quiver
 from .frises import WindowTooShort, check_variable_budget, frise_extend_vars
-from .laurent import LaurentPoly, bordered_word_value
+from .laurent import LaurentPoly, bordered_word_value, sorted_distinct
 from .tilings import Embedding, InconsistentGeometry, Point, transpose_word, verify_sl2
 
 
@@ -337,18 +338,24 @@ def kronecker_closed_form(n: int) -> LaurentPoly:
 
     A power of one fixed 2x2 matrix bordered by (1, u2) on both sides,
     divided by u1^(n-1) u2^(n-2); it satisfies u_{n+2} u_n = 1 + u_{n+1}^2
-    with u_0 = u1 and u_1 = u2.
+    with u_0 = u1 and u_1 = u2. It is the last value of `_kronecker_values`.
     """
     if n < 2:
         raise ValueError("the closed form starts at n = 2")
+    return deque(_kronecker_values(n), maxlen=1)[0]
+
+
+def _kronecker_values(bound: int) -> Iterator[LaurentPoly]:
+    """The closed form at n = 2, ..., bound, from one walk over the powers."""
     pa, pb = LaurentPoly.var("u1"), LaurentPoly.var("u2")
     m0, m1, m2 = pa * pa + 1, pb, pb * pb  # the matrix [[m0, m1], [m1, m2]]
     # its powers are symmetric too, so [[p, q], [q, s]] holds the product
     p, q, s = LaurentPoly.nat(1), LaurentPoly.nat(0), LaurentPoly.nat(1)
-    for _ in range(n - 2):
-        p, q, s = p * m0 + q * m1, p * m1 + q * m2, q * m1 + s * m2
-    bordered = p + (q + q) * pb + s * m2
-    return bordered.exact_div(pa ** (n - 1) * pb ** (n - 2))
+    for n in range(2, bound + 1):
+        if n > 2:
+            p, q, s = p * m0 + q * m1, p * m1 + q * m2, q * m1 + s * m2
+        bordered = p + (q + q) * pb + s * m2
+        yield bordered.monomial_div(LaurentPoly.monomial(1, {"u1": n - 1, "u2": n - 2}))
 
 
 # ----------------------------------------------------------------------
@@ -368,39 +375,33 @@ def enumerate_cluster_vars(kind: str, bound: int = 8) -> list:
     `diagrams.default_quiver` of the type, and the rank is held to the
     variable budget of `frise_extend_vars` before that quiver is built.
     Every returned value has natural coefficients over a monomial
-    denominator; the list is sorted and duplicate-free.
+    denominator. The list is duplicate-free and sorted by variable tuple,
+    then by terms in lexicographic exponent order (`sorted_distinct`).
     """
     name = kind.strip().lower().replace(" ", "").replace("(", "").replace(")", "")
     if name == "atilde12":
         raise ValueError("Atilde12 is the two-vertex Euclidean diagram with valuation (1, 4), "
                          "not a cycle; cluster-vars takes A<n>, Atilde<m> or kronecker")
-    if name in ("kronecker", "atilde11"):
-        series, m = "Atilde", 1
-    else:
-        matched = re.fullmatch(r"(atilde|a)(\d+)", name)
-        if not matched:
-            raise ValueError("unrecognized type %r" % (kind,))
-        series = "Atilde" if matched.group(1) == "atilde" else "A"
-        m = int(matched.group(2))
+    name = "atilde1" if name in ("kronecker", "atilde11") else name
+    matched = re.fullmatch(r"(atilde|a)([0-9]+)", name)
+    if not matched:
+        raise ValueError("unrecognized type %r" % (kind,))
+    series, m = "Atilde" if matched.group(1) == "atilde" else "A", int(matched.group(2))
     if m < 1:
         raise ValueError("rank must be at least 1")
     if bound < 1:
         raise ValueError("bound must be at least 1")
 
     if series == "Atilde" and m == 1:
-        found = {LaurentPoly.var("u1"), LaurentPoly.var("u2")}
-        for n in range(2, bound + 1):
-            # no frise check covers the closed form
-            value = kronecker_closed_form(n)
-            if not value.is_natural():
-                raise NonNaturalVariable("cluster variable %s has a non-natural coefficient"
-                                         % value)
-            found.add(value)
+        found = [LaurentPoly.var("u1"), LaurentPoly.var("u2"), *_kronecker_values(bound)]
+        bad = [v for v in found if not v.is_natural()]  # no frise check covers the closed form
+        if bad:
+            raise NonNaturalVariable("cluster variable %s has a non-natural coefficient" % bad[0])
     else:
         check_variable_budget(m if series == "A" else m + 1)
         quiver = default_quiver(series, m)
         # one period of A(n) is n + 3 columns; frise_extend_vars checks every
         # cell for natural coefficients
         table = frise_extend_vars(quiver, m + 2 if series == "A" else bound).table
-        found = {v for row in table for v in row}
-    return sorted(found, key=lambda v: v.sort_key())
+        found = [v for row in table for v in row]
+    return sorted_distinct(found)

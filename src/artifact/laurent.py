@@ -13,8 +13,8 @@ and a dict from key to nonzero coefficient, where the key of an exponent
 vector is the sum of (e_i + 2^(W-2)) << W*(n-1-i). The first variable
 holds the most significant field, so integer order on keys is
 lexicographic order on exponent tuples. W is a function of the value, so
-``==`` and ``hash`` read the variables and the dict; ``terms``,
-``sort_key`` and ``str`` decode the keys.
+``==``, ``hash`` and ``sorted_distinct`` (which orders on sorted keys) read
+the variables and the dict; ``terms`` and ``str`` decode the keys.
 
 Two keys of one layout (variables and width) add without a carry between
 fields, so every route works on keys: a one-term factor or divisor is one
@@ -44,7 +44,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, "LaurentPoly"]
@@ -302,10 +302,6 @@ class LaurentPoly:
             return hash(self._terms.get(0, 0))
         return hash((self._vars, frozenset(self._terms.items())))
 
-    def sort_key(self) -> tuple:
-        keys = sorted(self._terms)
-        return (self._vars, tuple(zip(self._exponents(keys), map(self._terms.__getitem__, keys))))
-
     def __str__(self) -> str:
         num, den = self.numerator_denominator()
         s = _poly_str(num)
@@ -320,6 +316,19 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return "LaurentPoly(%s)" % self
+
+
+def sorted_distinct(values: Iterable[LaurentPoly]) -> list[LaurentPoly]:
+    """The distinct values by variable tuple, then by sorted (exponent tuple,
+    coefficient) pairs, read as sorted (key, coefficient) items at the tuple's
+    widest width, where key order is exponent order; equal values sort together."""
+    values, width = list(values), {}
+    for v in values:
+        width[v._vars] = max(v._width, width.get(v._vars, 8))
+    ranked = sorted((((v._vars, sorted(_relaid(v._terms, v._vars, v._width, v._vars,
+                                               width[v._vars]).items())), v) for v in values),
+                    key=itemgetter(0))
+    return [v for i, (key, v) in enumerate(ranked) if not i or key != ranked[i - 1][0]]
 
 
 def _relaid(terms: dict, vs: tuple[str, ...], width: int, to_vs: tuple[str, ...], to_width: int) -> dict:

@@ -54,10 +54,12 @@ def test_kronecker_symbolic_start():
 def test_kronecker_closed_form_equals_recursion_symbolically():
     a, b = V("u1"), V("u2")
     us = [a, b]
-    for _ in range(11):
+    for _ in range(39):
         us.append((ONE + us[-1] * us[-1]).exact_div(us[-2]))
     for n in range(2, 13):
         assert kronecker_closed_form(n) == us[n]
+    # from n = 32 on, the values need 16-bit fields
+    assert list(cluster._kronecker_values(40)) == us[2:]
 
 
 def test_kronecker_closed_form_rejects_small_n():
@@ -548,6 +550,36 @@ def test_enumerate_kronecker_alias():
     assert V("u1") in vs and kronecker_closed_form(5) in vs
 
 
+def _exponent_order(vs):
+    return sorted(set(vs), key=lambda v: (v.variables, tuple(sorted(v.terms.items()))))
+
+
+@pytest.mark.parametrize("kind, bound", [("kronecker", 32), ("Atilde2", 30)])
+def test_enumerate_orders_mixed_widths_by_exponent_tuples(kind, bound):
+    # exponents past 31 widen a value's fields from 8 to 16 bits; the
+    # order is still that of the decoded exponent tuples
+    if kind == "kronecker":
+        found = [V("u1"), V("u2"), *cluster._kronecker_values(bound)]
+    else:
+        table = frises.frise_extend_vars(cluster.default_quiver("Atilde", 2), bound).table
+        found = [v for row in table for v in row]
+    vs = enumerate_cluster_vars(kind, bound)
+    assert vs == _exponent_order(found)
+    widths = {}
+    for v in vs:
+        widths.setdefault(v.variables, set()).add(v._width)
+    assert {8, 16} in widths.values()
+
+
+@pytest.mark.parametrize("kind", ["A\u0663", "Atilde\u0663"])
+def test_enumerate_reads_ascii_digits_only(kind):
+    # U+0663 is the Arabic-Indic digit three, which the catalog does not read
+    with pytest.raises(ValueError, match="unrecognized type"):
+        enumerate_cluster_vars(kind, 4)
+    _cli_fails_cleanly(["cluster-vars", "--kind", kind, "--bound", "4"])
+    _cli_fails_cleanly(["frise", "--quiver", kind])
+
+
 def test_enumerate_rejects_unknown_type():
     with pytest.raises(ValueError):
         enumerate_cluster_vars("E8")
@@ -626,7 +658,7 @@ def test_non_natural_frise_cell_raises_arithmetic_error(monkeypatch, kind):
 
 
 def test_non_natural_kronecker_value_raises_arithmetic_error(monkeypatch):
-    monkeypatch.setattr(cluster, "kronecker_closed_form", lambda n: NOT_NATURAL)
+    monkeypatch.setattr(cluster, "_kronecker_values", lambda bound: [NOT_NATURAL])
     with pytest.raises(ArithmeticError, match="non-natural"):
         enumerate_cluster_vars("kronecker", 4)
     _cli_fails_cleanly(["cluster-vars", "--kind", "kronecker", "--bound", "4"])

@@ -17,6 +17,7 @@ from artifact.laurent import (
     bordered_word_value,
     nested_word_values,
     products_differ_by_one,
+    sorted_distinct,
 )
 from bordered_oracles import (Mat2, row_times_mat, step_matrix, vec_dot, verify_det_identities,
                               word_value_vars)
@@ -1111,7 +1112,7 @@ def _outcome(fn, *args):
 def _matches(got: LaurentPoly, want: TupleLaurent) -> None:
     assert TupleLaurent.of(got) == want
     assert got == _from_oracle(want) and hash(got) == hash(_from_oracle(want))
-    assert str(got) == str(want) and got.sort_key() == want.sort_key()
+    assert str(got) == str(want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1224,7 +1225,25 @@ def test_the_packed_form_matches_the_tuple_oracle_across_the_width_boundary(p, q
     assert (p == q) == (tp == tq)
     if p == q:
         assert hash(p) == hash(q)
-    assert (p.sort_key() < q.sort_key()) == (tp.sort_key() < tq.sort_key())
+    assert [TupleLaurent.of(v) for v in sorted_distinct([q, p, q])] == sorted(
+        {tp, tq}, key=TupleLaurent.sort_key)
+
+
+@st.composite
+def repeated_polys(draw):
+    """A shuffled list of values over one to three variables, some drawn
+    twice or more, with exponents on both sides of the 8/16-bit boundary."""
+    vs = draw(st.lists(ring_polys(exps=boundary_exps, names=st.sampled_from(DIFF_NAMES[1:])),
+                       min_size=1, max_size=10))
+    return draw(st.permutations(vs + draw(st.lists(st.sampled_from(vs), max_size=6))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_polys())
+@example([a ** 32 + a, a ** 31, b, a ** 32 + a, a ** -32 + a * a, a ** -33, a])
+def test_sorted_distinct_matches_the_decoded_order(vs):
+    want = sorted(set(vs), key=lambda v: (v.variables, tuple(sorted(v.terms.items()))))
+    assert sorted_distinct(vs) == want
 
 
 @st.composite

@@ -59,6 +59,16 @@ and no benchmark workload runs it:
   runs them) on the 17-letter symbolic seed
   ``aybycxdxexfxgyhyiyjxkylxmxnyoypxqxr``.
 
+The cluster variables (``cluster.enumerate_cluster_vars``: a symbolic
+frise table or one walk over the Kronecker matrix powers, then
+``laurent.sorted_distinct``, which orders and deduplicates on packed keys)
+get two lines:
+
+- ``enumerate_cluster_vars`` on Atilde3 at bound 12, the size of verify's
+  cluster-vars check;
+- ``enumerate_cluster_vars`` on kronecker at bound 32, whose values mix
+  fields of 8 and 16 bits over one variable tuple.
+
 The minor check has two lines of its own, on the 3,528
 ``products_differ_by_one`` calls of one symbolic-tiles pass at seed 1 (49
 minors of each window), with every tile value built before the clock
@@ -270,6 +280,10 @@ def main() -> None:
         ("cross_construct + frieze_period %s" % LONG_CROSS_SEED,
          best(lambda: cluster.frieze_period(
              cluster.cross_construct(cluster.CrossSeed.parse(LONG_CROSS_SEED))))),
+        ("enumerate_cluster_vars Atilde3, bound 12",
+         best(lambda: cluster.enumerate_cluster_vars("Atilde3", bound=12))),
+        ("enumerate_cluster_vars kronecker, bound 32",
+         best(lambda: cluster.enumerate_cluster_vars("kronecker", 32))),
         ("frise_extend x %d probe quivers, %d steps" % (len(quivers), workloads.PROBE_STEPS),
          best(lambda: [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers])),
         ("find_min_recurrence x %d probe rows, max order %d"
