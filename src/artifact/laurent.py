@@ -19,9 +19,10 @@ the variables and the dict; ``terms`` and ``str`` decode the keys.
 Two keys of one layout (variables and width) add without a carry between
 fields, so every route works on keys: a one-term factor or divisor is one
 key shift, other products run ``_mul_keys`` and divisions ``_div_keys``.
-Operands of different layouts are realigned once (``_relaid``); results
-leave through ``_canonical``, which repacks only when a variable cancels
-out or the width changes.
+Operands of different layouts are realigned once (``_relaid``: per run of
+fields that stay adjacent, one shift and mask of each key); results leave
+through ``_canonical``, which repacks only when a variable cancels out or
+the width changes.
 
 Bordered products of 2x2 step matrices over words whose vertices carry one
 variable or 1 have two kernels: ``bordered_word_value`` walks one word as a
@@ -29,13 +30,15 @@ row vector (tiles below the frontier and cells of the cross construction,
 ``cluster``), and ``nested_word_values`` keeps the whole 2x2 product, so a
 word can grow at both ends (frise rays of oriented cycles, ``frises``).
 Both walk in their values' layout, so a value leaves with one constant
-added to each key; the ray kernel moves large entries to int64 arrays.
+added to each key (the single-word walk, its layout cached per names tuple,
+adds it in its last sum); the ray kernel moves large entries to int64 arrays.
 
 ``products_differ_by_one`` (p*q - r*s == 1), the one relation check of
 ``tilings.verify_sl2`` and ``frises.verify_recursion``, forms no ring
-product: it sums each term pair at the sum of its keys (read directly when
-the four operands share a layout). From ``_DICT_PAIRS`` pairs on, within its
-bounds, an int64 pass sorts one word per pair; else a dict pass decides.
+product: it sums each term pair at the sum of its keys, read in place when
+the four operands share a layout, else moved as ``_relaid`` moves them. From
+``_DICT_PAIRS`` pairs on, within its bounds, an int64 pass sorts one word per
+pair (the keys themselves in it where they fit); else a dict pass decides.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain
-from operator import and_, itemgetter, or_
+from operator import and_, index, itemgetter, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[int, "LaurentPoly"]
@@ -102,10 +105,10 @@ class LaurentPoly:
         if len(set(vs)) < len(vs):
             raise ValueError("repeated variable name %r"
                              % next(v for i, v in enumerate(vs) if v in vs[:i]))
-        tm = {tuple(e): int(c) for e, c in (terms or {}).items() if c}
-        for e in tm:
-            if len(e) != len(vs):
-                raise ValueError("exponent tuple length does not match variable count")
+        # index refuses 0.5 and Fraction, keeps True and numpy ints; zeros go after it
+        tm = {e: c for e, c in ((tuple(e), index(c)) for e, c in (terms or {}).items()) if c}
+        if any(len(e) != len(vs) for e in tm):
+            raise ValueError("exponent tuple length does not match variable count")
         order = sorted(range(len(vs)), key=lambda i: _var_key(vs[i]))
         columns = [[e[i] for e in tm] for i in order]
         width = _width(min(chain(*columns), default=0), max(chain(*columns), default=0))
@@ -121,7 +124,7 @@ class LaurentPoly:
 
     @staticmethod
     def nat(n: int) -> "LaurentPoly":
-        return LaurentPoly._trusted((), 8, {0: int(n)} if n else {})
+        return LaurentPoly._trusted((), 8, {0: n} if (n := index(n)) else {})
 
     @staticmethod
     def var(name: str) -> "LaurentPoly":
@@ -337,11 +340,15 @@ def _relaid(terms: dict, vs: tuple[str, ...], width: int, to_vs: tuple[str, ...]
     and every exponent must fit to_width."""
     if vs == to_vs and width == to_width:
         return terms
-    add, runs = _moves(vs, width, to_vs, to_width)
+    return dict(zip(_moved(terms, *_moves(vs, width, to_vs, to_width)), terms.values()))
+
+
+def _moved(terms: dict, add: int, runs: tuple) -> list[int]:
+    """The keys of terms moved as ``_moves`` says, in their order."""
     keys = [add] * len(terms)
     for down, mask, up in runs:
         keys = [x + (((k >> down) & mask) << up) for x, k in zip(keys, terms)]
-    return dict(zip(keys, terms.values()))
+    return keys
 
 
 @lru_cache(maxsize=4096)
@@ -535,12 +542,17 @@ def _shifted(entry: tuple, k: int) -> tuple:
     return entry[0] + k, entry[1]
 
 
-def _plus(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
+def _plus(a: tuple[int, dict], b: tuple[int, dict], shift: Optional[int] = None) -> tuple:
+    """a + b; with a shift, at offset 0, each key moved by its offset and shift."""
     if len(a[1]) < len(b[1]):
         a, b = b, a
     (off, big), (delta, small) = a, b
+    if shift is None:
+        out = dict(big)
+    else:
+        out = {k + off + shift: c for k, c in big.items()}
+        off, delta = 0, delta + shift
     delta -= off
-    out = dict(big)
     for key, c in small.items():
         key += delta
         out[key] = out.get(key, 0) + c
@@ -667,9 +679,7 @@ def bordered_word_value(names: Sequence[Optional[str]], letters: str,
         raise ValueError("word %r needs at least two letters" % (letters,))
     if len(names) != n + 1:
         raise ValueError("need one more name than letters")
-    universe, width, key = _layout(v for v in names if v is not None)
-    key[None] = 0
-    units = [key[v] for v in names]
+    universe, width, units, shift = _walk_layout(tuple(names))
     x, y = (0, {0: 1}), (units[0], {0: 1})
     for i in range(1, n - 1):
         a, b = units[i], units[i + 1]
@@ -678,8 +688,17 @@ def bordered_word_value(names: Sequence[Optional[str]], letters: str,
         else:
             x, y = _plus(_shifted(x, b), y), _shifted(y, a)
     last = units[n]
-    value = _plus(_shifted(x, last), y) if col_swap else _plus(x, _shifted(y, last))
-    return _over_monomial(universe, width, value, sum(units[1:n]))
+    x, y = (_shifted(x, last), y) if col_swap else (x, _shifted(y, last))
+    return _canonical(universe, width, _plus(x, y, shift)[1])
+
+
+@lru_cache(maxsize=4096)
+def _walk_layout(names: tuple[Optional[str], ...]) -> tuple[tuple[str, ...], int, tuple, int]:
+    """``_layout`` of the walk, each vertex's unbiased key (0 for None), and
+    the shift of its values' keys: the bias less the denominator's key."""
+    universe, width, key = _layout(v for v in names if v is not None)
+    units = tuple(key.get(v, 0) for v in names)
+    return universe, width, units, (_ones(len(universe), width) << width - 2) - sum(units[1:-1])
 
 
 def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
@@ -780,99 +799,120 @@ def products_differ_by_one(p: Scalar, q: Scalar, r: Scalar, s: Scalar) -> bool:
     """Exact check that p*q - r*s == 1.
 
     Four int operands take the integer route, p*q - r*s == 1 itself. Else
-    the operands' keys are read in one layout (their own when they share
-    it), where two keys sum without a carry to the key of the exponent sum
-    plus twice the bias. The dict pass sums each pair of p*q and of -r*s at
-    the sum of its keys and 1 less at twice the bias, and the check holds
-    when every sum is 0: exact for every input.
+    the operands' keys are read in one layout of n variables at width W:
+    their dicts in place when the four share it, else moved (``_moves``).
+    Two keys sum without a carry, each field below 2^W, to the key of the
+    exponent sum plus twice the bias. The dict pass sums each pair of p*q
+    and of -r*s at the sum of its keys and 1 less at twice the bias, and
+    the check holds when every sum is 0: exact for every input.
 
-    From ``_DICT_PAIRS`` pairs on an int64 pass comes first. It decodes the
-    exponents with numpy and reads emax (the largest |exponent|) and cmax
-    (the largest |coefficient|, at least 1) as Python integers, so -2^63
-    counts as 2^63. One int64 product repacks each exponent vector into
-    signed fields of width w = (2 * emax).bit_length() + 1 shifted left by
-    cbits = (2 * cmax^2).bit_length(), injective on sums of two vectors.
-    Each pair is one word, (key sum) + c1*c2 + cmax^2; one sort puts equal
-    keys together and ``reduceat`` sums each run. It runs only while pairs
-    <= ``_MAX_PAIRS`` (a memory cap) and w * n + cbits <= 62 for n
-    variables: then every word fits int64, words sort by key first, and a
-    run of one key holds at most 2^(w*n+1) + 1 words (one pair per first
-    exponent vector in [-emax, emax]^n in each product, and the 1), each at
-    most cmax^2 < 2^(cbits-1), so its partial sums stay below 2^63.
+    From ``_DICT_PAIRS`` pairs on an int64 pass comes first. It reads cmax
+    (the largest |coefficient|, at least 1) as a Python integer, so -2^63
+    counts as 2^63. Each pair is one word, its key part shifted left by
+    cbits = (2 * cmax^2).bit_length() plus c1*c2 + cmax^2; one sort puts
+    equal key parts together and ``reduceat`` sums each run. Where
+    nW + cbits <= 62 the key part is the key sum less twice the bias, below
+    2^(nW) in absolute value. Else the exponents are decoded (emax, the
+    largest |exponent|) and repacked by one int64 product into signed
+    fields of width w = (2 * emax).bit_length() + 1, injective on sums of
+    two vectors, and wn + cbits <= 62 must hold instead. The pass also
+    needs pairs <= ``_MAX_PAIRS`` (a memory cap). Within these bounds every
+    word fits int64 and words sort by key part first; a run of one key
+    part holds at most 2^(nW) words per product (one per first key), plus
+    the 1, each below 2^(cbits-1) in absolute value, so its partial sums
+    stay below 2^(nW+cbits) + 2^(cbits-1) < 2^63 (wn for nW if repacked).
     """
     if type(p) is type(q) is type(r) is type(s) is int:
         return p * q - r * s == 1
-    terms, n, width = _minor_operands(p, q, r, s)
-    tp, tq, tr, ts = terms
-    pairs = len(tp) * len(tq) + len(tr) * len(ts)
-    verdict = _differ_by_one_int64(terms, n, width) if _DICT_PAIRS <= pairs <= _MAX_PAIRS else None
-    return _differ_by_one_dicts(terms, n, width) if verdict is None else verdict
+    operands = _minor_operands(p, q, r, s)
+    tp, tq, tr, ts = map(len, operands[0])
+    pairs = tp * tq + tr * ts
+    verdict = _differ_by_one_int64(*operands) if _DICT_PAIRS <= pairs <= _MAX_PAIRS else None
+    return _differ_by_one_dicts(*operands) if verdict is None else verdict
 
 
-def _minor_operands(*operands: Scalar) -> tuple[list[dict], int, int]:
-    """The operands' term dicts in one layout, its variable count and width."""
+def _minor_operands(*operands: Scalar) -> tuple[list[dict], tuple, int, int]:
+    """The operands' term dicts, the ``_moves`` of each into one layout (None
+    where it has that layout), and the layout's variable count and width."""
     polys = [LaurentPoly.coerce(v) for v in operands]
-    vs, width = _union(*(f._vars for f in polys)), max(f._width for f in polys)
-    return [_relaid(f._terms, f._vars, f._width, vs, width) for f in polys], len(vs), width
+    return ([f._terms for f in polys], *_minor_layout(*[(f._vars, f._width) for f in polys]))
 
 
-def _differ_by_one_dicts(terms: list, n: int, width: int) -> bool:
+@lru_cache(maxsize=4096)
+def _minor_layout(*layouts: tuple[tuple[str, ...], int]) -> tuple[tuple, int, int]:
+    """The moves of ``_minor_operands`` into the union of the layouts."""
+    vs, width = _union(*(v for v, _ in layouts)), max(w for _, w in layouts)
+    return tuple(None if layout == (vs, width) else _moves(*layout, vs, width)
+                 for layout in layouts), len(vs), width
+
+
+def _differ_by_one_dicts(terms: list, moves: tuple, n: int, width: int) -> bool:
     """The dict pass of ``products_differ_by_one``, exact for every input."""
-    tp, tq, tr, ts = terms
+    tp, tq, tr, ts = [t.items() if m is None else list(zip(_moved(t, *m), t.values()))
+                      for t, m in zip(terms, moves)]
     acc = {_ones(n, width) << width - 1: -1}  # the 1, at twice the bias
     get = acc.get
     for t1, t2, sign in ((tp, tq, 1), (tr, ts, -1)):
-        for k1, c1 in t1.items():
+        for k1, c1 in t1:
             c1 *= sign
-            for k2, c2 in t2.items():
+            for k2, c2 in t2:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
     return not any(acc.values())
 
 
-def _differ_by_one_int64(terms: list, n: int, width: int) -> Optional[bool]:
+def _differ_by_one_int64(terms: list, moves: tuple, n: int, width: int) -> Optional[bool]:
     """The int64 pass of ``products_differ_by_one``, or None when a
-    coefficient leaves int64 or the bounds fail. Keys of up to 64 bits
-    (below 2^63, as a top field is below 2^(width-1)) go to numpy as int64,
-    longer ones as big-endian bytes: their fields as unsigned integers."""
+    coefficient leaves int64 or the bounds fail."""
     import numpy as np  # here, so that importing artifact does not load numpy
 
-    sizes, keys = [len(t) for t in terms], chain.from_iterable(terms)
+    sizes = [len(t) for t in terms]
     try:
         coeffs = np.fromiter(chain.from_iterable(t.values() for t in terms), dtype=np.int64,
                              count=sum(sizes))
     except OverflowError:
         return None
-    if width > 64:  # exponents of 2^61 or more: w passes 62
-        return None
-    if n * width <= 64 and width < 64:
-        keys = np.fromiter(keys, dtype=np.int64, count=sum(sizes))
-        exps = keys[:, None] >> np.arange(n - 1, -1, -1) * width & (1 << width) - 1
-    else:
-        raw = b"".join([k.to_bytes(n * width // 8, "big") for k in keys])
-        exps = np.frombuffer(raw, dtype=">u%d" % (width // 8)).reshape(sum(sizes), n)
-    exps = exps.astype(np.int64, copy=False) - (1 << width - 2)
-    emax = max(int(exps.max(initial=0)), -int(exps.min(initial=0)))
     bias = max(int(coeffs.max(initial=1)), -int(coeffs.min(initial=-1))) ** 2  # cmax^2
-    w, cbits = (2 * emax).bit_length() + 1, (2 * bias).bit_length()
-    if w * n + cbits > 62:
+    cbits = (2 * bias).bit_length()
+    keys = chain.from_iterable(t if m is None else _moved(t, *m) for t, m in zip(terms, moves))
+    if n * width + cbits <= 62:  # the keys less the bias are the key parts
+        packed = np.fromiter(keys, dtype=np.int64, count=sum(sizes))
+        packed = packed - (_ones(n, width) << width - 2) << cbits
+    elif (packed := _repacked(keys, sum(sizes), n, width, cbits)) is None:
         return None
-    packed = exps @ np.array([1 << w * (n - 1 - i) + cbits for i in range(n)], dtype=np.int64)
     (kp, cp), (kq, cq), (kr, cr), (ks, cs) = [(packed[i - m:i], coeffs[i - m:i])
                                               for i, m in zip(accumulate(sizes), sizes)]
     n_pq = len(kp) * len(kq)
     words = np.empty(n_pq + len(kr) * len(ks) + 1, dtype=np.int64)
-    words[-1] = bias - 1  # the 1 subtracted at key 0
+    words[-1] = bias - 1  # the 1 subtracted at key part 0
     for k1s, c1s, k2s, c2s, out in ((kp, cp, kq, cq, words[:n_pq]),
                                     (kr, -cr, ks, cs, words[n_pq:-1])):
         out = out.reshape(len(k1s), len(k2s))
-        np.add.outer(k1s, k2s, out=out)
-        prods = np.multiply.outer(c1s, c2s)
-        prods += bias
-        out += prods
-        del prods  # freed before the next block and the sort: the memory peak
+        np.add.outer(k1s + bias, k2s, out=out)
+        out += np.multiply.outer(c1s, c2s)  # freed before the next block: the memory peak
     words.sort()
-    starts = _run_starts(words >> cbits).nonzero()[0]  # the keys are freed first
+    starts = _run_starts(words >> cbits).nonzero()[0]  # the key parts are freed first
     words &= (1 << cbits) - 1
     words -= bias
     return not np.add.reduceat(words, starts).any()
+
+
+def _repacked(keys: Iterable[int], count: int, n: int, width: int, cbits: int):
+    """The count keys as int64 key parts, exponents in signed fields of width
+    w shifted left by cbits, or None when w * n + cbits passes 62."""
+    import numpy as np
+
+    if width > 64:  # exponents of 2^61 or more: w passes 62
+        return None
+    if n * width <= 64 and width < 64:  # below 2^63: a top field is below 2^(width-1)
+        keys = np.fromiter(keys, dtype=np.int64, count=count)
+        exps = keys[:, None] >> np.arange(n - 1, -1, -1) * width & (1 << width) - 1
+    else:  # big-endian bytes: the fields as unsigned ints
+        raw = b"".join([k.to_bytes(n * width // 8, "big") for k in keys])
+        exps = np.frombuffer(raw, dtype=">u%d" % (width // 8)).reshape(count, n)
+    exps = exps.astype(np.int64, copy=False) - (1 << width - 2)
+    emax = max(int(exps.max(initial=0)), -int(exps.min(initial=0)))
+    w = (2 * emax).bit_length() + 1
+    if w * n + cbits > 62:
+        return None
+    return exps @ np.array([1 << w * (n - 1 - i) + cbits for i in range(n)], dtype=np.int64)

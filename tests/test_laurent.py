@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import ast
 from contextlib import contextmanager
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -38,6 +42,25 @@ def test_canonical_form_prunes_unused_variables():
 def test_zero_coefficients_vanish():
     assert LaurentPoly(("a",), {(1,): 0}) == 0
     assert (a - a).is_zero()
+
+
+@pytest.mark.parametrize("build, want", [
+    # a coefficient strictly between -1 and 1 once became a stored zero term
+    (lambda: LaurentPoly(("a",), {(1,): 0.5}), TypeError),
+    (lambda: LaurentPoly.nat(Fraction(1, 2)), TypeError),
+    (lambda: products_differ_by_one(LaurentPoly.nat(1.9), 1, 0, 0), TypeError),
+    # numpy ints and bools are integers; their zeros drop after the conversion
+    (lambda: LaurentPoly(("a", "b"), {(1, 0): np.int64(3), (0, 1): np.int64(0)}), 3 * a),
+    (lambda: LaurentPoly.nat(True) + LaurentPoly(("a",), {(1,): False}), 1),
+])
+def test_coefficients_are_integers(build, want):
+    if want is TypeError:
+        with pytest.raises(TypeError):
+            build()
+        return
+    got = build()
+    assert got == want and all(type(c) is int for c in got.terms.values())
+    assert got.is_zero() == (want == 0)
 
 
 def test_variable_order_is_length_then_name():
@@ -498,6 +521,33 @@ def test_bordered_word_value_matches_nested_word_values_on_one_span(word):
     assert bordered_word_value([names[j] for j in labels], letters) == nested
 
 
+@st.composite
+def reused_names(draw):
+    # words over one names tuple, a permutation of it (None labels move) or
+    # a copy with one more None: one layout, or layouts of one universe
+    n = draw(st.integers(2, 10))
+    names = draw(st.lists(st.sampled_from((None, "u10", "u2", "u3", "u1")), min_size=n + 1,
+                          max_size=n + 1))
+    words = []
+    for _ in range(draw(st.integers(2, 5))):
+        i = draw(st.integers(0, n))
+        variant = draw(st.sampled_from((names, draw(st.permutations(names)),
+                                        names[:i] + [None] + names[i + 1:])))
+        words.append((tuple(variant), draw(st.text("xy", min_size=n, max_size=n)),
+                      draw(st.booleans())))
+    return words
+
+
+@settings(max_examples=100, deadline=None)
+@given(reused_names())
+def test_bordered_word_value_takes_its_layout_from_the_names_tuple(words):
+    laurent_mod._walk_layout.cache_clear()
+    for names, letters, col_swap in words + words[::-1]:
+        got = bordered_word_value(names, letters, col_swap)
+        want = word_value_vars(["1" if v is None else v for v in names], letters, col_swap)
+        assert _canonical(got) and got == want
+
+
 def test_both_word_kernels_need_at_least_two_letters():
     with pytest.raises(ValueError, match="at least two letters"):
         bordered_word_value(["a", None], "x")
@@ -664,6 +714,7 @@ def _agrees(p, q, r, s):
 
 
 c = LaurentPoly.var("c")
+NINE = tuple("u%d" % i for i in range(1, 10))
 wide_coeffs = st.one_of(small_ints, st.integers(-(1 << 40), 1 << 40))
 abc = ("a", "b", "c")
 
@@ -700,22 +751,63 @@ def test_products_differ_by_one_on_true_and_perturbed_minors(minor, slot, delta)
 @contextmanager
 def dict_pairs(threshold):
     """Run products_differ_by_one with its size threshold set to threshold,
-    and count the verdicts of its int64 pass (calls that did not return
-    None)."""
-    saved = laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64
-    verdicts = []
+    and record the verdicts of its int64 pass (calls that did not return
+    None), each as (route, verdict): "repack" where _repacked made the key
+    parts, else "direct" (the keys less the bias)."""
+    saved = laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64, laurent_mod._repacked
+    verdicts, repacks = [], []
+
+    def repacking(*args):
+        repacks.append(args)
+        return saved[2](*args)
 
     def counting(*args):
+        repacks.clear()
         verdict = saved[1](*args)
         if verdict is not None:
-            verdicts.append(verdict)
+            verdicts.append(("repack" if repacks else "direct", verdict))
         return verdict
 
     laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64 = threshold, counting
+    laurent_mod._repacked = repacking
     try:
         yield verdicts
     finally:
-        laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64 = saved
+        laurent_mod._DICT_PAIRS, laurent_mod._differ_by_one_int64, laurent_mod._repacked = saved
+
+
+# cbits = (2 * cmax^2).bit_length(): 54 at cmax = 2^26, 55 from 94906266, the
+# least cmax with cmax^2 >= 2^53
+u8 = reduce(mul, map(LaurentPoly.var, NINE[:8]))
+big = (1 << 26, 94906266)
+
+
+@pytest.mark.parametrize("p, q, r, s, moved, route, want", [
+    # one variable at width 8: nW + cbits = 8 + 54 = 62 is direct, 63 repacks
+    (big[0] * a, a ** -1, big[0] - 1, 1, 2, "direct", True),
+    (big[0] * a, a ** -1, big[0] - 2, 1, 2, "direct", False),
+    (big[1] * a, a ** -1, big[1] - 1, 1, 2, "repack", True),
+    (big[1] * a, a ** -1, big[1], 1, 2, "repack", False),
+    # eight variables at width 8: nW = 64 repacks even at cmax = 1
+    (u8 + 1, 1, u8, 1, 2, "repack", True),
+    (u8 + 1, u8 ** -1, 1, u8 ** -1, 1, "repack", True),
+    (u8 + 1, u8 ** -1, 1, u8 ** -1 + 1, 1, "repack", False),
+    # all four in one layout of width 16, read in place
+    (a ** 40 * b + 1, a ** -40 * b ** -1, a ** -80 * b, a ** 40 * b ** -2, 0, "direct", True),
+    (a ** 40 * b + 1, a ** -40 * b ** -1, a ** -80 * b, a ** 40 * b ** -3, 0, "direct", False),
+    # s alone has another layout, so only its keys move
+    (a * b * c + c, (a * b * c) ** -1, a ** -1 * b ** -1 * c, c ** -1, 1, "direct", True),
+    (a * b * c + c, (a * b * c) ** -1, a ** -1 * b ** -1 * c, 2 * c ** -1, 1, "direct", False),
+])
+def test_the_int64_pass_takes_the_direct_key_route_within_its_bound(p, q, r, s, moved, route,
+                                                                    want):
+    p, q, r, s = (LaurentPoly.coerce(v) for v in (p, q, r, s))
+    _, moves, _, _ = laurent_mod._minor_operands(p, q, r, s)
+    assert sum(m is not None for m in moves) == moved
+    with dict_pairs(0) as verdicts:
+        got = products_differ_by_one(p, q, r, s)
+    assert verdicts == [(route, want)]
+    assert got == want == _products_differ_by_one_by_dicts(p, q, r, s) == (p * q - r * s == 1)
 
 
 # one variable up to |exponent| 3 (w = 4, kbits = 4) and coefficients up to
@@ -775,9 +867,8 @@ pass_coeffs = st.one_of(small_ints.filter(bool), near_2_28, near_2_31)
 
 
 @st.composite
-def pass_polys(draw, names=abc, exps=st.integers(-3, 3), max_terms=6):
-    terms = draw(st.dictionaries(st.tuples(*[exps] * len(names)), pass_coeffs,
-                                 max_size=max_terms))
+def pass_polys(draw, names=abc, exps=st.integers(-3, 3), max_terms=6, coeffs=pass_coeffs):
+    terms = draw(st.dictionaries(st.tuples(*[exps] * len(names)), coeffs, max_size=max_terms))
     return LaurentPoly(names, terms)
 
 
@@ -813,6 +904,13 @@ def carry_quads(draw):
 
 disjoint_quads = st.tuples(pass_polys(("a", "b")), pass_polys(("a", "b")),
                            pass_polys(("c", "u10")), pass_polys(("c", "u10")))
+# up to eight names at width 8, so that n * W passes 62 from eight names on,
+# and n * W + cbits from two (cmax 2^20, cbits 42) or five (cmax 2^12, cbits
+# 26) on; in one layout, or each operand in its own
+key_coeffs = st.one_of(small_ints.filter(bool), st.sampled_from([1 << 12, -(1 << 20)]))
+wide_polys = st.integers(1, 8).flatmap(lambda k: pass_polys(NINE[:k], coeffs=key_coeffs))
+wide_quads = st.one_of(st.integers(1, 8).flatmap(
+    lambda k: st.tuples(*[pass_polys(NINE[:k], coeffs=key_coeffs)] * 4)), st.tuples(*[wide_polys] * 4))
 constant_quads = st.tuples(*[pass_coeffs] * 4)
 
 
@@ -828,7 +926,7 @@ def _passes_agree(p, q, r, s):
 
 @settings(max_examples=300)
 @given(st.one_of(st.tuples(*[pass_polys()] * 4), disjoint_quads, cancelling_quads(),
-                 constant_quads, unimodular()))
+                 constant_quads, unimodular(), wide_quads))
 def test_the_dict_and_int64_passes_agree(quad):
     _passes_agree(*quad)
 
@@ -1194,7 +1292,6 @@ def test_only_laurent_reads_the_term_layout():
 # to 31 fit 8 bits, and -33 or 32 take 16
 
 
-NINE = tuple("u%d" % i for i in range(1, 10))
 boundary_exps = st.one_of(st.integers(-3, 3), st.sampled_from([-33, -32, -31, 31, 32, 33]))
 
 

@@ -76,7 +76,11 @@ starts: the minors of fewer than ``laurent._DICT_PAIRS`` term pairs (the
 dict pass) and the rest (the int64 pass, where its bounds hold). A table
 after the lines places that threshold: for each band of 32 to 511 pairs,
 the microseconds a minor of its dict pass and of its int64 pass, both run
-on every minor of the band. The bands and passes take turns within each of
+on every minor of the band. Each pass gets the operands as the check gives
+them (``laurent._minor_operands``: the term dicts and the moves into one
+layout) and moves the keys itself, and the int64 pass takes the route the
+check takes (the keys less their bias as the key parts where they fit,
+else repacked exponents). The bands and passes take turns within each of
 15 rounds in one process, and each keeps its best round, so load that
 comes and goes during the run falls on both passes alike.
 
