@@ -787,8 +787,8 @@ def nested_word_values(names: tuple[str, ...], letter: Callable[[int], str],
 
 # Below this many term pairs the minor check is one dict pass; from it on,
 # while the int64 bounds hold, one sort of int64 words: the crossover in the
-# band table of tools/time_kernel.py at seeds 1 and 24 (dict 47 us a minor
-# against int64 56-58 at 192-255 pairs, 67-71 against 59-63 at 256-383).
+# band table of tools/time_kernel.py at seeds 1 and 24 (dict 42-45 us a minor
+# against int64 44-49 at 192-255 pairs, 61-67 against 50-55 at 256-383).
 _DICT_PAIRS = 256
 # The int64 pass holds 24 bytes per pair at its peak (numpy buffers, read
 # with tracemalloc): about 100 MB at this cap.
