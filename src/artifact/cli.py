@@ -381,7 +381,7 @@ def verify_cmd(ctx, suites, fmt) -> None:
     try:
         reports = run_suite(suites)
     except KeyError as exc:
-        raise click.UsageError("unknown suite %s" % exc)
+        raise click.UsageError(exc.args[0])
     _emit(fmt, reports, [[r["name"], "PASS" if r["ok"] else "FAIL", r["detail"]]
                          for r in reports])
     if not all(r["ok"] for r in reports):

@@ -1,9 +1,10 @@
 """Laurent polynomials with integer coefficients over named variables.
 
 The intended carrier is the semiring of Laurent polynomials with natural
-coefficients; subtraction exists on the type because determinant checks
-need it, but every value meant to be a tiling entry or a cluster variable
-must satisfy ``is_natural()`` (checked at the producing call sites).
+coefficients; subtraction exists on the type for the ring API and for
+reference checks such as ``p*q - r*s`` in the tests, but every value meant
+to be a tiling entry or a cluster variable must satisfy ``is_natural()``
+(checked at the producing call sites).
 Denominators are always monomials, absorbed as negative exponents.
 
 A value has one form, canonical by construction: its sorted variables,

@@ -213,10 +213,6 @@ class Embedding:
             return "on", i, i
         return "above", ihi, self._after(v, 1) - 1
 
-    def classify(self, p: Point) -> str:
-        """'below', 'on', or 'above' the frontier path."""
-        return self.locate(p)[0]
-
     def mirror(self) -> "Embedding":
         """Letter-swapped frontier: reflecting across the main diagonal
         carries this path onto it and swaps the two sides of the plane."""

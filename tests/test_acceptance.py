@@ -95,7 +95,7 @@ def _window_span(e, du, dv, size=8):
     has_above = has_below = False
     for u in range(du, du + size):
         for v in range(dv, dv + size):
-            side = e.classify((u, v))
+            side = e.locate((u, v))[0]
             if side == "on":
                 continue
             if side == "above":

@@ -1,5 +1,6 @@
 import ast
 import json
+import shutil
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import artifact.cli as cli_module
+from artifact.acceptance import SUITE_NAMES
 from artifact.cli import cli
 from artifact.frises import WindowTooShort
 
@@ -397,3 +399,59 @@ def test_emit_is_the_only_output_path():
     inside = [w for n in emit for w in _stdout_writes(n)]
     assert [w for w in _stdout_writes(tree) if w not in inside] == []
     assert {w.split(" ")[0] for w in inside} == {"json.dumps", "click.echo"}
+
+
+def _env_reads(tree: ast.AST) -> list[int]:
+    """Lines that name os.environ or os.getenv, or import either from os."""
+    lines = []
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and ast.unparse(sub) in ("os.environ", "os.getenv"):
+            lines.append(sub.lineno)
+        elif isinstance(sub, ast.ImportFrom) and sub.module == "os" and any(
+                a.name in ("environ", "getenv") for a in sub.names):
+            lines.append(sub.lineno)
+    return lines
+
+
+def test_limits_are_the_only_environment_reads():
+    src = Path(cli_module.__file__).parent
+    reads = {p.name: _env_reads(ast.parse(p.read_text())) for p in sorted(src.rglob("*.py"))}
+    assert [name for name, lines in reads.items() if lines] == ["cli.py"]
+    tree = ast.parse((src / "cli.py").read_text())
+    (limit,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_limit"]
+    assert all(limit.lineno <= line <= limit.end_lineno for line in reads["cli.py"])
+    # the names read are the string constants handed to _limit and _check_limit
+    read = {a.value for call in ast.walk(tree) if isinstance(call, ast.Call)
+            and ast.unparse(call.func) in ("_limit", "_check_limit")
+            for a in call.args if isinstance(a, ast.Constant) and isinstance(a.value, str)
+            and a.value.startswith("ARTIFACT_")}
+    assert read == set(cli_module._LIMIT_DEFAULTS)
+
+
+def test_verify_expands_all_where_it_appears():
+    result = _run("verify", "--suite", "all", "--suite", "kronecker", "--format", "tsv")
+    assert result.exit_code == 0
+    names = [line.split("\t")[0] for line in result.stdout.splitlines()]
+    assert names == list(SUITE_NAMES) + ["kronecker"]
+
+
+def test_verify_unknown_suite_names_it_once():
+    result = _run("verify", "--suite", "nope")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    (line,) = [l for l in result.output.splitlines() if l.startswith("Error: ")]
+    assert line.startswith("Error: unknown check 'nope'; choose from kronecker, ")
+    assert line.endswith(" or 'all'")
+    assert line.count("nope") == 1 and '"' not in line
+
+
+def test_verify_runs_from_a_copy_of_the_package(tmp_path):
+    site = tmp_path / "site"
+    shutil.copytree(Path(cli_module.__file__).parent, site / "artifact",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    result = subprocess.run(
+        [sys.executable, "-m", "artifact.cli", "verify", "--suite", "intro-grid"],
+        cwd=tmp_path, env={"PYTHONPATH": str(site), "PATH": ""},
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "PASS" in result.stdout and "76 printed cells" in result.stdout

@@ -164,7 +164,7 @@ def test_fuzz_variable_tilings_are_unimodular_and_positive():
 
 def _tile_by_word_value_vars(e: Embedding, names, p) -> LaurentPoly:
     # the per-cell form variable_tile_value replaced: one LaurentPoly per step
-    side = e.classify(p)
+    side = e.locate(p)[0]
     if side == "on":
         return V(names(p[0] + p[1]))
     if side == "above":
@@ -188,7 +188,7 @@ def test_variable_tile_value_matches_word_value_vars(left, center, right, k, poo
     sides = set()
     for u in range(u0 - 3, u0 + 4):
         for v in range(v0 - 3, v0 + 4):
-            sides.add(e.classify((u, v)))
+            sides.add(e.locate((u, v))[0])
             got = variable_tile_value(e, names, (u, v))
             assert got == _tile_by_word_value_vars(e, names, (u, v))
             assert got.variables == tuple(sorted(got.variables, key=lambda n: (len(n), n)))

@@ -1,11 +1,12 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from artifact._fixtures import load_grid
+from artifact.acceptance import INTRO_GRID_PRINTED
 from artifact.cli import _word_length
 from artifact.cluster import variable_tile_value
 from artifact.laurent import LaurentPoly
@@ -127,6 +128,16 @@ def test_word_value_transpose_invariant(w):
     assert word_value(w) == word_value(transpose_word(w))
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def load_grid(name):
+    """Read a TSV grid; keys are (row, column) of the nonempty cells."""
+    lines = (FIXTURES / name).read_text().splitlines()
+    return {(r, c): int(cell) for r, line in enumerate(lines)
+            for c, cell in enumerate(line.split("\t")) if cell.strip()}
+
+
 def _check_fixture(name, to_uv, e, region):
     printed = load_grid(name)
     assert printed
@@ -148,6 +159,12 @@ def test_intro_grid():
     assert grid[(10, 0)] == 576
     assert word_of_point(e, (10, 3)) == "yyxyyyx"
     assert grid[(10, 3)] == 14
+
+
+def test_intro_grid_literal_matches_the_fixture():
+    literal = {(r, c0 + k): val for r, (c0, vals) in INTRO_GRID_PRINTED.items()
+               for k, val in enumerate(vals)}
+    assert literal == load_grid("intro_grid.tsv")
 
 
 def test_atilde3_grid():
@@ -179,7 +196,7 @@ def test_staircase_diagonal_ray():
 
 def test_mirror_side():
     e = Embedding(parse_frontier("[xy]* [xy]*"))
-    assert e.classify((0, 2)) == "above"
+    assert e.locate((0, 2))[0] == "above"
     assert tile_value(e, (0, 1)) == 2
     assert tile_value(e, (0, 2)) == 5
     assert tile_value(e, (-1, 1)) == 5
@@ -306,7 +323,7 @@ def test_verify_sl2_counts_the_blocks_and_names_a_broken_one(kind):
     else:
         grid = {p: variable_tile_value(e, lambda i: "u%d" % (i % 5 + 1), p) for p in points}
     assert list(grid) == points
-    assert {e.classify(p) for p in points} == {"below", "on", "above"}
+    assert {e.locate(p)[0] for p in points} == {"below", "on", "above"}
     assert verify_sl2(grid) == 49
     # (0, 1) is vertex 1; of its four blocks, the one at corner (-1, 0) comes first
     grid[(0, 1)] = grid[(0, 1)] + 1 if kind == "integer" else grid[(0, 1)] * LaurentPoly.var("z")
@@ -433,7 +450,7 @@ def test_closed_form_geometry_matches_walk(e, far):
     (ulo, vlo), (uhi, vhi) = walk.vertex(-10), walk.vertex(10)
     for u in range(ulo - 2, uhi + 3):
         for v in range(vlo - 2, vhi + 3):
-            assert e.classify((u, v)) == walk.classify((u, v)), (u, v)
+            assert e.locate((u, v))[0] == walk.classify((u, v)), (u, v)
 
 
 def _walk_span(walk: WalkingEmbedding, p):
@@ -485,7 +502,7 @@ def test_ray_values_match_pointwise_tile_value(e, k, offset, signs, a, b, count)
 def test_rays_crossing_the_frontier_match_tile_value(origin, direction, sides):
     e = Embedding(parse_frontier("[xy]* yy [xxy]*"))
     points = [(origin[0] + n * direction[0], origin[1] + n * direction[1]) for n in range(14)]
-    seen = [e.classify(p) for p in points]
+    seen = [e.locate(p)[0] for p in points]
     assert [s for i, s in enumerate(seen) if i == 0 or s != seen[i - 1]] == sides
     expected = tuple(tile_value_by_word(e, p) for p in points)
     assert ray_values(e, origin, direction, 14).values == expected

@@ -18,7 +18,7 @@ def tile_value_by_word(e: Embedding, p: Point) -> int:
 
     Above the path the word is that of the swapped point below the mirror.
     """
-    side = e.classify(p)
+    side = e.locate(p)[0]
     if side == "on":
         return 1
     word = word_of_point(e, p) if side == "below" else word_of_point(e.mirror(), p[::-1])
