@@ -138,21 +138,23 @@ def probe_conjecture(quiver: Quiver, steps: int = 16, max_order: int = 6) -> dic
     unbounded frise whose rows all satisfy a short linear recurrence.
     For exceptional Euclidean diagrams and everything indefinite the
     probe only reports what it saw: "consistent" is None there, True or
-    False where an expectation exists.
+    False where an expectation exists, and None if an expected observation
+    is: "bounded" is None when the window cannot certify a visible period.
     """
     diagram = classify(quiver.cartan)
     fr = frise_extend(quiver, steps)
     try:
         period = detect_period(fr)
+        bounded = period is not None
     except WindowTooShort:
-        period = None
+        period = bounded = None
     recs = [find_min_recurrence(fr.row(v), max_order) for v in range(quiver.cartan.d)]
     report = {
         "diagram": str(diagram),
         "tag": diagram.tag,
         "kind": diagram.kind,
         "m": diagram.m,
-        "bounded": period is not None,
+        "bounded": bounded,
         "period": period,
         "recurrence_orders": [r.order if r else None for r in recs],
         "recurrence_found": all(r is not None for r in recs),
@@ -164,6 +166,7 @@ def probe_conjecture(quiver: Quiver, steps: int = 16, max_order: int = 6) -> dic
         expected = {"bounded": False, "recurrence_found": True}
     report["expected"] = expected
     report["consistent"] = (
-        None if expected is None else all(report[k] == v for k, v in expected.items())
+        None if expected is None or any(report[k] is None for k in expected)
+        else all(report[k] == v for k, v in expected.items())
     )
     return report

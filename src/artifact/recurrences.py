@@ -4,7 +4,9 @@ find_min_recurrence fits the smallest-order recurrence over the rationals
 that reproduces a whole prefix, by one fraction-free Berlekamp-Massey pass
 in integer arithmetic (Massey 1969); no floats anywhere. verify_recurrence
 checks a recurrence against a prefix in integers, and human_form renders
-it.
+it. Each fit is certified once at every position n >= k, its order: the
+pass found its final polynomial F zero at each step after its last update
+`changed`, and find_min_recurrence evaluates F at k..changed.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ class LinearRecurrence:
         return len(self.coeffs)
 
 
-def _connection_polynomial(seq: list[int], max_order: int) -> Optional[list[int]]:
-    """Berlekamp-Massey over Z: [c_0..c_L] with sum_i c_i seq[n-i] = 0 for n >= L.
+def _connection_polynomial(seq: list[int], max_order: int) -> Optional[tuple[list[int], int]]:
+    """Berlekamp-Massey over Z: ([c_0..c_L], changed), sum_i c_i seq[n-i] = 0 for n >= L.
 
     Where the field algorithm subtracts (d/b) x^m B from C, this scales C
     by b instead and then divides out the content, so the entries stay
@@ -45,16 +47,20 @@ def _connection_polynomial(seq: list[int], max_order: int) -> Optional[list[int]
     at the start of some step m < n (at most m + 1 entries), or the
     initial [1] (m = -1), and shift = n - m; so an update at step n is at
     most len(prev) + shift <= n + 2 long, and is first read at step n + 1.
+
+    changed is the last step with a nonzero discrepancy (-1 if none): each
+    later one was the returned polynomial, whole by the bound above, at n.
     """
     rev = seq[::-1]
     conn, prev = [1], [1]
-    length, shift, last = 0, 1, 1
+    length, shift, last, changed = 0, 1, 1, -1
     for n in range(len(seq)):
         start = len(seq) - 1 - n  # rev[start] is seq[n]
         d = sum(map(mul, conn, rev[start:start + len(conn)]))
         if d == 0:
             shift += 1
             continue
+        changed = n
         old = conn
         conn = [last * c for c in conn] + [0] * (len(prev) + shift - len(conn))
         for i, x in enumerate(prev):
@@ -67,7 +73,7 @@ def _connection_polynomial(seq: list[int], max_order: int) -> Optional[list[int]
                 return None
         else:
             shift += 1
-    return conn + [0] * (max(length, 1) + 1 - len(conn))
+    return conn + [0] * (max(length, 1) + 1 - len(conn)), changed
 
 
 def find_min_recurrence(prefix: Sequence[int], max_order: int) -> Optional[LinearRecurrence]:
@@ -78,6 +84,10 @@ def find_min_recurrence(prefix: Sequence[int], max_order: int) -> Optional[Linea
     N >= 2L terms the shortest recurrence is unique, and N >= 2*max_order+4
     makes that hold for every order reported. An all-zero prefix (L = 0)
     gives order 1 with coefficient 0.
+
+    The pass found its final polynomial F zero at each step after
+    `changed`, and here F is evaluated at k..changed, k the order, so each
+    n = k..N-1 is checked once; a miss raises RuntimeError.
     """
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
@@ -87,13 +97,15 @@ def find_min_recurrence(prefix: Sequence[int], max_order: int) -> Optional[Linea
             % (2 * max_order + 4, max_order, len(prefix))
         )
     seq = [index(v) for v in prefix]
-    conn = _connection_polynomial(seq, max_order)
-    if conn is None:
+    fit = _connection_polynomial(seq, max_order)
+    if fit is None:
         return None
-    rec = LinearRecurrence(coeffs=tuple(Fraction(-c, conn[0]) for c in conn[1:]))
-    if not verify_recurrence(seq, rec):
+    conn, changed = fit
+    k = len(conn) - 1
+    back = conn[::-1]  # back[t] multiplies seq[n - k + t]
+    if any(sum(map(mul, back, seq[n - k:n + 1])) for n in range(k, changed + 1)):
         raise RuntimeError("Berlekamp-Massey result misses the prefix")
-    return rec
+    return LinearRecurrence(coeffs=tuple(Fraction(-c, conn[0]) for c in conn[1:]))
 
 
 def verify_recurrence(prefix: Sequence[int], rec: LinearRecurrence) -> bool:

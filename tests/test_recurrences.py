@@ -1,5 +1,8 @@
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from artifact.acceptance import _random_frontier
 from artifact.diagrams import parse_shorthand
+from artifact import recurrences
 from artifact.frises import detect_period, frise_extend
 from artifact.recurrences import (
     LinearRecurrence,
@@ -141,6 +145,98 @@ def test_find_min_recurrence_matches_gauss_jordan(case):
     rec = find_min_recurrence(prefix, max_order)
     want = gauss_jordan_min_recurrence(prefix, max_order)
     assert (None if rec is None else rec.coeffs) == want
+
+
+# ----------------------------------------------------------------------
+# the certificate: Berlekamp-Massey's zero discrepancies after its last
+# update, and the direct recheck of find_min_recurrence before it
+
+
+def field_discrepancies(prefix: Sequence[int]) -> list[Fraction]:
+    """The discrepancy of every step of Berlekamp-Massey over Q.
+
+    The fraction-free pass keeps a nonzero multiple of this connection
+    polynomial, so its discrepancies are zero at the same steps.
+    """
+    s = [Fraction(v) for v in prefix]
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    out = []
+    for n in range(len(s)):
+        d = s[n] + sum(conn[i] * s[n - i] for i in range(1, length + 1))
+        out.append(d)
+        if d == 0:
+            shift += 1
+            continue
+        saved = conn[:]
+        conn = conn + [Fraction(0)] * max(0, len(prev) + shift - len(conn))
+        for i, x in enumerate(prev):
+            conn[i + shift] -= d / last * x
+        if 2 * length <= n:
+            length, prev, last, shift = n + 1 - length, saved, d, 1
+        else:
+            shift += 1
+    return out
+
+
+@st.composite
+def perturbed_cases(draw):
+    """A prefix from a random recurrence with at most one term moved.
+
+    The moved term may be any one, the last included; zero initial terms
+    and zero coefficients give all-zero prefixes and leading zeros.
+    """
+    max_order = draw(st.integers(1, 6))
+    n = draw(st.integers(2 * max_order + 4, 2 * max_order + 14))
+    k = draw(st.integers(1, max_order + 2))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    seq = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    while len(seq) < n:
+        seq.append(sum(c * seq[-1 - j] for j, c in enumerate(coeffs)))
+    seq = seq[:n]
+    if draw(st.booleans()):
+        seq[draw(st.integers(0, n - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return seq, max_order
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_cases())
+@example(([0] * 8, 2))
+@example(([0] * 7 + [1], 2))
+@example(([0, 0, 0, 1, 1, 2, 3, 5, 8, 13], 3))
+@example(([1, 1, 2, 5, 13, 34, 89, 234], 2))
+@example(([1, 1, 2, 5, 13, 34, 89, 233, 611, 1597], 3))
+def test_every_fit_passes_the_independent_check(case):
+    prefix, max_order = case
+    rec = find_min_recurrence(prefix, max_order)
+    if rec is not None:
+        assert verify_recurrence(prefix, rec)
+    conn, changed = recurrences._connection_polynomial(list(prefix), len(prefix))
+    steps = [n for n, d in enumerate(field_discrepancies(prefix)) if d]
+    assert changed == (steps[-1] if steps else -1)
+    k = len(conn) - 1
+    assert all(sum(c * prefix[n - i] for i, c in enumerate(conn)) == 0
+               for n in range(k, len(prefix)))
+
+
+def test_a_wrong_polynomial_missing_a_rechecked_position_raises(monkeypatch):
+    # [1, -2, 0] fits EVEN_FIB at position 2 but not at 3 <= changed
+    monkeypatch.setattr(recurrences, "_connection_polynomial", lambda seq, m: ([1, -2, 0], 3))
+    with pytest.raises(RuntimeError, match="misses the prefix"):
+        find_min_recurrence(EVEN_FIB, 2)
+
+
+def test_the_certificate_miss_raises_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "from artifact import recurrences\n"
+            "recurrences._connection_polynomial = lambda seq, m: ([1, -2, 0], 3)\n"
+            "print(__debug__)\n"
+            "try:\n    recurrences.find_min_recurrence(%r, 2)\n"
+            "except RuntimeError as exc:\n    print(exc)" % (src, EVEN_FIB))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\nBerlekamp-Massey result misses the prefix\n"
 
 
 def test_find_min_recurrence_examples():

@@ -1,12 +1,12 @@
-"""tools/time_kernel.py on one symbolic-tiles window: its tile, minor and
-band-table helpers call the laurent kernels by name, so a renamed kernel
-fails here rather than in the tool."""
+"""tools/time_kernel.py on one symbolic-tiles window and one probe quiver:
+its tile, minor, band-table and probe helpers call the library by name, so
+a renamed kernel fails here rather than in the tool."""
 
 import importlib.util
 import math
 from pathlib import Path
 
-from artifact import cluster, laurent
+from artifact import cluster, diagrams, laurent
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("time_kernel", ROOT / "tools" / "time_kernel.py")
@@ -36,3 +36,9 @@ def test_the_tile_minor_and_band_lines_run_on_one_window():
         operands = laurent._minor_operands(*m)
         assert laurent._differ_by_one_dicts(*operands)
         assert laurent._differ_by_one_int64(*operands) in (True, None)
+
+
+def test_the_probe_line_runs_on_one_quiver():
+    (report,) = time_kernel.probe_pass([diagrams.default_quiver("Dtilde", 4)])
+    assert (report["kind"], report["m"], report["consistent"]) == ("Dtilde", 4, True)
+    assert report["recurrence_found"] and report["bounded"] is False

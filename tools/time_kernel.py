@@ -84,10 +84,12 @@ else repacked exponents). The bands and passes take turns within each of
 15 rounds in one process, and each keeps its best round, so load that
 comes and goes during the run falls on both passes alike.
 
-The probe layers get four lines, on the inputs of one probe pass of
-perfbench: the default quivers of the 51 catalog diagrams of rank 1..6,
-their frises at 60 steps and the 219 rows of those frises:
+The probe gets five lines, on the inputs of one probe pass of perfbench:
+the default quivers of the 51 catalog diagrams of rank 1..6, their frises
+at 60 steps and the 219 rows of those frises. The first is the probe op
+end to end, the other four its layers:
 
+- ``probe_conjecture`` of the 51 quivers at 60 steps and max order 16;
 - ``frise_extend`` of the 51 quivers at 60 steps;
 - ``find_min_recurrence`` of the 219 rows at max order 16;
 - ``detect_period`` of the 51 frises (a ``WindowTooShort`` counts as a
@@ -204,6 +206,13 @@ def period(fr: frises.Frise):
         return None
 
 
+def probe_pass(quivers: list) -> list:
+    """probe_conjecture of each quiver, as one probe pass of perfbench runs it."""
+    return [correspondence.probe_conjecture(q, steps=workloads.PROBE_STEPS,
+                                            max_order=workloads.PROBE_MAX_ORDER)
+            for q in quivers]
+
+
 def pairs(minor: tuple) -> int:
     p, q, r, s = minor
     return len(p.terms) * len(q.terms) + len(r.terms) * len(s.terms)
@@ -288,6 +297,9 @@ def main() -> None:
          best(lambda: cluster.enumerate_cluster_vars("Atilde3", bound=12))),
         ("enumerate_cluster_vars kronecker, bound 32",
          best(lambda: cluster.enumerate_cluster_vars("kronecker", 32))),
+        ("probe_conjecture x %d quivers, %d steps, max order %d"
+         % (len(quivers), workloads.PROBE_STEPS, workloads.PROBE_MAX_ORDER),
+         best(lambda: probe_pass(quivers))),
         ("frise_extend x %d probe quivers, %d steps" % (len(quivers), workloads.PROBE_STEPS),
          best(lambda: [frises.frise_extend(q, workloads.PROBE_STEPS) for q in quivers])),
         ("find_min_recurrence x %d probe rows, max order %d"
