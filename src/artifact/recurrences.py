@@ -49,7 +49,7 @@ def _connection_polynomial(seq: list[int], max_order: int) -> Optional[tuple[lis
     most len(prev) + shift <= n + 2 long, and is first read at step n + 1.
 
     changed is the last step with a nonzero discrepancy (-1 if none): each
-    later one was the returned polynomial, whole by the bound above, at n.
+    later step evaluated the returned polynomial, whole by that bound, at n.
     """
     rev = seq[::-1]
     conn, prev = [1], [1]
